@@ -14,14 +14,15 @@ for the lifetime of the instance; nothing is written to disk.
 from __future__ import annotations
 
 import datetime as dt
+import http.client
 import http.server
 import ipaddress
 import json
 import logging
 import secrets
+import socket
 import ssl
 import threading
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import timedelta, timezone
 from typing import Callable
@@ -41,6 +42,13 @@ log = logging.getLogger(__name__)
 
 MAX_VALIDITY = timedelta(days=90)
 ERROR_NS = "urn:ietf:params:acme:error:"
+# Seconds a new connection gets to finish its TLS handshake.
+HANDSHAKE_TIMEOUT = 5.0
+# Seconds a keep-alive connection may sit idle (or stall mid-request)
+# before the CA drops it.
+IDLE_TIMEOUT = 15.0
+# Largest request body the CA reads; a JWS carrying a CSR is a few KiB.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class QuotaExceeded(IotPkiError):
@@ -255,6 +263,9 @@ def _service_identity() -> tuple[str, str]:
 
 class _AcmeHandler(http.server.BaseHTTPRequestHandler):
     server_version = "iotpki-ca/0.1"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     @property
     def ca(self) -> "TestCa":
@@ -274,6 +285,8 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         if getattr(self, "_location", None):
             self.send_header("Location", self._location)
             self._location = None
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -290,9 +303,25 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         ``kid`` is the account URL; for new-account requests it is None and
         the embedded JWK is returned through protected.
         """
-        length = int(self.headers.get("Content-Length", "0"))
+        # On a keep-alive connection a body left unread would be parsed as
+        # the next request, so any reply that skips it closes the connection.
+        declared = self.headers.get("Content-Length", "")
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            self._problem(400, "malformed", f"bad Content-Length {declared!r}")
+            return None
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._problem(413, "malformed", f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            return None
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            self.close_connection = True
+            self._problem(400, "malformed", f"body truncated at {len(raw)} of {length} bytes")
+            return None
         try:
-            envelope = json.loads(self.rfile.read(length))
+            envelope = json.loads(raw)
             protected = json.loads(jws.b64url_decode(envelope["protected"]))
         except (ValueError, KeyError) as exc:
             self._problem(400, "malformed", f"bad request body: {exc}")
@@ -363,6 +392,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         elif route.startswith("/acme/cert/"):
             self._post_cert(route.removeprefix("/acme/cert/"))
         else:
+            self.close_connection = True  # the body stays unread
             self._problem(404, "malformed", f"no such resource {route}")
 
     # -- endpoints ----------------------------------------------------------
@@ -489,6 +519,54 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         self._reply(200, chain.encode(), "application/pem-certificate-chain")
 
 
+class _TlsServer(http.server.ThreadingHTTPServer):
+    """Accepts plain TCP and runs each TLS handshake, under a deadline, in
+    the connection's own thread, so a slow or idle peer holds only that
+    thread. Tracks live connections so ``close_connections`` can end them."""
+
+    def __init__(self, bind_addr, handler, tls: ssl.SSLContext) -> None:
+        super().__init__(bind_addr, handler)
+        self._tls = tls
+        self._live: set[socket.socket] = set()
+        self._live_lock = threading.Lock()
+        self._closing = False
+
+    def _swap_live(self, old: socket.socket | None, new: socket.socket | None) -> bool:
+        """Replace ``old`` by ``new`` in the live set. Once the server is
+        closing nothing is added, and False tells the caller to stop."""
+        with self._live_lock:
+            self._live.discard(old)
+            if new is None or self._closing:
+                return False
+            self._live.add(new)
+            return True
+
+    def finish_request(self, request, client_address) -> None:
+        if not self._swap_live(None, request):
+            return
+        conn = None
+        try:
+            request.settimeout(HANDSHAKE_TIMEOUT)
+            conn = self._tls.wrap_socket(request, server_side=True)
+            if self._swap_live(request, conn):
+                self.RequestHandlerClass(conn, client_address, self)
+        except OSError as exc:
+            log.debug("ca connection from %s ended: %s", client_address, exc)
+        finally:
+            self._swap_live(conn or request, None)
+            if conn is not None:
+                conn.close()
+
+    def close_connections(self) -> None:
+        with self._live_lock:
+            self._closing = True
+            for sock in self._live:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+
 class TestCa:
     """Owns CA state plus the HTTPS front end."""
 
@@ -502,15 +580,13 @@ class TestCa:
             weekly_order_quota=self.config.weekly_order_quota,
         )
         self.service_cert_pem, service_key_pem = _service_identity()
-        try:
-            self._server = http.server.ThreadingHTTPServer(self.config.bind_addr, _AcmeHandler)
-        except OSError as exc:
-            raise BindFailure(f"cannot bind ca {self.config.bind_addr}: {exc}") from exc
-        self._server.daemon_threads = True
-        self._server.ca = self
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         load_cert_chain_in_memory(ctx, self.service_cert_pem, service_key_pem)
-        self._server.socket = ctx.wrap_socket(self._server.socket, server_side=True)
+        try:
+            self._server = _TlsServer(self.config.bind_addr, _AcmeHandler, ctx)
+        except OSError as exc:
+            raise BindFailure(f"cannot bind ca {self.config.bind_addr}: {exc}") from exc
+        self._server.ca = self
         host, port = self._server.server_address
         self.base_url = f"https://{host}:{port}"
         self._thread = threading.Thread(
@@ -528,6 +604,7 @@ class TestCa:
         # shutdown() blocks unless serve_forever() is actually running.
         if self._thread.is_alive():
             self._server.shutdown()
+        self._server.close_connections()
         self._server.server_close()
 
     def __enter__(self) -> "TestCa":
@@ -658,12 +735,19 @@ class TestCa:
                 ip = resolve_address(fqdn, dns_addr)
             except ResolutionFailure as exc:
                 return False, f"address resolution failed: {exc}"
-            url = f"http://{ip}:{self.config.http01_port}/.well-known/acme-challenge/{chall.token}"
+            # A direct connection to the resolved address: the probe must
+            # never go through a proxy named in the environment.
+            conn = http.client.HTTPConnection(ip, self.config.http01_port, timeout=3)
             try:
-                with urllib.request.urlopen(url, timeout=3) as resp:
-                    body = resp.read().decode("ascii", "replace")
-            except OSError as exc:
+                conn.request("GET", f"/.well-known/acme-challenge/{chall.token}")
+                resp = conn.getresponse()
+                body = resp.read().decode("ascii", "replace")
+            except (OSError, http.client.HTTPException) as exc:
                 return False, f"http probe failed: {exc}"
+            finally:
+                conn.close()
+            if resp.status != 200:
+                return False, f"http probe returned {resp.status}"
             if body == expected_key_auth:
                 return True, ""
             return False, "key authorization mismatch"

@@ -5,12 +5,12 @@ RFC 8555 directory endpoint.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import ssl
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
@@ -21,6 +21,12 @@ log = logging.getLogger(__name__)
 
 POLL_INTERVAL = 0.05
 MAX_POLLS = 60
+# A reused keep-alive connection the CA has since closed fails with one
+# of these (SSLEOFError when TLS sees the close first); the request is
+# sent again once on a fresh connection.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError, ssl.SSLEOFError,
+)
 
 
 class AcmeProblem(IotPkiError):
@@ -62,7 +68,12 @@ class AcmeAccount:
 
 class AcmeClient:
     """One client per account key. Thread-safe for independent orders as
-    long as each thread uses its own client (nonce pool is per-client)."""
+    long as each thread uses its own client (nonce pool and connection are
+    per-client).
+
+    Requests share one keep-alive HTTPS connection, opened on first use
+    and reopened when the CA closes it or a URL names another origin.
+    """
 
     def __init__(
         self,
@@ -83,22 +94,51 @@ class AcmeClient:
             self._ctx = ssl.create_default_context()
         self._directory: dict | None = None
         self._nonce: str | None = None
+        self._conn: http.client.HTTPSConnection | None = None
+        self._origin: str | None = None
 
     # -- transport ---------------------------------------------------------
 
+    def close(self) -> None:
+        """Close the connection to the CA; the next request reopens it."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "AcmeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _http(self, method: str, url: str, body: bytes | None = None):
-        request = urllib.request.Request(url, data=body, method=method)
-        if body is not None:
-            request.add_header("Content-Type", "application/jose+json")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout, context=self._ctx) as resp:
-                return resp.status, dict(resp.headers), resp.read()
-        except urllib.error.HTTPError as exc:
-            payload = exc.read()
-            headers = dict(exc.headers)
-            return exc.code, headers, payload
-        except (urllib.error.URLError, OSError, ssl.SSLError) as exc:
-            raise CaUnreachable(f"{method} {url}: {exc}") from exc
+        parts = urllib.parse.urlsplit(url)
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        headers = {"Content-Type": "application/jose+json"} if body is not None else {}
+        if parts.netloc != self._origin:
+            self.close()
+            self._origin = parts.netloc
+        while True:
+            reused = self._conn is not None
+            if self._conn is None:
+                self._conn = http.client.HTTPSConnection(
+                    self._origin, timeout=self.timeout, context=self._ctx
+                )
+            try:
+                self._conn.request(method, target, body=body, headers=headers)
+                resp = self._conn.getresponse()
+                payload = resp.read()
+            except _STALE_CONNECTION as exc:
+                self.close()
+                if reused:
+                    continue
+                raise CaUnreachable(f"{method} {url}: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                raise CaUnreachable(f"{method} {url}: {exc}") from exc
+            if resp.will_close:
+                self.close()
+            return resp.status, dict(resp.getheaders()), payload
 
     def _remember_nonce(self, headers: dict) -> None:
         nonce = headers.get("Replay-Nonce")

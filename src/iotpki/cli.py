@@ -165,8 +165,7 @@ def cmd_enroll(args: argparse.Namespace, settings: Settings) -> int:
     secret = (
         args.secret.encode() if args.secret else _device_secret(settings.seed, 0)
     )
-    with scenario_stack(settings.root_domain) as stack:
-        manager = _new_manager(stack, settings)
+    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         bundle = manager.enroll_device(ns, DeviceSecret(secret), settings.challenge)
         _persist_fleet(out, manager, stack.ca)
         cert_path = out / f"{bundle.urn.uuid}.pem"
@@ -189,8 +188,7 @@ def cmd_enroll_batch(args: argparse.Namespace, settings: Settings) -> int:
         )
         for i in range(args.count)
     ]
-    with scenario_stack(settings.root_domain) as stack:
-        manager = _new_manager(stack, settings)
+    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         report = manager.enroll_batch(requests, parallelism=settings.parallelism)
         _persist_fleet(out, manager, stack.ca)
     report_path = out / "enrollment_report.csv"
@@ -211,8 +209,7 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
     ns = VendorNamespace(settings.root_domain, settings.device_class)
     rows = ["cycle,uuid,status,serial,fingerprint"]
     all_renewed = True
-    with scenario_stack(settings.root_domain) as stack:
-        manager = _new_manager(stack, settings)
+    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         for i in range(args.count):
             stack.clock.now = BASE_TIME + timedelta(hours=12) * i
             manager.enroll_device(
@@ -353,9 +350,11 @@ def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
 def cmd_demo(args: argparse.Namespace, settings: Settings) -> int:
     apex = settings.root_domain
     vendor_a, vendor_b = f"a.{apex}", f"b.{apex}"
-    with scenario_stack(apex) as stack:
-        manager_a = _new_manager(stack, settings, vendor_a)
-        manager_b = _new_manager(stack, settings, vendor_b)
+    with (
+        scenario_stack(apex) as stack,
+        _new_manager(stack, settings, vendor_a) as manager_a,
+        _new_manager(stack, settings, vendor_b) as manager_b,
+    ):
         server = manager_a.enroll_device(
             VendorNamespace(vendor_a, "gateway"),
             DeviceSecret(_device_secret(settings.seed, 1)),

@@ -275,17 +275,34 @@ class FleetManager:
     # -- plumbing ------------------------------------------------------------
 
     def _client(self) -> AcmeClient:
-        """ACME clients keep a per-instance nonce slot, so each worker
-        thread gets its own client over the shared account key."""
+        """ACME clients keep a per-instance nonce slot and connection, so
+        each worker thread gets its own client over the shared account key."""
         client = getattr(self._local, "client", None)
         if client is None:
-            client = AcmeClient(
+            client = self._local.client = AcmeClient(
                 self.directory_url,
                 account_key=self._account_key,
                 ca_bundle_pem=self.ca_bundle_pem,
             )
-            self._local.client = client
+            # enroll_batch's pool threads list their client for the batch
+            # to close once the pool has joined them.
+            batch_clients = getattr(self._local, "batch_clients", None)
+            if batch_clients is not None:
+                batch_clients.append(client)
         return client
+
+    def close(self) -> None:
+        """Close the calling thread's connection to the CA; the next
+        enrollment or renewal reopens it."""
+        client = getattr(self._local, "client", None)
+        if client is not None:
+            client.close()
+
+    def __enter__(self) -> "FleetManager":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _fulfiller(self, challenge: str):
         if challenge == "dns01":
@@ -367,8 +384,15 @@ class FleetManager:
             raise EmptyBatch("enrollment batch is empty")
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
+        clients: list[AcmeClient] = []
+        with concurrent.futures.ThreadPoolExecutor(
+            max_workers=parallelism,
+            initializer=setattr,
+            initargs=(self._local, "batch_clients", clients),
+        ) as pool:
             rows = list(pool.map(self._enroll_one_row, requests))
+        for client in clients:
+            client.close()
         return BatchReport(rows=tuple(rows))
 
     def _enroll_one_row(self, request: EnrollmentRequest) -> BatchRow:

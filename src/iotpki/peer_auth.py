@@ -43,7 +43,8 @@ class NoIdentity(IotPkiError):
 
 class HandshakeRejected(IotPkiError):
     def __init__(self, side: str, verdict: "PeerVerdict") -> None:
-        super().__init__(f"{side} rejected peer: {verdict.reject_reason}")
+        reason = verdict.reject_reason.value if verdict.reject_reason else None
+        super().__init__(f"{side} rejected peer: {reason}")
         self.side = side
         self.verdict = verdict
 

@@ -196,6 +196,7 @@ def renewal_run(artifact_root: Path) -> SimpleNamespace:
             ticks.append(SimpleNamespace(expected=expected, outcomes=outcomes))
         final = {r.uuid: r for r in manager.inventory.records()}
         manager.inventory.snapshot(artifact_root / "renewal_inventory.snapshot")
+        manager.close()
     finally:
         ca.close()
         shelf.close()
@@ -586,12 +587,12 @@ class TestDnsAuthorityConformance:
             assert any(rtype == A_TYPE and value == "127.0.0.1" for _, rtype, value in reply.answers)
 
             observer = ObservingFulfiller(stack.zone, addr)
-            client = AcmeClient(
+            with AcmeClient(
                 stack.ca.directory_url, ca_bundle_pem=stack.ca.service_cert_pem
-            )
-            chain = client.obtain_certificate(
-                urn, build_csr(generate_key("p256"), urn), "dns01", observer
-            )
+            ) as client:
+                chain = client.obtain_certificate(
+                    urn, build_csr(generate_key("p256"), urn), "dns01", observer
+                )
             assert "BEGIN CERTIFICATE" in chain
             assert len(observer.observations) == 1
             seen = observer.observations[0]

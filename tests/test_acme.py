@@ -4,7 +4,10 @@ client/CA issuance flow over HTTPS with live challenge probing."""
 from __future__ import annotations
 
 import json
+import logging
+import socket
 import ssl
+import time
 import urllib.request
 from datetime import timedelta
 from types import SimpleNamespace
@@ -14,6 +17,7 @@ from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding
 
+from iotpki.acme import ca as ca_module
 from iotpki.acme import jws
 from iotpki.acme.ca import CaConfig, QuotaExceeded, TestCa
 from iotpki.acme.challenges import DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
@@ -114,14 +118,21 @@ def stack():
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
     ca = TestCa(CaConfig(dns_addr=dns.address, http01_port=shelf.port)).start()
-    yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca)
+    clients = []
+    yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clients=clients)
+    for client in clients:
+        client.close()
     ca.close()
     shelf.close()
     dns.close()
 
 
-def new_client(stack) -> AcmeClient:
-    return AcmeClient(stack.ca.directory_url, ca_bundle_pem=stack.ca.service_cert_pem)
+def new_client(stack, ca=None, timeout: float = 10.0) -> AcmeClient:
+    """A client of ``ca`` (default: the stack's CA), closed with the stack."""
+    ca = ca or stack.ca
+    client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem, timeout=timeout)
+    stack.clients.append(client)
+    return client
 
 
 def verify_chain(pem: str, fqdn: str, root: x509.Certificate) -> x509.Certificate:
@@ -280,7 +291,7 @@ class TestQuota:
             CaConfig(dns_addr=stack.dns.address, weekly_order_quota=2)
         ).start()
         try:
-            client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem)
+            client = new_client(stack, ca)
             client.ensure_account()
             for i in range(2):
                 client._post(
@@ -313,7 +324,7 @@ class TestValidityConfiguration:
         ).start()
         try:
             fqdn = "short.camera.vendor.com"
-            client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem)
+            client = new_client(stack, ca)
             key = generate_key("p256")
             pem = client.obtain_certificate(
                 fqdn, build_csr(key, fqdn), "dns01", DnsTxtFulfiller(stack.zone)
@@ -333,3 +344,122 @@ class TestValidityConfiguration:
             assert cert.not_valid_after_utc - cert.not_valid_before_utc <= timedelta(days=90)
         finally:
             ca.close()
+
+
+def enroll(client, stack, fqdn: str, challenge: str = "dns01") -> str:
+    if challenge == "http01":
+        stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
+        fulfiller = HttpShelfFulfiller(stack.shelf)
+    else:
+        fulfiller = DnsTxtFulfiller(stack.zone)
+    key = generate_key("p256")
+    pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), challenge, fulfiller)
+    verify_chain(pem, fqdn, stack.ca.state.root_cert)
+    return pem
+
+
+def count_connections(monkeypatch, ca) -> list:
+    """Record every TCP connection the CA accepts from now on."""
+    accepted = []
+    finish = ca._server.finish_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        finish(request, client_address)
+
+    monkeypatch.setattr(ca._server, "finish_request", counting)
+    return accepted
+
+
+def post_request(headers: str, body: bytes, path: str = "/acme/new-order") -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: ca\r\n"
+        f"Content-Type: application/jose+json\r\n{headers}\r\n\r\n"
+    ).encode() + body
+
+
+def raw_exchange(ca, request: bytes, read_reply: bool = True) -> bytes:
+    """Send raw bytes to the CA over TLS and read until it closes. The 3 s
+    socket timeout fails the caller if the CA waits instead of answering."""
+    ctx = ssl.create_default_context(cadata=ca.service_cert_pem)
+    ctx.check_hostname = False
+    reply = b""
+    with socket.create_connection(ca._server.server_address, timeout=3) as raw:
+        with ctx.wrap_socket(raw) as tls:
+            tls.sendall(request)
+            while read_reply and (chunk := tls.recv(4096)):
+                reply += chunk
+    return reply
+
+
+class TestTransport:
+    def test_idle_peer_does_not_block_enrollment(self, stack):
+        with socket.create_connection(stack.ca._server.server_address):
+            client = new_client(stack, timeout=2)
+            enroll(client, stack, "idle-peer.camera.vendor.com")
+
+    def test_sequential_enrollments_share_one_connection(self, stack, monkeypatch):
+        accepted = count_connections(monkeypatch, stack.ca)
+        client = new_client(stack)
+        for i in range(3):
+            enroll(client, stack, f"keepalive{i}.camera.vendor.com")
+        assert len(accepted) == 1
+
+    def test_client_reconnects_after_idle_timeout(self, stack, monkeypatch):
+        monkeypatch.setattr(ca_module._AcmeHandler, "timeout", 0.5)
+        accepted = count_connections(monkeypatch, stack.ca)
+        client = new_client(stack)
+        client.ensure_account()
+        time.sleep(1.0)
+        enroll(client, stack, "reconnect.camera.vendor.com")
+        assert len(accepted) == 2
+
+    def test_close_ends_live_connections(self, stack):
+        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
+        client = new_client(stack, ca)
+        client.ensure_account()
+        started = time.perf_counter()
+        ca.close()
+        assert time.perf_counter() - started < ca_module.IDLE_TIMEOUT / 3
+        with pytest.raises(CaUnreachable):
+            client._http("GET", ca.directory_url)
+
+    def test_proxy_environment_is_ignored(self, stack, monkeypatch):
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.setenv("https_proxy", "http://127.0.0.1:9")
+        client = new_client(stack)
+        enroll(client, stack, "proxied-dns.camera.vendor.com", "dns01")
+        enroll(client, stack, "proxied-http.camera.vendor.com", "http01")
+
+
+class TestRequestBodies:
+    @pytest.mark.parametrize(
+        "path, header, status",
+        [
+            ("/acme/new-order", "Content-Length: 1048576", 413),
+            ("/acme/new-order", "Content-Length: 12abc", 400),
+            ("/acme/new-order", "X-No-Length: 1", 400),
+            ("/acme/nowhere", "Content-Length: 2", 404),
+        ],
+        ids=["oversized", "garbage-length", "missing-length", "unknown-route"],
+    )
+    def test_unread_body_fails_fast_and_ca_keeps_serving(self, stack, path, header, status):
+        reply = raw_exchange(stack.ca, post_request(header, b"{}", path))
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert b"Connection: close" in head
+        assert json.loads(payload)["type"].endswith("malformed")
+        enroll(new_client(stack), stack, f"after-{status}-{len(header)}.camera.vendor.com")
+
+    def test_truncated_body_fails_fast_and_ca_keeps_serving(self, stack, caplog):
+        caplog.set_level(logging.DEBUG, logger=ca_module.__name__)
+        raw_exchange(
+            stack.ca,
+            post_request("Content-Length: 4096", b'{"protected": "'),
+            read_reply=False,
+        )
+        deadline = time.monotonic() + 2
+        while not any('new-order HTTP/1.1" 400' in r.getMessage() for r in caplog.records):
+            assert time.monotonic() < deadline, "ca still waiting on a closed peer's body"
+            time.sleep(0.01)
+        enroll(new_client(stack), stack, "after-truncated.camera.vendor.com")

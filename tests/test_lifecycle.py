@@ -72,7 +72,7 @@ def stack():
 @pytest.fixture()
 def manager(stack):
     stack.clock.now = NOW
-    return FleetManager(
+    with FleetManager(
         inventory=Inventory(),
         zone=stack.zone,
         revocation_log=RevocationLog("vendor.com"),
@@ -81,7 +81,8 @@ def manager(stack):
         cloud_target="cloud.vendor.com",
         clock=stack.clock,
         http_shelf=stack.shelf,
-    )
+    ) as manager:
+        yield manager
 
 
 def assert_chain_ok(stack, bundle: ProvisionedDevice) -> None:
@@ -223,6 +224,7 @@ class TestRenewalTick:
 
         good_url = manager.directory_url
         manager.directory_url = "https://127.0.0.1:1/directory"
+        manager.close()
         manager._local = threading.local()
         outcomes = manager.renewal_tick()
         assert [o.status for o in outcomes] == ["deferred"]

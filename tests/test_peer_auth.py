@@ -187,6 +187,10 @@ class TestCheckOrdering:
     def test_empty_chain_is_chain_reject(self, ca_state):
         assert validate_peer([], trust_for(ca_state)).reject_reason is RejectReason.CHAIN
 
+    def test_rejection_message_names_reason_value(self):
+        verdict = PeerVerdict(accepted=False, reject_reason=RejectReason.REVOKED)
+        assert str(HandshakeRejected("server", verdict)) == "server rejected peer: revoked"
+
 
 class TestEchoHarness:
     def test_cross_vendor_echo_256_bytes(self, ca_state):
