@@ -156,8 +156,11 @@ class TestCaState:
     # -- issuance -----------------------------------------------------------
 
     def issue(self, csr: x509.CertificateSigningRequest) -> tuple[str, x509.Certificate]:
-        now = self.clock()
-        lifetime = min(self.validity, MAX_VALIDITY)
+        not_before = self.clock() - timedelta(minutes=1)
+        # A leaf never outlives the root it chains to.
+        not_after = min(
+            not_before + min(self.validity, MAX_VALIDITY), self.root_cert.not_valid_after_utc
+        )
         with self._lock:
             self._next_serial += 1
             serial_int = self._next_serial
@@ -168,8 +171,8 @@ class TestCaState:
             .issuer_name(self.root_cert.subject)
             .public_key(csr.public_key())
             .serial_number(serial_int)
-            .not_valid_before(now - timedelta(minutes=1))
-            .not_valid_after(now - timedelta(minutes=1) + lifetime)
+            .not_valid_before(not_before)
+            .not_valid_after(not_after)
             .add_extension(x509.BasicConstraints(ca=False, path_length=None), critical=True)
             .add_extension(x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), critical=False)
             .add_extension(

@@ -16,7 +16,7 @@ from .zone import (
     Zone,
     ZoneRecord,
 )
-from .server import DnsUdpServer, resolve, serve_udp
+from .server import DnsUdpServer, resolve
 
 __all__ = [
     "CnameConflict",
@@ -29,5 +29,4 @@ __all__ = [
     "Zone",
     "ZoneRecord",
     "resolve",
-    "serve_udp",
 ]

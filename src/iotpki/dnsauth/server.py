@@ -1,7 +1,8 @@
 """Threaded UDP responder for a Zone, plus a matching stub resolver.
 
 The responder answers every well-formed single-question query
-authoritatively (AA bit set). Malformed packets get FORMERR when a
+authoritatively (AA bit set). An answer over 512 bytes goes out as the
+header and question only, with TC set and ANCOUNT 0. Malformed packets get FORMERR when a
 transaction id can be salvaged from the first two bytes, otherwise they
 are dropped.
 """
@@ -47,18 +48,17 @@ class _Handler(socketserver.BaseRequestHandler):
         except ValueError:
             # Unsupported-but-valid qtype: NXDOMAIN/NOERROR as appropriate,
             # still surfacing a CNAME if the name bears one.
-            result = zone.answer_query(qname, RType.CNAME)
-            sock.sendto(
-                wire.build_response(txn_id, qname, qtype, result.rcode, result.answers),
-                self.client_address,
-            )
-            return
+            rtype = RType.CNAME
         result: DnsResponse = zone.answer_query(qname, rtype)
         response = wire.build_response(
             txn_id, qname, qtype, result.rcode, result.answers, authoritative=result.authoritative
         )
         if len(response) > MAX_UDP:
-            response = response[:2] + struct.pack("!H", struct.unpack_from("!H", response, 2)[0] | 0x0200) + response[4:]
+            # RFC 2181 section 9: a truncated reply carries no partial answer.
+            response = wire.build_response(
+                txn_id, qname, qtype, result.rcode, (), authoritative=result.authoritative,
+                truncated=True,
+            )
         sock.sendto(response, self.client_address)
 
 
@@ -98,10 +98,6 @@ class DnsUdpServer:
         self.close()
 
 
-def serve_udp(zone: Zone, bind_addr: tuple[str, int] = DEFAULT_BIND) -> DnsUdpServer:
-    return DnsUdpServer(zone, bind_addr).start()
-
-
 def resolve(
     name: str,
     rtype: RType,
@@ -121,6 +117,8 @@ def resolve(
     got_id, rcode, _, answers = wire.parse_response(packet)
     if got_id != txn_id:
         raise ResolutionFailure("transaction id mismatch")
+    if wire.is_truncated(packet):
+        raise ResolutionFailure(f"{name}: answer truncated (over {MAX_UDP} bytes)")
     return rcode, answers
 
 

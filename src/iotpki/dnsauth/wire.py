@@ -126,12 +126,15 @@ def build_response(
     answers: tuple[ZoneRecord, ...] = (),
     authoritative: bool = True,
     recursion_desired: bool = False,
+    truncated: bool = False,
 ) -> bytes:
     flags = _FLAG_QR | int(rcode)
     if authoritative:
         flags |= _FLAG_AA
     if recursion_desired:
         flags |= _FLAG_RD
+    if truncated:
+        flags |= _FLAG_TC
     out = bytearray(_HEADER.pack(txn_id, flags, 1, len(answers), 0, 0))
     out += encode_name(qname) + struct.pack("!HH", qtype, CLASS_IN)
     for record in answers:
@@ -145,6 +148,13 @@ def build_response(
 def build_error_response(txn_id: int, rcode: Rcode) -> bytes:
     """Header-only error, used when the question itself cannot be echoed."""
     return _HEADER.pack(txn_id, _FLAG_QR | _FLAG_AA | int(rcode), 0, 0, 0, 0)
+
+
+def is_truncated(packet: bytes) -> bool:
+    """True when a response's TC bit is set."""
+    if len(packet) < _HEADER.size:
+        raise WireFormatError("short header")
+    return bool(_HEADER.unpack_from(packet)[1] & _FLAG_TC)
 
 
 def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:

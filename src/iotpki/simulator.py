@@ -1,4 +1,4 @@
-"""Deterministic discrete-event smart-city latency simulation.
+"""Deterministic smart-city latency simulation.
 
 Mobile nodes roam a square grid under RandomWaypoint mobility and poll
 for the nearest static gateway on a fixed interval. Within radio range
@@ -6,6 +6,15 @@ they emit a burst of messages; each message completes either over the
 direct device-to-device path (constant link latency, handshake cost
 amortized over the first burst of a contact) or over a cloud-mediated
 path whose delay is drawn from a Weibull distribution.
+
+Design: every node polls at the same simulated times, so the run is a
+plain tick loop (tick-major, node-minor) rather than an event queue.
+Send times accumulate by repeated addition of the poll interval, as a
+per-node timer would; k * poll_interval rounds differently and would
+change the CSV. A report keeps its samples in columns (arrays of
+contacts and of latencies); ``SimReport.samples`` builds
+``LatencySample`` objects only when iterated, and the CSV is rendered
+straight from the columns.
 
 Reproducibility: every stochastic purpose draws from its own named RNG
 stream derived from the config seed, so mobility is identical across
@@ -18,8 +27,9 @@ import heapq
 import math
 import random
 import statistics
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import IotPkiError
 
@@ -129,22 +139,69 @@ class LatencySample:
             raise ValueError(f"negative latency {self.latency_seconds}")
 
 
+class _Samples:
+    """Read-only view of a report's samples that builds each LatencySample
+    only when it is iterated."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: "SimReport") -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.latency)
+
+    def __iter__(self) -> Iterator[LatencySample]:
+        r = self._report
+        mode = r.config.mode
+        latencies = iter(r.latency)
+        for node, gateway, t, sent in zip(r.node, r.gateway, r.send_time, r.sent):
+            for _ in range(sent):
+                yield LatencySample(node, gateway, t, next(latencies), mode)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Samples):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == other
+
+
 @dataclass(frozen=True)
 class SimReport:
+    """Samples stored by column.
+
+    ``node``, ``gateway``, ``send_time`` and ``sent`` hold one row per
+    contact (a poll in gateway range) with the number of messages it
+    completed; ``latency`` holds one value per completed message, in send
+    order, so contact i owns the next ``sent[i]`` latencies.
+    """
+
     config: SimConfig
-    samples: tuple[LatencySample, ...]
     drops: int
+    node: array
+    gateway: array
+    send_time: array
+    sent: array
+    latency: array
+
+    @property
+    def samples(self) -> _Samples:
+        return _Samples(self)
 
     def latencies(self) -> list[float]:
-        return [s.latency_seconds for s in self.samples]
+        return self.latency.tolist()
 
     def to_csv(self) -> str:
-        lines = ["mode,node,gateway,t_send,latency_s"]
-        for s in self.samples:
-            lines.append(
-                f"{s.mode},{s.node_id},{s.gateway_id},{s.send_time:.3f},{s.latency_seconds:.6f}"
-            )
-        return "\n".join(lines) + "\n"
+        mode = self.config.mode
+        rows = ["mode,node,gateway,t_send,latency_s\n"]
+        start = 0
+        for node, gateway, t, sent in zip(self.node, self.gateway, self.send_time, self.sent):
+            end = start + sent
+            row = f"{mode},{node},{gateway},{t:.3f},{{:.6f}}\n"
+            rows.append((row * sent).format(*self.latency[start:end]))
+            start = end
+        return "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -239,47 +296,70 @@ class _Node:
 
 
 def run_smart_city(cfg: SimConfig) -> SimReport:
-    """Event loop over node poll events on a simulated-time priority queue."""
+    """Tick loop: every node polls at t = 0, p, p + p, ... up to the
+    duration, in node order within a tick."""
     gateways = gateway_positions(cfg)
     nodes = [_Node(_stream(cfg.seed, f"mobility|{i}"), cfg) for i in range(cfg.num_mobile_nodes)]
-    cloud_rng = _stream(cfg.seed, "cloud")
+    draw = _stream(cfg.seed, "cloud").random
     link_s = cfg.d2d_link_latency_ms / 1000.0
     handshake_s = cfg.handshake_cost_ms / 1000.0
+    burst = cfg.burst_size
+    cap = cfg.cloud_connection_cap
+    d2d = cfg.mode == "d2d"
+    cloud = cfg.cloud
+    # A d2d burst is burst_size copies of one value; the handshake is
+    # amortized over the first burst of a contact.
+    fresh_burst = array("d", [link_s + handshake_s / burst]) * burst
+    repeat_burst = array("d", [link_s + 0.0]) * burst
 
-    samples: list[LatencySample] = []
+    contact_node = array("l")
+    contact_gateway = array("l")
+    contact_time = array("d")
+    contact_sent = array("l")
+    latency = array("d")
     drops = 0
-    inflight: list[float] = []  # completion times of outstanding cloud requests
+    inflight: list[float] = []  # completion times of outstanding cloud requests, capped mode only
 
-    events: list[tuple[float, int]] = [(0.0, i) for i in range(cfg.num_mobile_nodes)]
-    heapq.heapify(events)
-    while events:
-        t, node_id = heapq.heappop(events)
-        if t > cfg.duration:
-            continue
-        node = nodes[node_id]
-        pos = node.position(t)
-        nearest = min(
-            range(len(gateways)),
-            key=lambda g: (math.dist(pos, gateways[g]), g),
-        )
-        if math.dist(pos, gateways[nearest]) <= cfg.gateway_range:
+    t = 0.0
+    while t <= cfg.duration:
+        for node_id, node in enumerate(nodes):
+            pos = node.position(t)
+            ds = [math.dist(pos, g) for g in gateways]
+            d = min(ds)
+            if d > cfg.gateway_range:
+                node.contact_gateway = None
+                continue
+            nearest = ds.index(d)
             fresh_contact = node.contact_gateway != nearest
             node.contact_gateway = nearest
-            for _ in range(cfg.burst_size):
-                if cfg.mode == "d2d":
-                    latency = link_s + (handshake_s / cfg.burst_size if fresh_contact else 0.0)
-                else:
+            sent = burst
+            if d2d:
+                latency.extend(fresh_burst if fresh_contact else repeat_burst)
+            elif not cap:
+                for _ in range(burst):
+                    latency.append(link_s + sample_weibull(cloud, draw()))
+            else:
+                for _ in range(burst):
                     while inflight and inflight[0] <= t:
                         heapq.heappop(inflight)
-                    if cfg.cloud_connection_cap and len(inflight) >= cfg.cloud_connection_cap:
+                    if len(inflight) >= cap:
                         drops += 1
+                        sent -= 1
                         continue
-                    latency = link_s + sample_weibull(cfg.cloud, cloud_rng.random())
-                    heapq.heappush(inflight, t + latency)
-                samples.append(LatencySample(node_id, nearest, t, latency, cfg.mode))
-        else:
-            node.contact_gateway = None
-        heapq.heappush(events, (t + cfg.poll_interval, node_id))
-        if events and events[0][0] > cfg.duration:
-            break
-    return SimReport(config=cfg, samples=tuple(samples), drops=drops)
+                    x = link_s + sample_weibull(cloud, draw())
+                    heapq.heappush(inflight, t + x)
+                    latency.append(x)
+            contact_node.append(node_id)
+            contact_gateway.append(nearest)
+            contact_time.append(t)
+            contact_sent.append(sent)
+        t += cfg.poll_interval
+    return SimReport(
+        config=cfg,
+        drops=drops,
+        node=contact_node,
+        gateway=contact_gateway,
+        send_time=contact_time,
+        sent=contact_sent,
+        latency=latency,
+    )

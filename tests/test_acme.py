@@ -9,7 +9,7 @@ import socket
 import ssl
 import time
 import urllib.request
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
@@ -342,6 +342,19 @@ class TestValidityConfiguration:
             csr = build_csr(key, "clamp.camera.vendor.com")
             _, cert = ca.state.issue(csr)
             assert cert.not_valid_after_utc - cert.not_valid_before_utc <= timedelta(days=90)
+        finally:
+            ca.close()
+
+    def test_leaf_never_outlives_root(self):
+        now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
+        ca = TestCa(CaConfig(validity=timedelta(days=90), clock=lambda: now[0]))
+        try:
+            root_end = ca.state.root_cert.not_valid_after_utc
+            now[0] = root_end - timedelta(days=10)
+            csr = build_csr(generate_key("p256"), "late.camera.vendor.com")
+            _, cert = ca.state.issue(csr)
+            assert cert.not_valid_after_utc <= root_end
+            assert cert.not_valid_before_utc < cert.not_valid_after_utc
         finally:
             ca.close()
 

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from iotpki.dnsauth import wire
-from iotpki.dnsauth.server import DnsUdpServer, resolve, resolve_address
+from iotpki.dnsauth.server import DnsUdpServer, ResolutionFailure, resolve, resolve_address
 from iotpki.dnsauth.zone import (
     CnameConflict,
     InvalidRecord,
@@ -301,3 +301,36 @@ class TestZoneExport:
         assert len(record_lines) == len(z.records())
         assert f"{URN}. 60 IN CNAME cloud.vendor.com." in record_lines
         assert any(l.endswith('IN TXT "tok"') for l in record_lines)
+
+
+# A 190-character name: one 255-octet TXT answer there makes a 666-byte reply.
+LONG_NAME = ".".join(["a" * 63, "b" * 63, "c" * 50, "vendor.com"])
+
+
+class TestTruncation:
+    @pytest.fixture()
+    def big_server(self):
+        zone = make_zone()
+        zone.set_record(LONG_NAME, RType.TXT, "t" * 255)
+        server = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
+        yield server
+        server.close()
+
+    def test_oversized_answer_sends_question_only_with_tc(self, big_server):
+        query = wire.build_query(77, LONG_NAME, RType.TXT)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(2)
+            sock.sendto(query, big_server.address)
+            packet, _ = sock.recvfrom(4096)
+        txn_id, flags, qdcount, ancount, nscount, arcount = struct.unpack_from("!6H", packet)
+        assert len(packet) <= 512
+        assert (txn_id, qdcount, ancount, nscount, arcount) == (77, 1, 0, 0, 0)
+        assert flags & 0x0200
+        assert wire.is_truncated(packet)
+        assert packet[12:] == query[12:]  # the question, echoed unchanged
+
+    def test_resolve_rejects_truncated_reply(self, big_server):
+        with pytest.raises(ResolutionFailure, match="truncated"):
+            resolve(LONG_NAME, RType.TXT, big_server.address)
+        rcode, answers = resolve("cloud.vendor.com", RType.A, big_server.address)
+        assert rcode is Rcode.NOERROR and answers

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -191,6 +192,64 @@ class TestSmartCity:
             mode, node, gw, t_send, latency = line.split(",")
             assert mode == "d2d"
             int(node), int(gw), float(t_send), float(latency)
+
+
+# sha256 of to_csv(), drops, and sha256 of the summarize fields, pinned from
+# the event-queue simulator that the tick loop replaced.
+GOLDEN = {
+    "d2d": (
+        dict(mode="d2d", num_mobile_nodes=40, duration=60.0, seed=7),
+        "364ff0360d17ed20ed0d7b6583fb8986f7af18895d6f258f358188644a0afcc8",
+        0,
+        "4e2986cead4ed71430e8db662d33dd8701c33283e855cac6870530f487e723d2",
+    ),
+    "cloud": (
+        dict(mode="cloud", num_mobile_nodes=40, duration=60.0, seed=7),
+        "cf79e7bb343163e1daa68be9f77842343696a422cc04694afc18161b7bd653c1",
+        0,
+        "b9bd0443667acc90d30714c9fbcce969971c49d077be5fb0cf440b4dc312c49d",
+    ),
+    "cloud-cap1-poll0.3": (
+        dict(
+            mode="cloud", num_mobile_nodes=20, duration=30.0, seed=11,
+            cloud_connection_cap=1, poll_interval=0.3,
+        ),
+        "8cd944bc84b533cbe2b84e7dd200686b30be11d7adde57c4c3aa32dc88e066b0",
+        13875,
+        "428e8eb0958e56cd8c318cb40eb22acea44e890922f04b7968ff19295b366ffc",
+    ),
+    "d2d-burst1-gw1-poll1.7": (
+        dict(
+            mode="d2d", num_mobile_nodes=15, duration=40.0, seed=3, burst_size=1,
+            num_gateways=1, poll_interval=1.7, gateway_range=150.0,
+        ),
+        "d0fabb9e7fd06a66bc7066387db18121f12b07b8c81cba625a39b145431cb58a",
+        0,
+        "22719b4b4d6ea25aed4ed9cc1f237e49184246cfd1b771569c93071f5f92a688",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_outputs_match_pinned_hashes(self, case):
+        kwargs, csv_hash, drops, summary_hash = GOLDEN[case]
+        report = run_smart_city(SimConfig(**kwargs))
+        s = summarize(report.latencies())
+        fields = f"{s.count}|{s.mean!r}|{s.median!r}|{s.p95!r}|{s.max!r}|{s.histogram_csv}"
+        assert sha256(report.to_csv()) == csv_hash
+        assert report.drops == drops
+        assert sha256(fields) == summary_hash
+
+    def test_sample_count_matches_csv_rows(self):
+        kwargs = GOLDEN["cloud-cap1-poll0.3"][0]
+        report = run_smart_city(SimConfig(**kwargs))
+        rows = report.to_csv().count("\n") - 1
+        assert len(report.samples) == rows == len(list(report.samples)) == 5
 
 
 class TestSummarize:
