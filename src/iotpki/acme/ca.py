@@ -20,7 +20,6 @@ import ipaddress
 import json
 import logging
 import secrets
-import socket
 import ssl
 import threading
 from dataclasses import dataclass, field
@@ -35,18 +34,14 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import Rcode, RType
-from ..errors import BindFailure, IotPkiError
+from ..errors import IotPkiError
+from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
 from . import jws
 
 log = logging.getLogger(__name__)
 
 MAX_VALIDITY = timedelta(days=90)
 ERROR_NS = "urn:ietf:params:acme:error:"
-# Seconds a new connection gets to finish its TLS handshake.
-HANDSHAKE_TIMEOUT = 5.0
-# Seconds a keep-alive connection may sit idle (or stall mid-request)
-# before the CA drops it.
-IDLE_TIMEOUT = 15.0
 # Largest request body the CA reads; a JWS carrying a CSR is a few KiB.
 MAX_BODY_BYTES = 64 * 1024
 
@@ -522,55 +517,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         self._reply(200, chain.encode(), "application/pem-certificate-chain")
 
 
-class _TlsServer(http.server.ThreadingHTTPServer):
-    """Accepts plain TCP and runs each TLS handshake, under a deadline, in
-    the connection's own thread, so a slow or idle peer holds only that
-    thread. Tracks live connections so ``close_connections`` can end them."""
-
-    def __init__(self, bind_addr, handler, tls: ssl.SSLContext) -> None:
-        super().__init__(bind_addr, handler)
-        self._tls = tls
-        self._live: set[socket.socket] = set()
-        self._live_lock = threading.Lock()
-        self._closing = False
-
-    def _swap_live(self, old: socket.socket | None, new: socket.socket | None) -> bool:
-        """Replace ``old`` by ``new`` in the live set. Once the server is
-        closing nothing is added, and False tells the caller to stop."""
-        with self._live_lock:
-            self._live.discard(old)
-            if new is None or self._closing:
-                return False
-            self._live.add(new)
-            return True
-
-    def finish_request(self, request, client_address) -> None:
-        if not self._swap_live(None, request):
-            return
-        conn = None
-        try:
-            request.settimeout(HANDSHAKE_TIMEOUT)
-            conn = self._tls.wrap_socket(request, server_side=True)
-            if self._swap_live(request, conn):
-                self.RequestHandlerClass(conn, client_address, self)
-        except OSError as exc:
-            log.debug("ca connection from %s ended: %s", client_address, exc)
-        finally:
-            self._swap_live(conn or request, None)
-            if conn is not None:
-                conn.close()
-
-    def close_connections(self) -> None:
-        with self._live_lock:
-            self._closing = True
-            for sock in self._live:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-
-class TestCa:
+class TestCa(BackgroundServer):
     """Owns CA state plus the HTTPS front end."""
 
     __test__ = False  # "Test" here means embedded test CA, not a test suite
@@ -585,36 +532,15 @@ class TestCa:
         self.service_cert_pem, service_key_pem = _service_identity()
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         load_cert_chain_in_memory(ctx, self.service_cert_pem, service_key_pem)
-        try:
-            self._server = _TlsServer(self.config.bind_addr, _AcmeHandler, ctx)
-        except OSError as exc:
-            raise BindFailure(f"cannot bind ca {self.config.bind_addr}: {exc}") from exc
+        super().__init__("acme-ca", "ca", TlsServer, self.config.bind_addr, _AcmeHandler, ctx)
         self._server.ca = self
-        host, port = self._server.server_address
+        host, port = self.address
         self.base_url = f"https://{host}:{port}"
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True, name="acme-ca"
-        )
-
-    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "TestCa":
-        self._thread.start()
+        super().start()
         log.info("test ca listening at %s", self.base_url)
         return self
-
-    def close(self) -> None:
-        # shutdown() blocks unless serve_forever() is actually running.
-        if self._thread.is_alive():
-            self._server.shutdown()
-        self._server.close_connections()
-        self._server.server_close()
-
-    def __enter__(self) -> "TestCa":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- protocol objects --------------------------------------------------
 

@@ -13,7 +13,7 @@ import logging
 import threading
 
 from ..dnsauth.zone import Zone
-from ..errors import BindFailure
+from ..serving import IDLE_TIMEOUT, BackgroundServer
 from .jws import dns01_txt_value
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,30 @@ class DnsTxtFulfiller:
         self._zone.clear_acme_txt(fqdn)
 
 
-class TokenShelf:
+class _ShelfHandler(http.server.BaseHTTPRequestHandler):
+    timeout = IDLE_TIMEOUT
+
+    def do_GET(self) -> None:
+        key_auth = None
+        if self.path.startswith(WELL_KNOWN_PREFIX):
+            shelf = self.server.shelf
+            with shelf._lock:
+                key_auth = shelf._tokens.get(self.path[len(WELL_KNOWN_PREFIX):])
+        if key_auth is None:
+            self.send_error(404)
+            return
+        body = key_auth.encode("ascii")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/octet-stream")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, fmt, *args) -> None:
+        log.debug("token shelf: " + fmt, *args)
+
+
+class TokenShelf(BackgroundServer):
     """Minimal HTTP server answering GET /.well-known/acme-challenge/<token>.
 
     One shelf serves every pending enrollment; tokens are removed after
@@ -46,47 +69,11 @@ class TokenShelf:
     def __init__(self, bind_addr: tuple[str, int] = ("127.0.0.1", 0)) -> None:
         self._tokens: dict[str, str] = {}
         self._lock = threading.Lock()
-        shelf = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self) -> None:
-                key_auth = None
-                if self.path.startswith(WELL_KNOWN_PREFIX):
-                    with shelf._lock:
-                        key_auth = shelf._tokens.get(self.path[len(WELL_KNOWN_PREFIX):])
-                if key_auth is None:
-                    self.send_error(404)
-                    return
-                body = key_auth.encode("ascii")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/octet-stream")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt, *args) -> None:
-                log.debug("token shelf: " + fmt, *args)
-
-        try:
-            self._server = http.server.ThreadingHTTPServer(bind_addr, Handler)
-        except OSError as exc:
-            raise BindFailure(f"cannot bind token shelf {bind_addr}: {exc}") from exc
-        self._server.daemon_threads = True
-        self.address: tuple[str, int] = self._server.server_address
-        self.port: int = self.address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True, name="token-shelf"
+        super().__init__(
+            "token-shelf", "token shelf", http.server.ThreadingHTTPServer, bind_addr, _ShelfHandler
         )
-
-    def start(self) -> "TokenShelf":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        # shutdown() blocks unless serve_forever() is actually running.
-        if self._thread.is_alive():
-            self._server.shutdown()
-        self._server.server_close()
+        self._server.shelf = self
+        self.port: int = self.address[1]
 
     def put(self, token: str, key_auth: str) -> None:
         with self._lock:
@@ -95,12 +82,6 @@ class TokenShelf:
     def remove(self, token: str) -> None:
         with self._lock:
             self._tokens.pop(token, None)
-
-    def __enter__(self) -> "TokenShelf":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class HttpShelfFulfiller:

@@ -234,12 +234,7 @@ class AcmeClient:
             authz = self._poll(authz_url, ("valid", "invalid"))
             if authz["status"] != "valid":
                 raise ChallengeFailed(f"authorization for {fqdn} ended {authz['status']}")
-            try:
-                _, _, raw = self._post(order["finalize"], {"csr": jws.b64url(csr_to_der(csr))})
-            except AcmeProblem as exc:
-                if exc.ptype.endswith("badCSR"):
-                    raise CsrMismatch(exc.detail) from exc
-                raise
+            _, _, raw = self._post(order["finalize"], {"csr": jws.b64url(csr_to_der(csr))})
             final = json.loads(raw)
             if final["status"] != "valid":
                 final = self._poll(order_url, ("valid", "invalid"))

@@ -34,7 +34,7 @@ from .identity import DeviceSecret, VendorNamespace
 from .inventory import Inventory, RenewalState, UnknownDevice, from_rfc3339, to_rfc3339
 from .lifecycle import EnrollmentRequest, FleetManager
 from .peer_auth import TrustContext, mtls_echo
-from .revocation import RevocationLog, build_filter, deserialize, serialize
+from .revocation import RevocationLog, build_filter, deserialize, query, serialize
 from .simulator import SimConfig, WeibullParams, run_smart_city, summarize
 
 BASE_TIME = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -292,7 +292,7 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
         )
         return 0
     filt = deserialize(filter_path.read_bytes())
-    verdict = "revoked" if filt.query(args.serial) else "not revoked"
+    verdict = "revoked" if query(filt, args.serial) else "not revoked"
     print(f"{args.serial}: {verdict} (vendor {filt.vendor_id}, epoch {filt.epoch})")
     return 0
 

@@ -14,9 +14,9 @@ import random
 import socket
 import socketserver
 import struct
-import threading
 
-from ..errors import BindFailure, IotPkiError
+from ..errors import IotPkiError
+from ..serving import BackgroundServer
 from . import wire
 from .zone import DnsResponse, Rcode, RType, Zone, ZoneRecord
 
@@ -66,36 +66,19 @@ def _salvage_id(packet: bytes) -> int:
     return struct.unpack_from("!H", packet)[0] if len(packet) >= 2 else 0
 
 
-class DnsUdpServer:
+class DnsUdpServer(BackgroundServer):
     """Owns the socket server and its worker thread."""
 
     def __init__(self, zone: Zone, bind_addr: tuple[str, int] = DEFAULT_BIND) -> None:
-        try:
-            self._server = socketserver.ThreadingUDPServer(bind_addr, _Handler)
-        except OSError as exc:
-            raise BindFailure(f"cannot bind udp {bind_addr}: {exc}") from exc
+        super().__init__("dns-udp", "udp", socketserver.ThreadingUDPServer, bind_addr, _Handler)
         self._server.zone = zone
         self._server.daemon_threads = True
         self.zone = zone
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True, name="dns-udp")
 
     def start(self) -> "DnsUdpServer":
-        self._thread.start()
+        super().start()
         log.info("dns responder listening on %s:%d", *self.address)
         return self
-
-    def close(self) -> None:
-        # shutdown() blocks unless serve_forever() is actually running.
-        if self._thread.is_alive():
-            self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "DnsUdpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def resolve(

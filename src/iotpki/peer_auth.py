@@ -4,9 +4,10 @@ The policy lives in pure functions: chain verification to a trusted
 root, validity window, URN extraction from SAN/CN, vendor matching, and
 a revocation-filter lookup, applied in that fixed order so the reject
 reason is deterministic. The echo harness wires the same policy into a
-real TLS 1.3 session over loopback with mandatory client certificates,
-so both the protocol layer and the policy layer must agree before any
-payload flows.
+real TLS 1.3 session over loopback with mandatory client certificates:
+OpenSSL verifies the chain during the handshake, then each side runs
+``check_leaf`` (the remaining checks) on the peer's leaf, so both layers
+must agree before any payload flows.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import socketserver
 import ssl
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -28,9 +29,10 @@ from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.x509.oid import NameOID
 
 from .certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, split_pem_chain
-from .errors import BindFailure, IotPkiError
+from .errors import IotPkiError
 from .identity import DeviceUrn, MalformedUrn, parse_urn
 from .revocation import RevocationFilter, query
+from .serving import BackgroundServer, TlsServer
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +40,7 @@ MAX_FRAME = 1 << 20
 
 # OpenSSL's X509_V_FLAG_NO_CHECK_TIME, which Python's ssl does not name.
 # With it set, the handshake still verifies the chain and signatures to a
-# trusted root, and validity windows are left to validate_peer, which reads
+# trusted root, and validity windows are left to check_leaf, which reads
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
 
@@ -135,13 +137,23 @@ def validate_peer(
     expected_vendor: str | None = None,
 ) -> PeerVerdict:
     """Apply the five checks in fixed order; the first failure names the
-    reject reason. Missing vendor filter fails open (with a warning):
-    distributing filters is deployment policy, not protocol."""
-    if not chain:
+    reject reason. The chain to a trusted root comes first, then
+    ``check_leaf``."""
+    if not chain or not _chain_to_root(chain, ctx.roots):
         return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
-    leaf = chain[0]
-    if not _chain_to_root(chain, ctx.roots):
-        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+    return check_leaf(chain[0], ctx, expected_vendor)
+
+
+def check_leaf(
+    leaf: x509.Certificate,
+    ctx: TrustContext,
+    expected_vendor: str | None = None,
+) -> PeerVerdict:
+    """The four checks after the chain, in order: validity window by
+    ``ctx.clock``, URN, vendor, revocation. Live TLS sessions call this
+    directly, as OpenSSL has already verified the chain in the handshake.
+    Missing vendor filter fails open (with a warning): distributing
+    filters is deployment policy, not protocol."""
     now = ctx.clock()
     if now < leaf.not_valid_before_utc:
         return PeerVerdict(accepted=False, reject_reason=RejectReason.NOT_YET_VALID)
@@ -198,8 +210,27 @@ def _recv_exact(sock, count: int) -> bytes:
     return bytes(buf)
 
 
-class EchoServer:
-    """TLS 1.3 echo service that validates every client against the trust
+class _EchoHandler(socketserver.BaseRequestHandler):
+    """Checks the client's leaf, reads one frame, and answers ``OK`` with
+    the payload or ``RJ`` with the verdict, each behind a 4-byte length."""
+
+    def handle(self) -> None:
+        tls = self.request
+        leaf = x509.load_der_x509_certificate(tls.getpeercert(binary_form=True))
+        verdict = check_leaf(leaf, self.server.trust, self.server.expected_vendor)
+        (length,) = struct.unpack("!I", _recv_exact(tls, 4))
+        if length > MAX_FRAME:
+            return
+        payload = _recv_exact(tls, length)
+        if not verdict.accepted:
+            reason = verdict.to_json().encode("utf-8")
+            tls.sendall(b"RJ" + struct.pack("!I", len(reason)) + reason)
+            return
+        tls.sendall(b"OK" + struct.pack("!I", len(payload)) + payload)
+
+
+class EchoServer(BackgroundServer):
+    """TLS 1.3 echo service that checks every client against the trust
     context before echoing. One thread per connection."""
 
     def __init__(
@@ -209,71 +240,15 @@ class EchoServer:
         expected_vendor: str | None = None,
         bind_addr: tuple[str, int] = ("127.0.0.1", 0),
     ) -> None:
-        self._trust = trust
-        self._expected_vendor = expected_vendor
-        self._ssl_ctx = _tls13_context(
+        ssl_ctx = _tls13_context(
             ssl.Purpose.CLIENT_AUTH,
             bundle.certificate_chain,
             key_to_pem(bundle.private_key),
             _roots_pem(trust),
         )
-        try:
-            self._sock = socket.create_server(bind_addr)
-        except OSError as exc:
-            raise BindFailure(f"cannot bind echo server {bind_addr}: {exc}") from exc
-        self.address: tuple[str, int] = self._sock.getsockname()
-        self._closing = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True, name="mtls-echo")
-        self.last_verdict: PeerVerdict | None = None
-
-    def start(self) -> "EchoServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._closing.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "EchoServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _serve(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        try:
-            with self._ssl_ctx.wrap_socket(conn, server_side=True) as tls:
-                der = tls.getpeercert(binary_form=True)
-                leaf = x509.load_der_x509_certificate(der)
-                verdict = validate_peer([leaf], self._trust, self._expected_vendor)
-                self.last_verdict = verdict
-                (length,) = struct.unpack("!I", _recv_exact(tls, 4))
-                if length > MAX_FRAME:
-                    return
-                payload = _recv_exact(tls, length)
-                if not verdict.accepted:
-                    reason = verdict.to_json().encode("utf-8")
-                    tls.sendall(b"RJ" + struct.pack("!I", len(reason)) + reason)
-                    return
-                tls.sendall(b"OK" + struct.pack("!I", len(payload)) + payload)
-        except (ssl.SSLError, OSError, ConnectionError) as exc:
-            log.debug("echo connection dropped: %s", exc)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        super().__init__("mtls-echo", "echo server", TlsServer, bind_addr, _EchoHandler, ssl_ctx)
+        self._server.trust = trust
+        self._server.expected_vendor = expected_vendor
 
 
 def echo_once(
@@ -303,7 +278,7 @@ def echo_once(
     handshake_ms = (time.perf_counter() - start) * 1000.0
     with tls:
         leaf = x509.load_der_x509_certificate(tls.getpeercert(binary_form=True))
-        client_verdict = validate_peer([leaf], trust, expected_vendor)
+        client_verdict = check_leaf(leaf, trust, expected_vendor)
         if not client_verdict.accepted:
             raise HandshakeRejected("client", client_verdict)
         try:
@@ -341,12 +316,4 @@ def mtls_echo(
     """One-shot harness: start an echo server for ``server_bundle``, run a
     single authenticated exchange from ``client_bundle``, tear down."""
     with EchoServer(server_bundle, trust, expected_vendor) as server:
-        result = echo_once(server.address, client_bundle, trust, payload, expected_vendor)
-        if server.last_verdict is not None:
-            result = EchoResult(
-                payload_echoed=result.payload_echoed,
-                client_verdict=result.client_verdict,
-                server_verdict=server.last_verdict,
-                handshake_ms=result.handshake_ms,
-            )
-        return result
+        return echo_once(server.address, client_bundle, trust, payload, expected_vendor)

@@ -104,9 +104,6 @@ class RevocationFilter:
     levels: tuple[BloomLevel, ...]
     universe_digest: bytes
 
-    def query(self, serial: str) -> bool:
-        return query(self, serial)
-
 
 def build_filter(
     revoked: set[str], issued_universe: set[str], vendor_id: str, epoch: int

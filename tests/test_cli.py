@@ -11,7 +11,7 @@ import pytest
 from iotpki import cli
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
-from iotpki.revocation import deserialize
+from iotpki.revocation import deserialize, query
 
 
 def run(argv, capsys):
@@ -127,7 +127,7 @@ class TestRevokeAndFilter:
         assert code == 0
         filt = deserialize(Path(fleet_dir, "revocations.filter").read_bytes())
         assert filt.vendor_id == "vendor.test"
-        assert filt.query(serial) is True
+        assert query(filt, serial) is True
 
         code, stdout, _ = run(
             ["filter", "check", "--serial", serial, "--out", fleet_dir], capsys

@@ -29,7 +29,7 @@ from iotpki.lifecycle import (
     sign_delegation,
     verify_delegation,
 )
-from iotpki.revocation import AlreadyRevoked, RevocationLog
+from iotpki.revocation import AlreadyRevoked, RevocationLog, query
 
 NOW = datetime(2026, 3, 1, 12, 0, tzinfo=timezone.utc)
 NS = VendorNamespace("vendor.com", "camera")
@@ -333,7 +333,7 @@ class TestRevocation:
         assert manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.REVOKED
         assert manager.revocation_reason(bundle.urn.uuid) is RevocationReason.KEY_COMPROMISE
         filt = manager.revocation_log.publish(stack.ca.state.issued_serials())
-        assert filt.query(serial) is True
+        assert query(filt, serial) is True
 
     def test_revoke_twice_rejected(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("v2"))

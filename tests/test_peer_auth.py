@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import socket
+import threading
+import time
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -11,6 +14,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
+from iotpki import serving
 from iotpki.acme.ca import TestCaState
 from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.cli import ManualClock
@@ -293,6 +297,29 @@ class TestEchoHarness:
             with concurrent.futures.ThreadPoolExecutor(8) as pool:
                 results = list(pool.map(one, clients))
         assert results == [b"parallel"] * 8
+
+
+class TestEchoServerLifecycle:
+    def test_mtls_echo_leaves_no_serve_thread(self, ca_state):
+        server = make_bundle(ca_state, VENDOR_A, "l1")
+        client = make_bundle(ca_state, VENDOR_B, "l2")
+        before = {t for t in threading.enumerate() if t.name == "mtls-echo"}
+        for _ in range(5):
+            assert mtls_echo(server, client, trust_for(ca_state), b"x").payload_echoed == b"x"
+        assert {t for t in threading.enumerate() if t.name == "mtls-echo"} <= before
+
+    def test_silent_peer_dropped_at_handshake_deadline(self, ca_state, monkeypatch):
+        monkeypatch.setattr(serving, "HANDSHAKE_TIMEOUT", 0.3)
+        server_bundle = make_bundle(ca_state, VENDOR_A, "l3")
+        client_bundle = make_bundle(ca_state, VENDOR_B, "l4")
+        trust = trust_for(ca_state)
+        with EchoServer(server_bundle, trust) as server:
+            with socket.create_connection(server.address, timeout=3) as silent:
+                result = echo_once(server.address, client_bundle, trust, b"meanwhile")
+                assert result.payload_echoed == b"meanwhile"
+                started = time.monotonic()
+                assert silent.recv(1) == b""
+                assert time.monotonic() - started < 2
 
 
 class TestInjectedClockOwnsTime:
