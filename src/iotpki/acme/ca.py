@@ -159,7 +159,7 @@ class TestCaState:
         with self._lock:
             self._next_serial += 1
             serial_int = self._next_serial
-        names = san_dns_names_from_csr(csr)
+        names = san_dns_names(csr)
         builder = (
             x509.CertificateBuilder()
             .subject_name(csr.subject)
@@ -201,14 +201,6 @@ class TestCaState:
             return set(self.issued)
 
 
-def san_dns_names_from_csr(csr: x509.CertificateSigningRequest) -> list[str]:
-    try:
-        ext = csr.extensions.get_extension_for_class(x509.SubjectAlternativeName)
-    except x509.ExtensionNotFound:
-        return []
-    return ext.value.get_values_for_type(x509.DNSName)
-
-
 def _self_signed_root(key: ec.EllipticCurvePrivateKey, now: dt.datetime) -> x509.Certificate:
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "iotpki test root")])
     return (
@@ -217,7 +209,12 @@ def _self_signed_root(key: ec.EllipticCurvePrivateKey, now: dt.datetime) -> x509
         .issuer_name(name)
         .public_key(key.public_key())
         .serial_number(x509.random_serial_number())
-        .not_valid_before(now - timedelta(minutes=1))
+        # Path validation needs an instant at which both the leaf and the
+        # root are valid. Dating the root back by one leaf lifetime keeps
+        # that true for leaves issued with a clock wound back (as tests do
+        # to make expired peers): up to one lifetime back, the whole leaf
+        # lies inside the root's window.
+        .not_valid_before(now - MAX_VALIDITY - timedelta(minutes=1))
         .not_valid_after(now + timedelta(days=3650))
         .add_extension(x509.BasicConstraints(ca=True, path_length=1), critical=True)
         .add_extension(
@@ -492,11 +489,11 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         if not csr.is_signature_valid:
             self._problem(400, "badCSR", "csr signature invalid")
             return
-        if set(san_dns_names_from_csr(csr)) != set(order.identifiers):
+        names = san_dns_names(csr)
+        if set(names) != set(order.identifiers):
             order.status = "invalid"
             self._problem(
-                400, "badCSR",
-                f"csr names {san_dns_names_from_csr(csr)} != order identifiers {order.identifiers}",
+                400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
             )
             return
         serial, _ = ca.state.issue(csr)

@@ -67,7 +67,7 @@ def split_pem_chain(pem_chain: str) -> list[x509.Certificate]:
     return x509.load_pem_x509_certificates(pem_chain.encode("ascii"))
 
 
-def san_dns_names(cert: x509.Certificate) -> list[str]:
+def san_dns_names(cert: x509.Certificate | x509.CertificateSigningRequest) -> list[str]:
     try:
         ext = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)
     except x509.ExtensionNotFound:

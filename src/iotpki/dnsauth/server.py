@@ -50,15 +50,10 @@ class _Handler(socketserver.BaseRequestHandler):
             # still surfacing a CNAME if the name bears one.
             rtype = RType.CNAME
         result: DnsResponse = zone.answer_query(qname, rtype)
-        response = wire.build_response(
-            txn_id, qname, qtype, result.rcode, result.answers, authoritative=result.authoritative
-        )
+        response = wire.build_response(txn_id, qname, qtype, result.rcode, result.answers)
         if len(response) > MAX_UDP:
             # RFC 2181 section 9: a truncated reply carries no partial answer.
-            response = wire.build_response(
-                txn_id, qname, qtype, result.rcode, (), authoritative=result.authoritative,
-                truncated=True,
-            )
+            response = wire.build_response(txn_id, qname, qtype, result.rcode, (), truncated=True)
         sock.sendto(response, self.client_address)
 
 
@@ -105,7 +100,7 @@ def resolve(
     return rcode, answers
 
 
-def resolve_address(name: str, server_addr: tuple[str, int], max_chase: int = 8) -> str:
+def resolve_address(name: str, server_addr: tuple[str, int]) -> str:
     """Follow CNAMEs (already chased server-side) to an IPv4 address."""
     rcode, answers = resolve(name, RType.A, server_addr)
     if rcode is not Rcode.NOERROR:

@@ -17,8 +17,6 @@ CLASS_IN = 1
 _FLAG_QR = 0x8000
 _FLAG_AA = 0x0400
 _FLAG_TC = 0x0200
-_FLAG_RD = 0x0100
-_FLAG_RA = 0x0080
 
 _HEADER = struct.Struct("!HHHHHH")
 
@@ -81,9 +79,8 @@ def decode_name(packet: bytes, offset: int) -> tuple[str, int]:
     return name, next_offset if next_offset is not None else offset
 
 
-def build_query(txn_id: int, name: str, rtype: RType, recursion_desired: bool = False) -> bytes:
-    flags = _FLAG_RD if recursion_desired else 0
-    header = _HEADER.pack(txn_id, flags, 1, 0, 0, 0)
+def build_query(txn_id: int, name: str, rtype: RType) -> bytes:
+    header = _HEADER.pack(txn_id, 0, 1, 0, 0, 0)
     return header + encode_name(name) + struct.pack("!HH", int(rtype), CLASS_IN)
 
 
@@ -124,15 +121,9 @@ def build_response(
     qtype: int,
     rcode: Rcode,
     answers: tuple[ZoneRecord, ...] = (),
-    authoritative: bool = True,
-    recursion_desired: bool = False,
     truncated: bool = False,
 ) -> bytes:
-    flags = _FLAG_QR | int(rcode)
-    if authoritative:
-        flags |= _FLAG_AA
-    if recursion_desired:
-        flags |= _FLAG_RD
+    flags = _FLAG_QR | _FLAG_AA | int(rcode)
     if truncated:
         flags |= _FLAG_TC
     out = bytearray(_HEADER.pack(txn_id, flags, 1, len(answers), 0, 0))

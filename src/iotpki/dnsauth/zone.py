@@ -81,7 +81,6 @@ class ZoneRecord:
 class DnsResponse:
     rcode: Rcode
     answers: tuple[ZoneRecord, ...]
-    authoritative: bool = True
 
 
 class Zone:

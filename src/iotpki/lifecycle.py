@@ -51,7 +51,6 @@ log = logging.getLogger(__name__)
 
 DELEGATION_MAGIC = b"ATLSDLG1"
 DEFAULT_PARALLELISM = 4
-DEFAULT_KEY_ALGORITHM = "p256"
 DEFAULT_DELEGATION_LIFETIME = timedelta(days=7)
 
 
@@ -251,8 +250,6 @@ class FleetManager:
         cloud_target: str,
         clock: Callable[[], datetime] = utcnow,
         http_shelf=None,
-        key_algorithm: str = DEFAULT_KEY_ALGORITHM,
-        account_key=None,
     ) -> None:
         self.inventory = inventory
         self.zone = zone
@@ -262,8 +259,7 @@ class FleetManager:
         self.cloud_target = cloud_target
         self.clock = clock
         self.http_shelf = http_shelf
-        self.key_algorithm = key_algorithm
-        self._account_key = account_key if account_key is not None else generate_key("p256")
+        self._account_key = generate_key("p256")
         self._delegation_key = ed25519.Ed25519PrivateKey.generate()
         self._device_keys: dict[uuidlib.UUID, object] = {}
         self._challenges: dict[uuidlib.UUID, str] = {}
@@ -344,7 +340,7 @@ class FleetManager:
         t1 = time.perf_counter()
         # Full (re-)enrollment always injects a fresh keypair; key reuse is
         # a renewal-only property.
-        key = generate_key(self.key_algorithm)
+        key = generate_key("p256")
         csr = build_csr(key, str(urn))
         try:
             chain = self._client().obtain_certificate(

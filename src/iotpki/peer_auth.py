@@ -1,13 +1,13 @@
 """Relying-party validation for device-to-device mTLS.
 
-The policy lives in pure functions: chain verification to a trusted
-root, validity window, URN extraction from SAN/CN, vendor matching, and
-a revocation-filter lookup, applied in that fixed order so the reject
-reason is deterministic. The echo harness wires the same policy into a
-real TLS 1.3 session over loopback with mandatory client certificates:
-OpenSSL verifies the chain during the handshake, then each side runs
-``check_leaf`` (the remaining checks) on the peer's leaf, so both layers
-must agree before any payload flows.
+The policy lives in pure functions: RFC 5280 path validation to a
+trusted root, validity window, URN extraction from SAN/CN, vendor
+matching, and a revocation-filter lookup, applied in that fixed order so
+the reject reason is deterministic. The echo harness wires the same
+policy into a real TLS 1.3 session over loopback with mandatory client
+certificates: OpenSSL verifies the chain during the handshake, then each
+side runs ``check_leaf`` (the remaining checks) on the peer's leaf, so
+both layers must agree before any payload flows.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import socket
 import socketserver
 import ssl
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,8 +26,8 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from cryptography import x509
-from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.x509.oid import NameOID
+from cryptography.x509.verification import PolicyBuilder, Store, VerificationError
 
 from .certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, split_pem_chain
 from .errors import IotPkiError
@@ -43,6 +44,11 @@ MAX_FRAME = 1 << 20
 # trusted root, and validity windows are left to check_leaf, which reads
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
+
+# Vendors already warned about a missing revocation filter: the warning
+# is logged once per vendor per process, not on every handshake.
+_unfiltered_vendors: set[str] = set()
+_unfiltered_lock = threading.Lock()
 
 
 class NoIdentity(IotPkiError):
@@ -113,35 +119,27 @@ def extract_urn(cert: x509.Certificate) -> DeviceUrn:
     return parse_urn(names[0])
 
 
-def _chain_to_root(chain: list[x509.Certificate], roots: tuple[x509.Certificate, ...]) -> bool:
-    try:
-        for child, issuer in zip(chain, chain[1:]):
-            child.verify_directly_issued_by(issuer)
-        last = chain[-1]
-        if any(last == root for root in roots):
-            return True
-        for root in roots:
-            try:
-                last.verify_directly_issued_by(root)
-                return True
-            except (ValueError, TypeError, InvalidSignature, UnsupportedAlgorithm):
-                continue
-        return False
-    except (ValueError, TypeError, InvalidSignature, UnsupportedAlgorithm):
-        return False
-
-
 def validate_peer(
     chain: list[x509.Certificate],
     ctx: TrustContext,
     expected_vendor: str | None = None,
 ) -> PeerVerdict:
     """Apply the five checks in fixed order; the first failure names the
-    reject reason. The chain to a trusted root comes first, then
-    ``check_leaf``."""
-    if not chain or not _chain_to_root(chain, ctx.roots):
+    reject reason. RFC 5280 path validation to a trusted root comes first,
+    then ``check_leaf``. The path is checked at the trust time clamped
+    into the leaf's own window, so a leaf that is only outside that window
+    reads ``expired`` or ``not_yet_valid``, while an in-window leaf is
+    checked at the true trust time, its root's window included."""
+    if not chain:
         return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
-    return check_leaf(chain[0], ctx, expected_vendor)
+    leaf = chain[0]
+    at = min(max(ctx.clock(), leaf.not_valid_before_utc), leaf.not_valid_after_utc)
+    verifier = PolicyBuilder().store(Store(list(ctx.roots))).time(at).build_client_verifier()
+    try:
+        verifier.verify(leaf, chain[1:])
+    except VerificationError:
+        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+    return check_leaf(leaf, ctx, expected_vendor)
 
 
 def check_leaf(
@@ -152,8 +150,8 @@ def check_leaf(
     """The four checks after the chain, in order: validity window by
     ``ctx.clock``, URN, vendor, revocation. Live TLS sessions call this
     directly, as OpenSSL has already verified the chain in the handshake.
-    Missing vendor filter fails open (with a warning): distributing
-    filters is deployment policy, not protocol."""
+    Missing vendor filter fails open (with a warning, once per vendor):
+    distributing filters is deployment policy, not protocol."""
     now = ctx.clock()
     if now < leaf.not_valid_before_utc:
         return PeerVerdict(accepted=False, reject_reason=RejectReason.NOT_YET_VALID)
@@ -168,10 +166,18 @@ def check_leaf(
     vendor = urn.namespace.root_domain
     filter_ = ctx.filters.get(vendor)
     if filter_ is None:
-        log.warning("no revocation filter for vendor %s; failing open", vendor)
+        _warn_unfiltered(vendor)
     elif query(filter_, format(leaf.serial_number, "x")):
         return PeerVerdict(accepted=False, reject_reason=RejectReason.REVOKED)
     return PeerVerdict(accepted=True, urn=urn)
+
+
+def _warn_unfiltered(vendor: str) -> None:
+    with _unfiltered_lock:
+        if vendor in _unfiltered_vendors:
+            return
+        _unfiltered_vendors.add(vendor)
+    log.warning("no revocation filter for vendor %s; failing open", vendor)
 
 
 @dataclass(frozen=True)

@@ -358,6 +358,17 @@ class TestValidityConfiguration:
         finally:
             ca.close()
 
+    def test_leaf_from_rewound_clock_lies_inside_root(self):
+        now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
+        state = ca_module.TestCaState(
+            clock=lambda: now[0], validity=timedelta(days=90), weekly_order_quota=10
+        )
+        now[0] -= ca_module.MAX_VALIDITY
+        _, cert = state.issue(build_csr(generate_key("p256"), "rewound.camera.vendor.com"))
+        root = state.root_cert
+        assert root.not_valid_before_utc <= cert.not_valid_before_utc
+        assert cert.not_valid_after_utc <= root.not_valid_after_utc
+
 
 def enroll(client, stack, fqdn: str, challenge: str = "dns01") -> str:
     if challenge == "http01":

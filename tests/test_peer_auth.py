@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.x509.oid import NameOID
+from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 from iotpki import serving
 from iotpki.acme.ca import TestCaState
@@ -196,6 +197,81 @@ class TestCheckOrdering:
     def test_rejection_message_names_reason_value(self):
         verdict = PeerVerdict(accepted=False, reject_reason=RejectReason.REVOKED)
         assert str(HandshakeRejected("server", verdict)) == "server rejected peer: revoked"
+
+
+def sign_cert(subject_key, subject: str, issuer_key, issuer: str, start: datetime, end: datetime,
+              *, ca: bool) -> x509.Certificate:
+    """A certificate with the extensions a path validator looks for: SKI,
+    AKI, basicConstraints and keyUsage, plus EKU and SAN = subject on
+    leaves."""
+    usage = dict(
+        content_commitment=False, key_encipherment=False, data_encipherment=False,
+        key_agreement=False, encipher_only=False, decipher_only=False,
+    )
+    builder = (
+        x509.CertificateBuilder()
+        .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)]))
+        .issuer_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, issuer)]))
+        .public_key(subject_key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(start)
+        .not_valid_after(end)
+        .add_extension(x509.BasicConstraints(ca=ca, path_length=None), critical=True)
+        .add_extension(
+            x509.KeyUsage(digital_signature=not ca, key_cert_sign=ca, crl_sign=ca, **usage),
+            critical=True,
+        )
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(subject_key.public_key()), critical=False)
+    )
+    if subject_key is not issuer_key:
+        builder = builder.add_extension(
+            x509.AuthorityKeyIdentifier.from_issuer_public_key(issuer_key.public_key()), critical=False
+        )
+    if not ca:
+        builder = builder.add_extension(
+            x509.ExtendedKeyUsage([ExtendedKeyUsageOID.CLIENT_AUTH]), critical=False
+        ).add_extension(x509.SubjectAlternativeName([x509.DNSName(subject)]), critical=False)
+    return builder.sign(issuer_key, hashes.SHA256())
+
+
+class TestPathValidation:
+    """Path validation follows RFC 5280, not just signatures and names."""
+
+    def test_leaf_signed_by_end_entity_key_is_chain(self, ca_state):
+        device_a = make_bundle(ca_state, VENDOR_A, "v1")
+        victim = DeviceUrn(derive_device_uuid(VENDOR_B, DeviceSecret(b"path-validation-victim")), VENDOR_B)
+        # Device A's own leaf carries AKI, SKI and ca=False; it signs a leaf
+        # naming device B, so the only fault is the non-CA issuer.
+        forged = sign_cert(
+            generate_key("p256"), str(victim), device_a.private_key, str(device_a.urn),
+            NOW - timedelta(minutes=1), NOW + timedelta(days=30), ca=False,
+        )
+        assert forged.issuer == device_a.leaf.subject
+        verdict = validate_peer([forged, device_a.leaf], trust_for(ca_state))
+        assert verdict == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+
+    def test_leaf_outliving_its_root_is_chain_once_root_expires(self):
+        root_key, leaf_key = generate_key("p256"), generate_key("p256")
+        urn = DeviceUrn(derive_device_uuid(VENDOR_A, DeviceSecret(b"path-validation-outlive")), VENDOR_A)
+        root = sign_cert(root_key, "short root", root_key, "short root",
+                         NOW, NOW + timedelta(days=30), ca=True)
+        leaf = sign_cert(leaf_key, str(urn), root_key, "short root",
+                         NOW + timedelta(days=20), NOW + timedelta(days=80), ca=False)
+        day = lambda n: TrustContext(roots=(root,), filters={}, clock=fixed_clock(NOW + timedelta(days=n)))
+        assert validate_peer([leaf], day(25)) == PeerVerdict(accepted=True, urn=urn)
+        assert validate_peer([leaf], day(40)) == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+
+
+def test_missing_filter_warns_once_per_vendor(ca_state, caplog):
+    vendor = VendorNamespace("warn-once.test", "camera")
+    bundle = make_bundle(ca_state, vendor, "w1")
+    with caplog.at_level(logging.WARNING, logger="iotpki.peer_auth"):
+        verdicts = [validate_peer([bundle.leaf], trust_for(ca_state)) for _ in range(5)]
+    assert all(v.accepted for v in verdicts)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "no revocation filter for vendor warn-once.test; failing open"
+    ]
 
 
 class TestEchoHarness:
