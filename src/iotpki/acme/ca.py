@@ -22,6 +22,7 @@ import logging
 import secrets
 import ssl
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import timedelta, timezone
 from typing import Callable
@@ -44,10 +45,25 @@ MAX_VALIDITY = timedelta(days=90)
 ERROR_NS = "urn:ietf:params:acme:error:"
 # Largest request body the CA reads; a JWS carrying a CSR is a few KiB.
 MAX_BODY_BYTES = 64 * 1024
+# Outstanding nonces the CA remembers. Past this the oldest is forgotten;
+# its holder gets badNonce and retries with the fresh nonce that reply
+# carries (RFC 8555 section 6.5).
+MAX_NONCES = 4096
 
 
 class QuotaExceeded(IotPkiError):
     pass
+
+
+@dataclass(eq=False)
+class _Problem(Exception):
+    """An RFC 8555 problem document the CA answers with. ``close`` marks a
+    request whose body was left unread, so the connection must end."""
+
+    status: int
+    type: str
+    detail: str
+    close: bool = False
 
 
 def _utcnow() -> dt.datetime:
@@ -95,7 +111,13 @@ class _Order:
 
 @dataclass
 class TestCaState:
-    """Issuer state: root material, issued certificates, protocol bookkeeping."""
+    """Issuer state: root material, issued certificates, protocol bookkeeping.
+
+    Every status change happens here, under the lock, and only along RFC
+    8555 section 7.1.6: a challenge goes pending -> processing -> valid or
+    invalid; an order goes pending -> ready -> processing -> valid, or to
+    invalid. Valid and invalid are final.
+    """
 
     __test__ = False  # "Test" here means embedded test CA, not a test suite
 
@@ -109,7 +131,7 @@ class TestCaState:
         self.root_key = ec.generate_private_key(ec.SECP256R1())
         self.root_cert = _self_signed_root(self.root_key, self.clock())
         self.issued: dict[str, x509.Certificate] = {}
-        self.nonces: set[str] = set()
+        self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
         self.accounts: dict[str, dict] = {}
         self.orders: dict[str, _Order] = {}
         self.authzs: dict[str, _Authz] = {}
@@ -123,15 +145,112 @@ class TestCaState:
     def fresh_nonce(self) -> str:
         nonce = jws.b64url(secrets.token_bytes(16))
         with self._lock:
-            self.nonces.add(nonce)
+            self.nonces[nonce] = True
+            if len(self.nonces) > MAX_NONCES:
+                self.nonces.popitem(last=False)
         return nonce
 
     def consume_nonce(self, nonce: str) -> bool:
         with self._lock:
-            if nonce in self.nonces:
-                self.nonces.remove(nonce)
-                return True
-        return False
+            return self.nonces.pop(nonce, False)
+
+    # -- accounts and orders ------------------------------------------------
+
+    def register_account(self, jwk_obj: dict, accounts_url: str) -> tuple[str, bool]:
+        """Return (kid, created) for the account holding this key,
+        creating it under ``accounts_url`` on first sight."""
+        thumb = jws.jwk_thumbprint(jwk_obj)
+        with self._lock:
+            for kid, existing in self.accounts.items():
+                if jws.jwk_thumbprint(existing) == thumb:
+                    return kid, False
+            kid = f"{accounts_url}/{len(self.accounts) + 1}"
+            self.accounts[kid] = jwk_obj
+            return kid, True
+
+    def create_order(self, kid: str, identifiers: list[str]) -> _Order:
+        """Count the order against each identifier's quota, then record it
+        with one authz per identifier and a DNS-01 and an HTTP-01
+        challenge per authz."""
+        with self._lock:
+            for fqdn in identifiers:
+                self.check_quota(fqdn)
+            order_id = jws.b64url(secrets.token_bytes(9))
+            authz_ids = []
+            for fqdn in identifiers:
+                authz_id = jws.b64url(secrets.token_bytes(9))
+                chall_ids = []
+                for ctype in ("dns-01", "http-01"):
+                    chall_id = jws.b64url(secrets.token_bytes(9))
+                    self.challenges[chall_id] = _Challenge(
+                        id=chall_id, authz_id=authz_id, type=ctype,
+                        token=jws.b64url(secrets.token_bytes(24)),
+                    )
+                    chall_ids.append(chall_id)
+                self.authzs[authz_id] = _Authz(
+                    id=authz_id, order_id=order_id, fqdn=fqdn, challenge_ids=chall_ids
+                )
+                authz_ids.append(authz_id)
+            order = _Order(id=order_id, account_kid=kid, identifiers=identifiers, authz_ids=authz_ids)
+            self.orders[order_id] = order
+        return order
+
+    # -- status transitions -------------------------------------------------
+
+    def start_challenge(self, chall: _Challenge, kid: str) -> str | None:
+        """Move a pending challenge of a pending authz to processing and
+        return the key authorization to probe for, or None when the
+        challenge stands as it is. Only the order's account may ask."""
+        with self._lock:
+            authz = self.authzs[chall.authz_id]
+            if kid != self.orders[authz.order_id].account_kid:
+                raise _Problem(403, "unauthorized", f"{kid} does not own challenge {chall.id}")
+            if chall.status != "pending" or authz.status != "pending":
+                return None
+            chall.status = "processing"
+            thumbprint = jws.jwk_thumbprint(self.accounts[kid])
+        return jws.key_authorization(chall.token, thumbprint)
+
+    def finish_challenge(self, chall: _Challenge, ok: bool, detail: str) -> None:
+        """Settle a processing challenge and its authz. The order becomes
+        ready once all its authzs are valid, and invalid at a failure."""
+        with self._lock:
+            authz = self.authzs[chall.authz_id]
+            order = self.orders[authz.order_id]
+            if not ok:
+                chall.status = authz.status = order.status = "invalid"
+                order.problem = {"type": ERROR_NS + "unauthorized", "detail": detail}
+                log.info("challenge %s for %s failed: %s", chall.type, authz.fqdn, detail)
+                return
+            chall.status = authz.status = "valid"
+            if order.status == "pending" and all(
+                self.authzs[a].status == "valid" for a in order.authz_ids
+            ):
+                order.status = "ready"
+
+    def finalize(self, order: _Order, payload: bytes) -> None:
+        """Issue for a ready order: ready -> processing -> valid. A CSR
+        naming anything but the order's identifiers makes it invalid."""
+        with self._lock:
+            if order.status != "ready":
+                raise _Problem(403, "orderNotReady", f"order status is {order.status}")
+            try:
+                csr = x509.load_der_x509_csr(jws.b64url_decode(json.loads(payload)["csr"]))
+            except (ValueError, KeyError) as exc:
+                raise _Problem(400, "badCSR", f"unparseable csr: {exc}") from None
+            if not csr.is_signature_valid:
+                raise _Problem(400, "badCSR", "csr signature invalid")
+            names = san_dns_names(csr)
+            if set(names) != set(order.identifiers):
+                order.status = "invalid"
+                raise _Problem(
+                    400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
+                )
+            order.status = "processing"
+        serial, _ = self.issue(csr)
+        with self._lock:
+            order.cert_serial = serial
+            order.status = "valid"
 
     # -- quota ------------------------------------------------------------
 
@@ -271,83 +390,67 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
-    def _reply(self, status: int, body: bytes, content_type: str) -> None:
+    def _reply(self, status: int, body: bytes, ctype: str, location: str | None = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Replay-Nonce", self.ca.state.fresh_nonce())
         self.send_header("Cache-Control", "no-store")
-        if getattr(self, "_location", None):
-            self.send_header("Location", self._location)
-            self._location = None
+        if location:
+            self.send_header("Location", location)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _json(self, status: int, obj: dict) -> None:
-        self._reply(status, json.dumps(obj).encode(), "application/json")
+    def _json(self, status: int, obj: dict, location: str | None = None) -> None:
+        self._reply(status, json.dumps(obj).encode(), "application/json", location)
 
-    def _problem(self, status: int, err_type: str, detail: str) -> None:
-        body = {"type": ERROR_NS + err_type, "detail": detail, "status": status}
-        self._reply(status, json.dumps(body).encode(), "application/problem+json")
+    def _read_jws(self, require_jwk: bool) -> tuple[dict, bytes]:
+        """Verify the enclosing JWS and return (protected, payload).
 
-    def _read_jws(self, require_jwk: bool):
-        """Verify the enclosing JWS and return (protected, payload, kid).
-
-        ``kid`` is the account URL; for new-account requests it is None and
-        the embedded JWK is returned through protected.
+        New-account requests carry their key as an embedded JWK; every
+        other request's ``kid`` must name a known account.
         """
         # On a keep-alive connection a body left unread would be parsed as
         # the next request, so any reply that skips it closes the connection.
         declared = self.headers.get("Content-Length", "")
         if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True
-            self._problem(400, "malformed", f"bad Content-Length {declared!r}")
-            return None
+            raise _Problem(400, "malformed", f"bad Content-Length {declared!r}", close=True)
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._problem(413, "malformed", f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
-            return None
+            raise _Problem(
+                413, "malformed", f"body of {length} bytes exceeds {MAX_BODY_BYTES}", close=True
+            )
         raw = self.rfile.read(length)
         if len(raw) < length:
-            self.close_connection = True
-            self._problem(400, "malformed", f"body truncated at {len(raw)} of {length} bytes")
-            return None
+            raise _Problem(
+                400, "malformed", f"body truncated at {len(raw)} of {length} bytes", close=True
+            )
         try:
             envelope = json.loads(raw)
             protected = json.loads(jws.b64url_decode(envelope["protected"]))
         except (ValueError, KeyError) as exc:
-            self._problem(400, "malformed", f"bad request body: {exc}")
-            return None
-        nonce = protected.get("nonce", "")
-        if not self.ca.state.consume_nonce(nonce):
-            self._problem(400, "badNonce", "nonce missing, reused, or unknown")
-            return None
+            raise _Problem(400, "malformed", f"bad request body: {exc}") from None
+        if not self.ca.state.consume_nonce(protected.get("nonce", "")):
+            raise _Problem(400, "badNonce", "nonce missing, reused, or unknown")
         expected_url = self.ca.base_url + self.path
         if protected.get("url") != expected_url:
-            self._problem(400, "unauthorized", f"url {protected.get('url')!r} != {expected_url!r}")
-            return None
+            raise _Problem(400, "unauthorized", f"url {protected.get('url')!r} != {expected_url!r}")
         if require_jwk:
             jwk_obj = protected.get("jwk")
             if jwk_obj is None:
-                self._problem(400, "malformed", "newAccount requires an embedded jwk")
-                return None
-            kid = None
+                raise _Problem(400, "malformed", "newAccount requires an embedded jwk")
         else:
             kid = protected.get("kid")
             jwk_obj = self.ca.state.accounts.get(kid)
             if jwk_obj is None:
-                self._problem(400, "accountDoesNotExist", f"unknown account {kid!r}")
-                return None
+                raise _Problem(400, "accountDoesNotExist", f"unknown account {kid!r}")
         try:
-            public_key = jws.jwk_to_public_key(jwk_obj)
-            _, payload = jws.verify_jws(envelope, public_key)
+            _, payload = jws.verify_jws(envelope, jws.jwk_to_public_key(jwk_obj))
         except jws.JwsError as exc:
-            self._problem(401, "unauthorized", str(exc))
-            return None
-        return protected, payload, kid
+            raise _Problem(401, "unauthorized", str(exc)) from None
+        return protected, payload
 
     # -- verbs ----------------------------------------------------------
 
@@ -371,51 +474,27 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
             self.send_error(404)
 
     def do_POST(self) -> None:
-        route = self.path
-        if route == "/acme/new-account":
-            self._post_new_account()
-        elif route == "/acme/new-order":
-            self._post_new_order()
-        elif route.startswith("/acme/order/"):
-            self._post_order(route.removeprefix("/acme/order/"))
-        elif route.startswith("/acme/authz/"):
-            self._post_authz(route.removeprefix("/acme/authz/"))
-        elif route.startswith("/acme/chall/"):
-            self._post_challenge(route.removeprefix("/acme/chall/"))
-        elif route.startswith("/acme/finalize/"):
-            self._post_finalize(route.removeprefix("/acme/finalize/"))
-        elif route.startswith("/acme/cert/"):
-            self._post_cert(route.removeprefix("/acme/cert/"))
-        else:
-            self.close_connection = True  # the body stays unread
-            self._problem(404, "malformed", f"no such resource {route}")
+        head, _, ident = self.path.rpartition("/")
+        endpoint = self._POST_ROUTES.get(self.path) or self._POST_ROUTES.get(head + "/")
+        try:
+            if endpoint is None:
+                raise _Problem(404, "malformed", f"no such resource {self.path}", close=True)
+            protected, payload = self._read_jws(require_jwk=self.path == "/acme/new-account")
+            endpoint(self, ident, protected, payload)
+        except _Problem as problem:
+            if problem.close:
+                self.close_connection = True
+            body = {"type": ERROR_NS + problem.type, "detail": problem.detail, "status": problem.status}
+            self._reply(problem.status, json.dumps(body).encode(), "application/problem+json")
 
-    # -- endpoints ----------------------------------------------------------
+    # -- endpoints, each called as (ident, protected, payload) ------------
 
-    def _post_new_account(self) -> None:
-        result = self._read_jws(require_jwk=True)
-        if result is None:
-            return
-        protected, _, _ = result
-        ca = self.ca
-        jwk_obj = protected["jwk"]
-        thumb = jws.jwk_thumbprint(jwk_obj)
-        with ca.state._lock:
-            for kid, existing in ca.state.accounts.items():
-                if jws.jwk_thumbprint(existing) == thumb:
-                    self._location = kid
-                    self._json(200, {"status": "valid", "orders": ""})
-                    return
-            kid = f"{ca.base_url}/acme/acct/{len(ca.state.accounts) + 1}"
-            ca.state.accounts[kid] = jwk_obj
-        self._location = kid
-        self._json(201, {"status": "valid", "orders": ""})
+    def _post_new_account(self, _, protected: dict, __) -> None:
+        accounts_url = f"{self.ca.base_url}/acme/acct"
+        kid, created = self.ca.state.register_account(protected["jwk"], accounts_url)
+        self._json(201 if created else 200, {"status": "valid", "orders": ""}, location=kid)
 
-    def _post_new_order(self) -> None:
-        result = self._read_jws(require_jwk=False)
-        if result is None:
-            return
-        _, payload, kid = result
+    def _post_new_order(self, _, protected: dict, payload: bytes) -> None:
         ca = self.ca
         try:
             identifiers = [
@@ -423,95 +502,56 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
                 if ident.get("type") == "dns"
             ]
         except (ValueError, KeyError) as exc:
-            self._problem(400, "malformed", f"bad order payload: {exc}")
-            return
+            raise _Problem(400, "malformed", f"bad order payload: {exc}") from None
         if not identifiers:
-            self._problem(400, "malformed", "order carries no dns identifiers")
-            return
+            raise _Problem(400, "malformed", "order carries no dns identifiers")
         try:
-            for fqdn in identifiers:
-                ca.state.check_quota(fqdn)
+            order = ca.state.create_order(protected["kid"], identifiers)
         except QuotaExceeded as exc:
-            self._problem(429, "rateLimited", str(exc))
-            return
-        order = ca.create_order(kid, identifiers)
-        self._location = f"{ca.base_url}/acme/order/{order.id}"
-        self._json(201, ca.order_json(order))
+            raise _Problem(429, "rateLimited", str(exc)) from None
+        self._json(201, ca.order_json(order), location=f"{ca.base_url}/acme/order/{order.id}")
 
-    def _post_order(self, order_id: str) -> None:
-        if self._read_jws(require_jwk=False) is None:
-            return
-        order = self.ca.state.orders.get(order_id)
-        if order is None:
-            self._problem(404, "malformed", f"no order {order_id}")
-            return
-        self._json(200, self.ca.order_json(order))
+    def _post_order(self, order_id: str, *_) -> None:
+        self._json(200, self.ca.order_json(_find(self.ca.state.orders, order_id, "order")))
 
-    def _post_authz(self, authz_id: str) -> None:
-        if self._read_jws(require_jwk=False) is None:
-            return
-        authz = self.ca.state.authzs.get(authz_id)
-        if authz is None:
-            self._problem(404, "malformed", f"no authz {authz_id}")
-            return
-        self._json(200, self.ca.authz_json(authz))
+    def _post_authz(self, authz_id: str, *_) -> None:
+        self._json(200, self.ca.authz_json(_find(self.ca.state.authzs, authz_id, "authz")))
 
-    def _post_challenge(self, chall_id: str) -> None:
-        result = self._read_jws(require_jwk=False)
-        if result is None:
-            return
-        _, _, kid = result
-        chall = self.ca.state.challenges.get(chall_id)
-        if chall is None:
-            self._problem(404, "malformed", f"no challenge {chall_id}")
-            return
-        self.ca.validate_challenge(chall, kid)
+    def _post_challenge(self, chall_id: str, protected: dict, _) -> None:
+        chall = _find(self.ca.state.challenges, chall_id, "challenge")
+        self.ca.validate_challenge(chall, protected["kid"])
         self._json(200, self.ca.challenge_json(chall))
 
-    def _post_finalize(self, order_id: str) -> None:
-        result = self._read_jws(require_jwk=False)
-        if result is None:
-            return
-        _, payload, _ = result
-        ca = self.ca
-        order = ca.state.orders.get(order_id)
-        if order is None:
-            self._problem(404, "malformed", f"no order {order_id}")
-            return
-        if order.status != "ready":
-            self._problem(403, "orderNotReady", f"order status is {order.status}")
-            return
-        try:
-            csr = x509.load_der_x509_csr(jws.b64url_decode(json.loads(payload)["csr"]))
-        except (ValueError, KeyError) as exc:
-            self._problem(400, "badCSR", f"unparseable csr: {exc}")
-            return
-        if not csr.is_signature_valid:
-            self._problem(400, "badCSR", "csr signature invalid")
-            return
-        names = san_dns_names(csr)
-        if set(names) != set(order.identifiers):
-            order.status = "invalid"
-            self._problem(
-                400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
-            )
-            return
-        serial, _ = ca.state.issue(csr)
-        order.cert_serial = serial
-        order.status = "valid"
-        self._json(200, ca.order_json(order))
+    def _post_finalize(self, order_id: str, _, payload: bytes) -> None:
+        order = _find(self.ca.state.orders, order_id, "order")
+        self.ca.state.finalize(order, payload)
+        self._json(200, self.ca.order_json(order))
 
-    def _post_cert(self, order_id: str) -> None:
-        if self._read_jws(require_jwk=False) is None:
-            return
+    def _post_cert(self, order_id: str, *_) -> None:
         ca = self.ca
-        order = ca.state.orders.get(order_id)
-        if order is None or order.status != "valid" or order.cert_serial is None:
-            self._problem(404, "malformed", "certificate not ready")
-            return
-        leaf = ca.state.issued[order.cert_serial]
-        chain = cert_to_pem(leaf) + ca.root_cert_pem
+        order = _find(ca.state.orders, order_id, "order")
+        if order.status != "valid":
+            raise _Problem(404, "malformed", "certificate not ready")
+        chain = cert_to_pem(ca.state.issued[order.cert_serial]) + ca.root_cert_pem
         self._reply(200, chain.encode(), "application/pem-certificate-chain")
+
+    # Exact paths; a key ending in "/" takes the resource id that follows it.
+    _POST_ROUTES = {
+        "/acme/new-account": _post_new_account,
+        "/acme/new-order": _post_new_order,
+        "/acme/order/": _post_order,
+        "/acme/authz/": _post_authz,
+        "/acme/chall/": _post_challenge,
+        "/acme/finalize/": _post_finalize,
+        "/acme/cert/": _post_cert,
+    }
+
+
+def _find(table: dict, ident: str, what: str):
+    found = table.get(ident)
+    if found is None:
+        raise _Problem(404, "malformed", f"no {what} {ident}")
+    return found
 
 
 class TestCa(BackgroundServer):
@@ -557,29 +597,6 @@ class TestCa(BackgroundServer):
             "meta": {"caRoot": f"{self.base_url}/root"},
         }
 
-    def create_order(self, kid: str, identifiers: list[str]) -> _Order:
-        state = self.state
-        with state._lock:
-            order_id = jws.b64url(secrets.token_bytes(9))
-            authz_ids = []
-            for fqdn in identifiers:
-                authz_id = jws.b64url(secrets.token_bytes(9))
-                chall_ids = []
-                for ctype in ("dns-01", "http-01"):
-                    chall_id = jws.b64url(secrets.token_bytes(9))
-                    state.challenges[chall_id] = _Challenge(
-                        id=chall_id, authz_id=authz_id, type=ctype,
-                        token=jws.b64url(secrets.token_bytes(24)),
-                    )
-                    chall_ids.append(chall_id)
-                state.authzs[authz_id] = _Authz(
-                    id=authz_id, order_id=order_id, fqdn=fqdn, challenge_ids=chall_ids
-                )
-                authz_ids.append(authz_id)
-            order = _Order(id=order_id, account_kid=kid, identifiers=identifiers, authz_ids=authz_ids)
-            state.orders[order_id] = order
-        return order
-
     def order_json(self, order: _Order) -> dict:
         obj = {
             "status": order.status,
@@ -587,7 +604,7 @@ class TestCa(BackgroundServer):
             "authorizations": [f"{self.base_url}/acme/authz/{a}" for a in order.authz_ids],
             "finalize": f"{self.base_url}/acme/finalize/{order.id}",
         }
-        if order.status == "valid" and order.cert_serial:
+        if order.status == "valid":
             obj["certificate"] = f"{self.base_url}/acme/cert/{order.id}"
         if order.problem:
             obj["error"] = order.problem
@@ -613,30 +630,11 @@ class TestCa(BackgroundServer):
     # -- validation ---------------------------------------------------------
 
     def validate_challenge(self, chall: _Challenge, kid: str) -> None:
-        state = self.state
-        authz = state.authzs[chall.authz_id]
-        order = state.orders[authz.order_id]
-        account_jwk = state.accounts.get(kid)
-        if account_jwk is None or kid != order.account_kid:
-            chall.status = "invalid"
-            authz.status = "invalid"
-            order.status = "invalid"
-            return
-        expected_key_auth = jws.key_authorization(chall.token, jws.jwk_thumbprint(account_jwk))
-        chall.status = "processing"
-        ok, detail = self._probe(chall, authz.fqdn, expected_key_auth)
-        with state._lock:
-            if ok:
-                chall.status = "valid"
-                authz.status = "valid"
-                if all(state.authzs[a].status == "valid" for a in order.authz_ids):
-                    order.status = "ready"
-            else:
-                chall.status = "invalid"
-                authz.status = "invalid"
-                order.status = "invalid"
-                order.problem = {"type": ERROR_NS + "unauthorized", "detail": detail}
-                log.info("challenge %s for %s failed: %s", chall.type, authz.fqdn, detail)
+        """Probe a pending challenge once; any other challenge stands."""
+        key_auth = self.state.start_challenge(chall, kid)
+        if key_auth is not None:
+            fqdn = self.state.authzs[chall.authz_id].fqdn
+            self.state.finish_challenge(chall, *self._probe(chall, fqdn, key_auth))
 
     def _probe(self, chall: _Challenge, fqdn: str, expected_key_auth: str) -> tuple[bool, str]:
         dns_addr = self.config.dns_addr

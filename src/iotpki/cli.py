@@ -109,22 +109,14 @@ def _out_dir(settings: Settings) -> Path:
 
 
 @contextmanager
-def scenario_stack(apex: str, quota: int = 30_000):
+def scenario_stack(apex: str):
     """Embedded DNS authority + token shelf + ACME CA on loopback."""
     clock = ManualClock()
     zone = Zone(apex)
     zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
-    ca = TestCa(
-        CaConfig(
-            dns_addr=dns.address,
-            http01_port=shelf.port,
-            validity=timedelta(days=90),
-            weekly_order_quota=quota,
-            clock=clock,
-        )
-    ).start()
+    ca = TestCa(CaConfig(dns_addr=dns.address, http01_port=shelf.port, clock=clock)).start()
     try:
         yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
     finally:
@@ -327,13 +319,7 @@ def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
     ca = TestCa(
-        CaConfig(
-            bind_addr=("127.0.0.1", args.port),
-            dns_addr=dns.address,
-            http01_port=shelf.port,
-            validity=timedelta(days=90),
-            weekly_order_quota=30_000,
-        )
+        CaConfig(bind_addr=("127.0.0.1", args.port), dns_addr=dns.address, http01_port=shelf.port)
     ).start()
     print(f"acme ca listening at {ca.directory_url}", flush=True)
     print(f"challenge dns authority on {dns.address[0]}:{dns.address[1]}", flush=True)

@@ -347,7 +347,6 @@ class FleetManager:
                 str(urn), csr, challenge, self._fulfiller(challenge)
             )
         except IotPkiError as exc:
-            self.zone.clear_acme_txt(str(urn))
             raise EnrollmentAborted(f"issuance failed for {urn}: {exc}") from exc
         self._attach_chain(device_uuid, chain)
         with self._keys_lock:

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import logging
+import secrets
 import socket
 import ssl
+import threading
 import time
 import urllib.request
 from datetime import datetime, timedelta, timezone
@@ -23,12 +25,13 @@ from iotpki.acme.ca import CaConfig, QuotaExceeded, TestCa
 from iotpki.acme.challenges import DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
 from iotpki.acme.client import (
     AcmeClient,
+    AcmeProblem,
     CaUnreachable,
     ChallengeFailed,
     CsrMismatch,
     RateLimited,
 )
-from iotpki.certs import build_csr, generate_key, split_pem_chain
+from iotpki.certs import build_csr, csr_to_der, generate_key, split_pem_chain
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
 
@@ -272,6 +275,16 @@ class TestNonces:
         )
         assert order_status == 201
 
+    def test_nonce_table_is_bounded(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        held = client._nonce
+        for _ in range(ca_module.MAX_NONCES + 100):
+            stack.ca.state.fresh_nonce()
+        assert len(stack.ca.state.nonces) <= ca_module.MAX_NONCES
+        assert held not in stack.ca.state.nonces
+        enroll(client, stack, "evicted-nonce.camera.vendor.com")
+
 
 class TestQuota:
     def test_internal_gate_trips_past_quota(self):
@@ -487,3 +500,219 @@ class TestRequestBodies:
             assert time.monotonic() < deadline, "ca still waiting on a closed peer's body"
             time.sleep(0.01)
         enroll(new_client(stack), stack, "after-truncated.camera.vendor.com")
+
+
+def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, bytes]:
+    """POST one JWS built by hand from the client's account; ``protected``
+    overrides header members. Returns the raw (status, headers, body)."""
+    header = {
+        "alg": jws.alg_for_key(client.account.account_key),
+        "nonce": client._take_nonce(),
+        "url": url,
+        "kid": client.account.kid,
+        **protected,
+    }
+    body = json.dumps(payload).encode() if payload is not None else None
+    envelope = jws.sign_jws(client.account.account_key, header, body)
+    return client._http("POST", url, json.dumps(envelope).encode())
+
+
+def csr_b64(fqdn: str, tamper: bool = False) -> str:
+    der = bytearray(csr_to_der(build_csr(generate_key("p256"), fqdn)))
+    if tamper:
+        der[-1] ^= 1  # last byte of the signature's s: still parses, no longer verifies
+    return jws.b64url(bytes(der))
+
+
+def place_order(client, fqdn: str) -> tuple[dict, dict]:
+    """New order for ``fqdn``: returns the order (with its URL) and its
+    DNS-01 challenge."""
+    _, headers, raw = client._post(
+        client.directory()["newOrder"], {"identifiers": [{"type": "dns", "value": fqdn}]}
+    )
+    order = dict(json.loads(raw), url=headers["Location"])
+    _, _, raw = client._post(order["authorizations"][0], None)
+    chall = next(c for c in json.loads(raw)["challenges"] if c["type"] == "dns-01")
+    return order, chall
+
+
+def answer_challenge(stack, client, chall: dict, fqdn: str) -> dict:
+    """Publish the right DNS-01 proof, POST the challenge, withdraw the proof."""
+    fulfiller = DnsTxtFulfiller(stack.zone)
+    token = chall["token"]
+    fulfiller.install(fqdn, token, jws.key_authorization(token, client.account.jwk_thumbprint))
+    try:
+        return json.loads(client._post(chall["url"], {})[2])
+    finally:
+        fulfiller.cleanup(fqdn, token)
+
+
+def ready_order(stack, client, fqdn: str) -> tuple[dict, dict]:
+    order, chall = place_order(client, fqdn)
+    answer_challenge(stack, client, chall, fqdn)
+    return order, chall
+
+
+def acme_url(stack, path: str) -> str:
+    return f"{stack.ca.base_url}/acme/{path}"
+
+
+def _finalize(ready: bool, csr_for):
+    """Builder for a finalize request on a fresh order, ready or still
+    pending; ``csr_for(fqdn)`` gives the request's csr member."""
+
+    def build(stack, client):
+        fqdn = f"reject-{secrets.token_hex(4)}.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn) if ready else place_order(client, fqdn)
+        return order["finalize"], {"csr": csr_for(fqdn)}, {}
+
+    return build
+
+
+NEW_ORDER = {"identifiers": [{"type": "dns", "value": "reject.camera.vendor.com"}]}
+
+# Each CA reject path: request builder (stack, client) -> (url, payload,
+# protected overrides), then the expected status, problem type, and
+# whether the reply closes the connection (it does when the body is
+# left unread).
+REJECTS = [
+    pytest.param(
+        lambda s, c: (acme_url(s, "order/nope"), None, {}), 404, "malformed", False,
+        id="unknown-order",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "authz/nope"), None, {}), 404, "malformed", False,
+        id="unknown-authz",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "chall/nope"), {}, {}), 404, "malformed", False,
+        id="unknown-challenge",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "finalize/nope"), {"csr": csr_b64("x.vendor.com")}, {}),
+        404, "malformed", False, id="unknown-finalize",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "cert/nope"), None, {}), 404, "malformed", False,
+        id="unknown-cert",
+    ),
+    pytest.param(_finalize(False, csr_b64), 403, "orderNotReady", False, id="finalize-pending-order"),
+    pytest.param(_finalize(True, lambda f: "AAAA"), 400, "badCSR", False, id="unparseable-csr"),
+    pytest.param(
+        _finalize(True, lambda f: csr_b64(f, tamper=True)), 400, "badCSR", False,
+        id="bad-csr-signature",
+    ),
+    pytest.param(
+        _finalize(True, lambda f: csr_b64("other.camera.vendor.com")), 400, "badCSR", False,
+        id="csr-names-differ",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), NEW_ORDER, {"kid": acme_url(s, "acct/999999")}),
+        400, "accountDoesNotExist", False, id="unknown-kid",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), NEW_ORDER, {"url": acme_url(s, "elsewhere")}),
+        400, "unauthorized", False, id="url-mismatch",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {"termsOfServiceAgreed": True}, {}),
+        400, "malformed", False, id="new-account-without-jwk",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), {"names": []}, {}), 400, "malformed", False,
+        id="bad-order-payload",
+    ),
+    pytest.param(
+        lambda s, c: (
+            acme_url(s, "new-order"), {"identifiers": [{"type": "ip", "value": "127.0.0.1"}]}, {}
+        ),
+        400, "malformed", False, id="no-dns-identifiers",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account/x"), {}, {}), 404, "malformed", True,
+        id="new-account-with-id",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "order/"), None, {}), 404, "malformed", False,
+        id="empty-order-id",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, status, ptype, close", REJECTS)
+def test_reject_path(stack, build, status, ptype, close):
+    client = new_client(stack)
+    client.ensure_account()
+    url, payload, protected = build(stack, client)
+    got, headers, body = signed_post(client, url, payload, protected)
+    assert (got, json.loads(body)["type"]) == (status, ca_module.ERROR_NS + ptype)
+    assert (headers.get("Connection") == "close") is close
+
+
+class TestOrderStates:
+    """RFC 8555 section 7.1.6: valid and invalid are final."""
+
+    def test_reposted_challenge_keeps_valid_order(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "repost.camera.vendor.com"
+        order, chall = ready_order(stack, client, fqdn)
+        client._post(order["finalize"], {"csr": csr_b64(fqdn)})
+        # The proof is withdrawn by now: a new probe would fail.
+        assert json.loads(client._post(chall["url"], {})[2])["status"] == "valid"
+        final = json.loads(client._post(order["url"], None)[2])
+        assert final["status"] == "valid"
+        _, _, chain = client._post(final["certificate"], None)
+        verify_chain(chain.decode("ascii"), fqdn, stack.ca.state.root_cert)
+
+    def test_failed_order_stays_invalid(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "refixed.camera.vendor.com"
+        order, chall = place_order(client, fqdn)
+        stack.zone.set_acme_txt(fqdn, "not-the-right-proof")
+        assert json.loads(client._post(chall["url"], {})[2])["status"] == "invalid"
+        assert answer_challenge(stack, client, chall, fqdn)["status"] == "invalid"
+        assert json.loads(client._post(order["url"], None)[2])["status"] == "invalid"
+
+    def test_other_account_cannot_answer_challenge(self, stack):
+        owner, other = new_client(stack), new_client(stack)
+        owner.ensure_account()
+        other.ensure_account()
+        fqdn = "foreign.camera.vendor.com"
+        _, chall = place_order(owner, fqdn)
+        with pytest.raises(ChallengeFailed, match="does not own"):
+            other._post(chall["url"], {})
+        assert answer_challenge(stack, owner, chall, fqdn)["status"] == "valid"
+
+    def test_concurrent_finalize_issues_once(self, stack, monkeypatch):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "race.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn)
+        issue = ca_module.TestCaState.issue
+
+        def slow_issue(state, csr):
+            time.sleep(0.3)
+            return issue(state, csr)
+
+        monkeypatch.setattr(ca_module.TestCaState, "issue", slow_issue)
+        rival = new_client(stack)
+        rival.account = client.account
+        before = len(stack.ca.state.issued_serials())
+        outcomes = []
+
+        def finalize(racer):
+            try:
+                outcomes.append(racer._post(order["finalize"], {"csr": csr_b64(fqdn)})[0])
+            except AcmeProblem as exc:
+                outcomes.append((exc.status, exc.ptype))
+
+        racers = [threading.Thread(target=finalize, args=(c,)) for c in (client, rival)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=10)
+            assert not racer.is_alive()
+        assert sorted(outcomes, key=str) == [(403, ca_module.ERROR_NS + "orderNotReady"), 200]
+        assert len(stack.ca.state.issued_serials()) == before + 1

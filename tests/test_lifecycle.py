@@ -11,9 +11,11 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from iotpki.acme import CaConfig, TestCa, TokenShelf
+from iotpki.acme import ca as ca_module
 from iotpki.certs import build_csr, generate_key, spki_fingerprint, split_pem_chain
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
-from iotpki.identity import DeviceSecret, VendorNamespace
+from iotpki.dnsauth.server import ResolutionFailure
+from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
 from iotpki.inventory import Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
     BadDelegation,
@@ -133,6 +135,18 @@ class TestEnroll:
         assert len(records) == 1
         assert records[0].renewal_state is RenewalState.DUE
         urn = records[0].urn
+        txt = stack.zone.answer_query(f"_acme-challenge.{urn}", RType.TXT)
+        assert txt.rcode is Rcode.NXDOMAIN or not txt.answers
+
+    def test_failed_probe_leaves_no_txt(self, stack, manager, monkeypatch):
+        def unreachable(*_):
+            raise ResolutionFailure("probe blocked")
+
+        monkeypatch.setattr(ca_module, "resolve", unreachable)
+        sec = secret("e8")
+        with pytest.raises(EnrollmentAborted):
+            manager.enroll_device(NS, sec)
+        urn = DeviceUrn(derive_device_uuid(NS, sec), NS)
         txt = stack.zone.answer_query(f"_acme-challenge.{urn}", RType.TXT)
         assert txt.rcode is Rcode.NXDOMAIN or not txt.answers
 
