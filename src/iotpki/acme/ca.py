@@ -235,8 +235,8 @@ class TestCaState:
             if order.status != "ready":
                 raise _Problem(403, "orderNotReady", f"order status is {order.status}")
             try:
-                csr = x509.load_der_x509_csr(jws.b64url_decode(json.loads(payload)["csr"]))
-            except (ValueError, KeyError) as exc:
+                csr = x509.load_der_x509_csr(jws.b64url_decode(_json_object(payload)["csr"]))
+            except (ValueError, KeyError, TypeError) as exc:
                 raise _Problem(400, "badCSR", f"unparseable csr: {exc}") from None
             if not csr.is_signature_valid:
                 raise _Problem(400, "badCSR", "csr signature invalid")
@@ -428,10 +428,12 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
                 400, "malformed", f"body truncated at {len(raw)} of {length} bytes", close=True
             )
         try:
-            envelope = json.loads(raw)
-            protected = json.loads(jws.b64url_decode(envelope["protected"]))
-        except (ValueError, KeyError) as exc:
+            envelope = _json_object(raw)
+            protected = _json_object(jws.b64url_decode(envelope["protected"]))
+        except (ValueError, KeyError, TypeError) as exc:
             raise _Problem(400, "malformed", f"bad request body: {exc}") from None
+        if not all(isinstance(protected.get(m, ""), str) for m in ("nonce", "url", "kid")):
+            raise _Problem(400, "malformed", "protected nonce, url and kid must be strings")
         if not self.ca.state.consume_nonce(protected.get("nonce", "")):
             raise _Problem(400, "badNonce", "nonce missing, reused, or unknown")
         expected_url = self.ca.base_url + self.path
@@ -439,7 +441,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
             raise _Problem(400, "unauthorized", f"url {protected.get('url')!r} != {expected_url!r}")
         if require_jwk:
             jwk_obj = protected.get("jwk")
-            if jwk_obj is None:
+            if not isinstance(jwk_obj, dict):
                 raise _Problem(400, "malformed", "newAccount requires an embedded jwk")
         else:
             kid = protected.get("kid")
@@ -450,6 +452,8 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
             _, payload = jws.verify_jws(envelope, jws.jwk_to_public_key(jwk_obj))
         except jws.JwsError as exc:
             raise _Problem(401, "unauthorized", str(exc)) from None
+        except (ValueError, KeyError, TypeError) as exc:  # a jwk or payload of a wrong shape
+            raise _Problem(400, "malformed", f"bad jws: {exc}") from None
         return protected, payload
 
     # -- verbs ----------------------------------------------------------
@@ -497,12 +501,14 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
     def _post_new_order(self, _, protected: dict, payload: bytes) -> None:
         ca = self.ca
         try:
-            identifiers = [
-                ident["value"] for ident in json.loads(payload)["identifiers"]
-                if ident.get("type") == "dns"
-            ]
+            idents = _json_object(payload)["identifiers"]
+            if not isinstance(idents, list) or not all(
+                isinstance(i, dict) and isinstance(i.get("value"), str) for i in idents
+            ):
+                raise ValueError("identifiers must be objects with string values, in a list")
         except (ValueError, KeyError) as exc:
             raise _Problem(400, "malformed", f"bad order payload: {exc}") from None
+        identifiers = [i["value"] for i in idents if i.get("type") == "dns"]
         if not identifiers:
             raise _Problem(400, "malformed", "order carries no dns identifiers")
         try:
@@ -545,6 +551,14 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         "/acme/finalize/": _post_finalize,
         "/acme/cert/": _post_cert,
     }
+
+
+def _json_object(data) -> dict:
+    """Parse JSON that must be an object; any other value is a ValueError."""
+    obj = json.loads(data)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _find(table: dict, ident: str, what: str):

@@ -201,15 +201,10 @@ class AcmeClient:
         self.account.kid = kid
         return self.account
 
-    def obtain_certificate(self, fqdn: str, csr, challenge_type: str, fulfiller) -> str:
-        """Full order flow for one FQDN. Returns the PEM chain."""
-        if challenge_type not in ("dns01", "http01"):
-            raise IotPkiError(f"unknown challenge type {challenge_type!r}")
-        wire_type = "dns-01" if challenge_type == "dns01" else "http-01"
-        if fulfiller.challenge_type != wire_type:
-            raise IotPkiError(
-                f"fulfiller handles {fulfiller.challenge_type}, order wants {wire_type}"
-            )
+    def obtain_certificate(self, fqdn: str, csr, fulfiller) -> str:
+        """Full order flow for one FQDN, answering the challenge type the
+        fulfiller publishes proofs for. Returns the PEM chain."""
+        wire_type = fulfiller.challenge_type
         self.ensure_account()
         _, headers, raw = self._post(self.directory()["newOrder"], {
             "identifiers": [{"type": "dns", "value": fqdn}],

@@ -31,8 +31,8 @@ from .acme import CaConfig, TestCa, TokenShelf
 from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
-from .inventory import Inventory, RenewalState, UnknownDevice, from_rfc3339, to_rfc3339
-from .lifecycle import EnrollmentRequest, FleetManager
+from .inventory import Inventory, RenewalState, from_rfc3339
+from .lifecycle import EnrollmentRequest, FleetManager, require_certificate
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
 from .simulator import SimConfig, WeibullParams, run_smart_city, summarize
@@ -249,12 +249,7 @@ def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
     if not snapshot_path.exists():
         raise IotPkiError(f"no inventory snapshot at {snapshot_path}; enroll first")
     inventory = Inventory.restore(snapshot_path)
-    record = inventory.get(args.uuid)
-    if record.renewal_state is RenewalState.REVOKED:
-        raise IotPkiError(f"device {args.uuid} already revoked")
-    if record.current_cert is None:
-        raise UnknownDevice(f"device {args.uuid} has no certificate to revoke")
-    serial = record.current_cert.serial
+    serial = require_certificate(inventory.get(args.uuid)).serial
     inventory.set_state(args.uuid, RenewalState.REVOKED)
     inventory.snapshot(snapshot_path)
     revoked_path = out / REVOKED_FILE

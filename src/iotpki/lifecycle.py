@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import binascii
 import concurrent.futures
+import contextlib
 import logging
 import statistics
 import struct
@@ -21,7 +22,7 @@ import uuid as uuidlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -37,14 +38,7 @@ from .certs import (
 from .dnsauth import Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
-from .inventory import (
-    RENEWAL_WINDOW,
-    CertificateMeta,
-    Inventory,
-    RenewalState,
-    UnknownDevice,
-    utcnow,
-)
+from .inventory import CertificateMeta, DeviceRecord, Inventory, RenewalState, UnknownDevice, utcnow
 from .revocation import AlreadyRevoked, RevocationLog
 
 log = logging.getLogger(__name__)
@@ -138,13 +132,13 @@ class DelegationRecord:
             device_uuid = uuidlib.UUID(bytes=raw[offset : offset + 16])
             offset += 16
             (ts,) = struct.unpack_from("!q", raw, offset)
-            offset += 8
-            signature = raw[offset:]
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
+            # OverflowError and OSError: an expiry far outside datetime's range.
+            expires_at = datetime.fromtimestamp(ts, tz=timezone.utc)
+            signature = raw[offset + 8 :]
+        except (struct.error, UnicodeDecodeError, ValueError, OverflowError, OSError) as exc:
             raise BadDelegation(f"malformed delegation blob: {exc}") from exc
         if len(signature) != 64:
             raise BadDelegation(f"signature is {len(signature)} bytes, expected 64")
-        expires_at = datetime.fromtimestamp(ts, tz=timezone.utc)
         return cls(gateway_id, device_uuid, expires_at, signature)
 
 
@@ -232,12 +226,24 @@ class RenewalOutcome:
     public_key_fingerprint: str | None
 
 
+def require_certificate(record: DeviceRecord) -> CertificateMeta:
+    """The current certificate of a device that can still be revoked or
+    renewed: raises AlreadyRevoked for a revoked device and UnknownDevice
+    for one with no certificate on file."""
+    if record.renewal_state is RenewalState.REVOKED:
+        raise AlreadyRevoked(f"device {record.uuid} already revoked")
+    if record.current_cert is None:
+        raise UnknownDevice(f"device {record.uuid} has no certificate on file")
+    return record.current_cert
+
+
 class FleetManager:
     """Orchestrates the device fleet against a zone and an ACME endpoint.
 
-    ``_device_keys`` is the in-memory stand-in for the keystores of the
-    devices themselves (this process plays both vendor and device roles);
-    it is never serialized and never enters the inventory.
+    ``_device_keys`` maps each device to its keypair and challenge type.
+    It is the in-memory stand-in for the keystores of the devices
+    themselves (this process plays both vendor and device roles); it is
+    never serialized and never enters the inventory.
     """
 
     def __init__(
@@ -261,37 +267,38 @@ class FleetManager:
         self.http_shelf = http_shelf
         self._account_key = generate_key("p256")
         self._delegation_key = ed25519.Ed25519PrivateKey.generate()
-        self._device_keys: dict[uuidlib.UUID, object] = {}
-        self._challenges: dict[uuidlib.UUID, str] = {}
+        self._device_keys: dict[uuidlib.UUID, tuple[object, str]] = {}
         self._revocation_reasons: dict[uuidlib.UUID, RevocationReason] = {}
         self._keys_lock = threading.Lock()
         self._tick_lock = threading.Lock()
-        self._local = threading.local()
+        self._idle_clients: list[AcmeClient] = []
+        self._clients_lock = threading.Lock()
 
     # -- plumbing ------------------------------------------------------------
 
-    def _client(self) -> AcmeClient:
-        """ACME clients keep a per-instance nonce slot and connection, so
-        each worker thread gets its own client over the shared account key."""
-        client = getattr(self._local, "client", None)
+    @contextlib.contextmanager
+    def _client(self) -> Iterator[AcmeClient]:
+        """Lend an idle ACME client, or make one. A client keeps one nonce
+        slot and one connection, so it is lent to one thread at a time;
+        all clients share the account key."""
+        with self._clients_lock:
+            client = self._idle_clients.pop() if self._idle_clients else None
         if client is None:
-            client = self._local.client = AcmeClient(
-                self.directory_url,
-                account_key=self._account_key,
-                ca_bundle_pem=self.ca_bundle_pem,
+            client = AcmeClient(
+                self.directory_url, account_key=self._account_key, ca_bundle_pem=self.ca_bundle_pem
             )
-            # enroll_batch's pool threads list their client for the batch
-            # to close once the pool has joined them.
-            batch_clients = getattr(self._local, "batch_clients", None)
-            if batch_clients is not None:
-                batch_clients.append(client)
-        return client
+        try:
+            yield client
+        finally:
+            with self._clients_lock:
+                self._idle_clients.append(client)
 
     def close(self) -> None:
-        """Close the calling thread's connection to the CA; the next
-        enrollment or renewal reopens it."""
-        client = getattr(self._local, "client", None)
-        if client is not None:
+        """Close every idle client's connection to the CA and drop the
+        clients; the next enrollment or renewal makes a new one."""
+        with self._clients_lock:
+            idle, self._idle_clients = self._idle_clients, []
+        for client in idle:
             client.close()
 
     def __enter__(self) -> "FleetManager":
@@ -300,21 +307,47 @@ class FleetManager:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _fulfiller(self, challenge: str):
-        if challenge == "dns01":
-            return DnsTxtFulfiller(self.zone)
-        if challenge == "http01":
-            if self.http_shelf is None:
-                raise IotPkiError("http01 requested but no token shelf configured")
-            return HttpShelfFulfiller(self.http_shelf)
-        raise IotPkiError(f"unknown challenge type {challenge!r}")
-
     @property
     def delegation_public_key(self) -> ed25519.Ed25519PublicKey:
         return self._delegation_key.public_key()
 
     def revocation_reason(self, device_uuid: uuidlib.UUID) -> RevocationReason | None:
         return self._revocation_reasons.get(device_uuid)
+
+    # -- issuance ------------------------------------------------------------
+
+    def _issue(self, urn: DeviceUrn, csr, challenge: str) -> CertificateMeta:
+        """Run one ACME order for ``urn`` over ``challenge`` ("dns01" or
+        "http01") and file the issued chain in the inventory."""
+        if challenge == "dns01":
+            fulfiller = DnsTxtFulfiller(self.zone)
+        elif challenge == "http01" and self.http_shelf is not None:
+            fulfiller = HttpShelfFulfiller(self.http_shelf)
+        else:
+            raise IotPkiError(f"cannot answer {challenge!r}: dns01, or http01 with a token shelf")
+        with self._client() as client:
+            chain = client.obtain_certificate(str(urn), csr, fulfiller)
+        leaf = split_pem_chain(chain)[0]
+        meta = CertificateMeta(
+            serial=format(leaf.serial_number, "x"),
+            not_before=leaf.not_valid_before_utc,
+            not_after=leaf.not_valid_after_utc,
+            public_key_fingerprint=spki_fingerprint(leaf.public_key()),
+            issuance_time=self.clock(),
+            pem_chain=chain,
+        )
+        self.inventory.attach_certificate(urn.uuid, meta)
+        return meta
+
+    def _reissue(self, record: DeviceRecord, csr, challenge: str) -> CertificateMeta:
+        """Renew ``record`` under ``csr``: IN_PROGRESS while the order runs,
+        back to DUE (and the error re-raised) if it fails."""
+        self.inventory.set_state(record.uuid, RenewalState.IN_PROGRESS)
+        try:
+            return self._issue(record.urn, csr, challenge)
+        except IotPkiError:
+            self.inventory.set_state(record.uuid, RenewalState.DUE)
+            raise
 
     # -- enrollment ----------------------------------------------------------
 
@@ -341,34 +374,15 @@ class FleetManager:
         # Full (re-)enrollment always injects a fresh keypair; key reuse is
         # a renewal-only property.
         key = generate_key("p256")
-        csr = build_csr(key, str(urn))
         try:
-            chain = self._client().obtain_certificate(
-                str(urn), csr, challenge, self._fulfiller(challenge)
-            )
+            meta = self._issue(urn, build_csr(key, str(urn)), challenge)
         except IotPkiError as exc:
             raise EnrollmentAborted(f"issuance failed for {urn}: {exc}") from exc
-        self._attach_chain(device_uuid, chain)
         with self._keys_lock:
-            self._device_keys[device_uuid] = key
-            self._challenges[device_uuid] = challenge
-        issued_at = self.clock()
+            self._device_keys[device_uuid] = (key, challenge)
         issuance_ms = (time.perf_counter() - t1) * 1000.0
-        bundle = ProvisionedDevice(urn, key, chain, issued_at)
+        bundle = ProvisionedDevice(urn, key, meta.pem_chain, meta.issuance_time)
         return bundle, binding_ms, issuance_ms
-
-    def _attach_chain(self, device_uuid: uuidlib.UUID, chain: str) -> CertificateMeta:
-        leaf = split_pem_chain(chain)[0]
-        meta = CertificateMeta(
-            serial=format(leaf.serial_number, "x"),
-            not_before=leaf.not_valid_before_utc,
-            not_after=leaf.not_valid_after_utc,
-            public_key_fingerprint=spki_fingerprint(leaf.public_key()),
-            issuance_time=self.clock(),
-            pem_chain=chain,
-        )
-        self.inventory.attach_certificate(device_uuid, meta)
-        return meta
 
     def enroll_batch(
         self,
@@ -379,15 +393,8 @@ class FleetManager:
             raise EmptyBatch("enrollment batch is empty")
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        clients: list[AcmeClient] = []
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=parallelism,
-            initializer=setattr,
-            initargs=(self._local, "batch_clients", clients),
-        ) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(self._enroll_one_row, requests))
-        for client in clients:
-            client.close()
         return BatchReport(rows=tuple(rows))
 
     def _enroll_one_row(self, request: EnrollmentRequest) -> BatchRow:
@@ -406,47 +413,29 @@ class FleetManager:
 
     # -- renewal -------------------------------------------------------------
 
-    def renewal_tick(
-        self,
-        now: datetime | None = None,
-        window: timedelta = RENEWAL_WINDOW,
-    ) -> list[RenewalOutcome]:
-        """Renew every due device, reusing its existing keypair. Deferred
-        devices (CA unreachable, transient failures) stay due for the next
-        tick. Not re-entrant."""
+    def renewal_tick(self) -> list[RenewalOutcome]:
+        """Renew every device due at ``self.clock()``, reusing its existing
+        keypair. Deferred devices (CA unreachable, transient failures) stay
+        due for the next tick. Not re-entrant."""
         if not self._tick_lock.acquire(blocking=False):
             raise RenewalBusy("a renewal tick is already running")
         try:
-            at = now if now is not None else self.clock()
-            outcomes = []
-            for record in self.inventory.due_for_renewal(at, window):
-                outcomes.append(self._renew_record(record))
-            return outcomes
+            return [self._renew_record(r) for r in self.inventory.due_for_renewal(self.clock())]
         finally:
             self._tick_lock.release()
 
-    def _renew_record(self, record) -> RenewalOutcome:
-        device_uuid = record.uuid
+    def _renew_record(self, record: DeviceRecord) -> RenewalOutcome:
         with self._keys_lock:
-            key = self._device_keys.get(device_uuid)
-            challenge = self._challenges.get(device_uuid, "dns01")
+            key, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
         old_fp = record.current_cert.public_key_fingerprint if record.current_cert else None
         if key is None:
-            return RenewalOutcome(device_uuid, "deferred", "no device key held", None, old_fp)
-        self.inventory.set_state(device_uuid, RenewalState.IN_PROGRESS)
-        csr = build_csr(key, str(record.urn))
+            return RenewalOutcome(record.uuid, "deferred", "no device key held", None, old_fp)
         try:
-            chain = self._client().obtain_certificate(
-                str(record.urn), csr, challenge, self._fulfiller(challenge)
-            )
+            meta = self._reissue(record, build_csr(key, str(record.urn)), challenge)
         except IotPkiError as exc:
-            self.inventory.set_state(device_uuid, RenewalState.DUE)
-            log.warning("renewal deferred for %s: %s", device_uuid, exc)
-            return RenewalOutcome(device_uuid, "deferred", type(exc).__name__, None, old_fp)
-        meta = self._attach_chain(device_uuid, chain)
-        return RenewalOutcome(
-            device_uuid, "renewed", "", meta.serial, meta.public_key_fingerprint
-        )
+            log.warning("renewal deferred for %s: %s", record.uuid, exc)
+            return RenewalOutcome(record.uuid, "deferred", type(exc).__name__, None, old_fp)
+        return RenewalOutcome(record.uuid, "renewed", "", meta.serial, meta.public_key_fingerprint)
 
     # -- proxy renewal -------------------------------------------------------
 
@@ -466,29 +455,17 @@ class FleetManager:
         transits; the device key never leaves the device."""
         verify_delegation(self.delegation_public_key, delegation, self.clock())
         record = self.inventory.get(delegation.device_uuid)
-        if record.renewal_state is RenewalState.REVOKED:
-            raise AlreadyRevoked(f"device {delegation.device_uuid} is revoked")
-        if record.current_cert is None:
-            raise UnknownDevice(
-                f"device {delegation.device_uuid} has no certificate on file"
-            )
-        if spki_fingerprint(csr.public_key()) != record.current_cert.public_key_fingerprint:
+        cert = require_certificate(record)
+        if spki_fingerprint(csr.public_key()) != cert.public_key_fingerprint:
             raise KeyMismatch(
                 "csr public key does not match the recorded device fingerprint; "
                 "key replacement requires full re-enrollment"
             )
-        challenge = self._challenges.get(delegation.device_uuid, "dns01")
-        self.inventory.set_state(delegation.device_uuid, RenewalState.IN_PROGRESS)
-        try:
-            chain = self._client().obtain_certificate(
-                str(record.urn), csr, challenge, self._fulfiller(challenge)
-            )
-        except IotPkiError:
-            self.inventory.set_state(delegation.device_uuid, RenewalState.DUE)
-            raise
-        self._attach_chain(delegation.device_uuid, chain)
-        self.inventory.set_delegation(delegation.device_uuid, delegation.to_blob())
-        return chain
+        with self._keys_lock:
+            _, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
+        meta = self._reissue(record, csr, challenge)
+        self.inventory.set_delegation(record.uuid, delegation.to_blob())
+        return meta.pem_chain
 
     # -- revocation ----------------------------------------------------------
 
@@ -497,12 +474,9 @@ class FleetManager:
         device_uuid: uuidlib.UUID,
         reason: RevocationReason = RevocationReason.UNSPECIFIED,
     ) -> None:
-        record = self.inventory.get(device_uuid)
-        if record.renewal_state is RenewalState.REVOKED:
-            raise AlreadyRevoked(f"device {device_uuid} already revoked")
-        if record.current_cert is None:
-            raise UnknownDevice(f"device {device_uuid} has no certificate to revoke")
-        self.revocation_log.add(record.current_cert.serial)
+        cert = require_certificate(self.inventory.get(device_uuid))
+        self.revocation_log.add(cert.serial)
         self.inventory.set_state(device_uuid, RenewalState.REVOKED)
-        self._revocation_reasons[device_uuid] = reason
+        with self._keys_lock:
+            self._revocation_reasons[device_uuid] = reason
         log.info("revoked device %s (%s)", device_uuid, reason.value)

@@ -6,8 +6,8 @@ matching, and a revocation-filter lookup, applied in that fixed order so
 the reject reason is deterministic. The echo harness wires the same
 policy into a real TLS 1.3 session over loopback with mandatory client
 certificates: OpenSSL verifies the chain during the handshake, then each
-side runs ``check_leaf`` (the remaining checks) on the peer's leaf, so
-both layers must agree before any payload flows.
+side checks the issuing root's window and runs ``check_leaf`` on the
+peer's leaf, so both layers must agree before any payload flows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ MAX_FRAME = 1 << 20
 
 # OpenSSL's X509_V_FLAG_NO_CHECK_TIME, which Python's ssl does not name.
 # With it set, the handshake still verifies the chain and signatures to a
-# trusted root, and validity windows are left to check_leaf, which reads
+# trusted root, and validity windows are left to _live_verdict, which reads
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
 
@@ -133,11 +133,28 @@ def validate_peer(
     if not chain:
         return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
     leaf = chain[0]
-    at = min(max(ctx.clock(), leaf.not_valid_before_utc), leaf.not_valid_after_utc)
+    at = _path_time(leaf, ctx)
     verifier = PolicyBuilder().store(Store(list(ctx.roots))).time(at).build_client_verifier()
     try:
         verifier.verify(leaf, chain[1:])
     except VerificationError:
+        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+    return check_leaf(leaf, ctx, expected_vendor)
+
+
+def _path_time(leaf: x509.Certificate, ctx: TrustContext) -> datetime:
+    """The trust time clamped into the leaf's own window."""
+    return min(max(ctx.clock(), leaf.not_valid_before_utc), leaf.not_valid_after_utc)
+
+
+def _live_verdict(tls, ctx: TrustContext, expected_vendor: str | None) -> PeerVerdict:
+    """Verdict on a live session's peer, whose chain OpenSSL checked with no
+    time check: ``chain`` if its leaf names a trust root and no root of that
+    name is valid at the path time (as in ``validate_peer``), else ``check_leaf``."""
+    leaf = x509.load_der_x509_certificate(tls.getpeercert(binary_form=True))
+    at = _path_time(leaf, ctx)
+    issuers = [root for root in ctx.roots if root.subject == leaf.issuer]
+    if issuers and not any(r.not_valid_before_utc <= at <= r.not_valid_after_utc for r in issuers):
         return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
     return check_leaf(leaf, ctx, expected_vendor)
 
@@ -148,8 +165,8 @@ def check_leaf(
     expected_vendor: str | None = None,
 ) -> PeerVerdict:
     """The four checks after the chain, in order: validity window by
-    ``ctx.clock``, URN, vendor, revocation. Live TLS sessions call this
-    directly, as OpenSSL has already verified the chain in the handshake.
+    ``ctx.clock``, URN, vendor, revocation. Live TLS sessions reach it
+    through ``_live_verdict``, as OpenSSL verified the chain in the handshake.
     Missing vendor filter fails open (with a warning, once per vendor):
     distributing filters is deployment policy, not protocol."""
     now = ctx.clock()
@@ -222,8 +239,7 @@ class _EchoHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         tls = self.request
-        leaf = x509.load_der_x509_certificate(tls.getpeercert(binary_form=True))
-        verdict = check_leaf(leaf, self.server.trust, self.server.expected_vendor)
+        verdict = _live_verdict(tls, self.server.trust, self.server.expected_vendor)
         (length,) = struct.unpack("!I", _recv_exact(tls, 4))
         if length > MAX_FRAME:
             return
@@ -283,8 +299,7 @@ def echo_once(
         ) from exc
     handshake_ms = (time.perf_counter() - start) * 1000.0
     with tls:
-        leaf = x509.load_der_x509_certificate(tls.getpeercert(binary_form=True))
-        client_verdict = check_leaf(leaf, trust, expected_vendor)
+        client_verdict = _live_verdict(tls, trust, expected_vendor)
         if not client_verdict.accepted:
             raise HandshakeRejected("client", client_verdict)
         try:

@@ -591,7 +591,7 @@ class TestDnsAuthorityConformance:
                 stack.ca.directory_url, ca_bundle_pem=stack.ca.service_cert_pem
             ) as client:
                 chain = client.obtain_certificate(
-                    urn, build_csr(generate_key("p256"), urn), "dns01", observer
+                    urn, build_csr(generate_key("p256"), urn), observer
                 )
             assert "BEGIN CERTIFICATE" in chain
             assert len(observer.observations) == 1

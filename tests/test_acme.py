@@ -156,7 +156,7 @@ class TestIssuanceFlow:
         fqdn = "dev1.camera.vendor.com"
         key = generate_key("p256")
         pem = new_client(stack).obtain_certificate(
-            fqdn, build_csr(key, fqdn), "dns01", DnsTxtFulfiller(stack.zone)
+            fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
         leaf = verify_chain(pem, fqdn, stack.ca.state.root_cert)
         assert leaf.public_key().public_numbers() == key.public_key().public_numbers()
@@ -166,7 +166,7 @@ class TestIssuanceFlow:
         stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
         key = generate_key("rsa2048")
         pem = new_client(stack).obtain_certificate(
-            fqdn, build_csr(key, fqdn), "http01", HttpShelfFulfiller(stack.shelf)
+            fqdn, build_csr(key, fqdn), HttpShelfFulfiller(stack.shelf)
         )
         verify_chain(pem, fqdn, stack.ca.state.root_cert)
 
@@ -174,7 +174,7 @@ class TestIssuanceFlow:
         fqdn = "dev3.camera.vendor.com"
         key = generate_key("p256")
         new_client(stack).obtain_certificate(
-            fqdn, build_csr(key, fqdn), "dns01", DnsTxtFulfiller(stack.zone)
+            fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
         result = stack.zone.answer_query(f"_acme-challenge.{fqdn}", RType.TXT)
         assert result.answers == ()
@@ -194,7 +194,7 @@ class TestIssuanceFlow:
         key = generate_key("p256")
         with pytest.raises(ChallengeFailed):
             new_client(stack).obtain_certificate(
-                fqdn, build_csr(key, fqdn), "dns01", LyingFulfiller()
+                fqdn, build_csr(key, fqdn), LyingFulfiller()
             )
 
     def test_csr_for_other_name_rejected(self, stack):
@@ -203,7 +203,7 @@ class TestIssuanceFlow:
         wrong_csr = build_csr(key, "evil.camera.vendor.com")
         with pytest.raises(CsrMismatch):
             new_client(stack).obtain_certificate(
-                fqdn, wrong_csr, "dns01", DnsTxtFulfiller(stack.zone)
+                fqdn, wrong_csr, DnsTxtFulfiller(stack.zone)
             )
 
     def test_serials_unique_and_increasing(self, stack):
@@ -213,7 +213,7 @@ class TestIssuanceFlow:
         for i in range(3):
             fqdn = f"serial{i}.camera.vendor.com"
             key = generate_key("p256")
-            pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), "dns01", fulfiller)
+            pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), fulfiller)
             serials.append(split_pem_chain(pem)[0].serial_number)
         assert len(set(serials)) == 3
         assert serials == sorted(serials)
@@ -222,7 +222,7 @@ class TestIssuanceFlow:
         fqdn = "dev6.camera.vendor.com"
         key = generate_key("p256")
         pem = new_client(stack).obtain_certificate(
-            fqdn, build_csr(key, fqdn), "dns01", DnsTxtFulfiller(stack.zone)
+            fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
         ctx = ssl.create_default_context(cadata=stack.ca.service_cert_pem)
         ctx.check_hostname = False
@@ -340,7 +340,7 @@ class TestValidityConfiguration:
             client = new_client(stack, ca)
             key = generate_key("p256")
             pem = client.obtain_certificate(
-                fqdn, build_csr(key, fqdn), "dns01", DnsTxtFulfiller(stack.zone)
+                fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
             )
             leaf = split_pem_chain(pem)[0]
             span = leaf.not_valid_after_utc - leaf.not_valid_before_utc
@@ -390,7 +390,7 @@ def enroll(client, stack, fqdn: str, challenge: str = "dns01") -> str:
     else:
         fulfiller = DnsTxtFulfiller(stack.zone)
     key = generate_key("p256")
-    pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), challenge, fulfiller)
+    pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), fulfiller)
     verify_chain(pem, fqdn, stack.ca.state.root_cert)
     return pem
 
@@ -504,7 +504,10 @@ class TestRequestBodies:
 
 def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, bytes]:
     """POST one JWS built by hand from the client's account; ``protected``
-    overrides header members. Returns the raw (status, headers, body)."""
+    overrides header members. A bytes ``payload`` is sent as the whole
+    request body instead, unsigned. Returns the raw (status, headers, body)."""
+    if isinstance(payload, bytes):
+        return client._http("POST", url, payload)
     header = {
         "alg": jws.alg_for_key(client.account.account_key),
         "nonce": client._take_nonce(),
@@ -570,6 +573,10 @@ def _finalize(ready: bool, csr_for):
 
 
 NEW_ORDER = {"identifiers": [{"type": "dns", "value": "reject.camera.vendor.com"}]}
+PROTECTED_ARRAY = json.dumps({"protected": jws.b64url(b"[]"), "payload": "", "signature": ""})
+OFF_CURVE_JWK = {
+    "kty": "EC", "crv": "P-256", "x": jws.b64url(b"\x01" * 32), "y": jws.b64url(b"\x02" * 32)
+}
 
 # Each CA reject path: request builder (stack, client) -> (url, payload,
 # protected overrides), then the expected status, problem type, and
@@ -636,6 +643,39 @@ REJECTS = [
         lambda s, c: (acme_url(s, "order/"), None, {}), 404, "malformed", False,
         id="empty-order-id",
     ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), b"[]", {}), 400, "malformed", False,
+        id="body-not-an-object",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), PROTECTED_ARRAY.encode(), {}), 400, "malformed",
+        False, id="protected-not-an-object",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), NEW_ORDER, {"nonce": []}), 400, "malformed", False,
+        id="non-string-nonce",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), NEW_ORDER, {"kid": []}), 400, "malformed", False,
+        id="non-string-kid",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": "x"}), 400, "malformed", False,
+        id="jwk-not-an-object",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": OFF_CURVE_JWK}), 400, "malformed",
+        False, id="jwk-off-curve",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), {"identifiers": 5}, {}), 400, "malformed", False,
+        id="identifiers-not-a-list",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), {"identifiers": [5]}, {}), 400, "malformed", False,
+        id="identifier-not-an-object",
+    ),
+    pytest.param(_finalize(True, lambda f: 5), 400, "badCSR", False, id="non-string-csr"),
 ]
 
 

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import base64
+import struct
+import sys
 import threading
+import time
 import uuid as uuidlib
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
+from hypothesis import given
+from hypothesis import strategies as st
 
-from iotpki.acme import CaConfig, TestCa, TokenShelf
+from iotpki.acme import CaConfig, DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
+from iotpki.acme.client import CaUnreachable
 from iotpki.certs import build_csr, generate_key, spki_fingerprint, split_pem_chain
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
 from iotpki.dnsauth.server import ResolutionFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
 from iotpki.inventory import Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
+    DELEGATION_MAGIC,
     BadDelegation,
     DelegationRecord,
     EmptyBatch,
@@ -127,7 +135,7 @@ class TestEnroll:
 
     def test_ca_down_aborts_cleanly(self, stack, manager):
         manager.directory_url = "https://127.0.0.1:1/directory"
-        manager._local = threading.local()
+        manager.close()
         sec = secret("e5")
         with pytest.raises(EnrollmentAborted):
             manager.enroll_device(NS, sec)
@@ -164,6 +172,71 @@ class TestEnroll:
                 certificate_chain=bundle.certificate_chain,
                 issued_at=bundle.issued_at,
             )
+
+
+class TestClientPool:
+    def test_close_ends_connections_opened_from_two_threads(self, stack, manager, monkeypatch):
+        enrolled, release = threading.Event(), threading.Event()
+
+        def enroll_and_linger():
+            manager.enroll_device(NS, secret("c2"))
+            enrolled.set()
+            release.wait(timeout=10)
+
+        other = threading.Thread(target=enroll_and_linger)
+        install = DnsTxtFulfiller.install
+
+        def install_once_other_thread_enrolled(fulfiller, *args):
+            # The main thread's enrollment waits here, its connection open,
+            # while a second thread enrolls on a connection of its own.
+            if threading.current_thread() is not other and other.ident is None:
+                other.start()
+                assert enrolled.wait(timeout=10)
+            install(fulfiller, *args)
+
+        monkeypatch.setattr(DnsTxtFulfiller, "install", install_once_other_thread_enrolled)
+        try:
+            manager.enroll_device(NS, secret("c1"))
+            manager.close()
+            live = stack.ca._server._live
+            deadline = time.monotonic() + 3
+            while live:
+                assert time.monotonic() < deadline, f"{len(live)} connection(s) still open"
+                time.sleep(0.01)
+        finally:
+            release.set()
+            other.join(timeout=10)
+
+    def test_no_client_is_lent_to_two_threads_at_once(self, manager):
+        lent, made, clashes = set(), set(), []
+        lock = threading.Lock()
+
+        def borrow():
+            for _ in range(200):
+                with manager._client() as client:
+                    with lock:
+                        if client in lent:
+                            clashes.append(client)
+                        lent.add(client)
+                        made.add(client)
+                    time.sleep(0)
+                    with lock:
+                        lent.discard(client)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=borrow) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert clashes == []
+        # Every client made came back to the idle list exactly once.
+        assert sorted(map(id, manager._idle_clients)) == sorted(map(id, made))
 
 
 class TestEnrollBatch:
@@ -239,13 +312,13 @@ class TestRenewalTick:
         good_url = manager.directory_url
         manager.directory_url = "https://127.0.0.1:1/directory"
         manager.close()
-        manager._local = threading.local()
+        manager.close()
         outcomes = manager.renewal_tick()
         assert [o.status for o in outcomes] == ["deferred"]
         assert manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.DUE
 
         manager.directory_url = good_url
-        manager._local = threading.local()
+        manager.close()
         outcomes = manager.renewal_tick()
         assert [o.status for o in outcomes] == ["renewed"]
         assert outcomes[0].public_key_fingerprint == meta.public_key_fingerprint
@@ -297,6 +370,41 @@ class TestDelegation:
             with pytest.raises(BadDelegation):
                 DelegationRecord.from_blob(blob)
 
+    @given(st.text())
+    def test_any_text_parses_and_round_trips_or_is_bad_delegation(self, blob):
+        assert_round_trips_or_rejected(blob)
+
+    @given(st.binary())
+    def test_any_bytes_after_magic_parse_and_round_trip_or_are_bad_delegation(self, tail):
+        assert_round_trips_or_rejected(base64.b64encode(DELEGATION_MAGIC + tail).decode())
+
+    @given(
+        st.text(max_size=40),
+        st.uuids(),
+        st.integers(-(2**63), 2**63 - 1),
+        st.binary(min_size=64, max_size=64),
+    )
+    def test_well_framed_fields_parse_and_round_trip_or_are_bad_delegation(
+        self, gateway_id, device_uuid, expiry, signature
+    ):
+        gw = gateway_id.encode("utf-8")
+        raw = DELEGATION_MAGIC + struct.pack("!H", len(gw)) + gw + device_uuid.bytes
+        raw += struct.pack("!q", expiry) + signature
+        assert_round_trips_or_rejected(base64.b64encode(raw).decode())
+
+
+def assert_round_trips_or_rejected(blob: str) -> None:
+    """A delegation blob either parses into a record whose own blob parses
+    back to it (and is ``blob`` itself when ``blob`` is canonical base64),
+    or is refused with BadDelegation and nothing else."""
+    try:
+        record = DelegationRecord.from_blob(blob)
+    except BadDelegation:
+        return
+    assert DelegationRecord.from_blob(record.to_blob()) == record
+    if base64.b64encode(base64.b64decode(blob)).decode() == blob:
+        assert record.to_blob() == blob
+
 
 class TestProxyRenew:
     def test_gateway_renews_with_device_csr(self, stack, manager):
@@ -336,6 +444,18 @@ class TestProxyRenew:
         csr = build_csr(bundle.private_key, str(bundle.urn))
         with pytest.raises(AlreadyRevoked):
             manager.proxy_renew(delegation, csr)
+
+    def test_ca_unreachable_reraises_and_leaves_device_due(self, stack, manager):
+        bundle = manager.enroll_device(NS, secret("p4"))
+        delegation = manager.make_delegation("gw", bundle.urn.uuid)
+        csr = build_csr(bundle.private_key, str(bundle.urn))
+        manager.directory_url = "https://127.0.0.1:1/directory"
+        manager.close()
+        with pytest.raises(CaUnreachable):
+            manager.proxy_renew(delegation, csr)
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert record.renewal_state is RenewalState.DUE
+        assert record.gateway_delegation is None
 
 
 class TestRevocation:

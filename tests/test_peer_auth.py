@@ -200,10 +200,10 @@ class TestCheckOrdering:
 
 
 def sign_cert(subject_key, subject: str, issuer_key, issuer: str, start: datetime, end: datetime,
-              *, ca: bool) -> x509.Certificate:
+              *, ca: bool, eku=(ExtendedKeyUsageOID.CLIENT_AUTH,)) -> x509.Certificate:
     """A certificate with the extensions a path validator looks for: SKI,
-    AKI, basicConstraints and keyUsage, plus EKU and SAN = subject on
-    leaves."""
+    AKI, basicConstraints and keyUsage, plus EKU (``eku``) and SAN =
+    subject on leaves."""
     usage = dict(
         content_commitment=False, key_encipherment=False, data_encipherment=False,
         key_agreement=False, encipher_only=False, decipher_only=False,
@@ -229,7 +229,7 @@ def sign_cert(subject_key, subject: str, issuer_key, issuer: str, start: datetim
         )
     if not ca:
         builder = builder.add_extension(
-            x509.ExtendedKeyUsage([ExtendedKeyUsageOID.CLIENT_AUTH]), critical=False
+            x509.ExtendedKeyUsage(list(eku)), critical=False
         ).add_extension(x509.SubjectAlternativeName([x509.DNSName(subject)]), critical=False)
     return builder.sign(issuer_key, hashes.SHA256())
 
@@ -260,6 +260,28 @@ class TestPathValidation:
         day = lambda n: TrustContext(roots=(root,), filters={}, clock=fixed_clock(NOW + timedelta(days=n)))
         assert validate_peer([leaf], day(25)) == PeerVerdict(accepted=True, urn=urn)
         assert validate_peer([leaf], day(40)) == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+
+    def test_live_session_with_leaf_outliving_its_root_is_chain_once_root_expires(self):
+        root_key = generate_key("p256")
+        root = sign_cert(root_key, "short root", root_key, "short root",
+                         NOW, NOW + timedelta(days=30), ca=True)
+
+        def bundle(tag: str):
+            key = generate_key("p256")
+            secret = DeviceSecret(f"live-root-window-{tag}".encode())
+            urn = DeviceUrn(derive_device_uuid(VENDOR_A, secret), VENDOR_A)
+            leaf = sign_cert(key, str(urn), root_key, "short root",
+                             NOW + timedelta(days=20), NOW + timedelta(days=80), ca=False,
+                             eku=(ExtendedKeyUsageOID.CLIENT_AUTH, ExtendedKeyUsageOID.SERVER_AUTH))
+            return SimpleNamespace(urn=urn, private_key=key,
+                                   certificate_chain=cert_to_pem(leaf) + cert_to_pem(root))
+
+        server, client = bundle("server"), bundle("client")
+        day = lambda n: TrustContext(roots=(root,), filters={}, clock=fixed_clock(NOW + timedelta(days=n)))
+        assert mtls_echo(server, client, day(25), b"ping").payload_echoed == b"ping"
+        with pytest.raises(HandshakeRejected) as excinfo:
+            mtls_echo(server, client, day(40), b"ping")
+        assert excinfo.value.verdict.reject_reason is RejectReason.CHAIN
 
 
 def test_missing_filter_warns_once_per_vendor(ca_state, caplog):
