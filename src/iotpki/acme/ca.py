@@ -32,9 +32,9 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
-from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names
+from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
-from ..dnsauth.zone import Rcode, RType
+from ..dnsauth.zone import InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
 from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
 from . import jws
@@ -310,7 +310,7 @@ class TestCaState:
             )
         )
         cert = builder.sign(self.root_key, hashes.SHA256())
-        serial = format(serial_int, "x")
+        serial = serial_hex(cert)
         with self._lock:
             self.issued[serial] = cert
         return serial, cert
@@ -450,10 +450,11 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
                 raise _Problem(400, "accountDoesNotExist", f"unknown account {kid!r}")
         try:
             _, payload = jws.verify_jws(envelope, jws.jwk_to_public_key(jwk_obj))
+        except (jws.MalformedJws, ValueError, KeyError, TypeError) as exc:
+            # A malformed envelope, or a jwk of a wrong shape.
+            raise _Problem(400, "malformed", f"bad jws: {exc}") from None
         except jws.JwsError as exc:
             raise _Problem(401, "unauthorized", str(exc)) from None
-        except (ValueError, KeyError, TypeError) as exc:  # a jwk or payload of a wrong shape
-            raise _Problem(400, "malformed", f"bad jws: {exc}") from None
         return protected, payload
 
     # -- verbs ----------------------------------------------------------
@@ -511,6 +512,11 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         identifiers = [i["value"] for i in idents if i.get("type") == "dns"]
         if not identifiers:
             raise _Problem(400, "malformed", "order carries no dns identifiers")
+        for fqdn in identifiers:
+            try:
+                normalize_name(fqdn)
+            except InvalidRecord as exc:
+                raise _Problem(400, "rejectedIdentifier", str(exc)) from None
         try:
             order = ca.state.create_order(protected["kid"], identifiers)
         except QuotaExceeded as exc:
@@ -554,8 +560,12 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
 
 
 def _json_object(data) -> dict:
-    """Parse JSON that must be an object; any other value is a ValueError."""
-    obj = json.loads(data)
+    """Parse JSON that must be an object; any other value, or nesting too
+    deep to parse, is a ValueError."""
+    try:
+        obj = json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj

@@ -203,7 +203,8 @@ class AcmeClient:
 
     def obtain_certificate(self, fqdn: str, csr, fulfiller) -> str:
         """Full order flow for one FQDN, answering the challenge type the
-        fulfiller publishes proofs for. Returns the PEM chain."""
+        fulfiller publishes proofs for. Returns the PEM chain; CsrMismatch
+        unless its leaf names exactly ``fqdn`` and certifies the CSR's key."""
         wire_type = fulfiller.challenge_type
         self.ensure_account()
         _, headers, raw = self._post(self.directory()["newOrder"], {
@@ -238,10 +239,15 @@ class AcmeClient:
             _, _, chain = self._post(final["certificate"], None)
         finally:
             fulfiller.cleanup(fqdn, token)
-        pem = chain.decode("ascii")
-        leaf = split_pem_chain(pem)[0]
+        try:
+            pem = chain.decode("ascii")
+            leaf = split_pem_chain(pem)[0]
+        except ValueError as exc:
+            raise CsrMismatch(f"unreadable chain issued for {fqdn}: {exc}") from exc
         if san_dns_names(leaf) != [fqdn]:
             raise CsrMismatch(f"issued SAN {san_dns_names(leaf)} != requested {fqdn}")
+        if leaf.public_key() != csr.public_key():
+            raise CsrMismatch(f"certificate issued for {fqdn} certifies a key other than the csr's")
         return pem
 
     def _poll(self, url: str, terminal: tuple[str, ...]) -> dict:

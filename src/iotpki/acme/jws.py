@@ -22,6 +22,10 @@ class JwsError(IotPkiError):
     pass
 
 
+class MalformedJws(JwsError):
+    """The envelope is not a flattened JWS of the expected member shapes."""
+
+
 def b64url(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
 
@@ -98,15 +102,20 @@ def sign_jws(private_key, protected: dict, payload: bytes | None) -> dict:
 
 
 def verify_jws(jws: dict, public_key) -> tuple[dict, bytes]:
-    """Check the signature and return (protected_header, payload_bytes)."""
+    """Check the signature and return (protected_header, payload_bytes).
+    An envelope of any other shape raises MalformedJws."""
     try:
-        protected_b64 = jws["protected"]
-        payload_b64 = jws["payload"]
+        protected_b64, payload_b64 = jws["protected"], jws["payload"]
+        if not (isinstance(protected_b64, str) and isinstance(payload_b64, str)):
+            raise TypeError("protected and payload must be strings")
+        signing_input = f"{protected_b64}.{payload_b64}".encode("ascii")
         signature = b64url_decode(jws["signature"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JwsError(f"malformed jws: {exc}") from exc
-    signing_input = f"{protected_b64}.{payload_b64}".encode("ascii")
-    protected = json.loads(b64url_decode(protected_b64))
+        protected = json.loads(b64url_decode(protected_b64))
+        if not isinstance(protected, dict):
+            raise TypeError("protected header is not a JSON object")
+        payload = b64url_decode(payload_b64)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise MalformedJws(f"malformed jws: {exc}") from exc
     alg = protected.get("alg")
     try:
         if alg == "RS256" and isinstance(public_key, rsa.RSAPublicKey):
@@ -122,7 +131,6 @@ def verify_jws(jws: dict, public_key) -> tuple[dict, bytes]:
             raise JwsError(f"alg {alg!r} does not match key {type(public_key).__name__}")
     except InvalidSignature as exc:
         raise JwsError("signature verification failed") from exc
-    payload = b64url_decode(payload_b64) if payload_b64 else b""
     return protected, payload
 
 

@@ -67,6 +67,12 @@ def split_pem_chain(pem_chain: str) -> list[x509.Certificate]:
     return x509.load_pem_x509_certificates(pem_chain.encode("ascii"))
 
 
+def serial_hex(cert: x509.Certificate) -> str:
+    """Lowercase hex, no leading zeros: the one spelling of a serial for the
+    CA's records, the inventory and revocation filters."""
+    return format(cert.serial_number, "x")
+
+
 def san_dns_names(cert: x509.Certificate | x509.CertificateSigningRequest) -> list[str]:
     try:
         ext = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)

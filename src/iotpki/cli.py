@@ -69,8 +69,12 @@ class Settings:
 
 def _parse_config_file(path: str) -> dict:
     """Plain ``key = value`` lines; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IotPkiError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -82,23 +86,26 @@ def _parse_config_file(path: str) -> dict:
 
 
 def load_settings(args: argparse.Namespace) -> Settings:
-    """Merge config file, then environment, then flags over the defaults."""
+    """Merge config file, then environment, then flags over the defaults.
+    A value of the wrong type is an IotPkiError naming where it came from."""
     settings = Settings()
-    config_layer = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    env_layer = {}
-    flag_layer = {}
+    config_path = getattr(args, "config", None)
+    config = _parse_config_file(config_path) if config_path else {}
     for field_ in fields(Settings):
-        env = os.environ.get(f"IOTPKI_{field_.name.upper()}")
-        if env is not None:
-            env_layer[field_.name] = env
-        flag = getattr(args, field_.name, None)
-        if flag is not None:
-            flag_layer[field_.name] = flag
-    for layer in (config_layer, env_layer, flag_layer):
-        for field_ in fields(Settings):
-            if field_.name in layer:
-                current = getattr(settings, field_.name)
-                setattr(settings, field_.name, type(current)(layer[field_.name]))
+        kind = type(field_.default)
+        env_key = f"IOTPKI_{field_.name.upper()}"
+        layers = (
+            (f"{config_path}: {field_.name}", config.get(field_.name)),
+            (f"environment variable {env_key}", os.environ.get(env_key)),
+            (f"flag --{field_.name.replace('_', '-')}", getattr(args, field_.name, None)),
+        )
+        for source, value in layers:
+            if value is None:
+                continue
+            try:
+                setattr(settings, field_.name, kind(value))
+            except ValueError:
+                raise IotPkiError(f"{source}: {value!r} is not a valid {kind.__name__}") from None
     return settings
 
 
@@ -207,10 +214,6 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
             manager.enroll_device(
                 ns, DeviceSecret(_device_secret(settings.seed, i)), settings.challenge
             )
-        fingerprints = {
-            r.uuid: r.current_cert.public_key_fingerprint
-            for r in manager.inventory.records()
-        }
         for cycle in range(1, args.cycles + 1):
             if args.now:
                 stack.clock.now = from_rfc3339(args.now)
@@ -228,10 +231,6 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
                 )
                 if outcome.status != "renewed":
                     all_renewed = False
-                elif outcome.public_key_fingerprint != fingerprints[outcome.device_uuid]:
-                    raise IotPkiError(
-                        f"fingerprint drifted for {outcome.device_uuid} during renewal"
-                    )
         _persist_fleet(out, manager, stack.ca)
     report_path = out / "renewal_report.csv"
     report_path.write_text("\n".join(rows) + "\n")

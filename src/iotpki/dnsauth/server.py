@@ -82,17 +82,18 @@ def resolve(
     server_addr: tuple[str, int],
     timeout: float = 2.0,
 ) -> tuple[Rcode, list[ZoneRecord]]:
-    """One-shot UDP stub query against a specific server."""
+    """One-shot UDP stub query against a specific server. Any failure,
+    from an unencodable name to a malformed reply, is a ResolutionFailure."""
     txn_id = random.randrange(0, 0x10000)
-    query = wire.build_query(txn_id, name, rtype)
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
-        try:
+    try:
+        query = wire.build_query(txn_id, name, rtype)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(timeout)
             sock.sendto(query, server_addr)
             packet, _ = sock.recvfrom(4096)
-        except OSError as exc:
-            raise ResolutionFailure(f"query to {server_addr} failed: {exc}") from exc
-    got_id, rcode, _, answers = wire.parse_response(packet)
+        got_id, rcode, _, answers = wire.parse_response(packet)
+    except (OSError, wire.WireFormatError) as exc:
+        raise ResolutionFailure(f"query for {name!r} to {server_addr} failed: {exc}") from exc
     if got_id != txn_id:
         raise ResolutionFailure("transaction id mismatch")
     if wire.is_truncated(packet):

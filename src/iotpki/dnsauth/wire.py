@@ -33,6 +33,8 @@ def encode_name(name: str) -> bytes:
     out = bytearray()
     if name:
         for label in name.split("."):
+            if not label.isascii():
+                raise WireFormatError(f"non-ascii label {label!r}")
             raw = label.encode("ascii")
             if not 0 < len(raw) < 64:
                 raise WireFormatError(f"bad label {label!r}")
@@ -71,7 +73,11 @@ def decode_name(packet: bytes, offset: int) -> tuple[str, int]:
             break
         if offset + length > len(packet):
             raise WireFormatError("truncated label")
-        labels.append(packet[offset : offset + length].decode("ascii", "strict"))
+        label = packet[offset : offset + length]
+        # A dot inside a label could not be told apart from a separator.
+        if not label.isascii() or b"." in label:
+            raise WireFormatError(f"label {label!r} is not ascii without dots")
+        labels.append(label.decode("ascii"))
         offset += length
     name = ".".join(labels).lower()
     if len(name) > 253:
@@ -156,7 +162,10 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
     txn_id, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(packet)
     if not flags & _FLAG_QR:
         raise WireFormatError("QR bit clear on a response")
-    rcode = Rcode(flags & 0xF)
+    try:
+        rcode = Rcode(flags & 0xF)
+    except ValueError:
+        raise WireFormatError(f"unknown rcode {flags & 0xF}") from None
     aa = bool(flags & _FLAG_AA)
     offset = _HEADER.size
     for _ in range(qdcount):

@@ -24,7 +24,7 @@ ACME_LABEL = "_acme-challenge"
 
 # RFC 1035 labels, lowercased, plus a leading underscore for service
 # labels such as _acme-challenge.
-_LABEL_RE = re.compile(r"^_?[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?$")
+_LABEL_RE = re.compile(r"_?[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?")
 
 
 class OutOfZone(IotPkiError):
@@ -64,7 +64,7 @@ def normalize_name(name: str) -> str:
     if not name or len(name) > 253:
         raise InvalidRecord(f"bad name length: {name!r}")
     for label in name.split("."):
-        if len(label) > 63 or not _LABEL_RE.match(label):
+        if len(label) > 63 or not _LABEL_RE.fullmatch(label):
             raise InvalidRecord(f"bad label {label!r} in {name!r}")
     return name
 

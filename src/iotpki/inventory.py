@@ -116,7 +116,7 @@ class Inventory:
 
     # -- mutations ---------------------------------------------------------
 
-    def upsert_device(self, urn: DeviceUrn, now: datetime | None = None) -> DeviceRecord:
+    def upsert_device(self, urn: DeviceUrn, now: datetime) -> DeviceRecord:
         """Create (or return) the record keyed by the URN's UUID. Idempotent."""
         with self._lock:
             existing = self._records.get(urn.uuid)
@@ -128,7 +128,7 @@ class Inventory:
                 current_cert=None,
                 renewal_state=RenewalState.DUE,
                 gateway_delegation=None,
-                created_at=now or utcnow(),
+                created_at=now,
             )
             self._records[urn.uuid] = record
             return record

@@ -29,7 +29,9 @@ from cryptography import x509
 from cryptography.x509.oid import NameOID
 from cryptography.x509.verification import PolicyBuilder, Store, VerificationError
 
-from .certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, split_pem_chain
+from .certs import (
+    cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex, split_pem_chain,
+)
 from .errors import IotPkiError
 from .identity import DeviceUrn, MalformedUrn, parse_urn
 from .revocation import RevocationFilter, query
@@ -184,7 +186,7 @@ def check_leaf(
     filter_ = ctx.filters.get(vendor)
     if filter_ is None:
         _warn_unfiltered(vendor)
-    elif query(filter_, format(leaf.serial_number, "x")):
+    elif query(filter_, serial_hex(leaf)):
         return PeerVerdict(accepted=False, reject_reason=RejectReason.REVOKED)
     return PeerVerdict(accepted=True, urn=urn)
 

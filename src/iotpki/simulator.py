@@ -63,14 +63,6 @@ class WeibullParams:
         if not (self.beta > 0 and self.lam > 0):
             raise InvalidConfig(f"weibull shape/scale must be positive: {self}")
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return 1.0 - math.exp(-((x / self.lam) ** self.beta))
-
-    def mean(self) -> float:
-        return self.lam * math.gamma(1.0 + 1.0 / self.beta)
-
 
 def sample_weibull(params: WeibullParams, u: float) -> float:
     """Inverse-CDF transform: x = lam * (-ln(1 - u))^(1/beta)."""
@@ -214,18 +206,19 @@ class Summary:
     histogram_csv: str
 
 
-def summarize(latencies: Sequence[float], bins: int = HISTOGRAM_BINS) -> Summary:
-    """Aggregate statistics plus a fixed-bin histogram CSV."""
+def summarize(latencies: Sequence[float]) -> Summary:
+    """Aggregate statistics plus a HISTOGRAM_BINS-bin histogram CSV."""
     if not latencies:
         raise EmptyInput("no samples to summarize")
     xs = sorted(latencies)
     n = len(xs)
     p95 = xs[max(0, math.ceil(0.95 * n) - 1)]
     top = xs[-1]
-    width = (top / bins) if top > 0 else 1.0
-    counts = [0] * bins
+    width = (top / HISTOGRAM_BINS) if top > 0 else 1.0
+    counts = [0] * HISTOGRAM_BINS
+    last = HISTOGRAM_BINS - 1
     for x in xs:
-        idx = min(int(x / width), bins - 1)
+        idx = min(int(x / width), last)
         counts[idx] += 1
     lines = ["bin_lo,bin_hi,count"]
     for i, count in enumerate(counts):

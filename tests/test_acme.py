@@ -17,7 +17,9 @@ from types import SimpleNamespace
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec, padding
+from cryptography.hazmat.primitives.asymmetric import ec, padding, utils
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotpki.acme import ca as ca_module
 from iotpki.acme import jws
@@ -31,7 +33,7 @@ from iotpki.acme.client import (
     CsrMismatch,
     RateLimited,
 )
-from iotpki.certs import build_csr, csr_to_der, generate_key, split_pem_chain
+from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, split_pem_chain
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
 
@@ -112,6 +114,73 @@ class TestJwsPrimitives:
     def test_dns01_txt_matches_frozen_vector(self):
         key_auth = jws.key_authorization(RFC8555_TOKEN, RFC7638_THUMBPRINT)
         assert jws.dns01_txt_value(key_auth) == FROZEN_DNS01_TXT
+
+
+ENVELOPE_KEY = generate_key("p256")
+ES256_HEADER = jws.b64url(b'{"alg":"ES256"}')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# A member as any JSON value, as base64url of any JSON document, or as
+# base64url of any bytes (most of them not UTF-8).
+ENVELOPE_MEMBERS = st.one_of(
+    JSON_VALUES,
+    JSON_VALUES.map(lambda value: jws.b64url(json.dumps(value).encode())),
+    st.binary(max_size=32).map(jws.b64url),
+)
+
+
+def es256(signing_input: bytes) -> str:
+    """Raw r||s ES256 signature by ENVELOPE_KEY, base64url."""
+    r, s = utils.decode_dss_signature(ENVELOPE_KEY.sign(signing_input, ec.ECDSA(hashes.SHA256())))
+    return jws.b64url(r.to_bytes(32, "big") + s.to_bytes(32, "big"))
+
+
+def envelope_of(protected, payload, signed: bool) -> dict:
+    """An envelope with these members, signed over them when they spell
+    an ASCII signing input and ``signed`` is set."""
+    signature = jws.b64url(bytes(64))
+    try:
+        signing_input = f"{protected}.{payload}".encode("ascii")
+    except UnicodeEncodeError:
+        signed = False
+    if signed:
+        signature = es256(signing_input)
+    return {"protected": protected, "payload": payload, "signature": signature}
+
+
+class TestJwsEnvelopeShapes:
+    @pytest.mark.parametrize(
+        "protected, payload",
+        [
+            (5, ""),
+            (jws.b64url(b"[]"), ""),
+            (jws.b64url(b"\xc3\x28"), ""),
+            (ES256_HEADER, 5),
+        ],
+        ids=["non-string-protected", "protected-array", "protected-not-utf8", "signed-numeric-payload"],
+    )
+    def test_malformed_member_is_jws_error(self, protected, payload):
+        with pytest.raises(jws.MalformedJws):
+            jws.verify_jws(envelope_of(protected, payload, True), ENVELOPE_KEY.public_key())
+
+    @given(
+        protected=ENVELOPE_MEMBERS | st.just(ES256_HEADER),
+        payload=ENVELOPE_MEMBERS,
+        signed=st.booleans(),
+        dropped=st.sampled_from([None, "protected", "payload", "signature"]),
+    )
+    def test_any_envelope_verifies_or_is_jws_error(self, protected, payload, signed, dropped):
+        envelope = envelope_of(protected, payload, signed)
+        envelope.pop(dropped, None)
+        try:
+            header, body = jws.verify_jws(envelope, ENVELOPE_KEY.public_key())
+        except jws.JwsError:
+            return
+        assert header == json.loads(jws.b64url_decode(protected))
+        assert body == jws.b64url_decode(payload)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +273,27 @@ class TestIssuanceFlow:
         with pytest.raises(CsrMismatch):
             new_client(stack).obtain_certificate(
                 fqdn, wrong_csr, DnsTxtFulfiller(stack.zone)
+            )
+
+    def test_certificate_for_another_key_rejected(self, stack, monkeypatch):
+        issue = ca_module.TestCaState.issue
+
+        def issue_for_fresh_key(state, csr):
+            return issue(state, build_csr(generate_key("p256"), san_dns_names(csr)[0]))
+
+        monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
+        fqdn = "swapped.camera.vendor.com"
+        with pytest.raises(CsrMismatch, match="other than the csr"):
+            new_client(stack).obtain_certificate(
+                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
+            )
+
+    def test_unreadable_chain_rejected(self, stack, monkeypatch):
+        monkeypatch.setattr(ca_module, "cert_to_pem", lambda cert: "no certificate here\n")
+        fqdn = "garbled.camera.vendor.com"
+        with pytest.raises(CsrMismatch, match="unreadable chain"):
+            new_client(stack).obtain_certificate(
+                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
             )
 
     def test_serials_unique_and_increasing(self, stack):
@@ -572,7 +662,27 @@ def _finalize(ready: bool, csr_for):
     return build
 
 
+def _new_order_envelope(**members):
+    """Builder for a new-order body sent as it is: a protected header the
+    CA accepts, an empty payload and signature, then ``members`` over them."""
+
+    def build(stack, client):
+        url = acme_url(stack, "new-order")
+        header = {"alg": "ES256", "nonce": client._take_nonce(), "url": url, "kid": client.account.kid}
+        protected = jws.b64url(json.dumps(header).encode())
+        envelope = {"protected": protected, "payload": "", "signature": "", **members}
+        return url, json.dumps(envelope).encode(), {}
+
+    return build
+
+
 NEW_ORDER = {"identifiers": [{"type": "dns", "value": "reject.camera.vendor.com"}]}
+# Identifiers outside the zone's name grammar, which the CA could never probe.
+BAD_IDENTIFIERS = {
+    "long-label": "a" * 64 + ".camera.vendor.com",
+    "non-ascii": "café.camera.vendor.com",
+    "newline-in-label": "x\n.camera.vendor.com",
+}
 PROTECTED_ARRAY = json.dumps({"protected": jws.b64url(b"[]"), "payload": "", "signature": ""})
 OFF_CURVE_JWK = {
     "kty": "EC", "crv": "P-256", "x": jws.b64url(b"\x01" * 32), "y": jws.b64url(b"\x02" * 32)
@@ -676,6 +786,21 @@ REJECTS = [
         id="identifier-not-an-object",
     ),
     pytest.param(_finalize(True, lambda f: 5), 400, "badCSR", False, id="non-string-csr"),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), b"[" * 50000, {}), 400, "malformed", False,
+        id="body-nested-too-deep",
+    ),
+    pytest.param(_new_order_envelope(payload=5), 400, "malformed", False, id="non-string-payload"),
+    pytest.param(_new_order_envelope(), 401, "unauthorized", False, id="bad-signature"),
+    *(
+        pytest.param(
+            lambda s, c, fqdn=fqdn: (
+                acme_url(s, "new-order"), {"identifiers": [{"type": "dns", "value": fqdn}]}, {}
+            ),
+            400, "rejectedIdentifier", False, id=f"identifier-{name}",
+        )
+        for name, fqdn in BAD_IDENTIFIERS.items()
+    ),
 ]
 
 
@@ -687,6 +812,19 @@ def test_reject_path(stack, build, status, ptype, close):
     got, headers, body = signed_post(client, url, payload, protected)
     assert (got, json.loads(body)["type"]) == (status, ca_module.ERROR_NS + ptype)
     assert (headers.get("Connection") == "close") is close
+
+
+@pytest.mark.parametrize("fqdn", BAD_IDENTIFIERS.values(), ids=BAD_IDENTIFIERS.keys())
+def test_rejected_identifier_records_no_order(stack, fqdn):
+    client = new_client(stack)
+    client.ensure_account()
+    orders = len(stack.ca.state.orders)
+    with pytest.raises(AcmeProblem) as excinfo:
+        client._post(
+            client.directory()["newOrder"], {"identifiers": [{"type": "dns", "value": fqdn}]}
+        )
+    assert (excinfo.value.status, excinfo.value.ptype) == (400, ca_module.ERROR_NS + "rejectedIdentifier")
+    assert len(stack.ca.state.orders) == orders
 
 
 class TestOrderStates:

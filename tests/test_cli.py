@@ -304,6 +304,29 @@ class TestSettingsPrecedence:
         assert code == 1
         assert "expected key = value" in stderr
 
+    def test_bad_env_value_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IOTPKI_SEED", "abc")
+        code, _, stderr = run(["enroll", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert stderr == "error: environment variable IOTPKI_SEED: 'abc' is not a valid int\n"
+
+    @pytest.mark.parametrize(
+        "content, diagnostic",
+        [
+            ("parallelism = many\n", "{config}: parallelism: 'many' is not a valid int"),
+            (None, "cannot read config file {config}: "),
+        ],
+        ids=["bad-value", "missing-file"],
+    )
+    def test_bad_config_file_is_a_one_line_error(self, tmp_path, capsys, content, diagnostic):
+        config = tmp_path / "iotpki.conf"
+        if content is not None:
+            config.write_text(content)
+        code, _, stderr = run(["enroll", "--config", str(config), "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert stderr.startswith("error: " + diagnostic.format(config=config))
+        assert stderr.count("\n") == 1
+
     def test_env_override_applies_to_command(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IOTPKI_OUT", str(tmp_path / "env-out"))
         monkeypatch.setenv("IOTPKI_ROOT_DOMAIN", "envy.test")

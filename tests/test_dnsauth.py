@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 import socket
 import struct
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotpki.dnsauth import wire
 from iotpki.dnsauth.server import DnsUdpServer, ResolutionFailure, resolve, resolve_address
@@ -203,6 +206,9 @@ class TestWireCodec:
             wire.parse_query(b"\x00" * 12)  # QDCOUNT 0
         with pytest.raises(wire.WireFormatError):
             wire.encode_name("a" * 64 + ".com")
+        for rcode in range(6, 16):  # no such rcode
+            with pytest.raises(wire.WireFormatError):
+                wire.parse_response(struct.pack("!HHHHHH", 1, 0x8000 | rcode, 0, 0, 0, 0))
 
     def test_mixed_case_question_normalized(self):
         packet = wire.build_query(1, "ClOuD.Vendor.COM".lower(), RType.A)
@@ -210,6 +216,89 @@ class TestWireCodec:
         raw[12 + 1] = ord("C")  # uppercase first letter of first label
         _, name, _ = wire.parse_query(bytes(raw))
         assert name == "cloud.vendor.com"
+
+
+# Name-shaped bytes: length-prefixed labels (any content, so non-ASCII and
+# dots too), compression pointers, root labels and stray bytes.
+NAME_SOUP = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=63).map(lambda label: bytes([len(label)]) + label),
+        st.integers(0, 0x3FFF).map(lambda target: struct.pack("!H", 0xC000 | target)),
+        st.just(b"\x00"),
+        st.binary(max_size=4),
+    ),
+    max_size=8,
+).map(b"".join)
+RECORD_SOUP = st.tuples(
+    NAME_SOUP,
+    st.sampled_from([1, 5, 16, 28]),
+    st.integers(0, 40),
+    st.binary(max_size=40),
+).map(lambda r: r[0] + struct.pack("!HHIH", r[1], 1, 60, r[2]) + r[3])
+
+
+def header(flags, qdcount: int, ancount: int) -> bytes:
+    return struct.pack("!HHHHHH", 0x1234, flags, qdcount, ancount, 0, 0)
+
+
+QUERIES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda flags, qd, name, tail: header(flags, qd, 0) + name + tail,
+        st.sampled_from([0, 0x0100]) | st.integers(0, 0xFFFF),
+        st.sampled_from([1]) | st.integers(0, 3),
+        NAME_SOUP,
+        st.binary(max_size=6),
+    ),
+)
+RESPONSES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda rcode, qd, name, records: header(0x8400 | rcode, qd, len(records)) + name + b"".join(records),
+        st.integers(0, 15),
+        st.integers(0, 2),
+        NAME_SOUP,
+        st.lists(RECORD_SOUP, max_size=3),
+    ),
+)
+LABELS = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E, blacklist_characters="."),
+    min_size=1,
+    max_size=63,
+)
+
+
+class TestWireProperties:
+    """Each decoder returns or raises its typed error on any input."""
+
+    @given(QUERIES)
+    def test_parse_query_returns_or_raises_typed_error(self, packet):
+        try:
+            wire.parse_query(packet)
+        except (wire.WireFormatError, wire.NotImplementedQuery):
+            pass
+
+    @given(RESPONSES)
+    def test_parse_response_returns_or_raises_wire_format_error(self, packet):
+        try:
+            wire.parse_response(packet)
+        except wire.WireFormatError:
+            pass
+
+    @given(NAME_SOUP, st.integers(0, 40))
+    def test_decoded_names_encode_again(self, packet, offset):
+        try:
+            name, _ = wire.decode_name(packet, offset)
+        except wire.WireFormatError:
+            return
+        wire.encode_name(name)  # the responder echoes every question it parsed
+
+    @given(st.integers(0, 0xFFFF), st.lists(LABELS, min_size=1, max_size=6), st.sampled_from(RType))
+    def test_query_round_trips(self, txn_id, labels, rtype):
+        name = ".".join(labels)
+        if len(name) > 253:
+            return
+        assert wire.parse_query(wire.build_query(txn_id, name, rtype)) == (txn_id, name.lower(), rtype)
 
 
 @pytest.fixture()
@@ -251,6 +340,33 @@ class TestUdpServer:
             packet, _ = sock.recvfrom(4096)
         txn_id, rcode, _, _ = wire.parse_response(packet)
         assert (txn_id, rcode) == (0xABCD, Rcode.FORMERR)
+
+    def test_non_ascii_label_gets_formerr_and_server_keeps_serving(self, live_server):
+        query = wire.build_query(0xBEEF, "cafe.vendor.com", RType.A).replace(b"cafe", b"caf\xc3")
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(2)
+            sock.sendto(query, live_server.address)
+            packet, _ = sock.recvfrom(4096)
+        txn_id, rcode, _, _ = wire.parse_response(packet)
+        assert (txn_id, rcode) == (0xBEEF, Rcode.FORMERR)
+        assert resolve("cloud.vendor.com", RType.A, live_server.address)[0] is Rcode.NOERROR
+
+    def test_resolve_raises_only_resolution_failure(self):
+        with pytest.raises(ResolutionFailure):
+            resolve("café.vendor.com", RType.A, ("127.0.0.1", 9))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as fake:
+            fake.bind(("127.0.0.1", 0))
+            fake.settimeout(2)
+
+            def answer_with_rcode_9():
+                query, peer = fake.recvfrom(512)
+                fake.sendto(query[:2] + struct.pack("!H", 0x8000 | 9) + bytes(8), peer)
+
+            responder = threading.Thread(target=answer_with_rcode_9)
+            responder.start()
+            with pytest.raises(ResolutionFailure, match="rcode 9"):
+                resolve("cloud.vendor.com", RType.A, fake.getsockname())
+            responder.join()
 
     def test_non_query_opcode_gets_notimp(self, live_server):
         query = bytearray(wire.build_query(5, "cloud.vendor.com", RType.A))

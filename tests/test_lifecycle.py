@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from iotpki.acme import CaConfig, DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
-from iotpki.acme.client import CaUnreachable
-from iotpki.certs import build_csr, generate_key, spki_fingerprint, split_pem_chain
+from iotpki.acme.client import CaUnreachable, CsrMismatch
+from iotpki.certs import build_csr, generate_key, san_dns_names, spki_fingerprint, split_pem_chain
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
 from iotpki.dnsauth.server import ResolutionFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
@@ -163,15 +163,52 @@ class TestEnroll:
         txt = stack.zone.answer_query(f"_acme-challenge.{bundle.urn}", RType.TXT)
         assert txt.rcode is Rcode.NXDOMAIN or not txt.answers
 
-    def test_bundle_invariant_rejects_foreign_key(self, stack, manager):
-        bundle = manager.enroll_device(NS, secret("e7"))
-        with pytest.raises(ValueError):
-            ProvisionedDevice(
-                urn=bundle.urn,
-                private_key=generate_key("p256"),
-                certificate_chain=bundle.certificate_chain,
-                issued_at=bundle.issued_at,
-            )
+
+def certify_fresh_keys(monkeypatch) -> None:
+    """From now on the CA signs every order's certificate over a fresh key,
+    not the CSR's: a CA answer the client must refuse before anything is
+    filed."""
+    issue = ca_module.TestCaState.issue
+
+    def issue_for_fresh_key(state, csr):
+        return issue(state, build_csr(generate_key("p256"), san_dns_names(csr)[0]))
+
+    monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
+
+
+class TestForeignKeyCertificate:
+    def test_enrollment_aborts_and_files_no_certificate(self, manager, monkeypatch):
+        certify_fresh_keys(monkeypatch)
+        with pytest.raises(EnrollmentAborted, match="other than the csr"):
+            manager.enroll_device(NS, secret("f1"))
+        record = manager.inventory.get(derive_device_uuid(NS, secret("f1")))
+        assert record.renewal_state is RenewalState.DUE
+        assert record.current_cert is None
+
+    def test_renewal_is_deferred_and_keeps_old_certificate(self, stack, manager, monkeypatch):
+        bundle = manager.enroll_device(NS, secret("f2"))
+        before = manager.inventory.get(bundle.urn.uuid).current_cert
+        certify_fresh_keys(monkeypatch)
+        stack.clock.now = before.not_after - timedelta(days=5)
+        outcomes = manager.renewal_tick()
+        assert [(o.status, o.detail) for o in outcomes] == [("deferred", "CsrMismatch")]
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert record.renewal_state is RenewalState.DUE
+        assert record.current_cert.serial == before.serial
+        assert record.current_cert.public_key_fingerprint == before.public_key_fingerprint
+
+    def test_proxy_renewal_reraises_and_leaves_device_due(self, manager, monkeypatch):
+        bundle = manager.enroll_device(NS, secret("f3"))
+        before = manager.inventory.get(bundle.urn.uuid).current_cert
+        delegation = manager.make_delegation("gw", bundle.urn.uuid)
+        csr = build_csr(bundle.private_key, str(bundle.urn))
+        certify_fresh_keys(monkeypatch)
+        with pytest.raises(CsrMismatch):
+            manager.proxy_renew(delegation, csr)
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert record.renewal_state is RenewalState.DUE
+        assert record.current_cert == before
+        assert record.gateway_delegation is None
 
 
 class TestClientPool:
@@ -482,11 +519,11 @@ class TestRevocation:
     def test_revoke_certless_rejected(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("v3"))
         certless_urn = bundle.urn
-        fresh_inventory_record = manager.inventory.upsert_device(certless_urn)
+        fresh_inventory_record = manager.inventory.upsert_device(certless_urn, now=NOW)
         assert fresh_inventory_record is not None
         ghost_ns = VendorNamespace("vendor.com", "sensor")
         record = manager.inventory.upsert_device(
-            type(bundle.urn)(uuidlib.uuid4(), ghost_ns)
+            type(bundle.urn)(uuidlib.uuid4(), ghost_ns), now=NOW
         )
         with pytest.raises(UnknownDevice):
             manager.revoke_device(record.uuid)
