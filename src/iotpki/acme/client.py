@@ -59,6 +59,16 @@ class InvalidToken(IotPkiError):
     pass
 
 
+class MalformedAnswer(IotPkiError):
+    """The CA answered with a body that is not JSON, or JSON of the wrong
+    shape: a missing member, or a member of the wrong type."""
+
+
+# What reading a CA answer of the wrong shape raises: a missing member, an
+# empty list, a wrong type, or a body that is not UTF-8 JSON.
+_MISSHAPEN = (KeyError, IndexError, TypeError, AttributeError, ValueError)
+
+
 @dataclass
 class AcmeAccount:
     account_key: object
@@ -204,7 +214,14 @@ class AcmeClient:
     def obtain_certificate(self, fqdn: str, csr, fulfiller) -> str:
         """Full order flow for one FQDN, answering the challenge type the
         fulfiller publishes proofs for. Returns the PEM chain; CsrMismatch
-        unless its leaf names exactly ``fqdn`` and certifies the CSR's key."""
+        unless its leaf names exactly ``fqdn`` and certifies the CSR's key,
+        and MalformedAnswer for any CA answer of the wrong shape."""
+        try:
+            return self._order(fqdn, csr, fulfiller)
+        except _MISSHAPEN as exc:
+            raise MalformedAnswer(f"ca answer for {fqdn}: {type(exc).__name__}: {exc}") from exc
+
+    def _order(self, fqdn: str, csr, fulfiller) -> str:
         wire_type = fulfiller.challenge_type
         self.ensure_account()
         _, headers, raw = self._post(self.directory()["newOrder"], {

@@ -12,6 +12,7 @@ peer's leaf, so both layers must agree before any payload flows.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import socket
@@ -46,6 +47,12 @@ MAX_FRAME = 1 << 20
 # trusted root, and validity windows are left to _live_verdict, which reads
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
+
+# Bounds on echo_once's client-side caches: TLS contexts, one per (device
+# chain, device key, trust roots), and resumable sessions, one per
+# (context, server address).
+MAX_CLIENT_CONTEXTS = 64
+MAX_CLIENT_SESSIONS = 256
 
 # Vendors already warned about a missing revocation filter: the warning
 # is logged once per vendor per process, not on every handshake.
@@ -205,6 +212,7 @@ class EchoResult:
     client_verdict: PeerVerdict
     server_verdict: PeerVerdict
     handshake_ms: float
+    resumed: bool
 
 
 def _tls13_context(purpose: ssl.Purpose, chain_pem: str, key_pem: str, roots_pem: str) -> ssl.SSLContext:
@@ -221,8 +229,32 @@ def _tls13_context(purpose: ssl.Purpose, chain_pem: str, key_pem: str, roots_pem
     return ctx
 
 
-def _roots_pem(ctx: TrustContext) -> str:
-    return "".join(cert_to_pem(root) for root in ctx.roots)
+def _roots_pem(roots: tuple[x509.Certificate, ...]) -> str:
+    return "".join(cert_to_pem(root) for root in roots)
+
+
+@functools.lru_cache(maxsize=MAX_CLIENT_CONTEXTS)
+def _client_side(
+    chain_pem: str, private_key, roots: tuple[x509.Certificate, ...]
+) -> tuple[ssl.SSLContext, DeviceUrn]:
+    """The client TLS context for one device identity under one set of
+    trust roots, and the device's own URN. A renewed chain is a new cache
+    entry, so it never picks up the old chain's context or sessions."""
+    ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, chain_pem, key_to_pem(private_key), _roots_pem(roots))
+    return ctx, extract_urn(split_pem_chain(chain_pem)[0])
+
+
+# Resumable client sessions, oldest first, bounded by MAX_CLIENT_SESSIONS.
+_sessions: dict[tuple[ssl.SSLContext, tuple[str, int]], ssl.SSLSession] = {}
+_sessions_lock = threading.Lock()
+
+
+def _keep_session(slot: tuple[ssl.SSLContext, tuple[str, int]], session: ssl.SSLSession) -> None:
+    with _sessions_lock:
+        _sessions.pop(slot, None)
+        _sessions[slot] = session
+        if len(_sessions) > MAX_CLIENT_SESSIONS:
+            del _sessions[next(iter(_sessions))]
 
 
 def _recv_exact(sock, count: int) -> bytes:
@@ -268,7 +300,7 @@ class EchoServer(BackgroundServer):
             ssl.Purpose.CLIENT_AUTH,
             bundle.certificate_chain,
             key_to_pem(bundle.private_key),
-            _roots_pem(trust),
+            _roots_pem(trust.roots),
         )
         super().__init__("mtls-echo", "echo server", TlsServer, bind_addr, _EchoHandler, ssl_ctx)
         self._server.trust = trust
@@ -284,23 +316,28 @@ def echo_once(
     timeout: float = 5.0,
 ) -> EchoResult:
     """Connect to a running EchoServer, mutually authenticate, validate the
-    server's certificate, and exchange the payload."""
-    ssl_ctx = _tls13_context(
-        ssl.Purpose.SERVER_AUTH,
-        client_bundle.certificate_chain,
-        key_to_pem(client_bundle.private_key),
-        _roots_pem(trust),
-    )
+    server's certificate, and exchange the payload.
+
+    The TLS context is cached per (chain, key, roots), and the session is
+    resumed from the last full handshake with this server on that context,
+    until the server declines the ticket. ``tls.session`` is read only
+    after a full handshake: each read of CPython's getter leaks native
+    memory, so storing a fresh ticket per echo would grow the process."""
+    ssl_ctx, own_urn = _client_side(client_bundle.certificate_chain, client_bundle.private_key, trust.roots)
+    slot = (ssl_ctx, tuple(server_addr))
+    with _sessions_lock:
+        session = _sessions.get(slot)
     start = time.perf_counter()
     try:
         raw = socket.create_connection(server_addr, timeout=timeout)
-        tls = ssl_ctx.wrap_socket(raw, server_hostname="peer")
+        tls = ssl_ctx.wrap_socket(raw, server_hostname="peer", session=session)
     except ssl.SSLError as exc:
         raise HandshakeRejected(
             "client", PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
         ) from exc
     handshake_ms = (time.perf_counter() - start) * 1000.0
     with tls:
+        resumed = tls.session_reused
         client_verdict = _live_verdict(tls, trust, expected_vendor)
         if not client_verdict.accepted:
             raise HandshakeRejected("client", client_verdict)
@@ -316,16 +353,19 @@ def echo_once(
             raise HandshakeRejected(
                 "server", PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
             ) from exc
+        # The server's tickets precede its answer, so they are in by now.
+        if not resumed:
+            _keep_session(slot, tls.session)
     if status == b"RJ":
         info = json.loads(body)
         reason = RejectReason(info["reject_reason"]) if info.get("reject_reason") else RejectReason.CHAIN
         raise HandshakeRejected("server", PeerVerdict(accepted=False, reject_reason=reason))
-    server_verdict = PeerVerdict(accepted=True, urn=extract_urn(split_pem_chain(client_bundle.certificate_chain)[0]))
     return EchoResult(
         payload_echoed=body,
         client_verdict=client_verdict,
-        server_verdict=server_verdict,
+        server_verdict=PeerVerdict(accepted=True, urn=own_urn),
         handshake_ms=handshake_ms,
+        resumed=resumed,
     )
 
 

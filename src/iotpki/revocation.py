@@ -167,6 +167,10 @@ def serialize(filter_: RevocationFilter) -> bytes:
 
 
 def deserialize(data: bytes) -> RevocationFilter:
+    """Parse a serialized filter. The SHA-256 trailer is a checksum, not a
+    signature, so every field is checked as well: a blob either yields a
+    filter that answers any query, or raises CorruptFilter (VersionMismatch
+    for another format version)."""
     if len(data) < len(MAGIC) + 32:
         raise CorruptFilter("too short")
     if data[: len(MAGIC_PREFIX)] != MAGIC_PREFIX:
@@ -196,6 +200,10 @@ def deserialize(data: bytes) -> RevocationFilter:
             offset += SEED_BYTES
             (bits_len,) = struct.unpack_from("!I", body, offset)
             offset += 4
+            if num_bits == 0 or num_hashes == 0:
+                raise CorruptFilter(f"empty level: {num_bits} bits, {num_hashes} hashes")
+            if bits_len != (num_bits + 7) // 8:
+                raise CorruptFilter(f"level of {num_bits} bits stored in {bits_len} bytes")
             bits = body[offset : offset + bits_len]
             if len(bits) != bits_len:
                 raise CorruptFilter("truncated level bits")
@@ -203,8 +211,8 @@ def deserialize(data: bytes) -> RevocationFilter:
             levels.append(BloomLevel(bits=bits, num_bits=num_bits, num_hashes=num_hashes, seed=seed))
         if offset != len(body):
             raise CorruptFilter(f"{len(body) - offset} trailing bytes")
-    except struct.error as exc:
-        raise CorruptFilter(f"truncated structure: {exc}") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CorruptFilter(f"malformed structure: {exc}") from exc
     return RevocationFilter(
         vendor_id=vendor_id, epoch=epoch, levels=tuple(levels), universe_digest=universe_digest
     )

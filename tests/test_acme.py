@@ -31,6 +31,7 @@ from iotpki.acme.client import (
     CaUnreachable,
     ChallengeFailed,
     CsrMismatch,
+    MalformedAnswer,
     RateLimited,
 )
 from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, split_pem_chain
@@ -326,6 +327,56 @@ class TestIssuanceFlow:
         client = AcmeClient("https://127.0.0.1:1/directory", ca_bundle_pem=None, timeout=0.5)
         with pytest.raises(CaUnreachable):
             client.ensure_account()
+
+
+def misshape_answers(monkeypatch, method: str, change) -> None:
+    """From now on the CA's ``method`` (``order_json``, ``authz_json`` or
+    ``challenge_json``) answers ``change(usual JSON)``; a bytes result is
+    sent as the raw body."""
+    real = getattr(TestCa, method)
+    monkeypatch.setattr(TestCa, method, lambda ca, obj: change(real(ca, obj)))
+    json_reply = ca_module._AcmeHandler._json
+
+    def raw_or_json(handler, status, obj, location=None):
+        if isinstance(obj, bytes):
+            return handler._reply(status, obj, "application/json", location)
+        return json_reply(handler, status, obj, location)
+
+    monkeypatch.setattr(ca_module._AcmeHandler, "_json", raw_or_json)
+
+
+def without(member: str):
+    return lambda obj: {k: v for k, v in obj.items() if k != member}
+
+
+MISSHAPEN_ANSWERS = {
+    "order-without-finalize": ("order_json", without("finalize")),
+    "order-without-authorizations": ("order_json", without("authorizations")),
+    "order-with-no-authorization": ("order_json", lambda obj: {**obj, "authorizations": []}),
+    "order-not-json": ("order_json", lambda obj: b"<html>busy</html>"),
+    "order-not-utf8": ("order_json", lambda obj: b"\xff\xfe"),
+    "order-a-list": ("order_json", lambda obj: [obj]),
+    "authz-without-challenges": ("authz_json", without("challenges")),
+    "authz-challenges-not-objects": ("authz_json", lambda obj: {**obj, "challenges": ["dns-01"]}),
+    "authz-without-status": ("authz_json", without("status")),
+    "challenge-without-url": ("challenge_json", without("url")),
+    "challenge-url-not-text": ("challenge_json", lambda obj: {**obj, "url": 7}),
+}
+
+
+class TestMisshapenAnswers:
+    """Whatever shape the CA's JSON takes, the client raises one typed
+    error, and cleans up the challenge proof it installed."""
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN_ANSWERS))
+    def test_misshapen_answer_is_malformed_answer(self, stack, monkeypatch, case):
+        misshape_answers(monkeypatch, *MISSHAPEN_ANSWERS[case])
+        fqdn = f"{case}.camera.vendor.com"
+        with pytest.raises(MalformedAnswer):
+            new_client(stack).obtain_certificate(
+                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
+            )
+        assert stack.zone.answer_query(f"_acme-challenge.{fqdn}", RType.TXT).answers == ()
 
 
 class TestNonces:

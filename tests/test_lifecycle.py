@@ -211,6 +211,25 @@ class TestForeignKeyCertificate:
         assert record.gateway_delegation is None
 
 
+class TestMisshapenCaAnswer:
+    def test_order_without_finalize_defers_renewal(self, stack, manager, monkeypatch):
+        bundle = manager.enroll_device(NS, secret("m1"))
+        before = manager.inventory.get(bundle.urn.uuid).current_cert
+        order_json = ca_module.TestCa.order_json
+        monkeypatch.setattr(
+            ca_module.TestCa, "order_json",
+            lambda ca, order: {k: v for k, v in order_json(ca, order).items() if k != "finalize"},
+        )
+        stack.clock.now = before.not_after - timedelta(days=5)
+        outcomes = manager.renewal_tick()
+        assert [(o.status, o.detail) for o in outcomes] == [("deferred", "MalformedAnswer")]
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert record.renewal_state is RenewalState.DUE
+        assert record.current_cert == before
+        monkeypatch.undo()
+        assert [o.status for o in manager.renewal_tick()] == ["renewed"]
+
+
 class TestClientPool:
     def test_close_ends_connections_opened_from_two_threads(self, stack, manager, monkeypatch):
         enrolled, release = threading.Event(), threading.Event()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import ssl
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -15,7 +16,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
-from iotpki import serving
+from iotpki import peer_auth, serving
 from iotpki.acme.ca import TestCaState
 from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.cli import ManualClock
@@ -49,10 +50,10 @@ def ca_state() -> TestCaState:
     return TestCaState(clock=fixed_clock(NOW), validity=timedelta(days=90), weekly_order_quota=10**9)
 
 
-def make_bundle(ca: TestCaState, ns: VendorNamespace, tag: str, san: str | None = None):
+def make_bundle(ca: TestCaState, ns: VendorNamespace, tag: str, san: str | None = None, key=None):
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"peer-auth-secret-{tag}".encode())), ns)
     name = san if san is not None else str(urn)
-    key = generate_key("p256")
+    key = key if key is not None else generate_key("p256")
     serial, cert = ca.issue(build_csr(key, name))
     return SimpleNamespace(
         urn=urn,
@@ -308,6 +309,7 @@ class TestEchoHarness:
         assert result.server_verdict.accepted
         assert result.server_verdict.urn == client.urn
         assert result.handshake_ms > 0
+        assert result.resumed is False
 
     def test_revoked_client_rejected_by_server(self, ca_state):
         server = make_bundle(ca_state, VENDOR_A, "e3")
@@ -394,7 +396,9 @@ class TestEchoHarness:
 
             with concurrent.futures.ThreadPoolExecutor(8) as pool:
                 results = list(pool.map(one, clients))
-        assert results == [b"parallel"] * 8
+                # One device from eight threads: one context, one session slot.
+                shared = list(pool.map(one, [clients[0]] * 8))
+        assert results == shared == [b"parallel"] * 8
 
 
 class TestEchoServerLifecycle:
@@ -475,3 +479,84 @@ class TestInjectedClockOwnsTime:
         with pytest.raises(HandshakeRejected) as excinfo:
             mtls_echo(server, foreign_client, trust_for(past_ca.state, at=self.PAST), b"x")
         assert excinfo.value.verdict.reject_reason is RejectReason.CHAIN
+
+
+class TestResumedSessions:
+    """One long-lived echo server per test, whose trust context holds a
+    mutable filter map and a mutable clock. Each check runs on a resumed
+    session, and both sides still judge the peer's leaf."""
+
+    @pytest.fixture
+    def live(self, ca_state, monkeypatch):
+        server = make_bundle(ca_state, VENDOR_A, "s-server")
+        client = make_bundle(ca_state, VENDOR_B, "s-client")
+        filters, clock = {}, ManualClock(NOW)
+        trust = TrustContext(roots=(ca_state.root_cert,), filters=filters, clock=clock)
+        # (side, resumed) for every live verdict; the server's runs on its
+        # own thread, so after a client-side reject it may not be in yet.
+        verdicts = []
+        live_verdict = peer_auth._live_verdict
+
+        def spy(tls, ctx, expected_vendor):
+            verdicts.append(("server" if tls.server_side else "client", tls.session_reused))
+            return live_verdict(tls, ctx, expected_vendor)
+
+        monkeypatch.setattr(peer_auth, "_live_verdict", spy)
+        with EchoServer(server, trust) as echo:
+            ns = SimpleNamespace(
+                server=server, client=client, filters=filters, clock=clock,
+                verdicts=verdicts, echo=lambda bundle=client: echo_once(echo.address, bundle, trust, b"again"),
+            )
+            assert ns.echo().resumed is False
+            assert ns.echo().resumed is True
+            verdicts.clear()
+            yield ns
+
+    def revoke(self, ca_state, live, bundle) -> None:
+        vendor = bundle.urn.namespace.root_domain
+        live.filters[vendor] = build_filter({bundle.serial}, ca_state.issued_serials(), vendor, 1)
+
+    def test_client_revoked_after_ticket_rejected_by_server(self, ca_state, live):
+        self.revoke(ca_state, live, live.client)
+        with pytest.raises(HandshakeRejected) as excinfo:
+            live.echo()
+        assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("server", RejectReason.REVOKED)
+        assert sorted(live.verdicts) == [("client", True), ("server", True)]
+
+    def test_server_revoked_after_ticket_rejected_by_client(self, ca_state, live):
+        self.revoke(ca_state, live, live.server)
+        with pytest.raises(HandshakeRejected) as excinfo:
+            live.echo()
+        assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("client", RejectReason.REVOKED)
+        assert ("client", True) in live.verdicts
+
+    def test_trust_clock_past_not_after_is_expired(self, live):
+        live.clock.now = live.server.leaf.not_valid_after_utc + timedelta(seconds=1)
+        with pytest.raises(HandshakeRejected) as excinfo:
+            live.echo()
+        assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("client", RejectReason.EXPIRED)
+        assert ("client", True) in live.verdicts
+
+    def test_renewed_chain_gets_full_handshake_and_new_serial(self, ca_state, live):
+        renewed = make_bundle(ca_state, VENDOR_B, "s-client", key=live.client.private_key)
+        self.revoke(ca_state, live, live.client)
+        first = live.echo(renewed)
+        assert (first.resumed, first.payload_echoed) == (False, b"again")
+        assert live.echo(renewed).resumed is True
+        with pytest.raises(HandshakeRejected) as excinfo:
+            live.echo()
+        assert excinfo.value.verdict.reject_reason is RejectReason.REVOKED
+
+    def test_session_getter_read_once_per_full_handshake(self, ca_state, live, monkeypatch):
+        reads = []
+        getter = ssl.SSLSocket.session
+
+        def counted(sock):
+            reads.append(sock)
+            return getter.fget(sock)
+
+        monkeypatch.setattr(ssl.SSLSocket, "session", property(counted, getter.fset))
+        fresh = make_bundle(ca_state, VENDOR_B, "s-fresh")
+        results = [live.echo(fresh) for _ in range(20)]
+        assert [r.resumed for r in results] == [False] + [True] * 19
+        assert len(reads) == 1

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotpki.revocation import (
     AlreadyRevoked,
@@ -15,6 +18,7 @@ from iotpki.revocation import (
     MAGIC,
     RevocationLog,
     RevokedNotIssued,
+    SEED_BYTES,
     VersionMismatch,
     build_filter,
     deserialize,
@@ -132,6 +136,68 @@ class TestSerialization:
         a = serialize(build_filter(revoked, set(universe), "vendor.com", 5))
         b = serialize(build_filter(revoked, set(universe), "vendor.com", 6))
         assert a != b
+
+
+def reseal(body: bytes) -> bytes:
+    """``body`` behind a valid SHA-256 trailer: the checksum holds, so only
+    the field checks stand between the blob and a query."""
+    return body + hashlib.sha256(body).digest()
+
+
+def framed(vendor: bytes, levels: list[tuple[int, int, bytes]]) -> bytes:
+    """A resealed blob with well-framed fields: (num_bits, num_hashes, bits)
+    per level, any values."""
+    out = MAGIC + struct.pack("!H", len(vendor)) + vendor + struct.pack("!I", 1) + bytes(32)
+    out += struct.pack("!H", len(levels))
+    for num_bits, num_hashes, bits in levels:
+        out += struct.pack("!IB", num_bits, num_hashes) + bytes(SEED_BYTES)
+        out += struct.pack("!I", len(bits)) + bits
+    return reseal(out)
+
+
+def assert_queryable_or_corrupt(blob: bytes, serial: str) -> None:
+    try:
+        filt = deserialize(blob)
+    except CorruptFilter:
+        return
+    assert query(filt, serial) in (True, False)
+
+
+class TestResealedBlobs:
+    """Blobs whose checksum holds but whose fields would crash a query."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            framed(b"\xff\xfe", [(8, 1, b"\x01")]),
+            framed(b"vendor.com", [(0, 1, b"")]),
+            framed(b"vendor.com", [(8, 0, b"\x01")]),
+            framed(b"vendor.com", [(64, 3, b"\x01")]),
+            framed(b"vendor.com", [(8, 1, b"\x01\x02")]),
+        ],
+        ids=["vendor-not-utf8", "zero-bits", "zero-hashes", "short-bits", "long-bits"],
+    )
+    def test_malformed_level_is_corrupt(self, blob):
+        with pytest.raises(CorruptFilter):
+            deserialize(blob)
+
+    def test_well_framed_blob_still_parses(self):
+        assert query(deserialize(framed(b"vendor.com", [(8, 1, b"\xff")])), "aa01") is True
+
+    @given(st.binary(), st.text())
+    def test_any_bytes_after_magic_query_or_are_corrupt(self, tail, serial):
+        assert_queryable_or_corrupt(reseal(MAGIC + tail), serial)
+
+    @given(
+        st.binary(max_size=12),
+        st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 255), st.binary(max_size=40)),
+            max_size=4,
+        ),
+        st.text(),
+    )
+    def test_any_well_framed_fields_query_or_are_corrupt(self, vendor, levels, serial):
+        assert_queryable_or_corrupt(framed(vendor, levels), serial)
 
 
 class TestBloomLevel:
