@@ -12,6 +12,7 @@ import ssl
 import time
 import urllib.parse
 from dataclasses import dataclass
+from typing import Any, Callable, TypeVar
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
 from ..errors import IotPkiError
@@ -65,8 +66,50 @@ class MalformedAnswer(IotPkiError):
 
 
 # What reading a CA answer of the wrong shape raises: a missing member, an
-# empty list, a wrong type, or a body that is not UTF-8 JSON.
-_MISSHAPEN = (KeyError, IndexError, TypeError, AttributeError, ValueError)
+# empty list, a wrong type, a body that is not UTF-8 JSON, or JSON nested
+# too deep to parse.
+_MISSHAPEN = (KeyError, IndexError, TypeError, AttributeError, ValueError, RecursionError)
+
+T = TypeVar("T")
+
+
+def _read(raw: bytes, read: Callable[[Any], T]) -> T:
+    """``read`` applied to the JSON of a CA answer. The one place the
+    client reads CA data: an answer of the wrong shape is MalformedAnswer,
+    while errors raised by the client's own code pass through."""
+    try:
+        return read(json.loads(raw))
+    except _MISSHAPEN as exc:
+        raise MalformedAnswer(f"ca answer: {type(exc).__name__}: {exc}") from exc
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _directory(obj) -> dict:
+    for name in ("newNonce", "newAccount", "newOrder"):
+        _text(obj[name])
+    return obj
+
+
+def _order_urls(order) -> tuple[str, str]:
+    """(first authorization URL, finalize URL) of an order object."""
+    return _text(order["authorizations"][0]), _text(order["finalize"])
+
+
+def _challenge(authz, wire_type: str) -> tuple[str, str] | None:
+    """(token, URL) of the authorization's challenge of ``wire_type``."""
+    chall = next((c for c in authz["challenges"] if c["type"] == wire_type), None)
+    return None if chall is None else (_text(chall.get("token", "")), _text(chall["url"]))
+
+
+def _state(obj) -> tuple[str, str | None]:
+    """(status, certificate URL or None) of an authorization or order."""
+    cert = obj.get("certificate")
+    return _text(obj["status"]), None if cert is None else _text(cert)
 
 
 @dataclass
@@ -169,7 +212,7 @@ class AcmeClient:
             status, headers, body = self._http("GET", self.directory_url)
             if status != 200:
                 raise CaUnreachable(f"directory fetch returned {status}")
-            self._directory = json.loads(body)
+            self._directory = _read(body, _directory)
         return self._directory
 
     def _post(self, url: str, payload: dict | None, use_jwk: bool = False):
@@ -216,44 +259,36 @@ class AcmeClient:
         fulfiller publishes proofs for. Returns the PEM chain; CsrMismatch
         unless its leaf names exactly ``fqdn`` and certifies the CSR's key,
         and MalformedAnswer for any CA answer of the wrong shape."""
-        try:
-            return self._order(fqdn, csr, fulfiller)
-        except _MISSHAPEN as exc:
-            raise MalformedAnswer(f"ca answer for {fqdn}: {type(exc).__name__}: {exc}") from exc
-
-    def _order(self, fqdn: str, csr, fulfiller) -> str:
         wire_type = fulfiller.challenge_type
         self.ensure_account()
         _, headers, raw = self._post(self.directory()["newOrder"], {
             "identifiers": [{"type": "dns", "value": fqdn}],
         })
-        order = json.loads(raw)
+        authz_url, finalize_url = _read(raw, _order_urls)
         order_url = headers.get("Location", "")
-        authz_url = order["authorizations"][0]
 
         _, _, raw = self._post(authz_url, None)
-        authz = json.loads(raw)
-        chall = next((c for c in authz["challenges"] if c["type"] == wire_type), None)
+        chall = _read(raw, lambda authz: _challenge(authz, wire_type))
         if chall is None:
             raise ChallengeFailed(f"ca offers no {wire_type} challenge")
-        token = chall.get("token", "")
+        token, chall_url = chall
         if not token:
             raise InvalidToken("challenge token is empty")
         key_auth = jws.key_authorization(token, self.account.jwk_thumbprint)
 
         fulfiller.install(fqdn, token, key_auth)
         try:
-            self._post(chall["url"], {})
-            authz = self._poll(authz_url, ("valid", "invalid"))
-            if authz["status"] != "valid":
-                raise ChallengeFailed(f"authorization for {fqdn} ended {authz['status']}")
-            _, _, raw = self._post(order["finalize"], {"csr": jws.b64url(csr_to_der(csr))})
-            final = json.loads(raw)
-            if final["status"] != "valid":
-                final = self._poll(order_url, ("valid", "invalid"))
-            if final["status"] != "valid" or "certificate" not in final:
-                raise ChallengeFailed(f"order for {fqdn} ended {final['status']}")
-            _, _, chain = self._post(final["certificate"], None)
+            self._post(chall_url, {})
+            status, _ = self._poll(authz_url, ("valid", "invalid"))
+            if status != "valid":
+                raise ChallengeFailed(f"authorization for {fqdn} ended {status}")
+            _, _, raw = self._post(finalize_url, {"csr": jws.b64url(csr_to_der(csr))})
+            status, cert_url = _read(raw, _state)
+            if status != "valid":
+                status, cert_url = self._poll(order_url, ("valid", "invalid"))
+            if status != "valid" or cert_url is None:
+                raise ChallengeFailed(f"order for {fqdn} ended {status}")
+            _, _, chain = self._post(cert_url, None)
         finally:
             fulfiller.cleanup(fqdn, token)
         try:
@@ -267,24 +302,29 @@ class AcmeClient:
             raise CsrMismatch(f"certificate issued for {fqdn} certifies a key other than the csr's")
         return pem
 
-    def _poll(self, url: str, terminal: tuple[str, ...]) -> dict:
+    def _poll(self, url: str, terminal: tuple[str, ...]) -> tuple[str, str | None]:
+        """(status, certificate URL) once ``url`` reaches a terminal status."""
         for _ in range(MAX_POLLS):
             _, _, raw = self._post(url, None)
-            obj = json.loads(raw)
-            if obj["status"] in terminal:
-                return obj
+            status, cert_url = _read(raw, _state)
+            if status in terminal:
+                return status, cert_url
             time.sleep(POLL_INTERVAL)
         raise CaUnreachable(f"{url} did not reach {terminal} after {MAX_POLLS} polls")
 
 
 def _parse_problem(raw: bytes) -> dict:
+    """The problem document of an error answer. A body that is not a JSON
+    object, or a member that is not a string, reads as its default:
+    ``about:blank``, with the body as the detail."""
     try:
         problem = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):
+        problem = None
+    if not isinstance(problem, dict):
         problem = {}
-    problem.setdefault("type", "about:blank")
-    problem.setdefault("detail", raw.decode("utf-8", "replace")[:200])
-    return problem
+    defaults = {"type": "about:blank", "detail": raw.decode("utf-8", "replace")[:200]}
+    return {k: problem[k] if isinstance(problem.get(k), str) else v for k, v in defaults.items()}
 
 
 def _raise_problem(problem: dict, status: int):

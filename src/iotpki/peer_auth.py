@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from cryptography import x509
 from cryptography.x509.oid import NameOID
@@ -48,11 +48,12 @@ MAX_FRAME = 1 << 20
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
 
-# Bounds on echo_once's client-side caches: TLS contexts, one per (device
-# chain, device key, trust roots), and resumable sessions, one per
-# (context, server address).
+# Bounds on echo_once's client-side cache: one TLS context per (device
+# chain, device key, trust roots), and on each context the servers it
+# last met. One-shot servers on fresh ports would otherwise add an entry
+# per contact for as long as the context lives.
 MAX_CLIENT_CONTEXTS = 64
-MAX_CLIENT_SESSIONS = 256
+MAX_PEERS_PER_CONTEXT = 16
 
 # Vendors already warned about a missing revocation filter: the warning
 # is logged once per vendor per process, not on every handshake.
@@ -233,28 +234,39 @@ def _roots_pem(roots: tuple[x509.Certificate, ...]) -> str:
     return "".join(cert_to_pem(root) for root in roots)
 
 
+class _ClientSide(NamedTuple):
+    ctx: ssl.SSLContext
+    leaf: x509.Certificate
+    # Server address -> the session kept for it, or None after the first
+    # full handshake; oldest first contact first out. Changed under lock.
+    peers: dict[tuple[str, int], ssl.SSLSession | None]
+    lock: threading.Lock
+
+
 @functools.lru_cache(maxsize=MAX_CLIENT_CONTEXTS)
-def _client_side(
-    chain_pem: str, private_key, roots: tuple[x509.Certificate, ...]
-) -> tuple[ssl.SSLContext, DeviceUrn]:
+def _client_side(chain_pem: str, private_key, roots: tuple[x509.Certificate, ...]) -> _ClientSide:
     """The client TLS context for one device identity under one set of
-    trust roots, and the device's own URN. A renewed chain is a new cache
-    entry, so it never picks up the old chain's context or sessions."""
+    trust roots, the device's own leaf, and the sessions kept on that
+    context. A renewed chain is a new cache entry, so it never picks up
+    the old chain's context or sessions; evicting an entry drops both."""
     ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, chain_pem, key_to_pem(private_key), _roots_pem(roots))
-    return ctx, extract_urn(split_pem_chain(chain_pem)[0])
+    return _ClientSide(ctx, split_pem_chain(chain_pem)[0], {}, threading.Lock())
 
 
-# Resumable client sessions, oldest first, bounded by MAX_CLIENT_SESSIONS.
-_sessions: dict[tuple[ssl.SSLContext, tuple[str, int]], ssl.SSLSession] = {}
-_sessions_lock = threading.Lock()
-
-
-def _keep_session(slot: tuple[ssl.SSLContext, tuple[str, int]], session: ssl.SSLSession) -> None:
-    with _sessions_lock:
-        _sessions.pop(slot, None)
-        _sessions[slot] = session
-        if len(_sessions) > MAX_CLIENT_SESSIONS:
-            del _sessions[next(iter(_sessions))]
+def _note_full_handshake(side: _ClientSide, addr: tuple[str, int], offered, tls) -> None:
+    """After a full handshake that offered ``offered`` (None for no
+    session): note a server met for the first time, or keep the session
+    of a repeat contact. Each read of ``tls.session`` leaks native memory
+    in CPython, so it is never read for a server met once, nor when
+    another connection has kept a session since this one was offered, nor
+    again for a server whose kept session carries no ticket."""
+    with side.lock:
+        if addr not in side.peers:
+            side.peers[addr] = None
+            if len(side.peers) > MAX_PEERS_PER_CONTEXT:
+                del side.peers[next(iter(side.peers))]
+        elif side.peers[addr] is offered and (offered is None or offered.has_ticket):
+            side.peers[addr] = tls.session
 
 
 def _recv_exact(sock, count: int) -> bytes:
@@ -318,19 +330,17 @@ def echo_once(
     """Connect to a running EchoServer, mutually authenticate, validate the
     server's certificate, and exchange the payload.
 
-    The TLS context is cached per (chain, key, roots), and the session is
-    resumed from the last full handshake with this server on that context,
-    until the server declines the ticket. ``tls.session`` is read only
-    after a full handshake: each read of CPython's getter leaks native
-    memory, so storing a fresh ticket per echo would grow the process."""
-    ssl_ctx, own_urn = _client_side(client_bundle.certificate_chain, client_bundle.private_key, trust.roots)
-    slot = (ssl_ctx, tuple(server_addr))
-    with _sessions_lock:
-        session = _sessions.get(slot)
+    The TLS context is cached per (chain, key, roots). From the second
+    full handshake with a server on, its session is kept and resumed
+    until the server declines the ticket; every connection, resumed or
+    not, still runs ``_live_verdict``."""
+    side = _client_side(client_bundle.certificate_chain, client_bundle.private_key, trust.roots)
+    addr = tuple(server_addr)
+    offered = side.peers.get(addr)
     start = time.perf_counter()
     try:
         raw = socket.create_connection(server_addr, timeout=timeout)
-        tls = ssl_ctx.wrap_socket(raw, server_hostname="peer", session=session)
+        tls = side.ctx.wrap_socket(raw, server_hostname="peer", session=offered)
     except ssl.SSLError as exc:
         raise HandshakeRejected(
             "client", PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
@@ -355,7 +365,7 @@ def echo_once(
             ) from exc
         # The server's tickets precede its answer, so they are in by now.
         if not resumed:
-            _keep_session(slot, tls.session)
+            _note_full_handshake(side, addr, offered, tls)
     if status == b"RJ":
         info = json.loads(body)
         reason = RejectReason(info["reject_reason"]) if info.get("reject_reason") else RejectReason.CHAIN
@@ -363,7 +373,7 @@ def echo_once(
     return EchoResult(
         payload_echoed=body,
         client_verdict=client_verdict,
-        server_verdict=PeerVerdict(accepted=True, urn=own_urn),
+        server_verdict=PeerVerdict(accepted=True, urn=extract_urn(side.leaf)),
         handshake_ms=handshake_ms,
         resumed=resumed,
     )

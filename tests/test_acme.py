@@ -33,6 +33,7 @@ from iotpki.acme.client import (
     CsrMismatch,
     MalformedAnswer,
     RateLimited,
+    _parse_problem,
 )
 from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, split_pem_chain
 from iotpki.dnsauth.server import DnsUdpServer
@@ -356,6 +357,7 @@ MISSHAPEN_ANSWERS = {
     "order-not-json": ("order_json", lambda obj: b"<html>busy</html>"),
     "order-not-utf8": ("order_json", lambda obj: b"\xff\xfe"),
     "order-a-list": ("order_json", lambda obj: [obj]),
+    "order-nested-too-deep": ("order_json", lambda obj: b"[" * 50000),
     "authz-without-challenges": ("authz_json", without("challenges")),
     "authz-challenges-not-objects": ("authz_json", lambda obj: {**obj, "challenges": ["dns-01"]}),
     "authz-without-status": ("authz_json", without("status")),
@@ -377,6 +379,27 @@ class TestMisshapenAnswers:
                 fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
             )
         assert stack.zone.answer_query(f"_acme-challenge.{fqdn}", RType.TXT).answers == ()
+
+    def test_client_side_error_is_not_malformed_answer(self, stack):
+        class BrokenFulfiller(DnsTxtFulfiller):
+            def install(self, fqdn, token, key_auth):
+                raise TypeError("fulfiller bug")
+
+        fqdn = "local-bug.camera.vendor.com"
+        with pytest.raises(TypeError, match="fulfiller bug"):
+            new_client(stack).obtain_certificate(
+                fqdn, build_csr(generate_key("p256"), fqdn), BrokenFulfiller(stack.zone)
+            )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[" * 50000, b"[1]", b'{"type": 7, "detail": ["x"]}', b"\xff"],
+        ids=["nested-too-deep", "a-list", "members-not-text", "not-utf8"],
+    )
+    def test_misshapen_problem_reads_as_about_blank(self, raw):
+        problem = _parse_problem(raw)
+        assert problem["type"] == "about:blank"
+        assert isinstance(problem["detail"], str)
 
 
 class TestNonces:

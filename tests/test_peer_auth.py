@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import socket
 import ssl
+import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -331,6 +332,13 @@ class TestEchoHarness:
         assert excinfo.value.side == "client"
         assert excinfo.value.verdict.reject_reason is RejectReason.REVOKED
 
+    def test_non_urn_client_rejected_malformed_by_server(self, ca_state):
+        server = make_bundle(ca_state, VENDOR_A, "e11")
+        client = make_bundle(ca_state, VENDOR_B, "e12", san="www.example.org")
+        with pytest.raises(HandshakeRejected) as excinfo:
+            mtls_echo(server, client, trust_for(ca_state), b"payload")
+        assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("server", RejectReason.MALFORMED)
+
     def test_role_swap_symmetry(self, ca_state):
         a = make_bundle(ca_state, VENDOR_A, "e7")
         b = make_bundle(ca_state, VENDOR_B, "e8")
@@ -507,8 +515,8 @@ class TestResumedSessions:
                 server=server, client=client, filters=filters, clock=clock,
                 verdicts=verdicts, echo=lambda bundle=client: echo_once(echo.address, bundle, trust, b"again"),
             )
-            assert ns.echo().resumed is False
-            assert ns.echo().resumed is True
+            # The first full handshake notes the server, the second keeps its session.
+            assert [ns.echo().resumed for _ in range(3)] == [False, False, True]
             verdicts.clear()
             yield ns
 
@@ -542,21 +550,72 @@ class TestResumedSessions:
         self.revoke(ca_state, live, live.client)
         first = live.echo(renewed)
         assert (first.resumed, first.payload_echoed) == (False, b"again")
-        assert live.echo(renewed).resumed is True
+        assert [live.echo(renewed).resumed for _ in range(2)] == [False, True]
         with pytest.raises(HandshakeRejected) as excinfo:
             live.echo()
         assert excinfo.value.verdict.reject_reason is RejectReason.REVOKED
 
-    def test_session_getter_read_once_per_full_handshake(self, ca_state, live, monkeypatch):
-        reads = []
-        getter = ssl.SSLSocket.session
-
-        def counted(sock):
-            reads.append(sock)
-            return getter.fget(sock)
-
-        monkeypatch.setattr(ssl.SSLSocket, "session", property(counted, getter.fset))
+    def test_session_getter_read_once_per_repeat_contact(self, ca_state, live, getter_reads):
         fresh = make_bundle(ca_state, VENDOR_B, "s-fresh")
         results = [live.echo(fresh) for _ in range(20)]
-        assert [r.resumed for r in results] == [False] + [True] * 19
-        assert len(reads) == 1
+        assert [r.resumed for r in results] == [False, False] + [True] * 18
+        assert len(getter_reads) == 1
+
+
+@pytest.fixture
+def getter_reads(monkeypatch) -> list:
+    """Every read of the ``ssl.SSLSocket.session`` getter, which leaks
+    native memory in CPython."""
+    reads = []
+    getter = ssl.SSLSocket.session
+
+    def counted(sock):
+        reads.append(sock)
+        return getter.fget(sock)
+
+    monkeypatch.setattr(ssl.SSLSocket, "session", property(counted, getter.fset))
+    return reads
+
+
+class TestSessionGetterBounded:
+    """Contacts that are never repeated, or that can never resume, do not
+    read the session getter on every echo."""
+
+    def test_one_shot_servers_never_read(self, ca_state, getter_reads, monkeypatch):
+        monkeypatch.setattr(peer_auth, "MAX_PEERS_PER_CONTEXT", 2)
+        server = make_bundle(ca_state, VENDOR_A, "g-server")
+        client = make_bundle(ca_state, VENDOR_B, "g-client")
+        trust = trust_for(ca_state)
+        results = [mtls_echo(server, client, trust, b"once") for _ in range(4)]
+        assert [r.resumed for r in results] == [False] * 4
+        assert getter_reads == []
+        side = peer_auth._client_side(client.certificate_chain, client.private_key, trust.roots)
+        assert len(side.peers) <= 2
+
+    def test_server_without_tickets_read_once(self, ca_state, getter_reads):
+        server = make_bundle(ca_state, VENDOR_A, "g-ticketless")
+        client = make_bundle(ca_state, VENDOR_B, "g-client2")
+        trust = trust_for(ca_state)
+        with EchoServer(server, trust) as echo:
+            echo._server._tls.num_tickets = 0
+            results = [echo_once(echo.address, client, trust, b"x") for _ in range(10)]
+        assert [r.resumed for r in results] == [False] * 10
+        assert len(getter_reads) == 1
+
+    def test_concurrent_first_contacts_read_at_most_twice(self, ca_state, getter_reads):
+        import concurrent.futures
+
+        server = make_bundle(ca_state, VENDOR_A, "g-busy")
+        client = make_bundle(ca_state, VENDOR_B, "g-client3")
+        trust = trust_for(ca_state)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EchoServer(server, trust) as echo, concurrent.futures.ThreadPoolExecutor(8) as pool:
+                echoes = pool.map(lambda _: echo_once(echo.address, client, trust, b"x"), range(48), timeout=60)
+                assert list(echoes)[-1].resumed
+        finally:
+            sys.setswitchinterval(interval)
+        # One connection notes the server and one keeps its session; the
+        # rest of the first burst finds that session kept and reads nothing.
+        assert len(getter_reads) <= 2
