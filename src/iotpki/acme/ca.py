@@ -24,7 +24,7 @@ import ssl
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from datetime import timedelta, timezone
+from datetime import timedelta
 from typing import Callable
 
 from cryptography import x509
@@ -36,6 +36,7 @@ from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names, seria
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
+from ..inventory import utcnow
 from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
 from . import jws
 
@@ -66,10 +67,6 @@ class _Problem(Exception):
     close: bool = False
 
 
-def _utcnow() -> dt.datetime:
-    return dt.datetime.now(timezone.utc)
-
-
 @dataclass
 class CaConfig:
     bind_addr: tuple[str, int] = ("127.0.0.1", 0)
@@ -77,7 +74,7 @@ class CaConfig:
     http01_port: int | None = None
     validity: timedelta = MAX_VALIDITY
     weekly_order_quota: int = 30000
-    clock: Callable[[], dt.datetime] = _utcnow
+    clock: Callable[[], dt.datetime] = utcnow
 
 
 @dataclass
@@ -351,7 +348,9 @@ def _self_signed_root(key: ec.EllipticCurvePrivateKey, now: dt.datetime) -> x509
 
 def _service_identity() -> tuple[str, str]:
     """Self-signed HTTPS endpoint certificate for the CA service itself
-    (distinct from the ACME issuing root). Returns (cert_pem, key_pem)."""
+    (distinct from the ACME issuing root). Returns (cert_pem, key_pem).
+    Dated on wall time, not the CA's clock: OpenSSL checks it against
+    wall time."""
     key = ec.generate_private_key(ec.SECP256R1())
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "acme service")])
     cert = (
@@ -360,8 +359,8 @@ def _service_identity() -> tuple[str, str]:
         .issuer_name(name)
         .public_key(key.public_key())
         .serial_number(x509.random_serial_number())
-        .not_valid_before(_utcnow() - timedelta(minutes=1))
-        .not_valid_after(_utcnow() + timedelta(days=365))
+        .not_valid_before(utcnow() - timedelta(minutes=1))
+        .not_valid_after(utcnow() + timedelta(days=365))
         .add_extension(
             x509.SubjectAlternativeName(
                 [x509.DNSName("localhost"), x509.IPAddress(ipaddress.IPv4Address("127.0.0.1"))]

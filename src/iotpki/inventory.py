@@ -65,6 +65,7 @@ def from_rfc3339(s: str) -> datetime:
 
 
 def utcnow() -> datetime:
+    """Wall-clock UTC: the one default for every injectable clock."""
     return datetime.now(timezone.utc)
 
 

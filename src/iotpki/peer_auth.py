@@ -22,7 +22,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
@@ -35,6 +35,7 @@ from .certs import (
 )
 from .errors import IotPkiError
 from .identity import DeviceUrn, MalformedUrn, parse_urn
+from .inventory import utcnow
 from .revocation import RevocationFilter, query
 from .serving import BackgroundServer, TlsServer
 
@@ -82,15 +83,11 @@ class RejectReason(str, Enum):
     MALFORMED = "malformed"
 
 
-def _utcnow() -> datetime:
-    return datetime.now(timezone.utc)
-
-
 @dataclass(frozen=True)
 class TrustContext:
     roots: tuple[x509.Certificate, ...]
     filters: Mapping[str, RevocationFilter]
-    clock: Callable[[], datetime] = _utcnow
+    clock: Callable[[], datetime] = utcnow
 
     def __post_init__(self) -> None:
         if not self.roots:

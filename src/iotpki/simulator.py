@@ -14,7 +14,15 @@ per-node timer would; k * poll_interval rounds differently and would
 change the CSV. A report keeps its samples in columns (arrays of
 contacts and of latencies); ``SimReport.samples`` builds
 ``LatencySample`` objects only when iterated, and the CSV is rendered
-straight from the columns.
+straight from the columns, one ``%`` template per contact.
+
+Report: ``summarize`` sorts the latencies once and reads the median, p95
+and max off the sorted list. Each histogram bin's lower edge is one
+bisect, since the bin index never decreases along the sorted samples.
+The mean equals ``statistics.mean`` (the exact rational mean, rounded
+once): every sample is scaled by one power of two to an integer, the
+integers are summed, and the quotient is rounded once. Latencies must be
+finite and non-negative; anything else raises ``DomainError``.
 
 Reproducibility: every stochastic purpose draws from its own named RNG
 stream derived from the config seed, so mobility is identical across
@@ -28,7 +36,10 @@ import math
 import random
 import statistics
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import IotPkiError
@@ -186,12 +197,13 @@ class SimReport:
 
     def to_csv(self) -> str:
         mode = self.config.mode
+        latency = self.latency
         rows = ["mode,node,gateway,t_send,latency_s\n"]
         start = 0
         for node, gateway, t, sent in zip(self.node, self.gateway, self.send_time, self.sent):
             end = start + sent
-            row = f"{mode},{node},{gateway},{t:.3f},{{:.6f}}\n"
-            rows.append((row * sent).format(*self.latency[start:end]))
+            row = f"{mode},{node},{gateway},{t:.3f},%.6f\n"
+            rows.append((row * sent) % tuple(latency[start:end]))
             start = end
         return "".join(rows)
 
@@ -207,30 +219,57 @@ class Summary:
 
 
 def summarize(latencies: Sequence[float]) -> Summary:
-    """Aggregate statistics plus a HISTOGRAM_BINS-bin histogram CSV."""
+    """Aggregate statistics plus a HISTOGRAM_BINS-bin histogram CSV.
+
+    Latencies must be finite and non-negative; anything else raises
+    DomainError.
+    """
     if not latencies:
         raise EmptyInput("no samples to summarize")
     xs = sorted(latencies)
+    if xs[0] < 0:
+        raise DomainError(f"negative latency {xs[0]}")
     n = len(xs)
+    mean = _exact_mean(xs)
+    half = n // 2
+    median = xs[half] if n % 2 else (xs[half - 1] + xs[half]) / 2
     p95 = xs[max(0, math.ceil(0.95 * n) - 1)]
     top = xs[-1]
-    width = (top / HISTOGRAM_BINS) if top > 0 else 1.0
-    counts = [0] * HISTOGRAM_BINS
-    last = HISTOGRAM_BINS - 1
-    for x in xs:
-        idx = min(int(x / width), last)
-        counts[idx] += 1
+    # A range too narrow to split (top / BINS underflows to 0) is binned like zeros.
+    width = top / HISTOGRAM_BINS or 1.0
+    # The bin index min(int(x / width), last) never decreases along the
+    # sorted samples, so each bin's lower edge is one bisect.
+    edges = [bisect_left(xs, i, key=lambda x: int(x / width)) for i in range(HISTOGRAM_BINS)]
+    edges.append(n)
     lines = ["bin_lo,bin_hi,count"]
-    for i, count in enumerate(counts):
-        lines.append(f"{i * width:.6f},{(i + 1) * width:.6f},{count}")
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        lines.append(f"{i * width:.6f},{(i + 1) * width:.6f},{hi - lo}")
     return Summary(
         count=n,
-        mean=statistics.mean(xs),
-        median=statistics.median(xs),
+        mean=mean,
+        median=median,
         p95=p95,
         max=top,
         histogram_csv="\n".join(lines) + "\n",
     )
+
+
+def _exact_mean(xs: list[float]) -> float:
+    """``statistics.mean`` of sorted non-negative floats: the exact rational
+    mean, rounded once. Scaling by 2**k, with k set by the smallest nonzero
+    sample, makes every sample an integer, so the sum is exact."""
+    n = len(xs)
+    first = bisect_right(xs, 0.0)
+    k = max(0, 53 - math.frexp(xs[first])[1]) if first < n else 0
+    try:
+        total = sum(map(int, map(math.ldexp, xs, repeat(k))))
+    except (OverflowError, ValueError):
+        # int() rejects inf and NaN; ldexp overflows when the samples span
+        # more than the float exponent range (a subnormal beside a large value).
+        if not all(map(math.isfinite, xs)):
+            raise DomainError("latencies must be finite") from None
+        return statistics.mean(xs)
+    return float(Fraction(total, n << k))
 
 
 def gateway_positions(cfg: SimConfig) -> list[tuple[float, float]]:

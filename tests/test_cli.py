@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -218,6 +219,25 @@ class TestSimulate:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_report_files_match_pinned_hashes(self, tmp_path, capsys):
+        # sha256 pinned from the per-element histogram loop and
+        # statistics.mean/median that the bisect and exact-sum report replaced.
+        pinned = {
+            "sim_summary.json": "eced97fc3d4482ee1e7e65af90dc4cff9e6e0b50da98e4621dfa11f763ebfe96",
+            "sim_d2d_hist.csv": "59cff06eb819053de234523ecc3e998f816f3e0f2089b591790f8911d9e36291",
+            "sim_cloud_hist.csv": "bac1b242d6197dd24fc5ad0848f3b2acff9abcd54f8f81c750b905f8ec9b1b5f",
+        }
+        code, _, _ = run(
+            [
+                "simulate", "--mode", "both", "--nodes", "30", "--duration", "40",
+                "--seed", "21", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned}
+        assert digests == pinned
 
     def test_summary_reports_latency_gap(self, tmp_path, capsys):
         out = tmp_path / "gap"

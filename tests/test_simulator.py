@@ -5,15 +5,20 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iotpki.simulator import (
+    HISTOGRAM_BINS,
     DomainError,
     EmptyInput,
     InvalidConfig,
     LatencySample,
     SimConfig,
+    Summary,
     WeibullParams,
     gateway_positions,
     run_smart_city,
@@ -286,3 +291,154 @@ class TestSummarize:
         xs = list(range(1, 101))  # 1..100
         s = summarize([float(x) for x in xs])
         assert s.p95 == 95.0
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [-100.0, 1.0],  # bin index far below 0
+            [-0.5, 1.0],  # int() truncates to a valid bin index
+            [-3.0, -1.0],  # negatives only
+            [-math.inf, 1.0],
+            [math.nan, 1.0],
+            [1.0, math.nan],
+            [math.nan],
+            [1.0, math.inf],
+            [math.inf],
+        ],
+        ids=repr,
+    )
+    def test_out_of_domain_rejected(self, xs):
+        with pytest.raises(DomainError):
+            summarize(xs)
+
+    def test_negative_zero_is_in_domain(self):
+        s = summarize([-0.0, 1.0])
+        assert s.count == 2 and s.mean == 0.5
+
+    def test_subnormal_range_bins_like_zeros(self):
+        # top / HISTOGRAM_BINS underflows to 0 here, so there is no width to
+        # divide by; the samples are binned as if they were all zero.
+        xs = [0.0, 5e-324, 1e-323]
+        assert summarize(xs).histogram_csv == summarize([0.0] * 3).histogram_csv
+
+
+def _old_summarize(latencies):
+    """The per-element report that the bisect and exact-sum version
+    replaced, kept as an oracle."""
+    xs = sorted(latencies)
+    n = len(xs)
+    p95 = xs[max(0, math.ceil(0.95 * n) - 1)]
+    top = xs[-1]
+    width = (top / HISTOGRAM_BINS) if top > 0 else 1.0
+    counts = [0] * HISTOGRAM_BINS
+    last = HISTOGRAM_BINS - 1
+    for x in xs:
+        idx = min(int(x / width), last)
+        counts[idx] += 1
+    lines = ["bin_lo,bin_hi,count"]
+    for i, count in enumerate(counts):
+        lines.append(f"{i * width:.6f},{(i + 1) * width:.6f},{count}")
+    return Summary(
+        count=n,
+        mean=statistics.mean(xs),
+        median=statistics.median(xs),
+        p95=p95,
+        max=top,
+        histogram_csv="\n".join(lines) + "\n",
+    )
+
+
+def _old_to_csv(report):
+    """The str.format renderer that the one-%-per-contact version replaced."""
+    mode = report.config.mode
+    rows = ["mode,node,gateway,t_send,latency_s\n"]
+    start = 0
+    for node, gateway, t, sent in zip(report.node, report.gateway, report.send_time, report.sent):
+        end = start + sent
+        row = f"{mode},{node},{gateway},{t:.3f},{{:.6f}}\n"
+        rows.append((row * sent).format(*report.latency[start:end]))
+        start = end
+    return "".join(rows)
+
+
+SUBNORMALS = [5e-324, 1e-323, 2.5e-310, 2.2250738585072014e-308 / 2]
+LATENCIES = st.one_of(
+    st.floats(min_value=0.0, max_value=400.0),
+    st.sampled_from([0.0, 0.017, 0.022, *SUBNORMALS]),
+    st.floats(min_value=1e299, max_value=1e301),
+)
+
+
+@st.composite
+def latency_lists(draw):
+    xs = draw(st.lists(LATENCIES, min_size=1, max_size=30))
+    # Samples exactly on bin edges i * width, and duplicates of drawn ones.
+    width = max(xs) / HISTOGRAM_BINS
+    xs += [i * width for i in draw(st.lists(st.integers(0, HISTOGRAM_BINS - 1), max_size=4))]
+    xs += draw(st.lists(st.sampled_from(xs), max_size=4))
+    return draw(st.permutations(xs))
+
+
+def _fields(s: Summary) -> tuple[str, ...]:
+    return tuple(repr(getattr(s, name)) for name in Summary.__dataclass_fields__)
+
+
+class TestReportOracle:
+    @settings(deadline=None)
+    @given(latency_lists())
+    @example([4.2])
+    @example([1.0, 2.0])
+    @example([0.0, 0.0, 0.0])
+    @example([1e300, 1e300, 3e300])
+    @example([5e-324, 1e300])  # 2**k overflows: the statistics.mean fallback
+    @example([5e-324, 5e-324])  # the median halves the sum, not each half
+    @example([0.0, 0.55, 1.1, 1.1 * 19 / 20])
+    def test_summarize_matches_per_element_oracle(self, xs):
+        new = summarize(xs)
+        try:
+            old = _old_summarize(xs)
+        except ZeroDivisionError:
+            # The oracle divides by top / BINS even when that underflows to 0;
+            # such a range is now binned like zeros (see
+            # TestSummarize.test_subnormal_range_bins_like_zeros).
+            assert max(xs) / HISTOGRAM_BINS == 0 < max(xs)
+            ys = sorted(xs)
+            old = Summary(
+                count=len(ys),
+                mean=statistics.mean(ys),
+                median=statistics.median(ys),
+                p95=ys[max(0, math.ceil(0.95 * len(ys)) - 1)],
+                max=ys[-1],
+                histogram_csv=_old_summarize([0.0] * len(ys)).histogram_csv,
+            )
+        assert _fields(new) == _fields(old)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        mode=st.sampled_from(["d2d", "cloud"]),
+        nodes=st.integers(1, 6),
+        duration=st.floats(0.5, 20.0),
+        poll=st.floats(0.1, 3.0),
+        burst=st.integers(1, 6),
+        cap=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(mode="cloud", nodes=6, duration=10.0, poll=0.2, burst=5, cap=2, seed=1)
+    def test_to_csv_matches_format_oracle(self, mode, nodes, duration, poll, burst, cap, seed):
+        report = run_smart_city(
+            SimConfig(
+                mode=mode, num_mobile_nodes=nodes, duration=duration, poll_interval=poll,
+                burst_size=burst, cloud_connection_cap=cap, seed=seed, gateway_range=200.0,
+            )
+        )
+        assert report.to_csv() == _old_to_csv(report)
+
+    def test_capped_example_has_short_and_empty_contacts(self):
+        report = run_smart_city(
+            SimConfig(
+                mode="cloud", num_mobile_nodes=6, duration=10.0, poll_interval=0.2,
+                burst_size=5, cloud_connection_cap=2, seed=1, gateway_range=200.0,
+            )
+        )
+        assert 0 in report.sent
+        assert any(0 < sent < 5 for sent in report.sent)
