@@ -36,13 +36,12 @@ from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names, seria
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
-from ..inventory import utcnow
+from ..inventory import MAX_CERT_LIFETIME, utcnow
 from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
 from . import jws
 
 log = logging.getLogger(__name__)
 
-MAX_VALIDITY = timedelta(days=90)
 ERROR_NS = "urn:ietf:params:acme:error:"
 # Largest request body the CA reads; a JWS carrying a CSR is a few KiB.
 MAX_BODY_BYTES = 64 * 1024
@@ -72,7 +71,7 @@ class CaConfig:
     bind_addr: tuple[str, int] = ("127.0.0.1", 0)
     dns_addr: tuple[str, int] | None = None
     http01_port: int | None = None
-    validity: timedelta = MAX_VALIDITY
+    validity: timedelta = MAX_CERT_LIFETIME
     weekly_order_quota: int = 30000
     clock: Callable[[], dt.datetime] = utcnow
 
@@ -102,13 +101,13 @@ class _Order:
     identifiers: list[str]
     authz_ids: list[str]
     status: str = "pending"
-    cert_serial: str | None = None
+    cert: x509.Certificate | None = None
     problem: dict | None = None
 
 
 @dataclass
 class TestCaState:
-    """Issuer state: root material, issued certificates, protocol bookkeeping.
+    """Issuer state: root material, issued serials, protocol bookkeeping.
 
     Every status change happens here, under the lock, and only along RFC
     8555 section 7.1.6: a challenge goes pending -> processing -> valid or
@@ -127,7 +126,7 @@ class TestCaState:
     def __post_init__(self) -> None:
         self.root_key = ec.generate_private_key(ec.SECP256R1())
         self.root_cert = _self_signed_root(self.root_key, self.clock())
-        self.issued: dict[str, x509.Certificate] = {}
+        self.issued: set[str] = set()  # serials; each certificate stays on its order
         self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
         self.accounts: dict[str, dict] = {}
         self.orders: dict[str, _Order] = {}
@@ -156,14 +155,11 @@ class TestCaState:
     def register_account(self, jwk_obj: dict, accounts_url: str) -> tuple[str, bool]:
         """Return (kid, created) for the account holding this key,
         creating it under ``accounts_url`` on first sight."""
-        thumb = jws.jwk_thumbprint(jwk_obj)
+        kid = f"{accounts_url}/{jws.jwk_thumbprint(jwk_obj)}"
         with self._lock:
-            for kid, existing in self.accounts.items():
-                if jws.jwk_thumbprint(existing) == thumb:
-                    return kid, False
-            kid = f"{accounts_url}/{len(self.accounts) + 1}"
-            self.accounts[kid] = jwk_obj
-            return kid, True
+            created = kid not in self.accounts
+            self.accounts.setdefault(kid, jwk_obj)
+        return kid, created
 
     def create_order(self, kid: str, identifiers: list[str]) -> _Order:
         """Count the order against each identifier's quota, then record it
@@ -244,9 +240,9 @@ class TestCaState:
                     400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
                 )
             order.status = "processing"
-        serial, _ = self.issue(csr)
+        _, cert = self.issue(csr)
         with self._lock:
-            order.cert_serial = serial
+            order.cert = cert
             order.status = "valid"
 
     # -- quota ------------------------------------------------------------
@@ -270,7 +266,7 @@ class TestCaState:
         not_before = self.clock() - timedelta(minutes=1)
         # A leaf never outlives the root it chains to.
         not_after = min(
-            not_before + min(self.validity, MAX_VALIDITY), self.root_cert.not_valid_after_utc
+            not_before + min(self.validity, MAX_CERT_LIFETIME), self.root_cert.not_valid_after_utc
         )
         with self._lock:
             self._next_serial += 1
@@ -309,7 +305,7 @@ class TestCaState:
         cert = builder.sign(self.root_key, hashes.SHA256())
         serial = serial_hex(cert)
         with self._lock:
-            self.issued[serial] = cert
+            self.issued.add(serial)
         return serial, cert
 
     def issued_serials(self) -> set[str]:
@@ -330,7 +326,7 @@ def _self_signed_root(key: ec.EllipticCurvePrivateKey, now: dt.datetime) -> x509
         # that true for leaves issued with a clock wound back (as tests do
         # to make expired peers): up to one lifetime back, the whole leaf
         # lies inside the root's window.
-        .not_valid_before(now - MAX_VALIDITY - timedelta(minutes=1))
+        .not_valid_before(now - MAX_CERT_LIFETIME - timedelta(minutes=1))
         .not_valid_after(now + timedelta(days=3650))
         .add_extension(x509.BasicConstraints(ca=True, path_length=1), critical=True)
         .add_extension(
@@ -528,9 +524,10 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
     def _post_authz(self, authz_id: str, *_) -> None:
         self._json(200, self.ca.authz_json(_find(self.ca.state.authzs, authz_id, "authz")))
 
-    def _post_challenge(self, chall_id: str, protected: dict, _) -> None:
+    def _post_challenge(self, chall_id: str, protected: dict, payload: bytes) -> None:
         chall = _find(self.ca.state.challenges, chall_id, "challenge")
-        self.ca.validate_challenge(chall, protected["kid"])
+        if payload:  # a POST-as-GET only reads the challenge (RFC 8555 section 7.5.1)
+            self.ca.validate_challenge(chall, protected["kid"])
         self._json(200, self.ca.challenge_json(chall))
 
     def _post_finalize(self, order_id: str, _, payload: bytes) -> None:
@@ -543,7 +540,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         order = _find(ca.state.orders, order_id, "order")
         if order.status != "valid":
             raise _Problem(404, "malformed", "certificate not ready")
-        chain = cert_to_pem(ca.state.issued[order.cert_serial]) + ca.root_cert_pem
+        chain = cert_to_pem(order.cert) + ca.root_cert_pem
         self._reply(200, chain.encode(), "application/pem-certificate-chain")
 
     # Exact paths; a key ending in "/" takes the resource id that follows it.

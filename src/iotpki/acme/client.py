@@ -278,14 +278,12 @@ class AcmeClient:
 
         fulfiller.install(fqdn, token, key_auth)
         try:
-            self._post(chall_url, {})
-            status, _ = self._poll(authz_url, ("valid", "invalid"))
+            _, _, raw = self._post(chall_url, {})
+            status, _ = self._settle(raw, chall_url)
             if status != "valid":
-                raise ChallengeFailed(f"authorization for {fqdn} ended {status}")
+                raise ChallengeFailed(f"challenge for {fqdn} ended {status}")
             _, _, raw = self._post(finalize_url, {"csr": jws.b64url(csr_to_der(csr))})
-            status, cert_url = _read(raw, _state)
-            if status != "valid":
-                status, cert_url = self._poll(order_url, ("valid", "invalid"))
+            status, cert_url = self._settle(raw, order_url)
             if status != "valid" or cert_url is None:
                 raise ChallengeFailed(f"order for {fqdn} ended {status}")
             _, _, chain = self._post(cert_url, None)
@@ -302,15 +300,18 @@ class AcmeClient:
             raise CsrMismatch(f"certificate issued for {fqdn} certifies a key other than the csr's")
         return pem
 
-    def _poll(self, url: str, terminal: tuple[str, ...]) -> tuple[str, str | None]:
-        """(status, certificate URL) once ``url`` reaches a terminal status."""
-        for _ in range(MAX_POLLS):
-            _, _, raw = self._post(url, None)
+    def _settle(self, raw: bytes, url: str) -> tuple[str, str | None]:
+        """(status, certificate URL) of ``raw``, the CA's answer for the
+        resource at ``url``. Only while that status is not final is ``url``
+        polled (RFC 8555 section 7.5.1)."""
+        for polls in range(MAX_POLLS + 1):
+            if polls:
+                time.sleep(POLL_INTERVAL)
+                _, _, raw = self._post(url, None)
             status, cert_url = _read(raw, _state)
-            if status in terminal:
+            if status in ("valid", "invalid"):
                 return status, cert_url
-            time.sleep(POLL_INTERVAL)
-        raise CaUnreachable(f"{url} did not reach {terminal} after {MAX_POLLS} polls")
+        raise CaUnreachable(f"{url} still {status} after {MAX_POLLS} polls")
 
 
 def _parse_problem(raw: bytes) -> dict:

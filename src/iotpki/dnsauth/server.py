@@ -1,10 +1,11 @@
-"""Threaded UDP responder for a Zone, plus a matching stub resolver.
+"""UDP responder for a Zone, plus a matching stub resolver.
 
-The responder answers every well-formed single-question query
-authoritatively (AA bit set). An answer over 512 bytes goes out as the
-header and question only, with TC set and ANCOUNT 0. Malformed packets get FORMERR when a
-transaction id can be salvaged from the first two bytes, otherwise they
-are dropped.
+The responder answers each datagram inline on its serve thread, since a
+zone lookup never blocks. Every well-formed single-question query gets an
+authoritative answer (AA bit set). An answer over 512 bytes goes out as
+the header and question only, with TC set and ANCOUNT 0. Malformed packets
+get FORMERR when a transaction id can be salvaged from the first two
+bytes, otherwise they are dropped.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ def _salvage_id(packet: bytes) -> int:
 
 
 class DnsUdpServer(BackgroundServer):
-    """Owns the socket server and its worker thread."""
+    """Owns the socket server and the one thread that answers on it."""
 
     def __init__(self, zone: Zone, bind_addr: tuple[str, int] = DEFAULT_BIND) -> None:
-        super().__init__("dns-udp", "udp", socketserver.ThreadingUDPServer, bind_addr, _Handler)
+        super().__init__("dns-udp", "udp", socketserver.UDPServer, bind_addr, _Handler)
         self._server.zone = zone
-        self._server.daemon_threads = True
         self.zone = zone
 
     def start(self) -> "DnsUdpServer":

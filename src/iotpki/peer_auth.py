@@ -363,9 +363,12 @@ def echo_once(
         # The server's tickets precede its answer, so they are in by now.
         if not resumed:
             _note_full_handshake(side, addr, offered, tls)
-    if status == b"RJ":
-        info = json.loads(body)
-        reason = RejectReason(info["reject_reason"]) if info.get("reject_reason") else RejectReason.CHAIN
+    if status != b"OK":
+        # The frame is the peer's word: any other status or reason reads as chain.
+        try:
+            reason = RejectReason(json.loads(body)["reject_reason"] if status == b"RJ" else "chain")
+        except (KeyError, TypeError, ValueError, RecursionError):
+            reason = RejectReason.CHAIN
         raise HandshakeRejected("server", PeerVerdict(accepted=False, reject_reason=reason))
     return EchoResult(
         payload_echoed=body,

@@ -237,10 +237,6 @@ class RevocationLog:
         with self._lock:
             return serial in self._revoked
 
-    def revoked_serials(self) -> set[str]:
-        with self._lock:
-            return set(self._revoked)
-
     @property
     def epoch(self) -> int:
         with self._lock:

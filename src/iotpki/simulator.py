@@ -138,8 +138,9 @@ class LatencySample:
     mode: str
 
     def __post_init__(self) -> None:
-        if self.latency_seconds < 0:
-            raise ValueError(f"negative latency {self.latency_seconds}")
+        # NaN fails every comparison, so it is rejected with the infinities.
+        if not 0 <= self.latency_seconds < math.inf:
+            raise ValueError(f"latency {self.latency_seconds} is not finite and non-negative")
 
 
 class _Samples:

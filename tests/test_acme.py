@@ -35,9 +35,10 @@ from iotpki.acme.client import (
     RateLimited,
     _parse_problem,
 )
-from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, split_pem_chain
+from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, serial_hex, split_pem_chain
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
+from iotpki.inventory import MAX_CERT_LIFETIME
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
 RFC7638_JWK = {
@@ -360,8 +361,8 @@ MISSHAPEN_ANSWERS = {
     "order-nested-too-deep": ("order_json", lambda obj: b"[" * 50000),
     "authz-without-challenges": ("authz_json", without("challenges")),
     "authz-challenges-not-objects": ("authz_json", lambda obj: {**obj, "challenges": ["dns-01"]}),
-    "authz-without-status": ("authz_json", without("status")),
     "challenge-without-url": ("challenge_json", without("url")),
+    "challenge-without-status": ("challenge_json", without("status")),
     "challenge-url-not-text": ("challenge_json", lambda obj: {**obj, "url": 7}),
 }
 
@@ -540,7 +541,7 @@ class TestValidityConfiguration:
         state = ca_module.TestCaState(
             clock=lambda: now[0], validity=timedelta(days=90), weekly_order_quota=10
         )
-        now[0] -= ca_module.MAX_VALIDITY
+        now[0] -= MAX_CERT_LIFETIME
         _, cert = state.issue(build_csr(generate_key("p256"), "rewound.camera.vendor.com"))
         root = state.root_cert
         assert root.not_valid_before_utc <= cert.not_valid_before_utc
@@ -927,6 +928,15 @@ class TestOrderStates:
         assert answer_challenge(stack, client, chall, fqdn)["status"] == "invalid"
         assert json.loads(client._post(order["url"], None)[2])["status"] == "invalid"
 
+    def test_post_as_get_reads_challenge_without_probing(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "peek.camera.vendor.com"
+        _, chall = place_order(client, fqdn)
+        # No proof is published yet: a probe now would fail the order.
+        assert json.loads(client._post(chall["url"], None)[2])["status"] == "pending"
+        assert answer_challenge(stack, client, chall, fqdn)["status"] == "valid"
+
     def test_other_account_cannot_answer_challenge(self, stack):
         owner, other = new_client(stack), new_client(stack)
         owner.ensure_account()
@@ -968,3 +978,104 @@ class TestOrderStates:
             assert not racer.is_alive()
         assert sorted(outcomes, key=str) == [(403, ca_module.ERROR_NS + "orderNotReady"), 200]
         assert len(stack.ca.state.issued_serials()) == before + 1
+
+
+def count_replies(monkeypatch) -> list:
+    """Record every reply the CA sends from now on: each carries a fresh
+    nonce."""
+    replies = []
+    fresh_nonce = ca_module.TestCaState.fresh_nonce
+
+    def counting(state):
+        replies.append(None)
+        return fresh_nonce(state)
+
+    monkeypatch.setattr(ca_module.TestCaState, "fresh_nonce", counting)
+    return replies
+
+
+def record_posts(monkeypatch, client) -> list:
+    """Record the kind of ACME resource (``new-order``, ``authz``,
+    ``chall``, ``finalize``, ``order``, ``cert``) each signed POST of
+    ``client`` goes to from now on."""
+    kinds = []
+    post = client._post
+
+    def recording(url, payload, use_jwk=False):
+        kinds.append(url.split("/acme/", 1)[1].split("/")[0])
+        return post(url, payload, use_jwk)
+
+    monkeypatch.setattr(client, "_post", recording)
+    return kinds
+
+
+def processing_once(monkeypatch, method: str) -> None:
+    """From now on the CA's ``method`` (``challenge_json`` or
+    ``order_json``) answers ``processing``, without a certificate URL, the
+    first time it would report a resource valid."""
+    real = getattr(TestCa, method)
+    reported = set()
+
+    def answer(ca, resource):
+        obj = real(ca, resource)
+        if obj["status"] != "valid" or resource.id in reported:
+            return obj
+        reported.add(resource.id)
+        return {**without("certificate")(obj), "status": "processing"}
+
+    monkeypatch.setattr(TestCa, method, answer)
+
+
+class TestRoundTrips:
+    """RFC 8555 section 7.5.1: the client polls only while the CA's answer
+    is still pending or processing."""
+
+    def warm_client(self, stack):
+        client = new_client(stack)
+        enroll(client, stack, "warm-up.camera.vendor.com")
+        return client
+
+    def test_warm_enrollment_costs_five_replies(self, stack, monkeypatch):
+        client = self.warm_client(stack)
+        replies, posts = count_replies(monkeypatch), record_posts(monkeypatch, client)
+        enroll(client, stack, "five.camera.vendor.com")
+        assert posts == ["new-order", "authz", "chall", "finalize", "cert"]
+        assert len(replies) == 5
+
+    def test_processing_challenge_is_polled(self, stack, monkeypatch):
+        client = self.warm_client(stack)
+        processing_once(monkeypatch, "challenge_json")
+        replies, posts = count_replies(monkeypatch), record_posts(monkeypatch, client)
+        enroll(client, stack, "slow-challenge.camera.vendor.com")
+        assert posts == ["new-order", "authz", "chall", "chall", "finalize", "cert"]
+        assert len(replies) == 6
+
+    def test_processing_order_is_polled(self, stack, monkeypatch):
+        client = self.warm_client(stack)
+        processing_once(monkeypatch, "order_json")
+        posts = record_posts(monkeypatch, client)
+        enroll(client, stack, "slow-order.camera.vendor.com")
+        assert posts == ["new-order", "authz", "chall", "finalize", "order", "cert"]
+
+    def test_same_key_same_account(self, stack):
+        first = new_client(stack)
+        first.ensure_account()
+        again = AcmeClient(
+            stack.ca.directory_url,
+            account_key=first.account.account_key,
+            ca_bundle_pem=stack.ca.service_cert_pem,
+        )
+        stack.clients.append(again)
+        accounts = len(stack.ca.state.accounts)
+        status, headers, _ = again._post(
+            again.directory()["newAccount"], {"termsOfServiceAgreed": True}, use_jwk=True
+        )
+        assert (status, headers["Location"]) == (200, first.account.kid)
+        assert first.account.kid.endswith("/" + first.account.jwk_thumbprint)
+        assert len(stack.ca.state.accounts) == accounts
+
+    def test_ca_files_serials_and_serves_the_order_certificate(self, stack):
+        pem = enroll(new_client(stack), stack, "filed.camera.vendor.com")
+        serial = serial_hex(split_pem_chain(pem)[0])
+        assert isinstance(stack.ca.state.issued, set)
+        assert serial in stack.ca.state.issued

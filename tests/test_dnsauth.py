@@ -393,6 +393,19 @@ class TestUdpServer:
     def test_resolve_address_follows_chain(self, live_server):
         assert resolve_address(str(URN), live_server.address) == "127.0.0.1"
 
+    def test_queries_start_no_thread(self, live_server, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        for _ in range(50):
+            assert resolve("cloud.vendor.com", RType.A, live_server.address)[0] is Rcode.NOERROR
+        assert started == []
+
     def test_concurrent_queries(self, live_server):
         import concurrent.futures
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import socket
 import ssl
+import struct
 import sys
 import threading
 import time
@@ -338,6 +339,33 @@ class TestEchoHarness:
         with pytest.raises(HandshakeRejected) as excinfo:
             mtls_echo(server, client, trust_for(ca_state), b"payload")
         assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("server", RejectReason.MALFORMED)
+
+    @pytest.mark.parametrize(
+        "status, body, reason",
+        [
+            (b"RJ", b"<html>busy</html>", RejectReason.CHAIN),
+            (b"RJ", b'{"reject_reason": "bored"}', RejectReason.CHAIN),
+            (b"RJ", b'["revoked"]', RejectReason.CHAIN),
+            (b"XX", b"payload", RejectReason.CHAIN),
+            (b"RJ", b'{"reject_reason": "revoked"}', RejectReason.REVOKED),
+        ],
+        ids=["not-json", "unknown-reason", "a-list", "unknown-status", "known-reason"],
+    )
+    def test_reject_frame_is_outside_input(self, ca_state, monkeypatch, status, body, reason):
+        class StubHandler(peer_auth._EchoHandler):
+            """Reads the client's frame and answers ``status`` and ``body``."""
+
+            def handle(self):
+                (length,) = struct.unpack("!I", peer_auth._recv_exact(self.request, 4))
+                peer_auth._recv_exact(self.request, length)
+                self.request.sendall(status + struct.pack("!I", len(body)) + body)
+
+        monkeypatch.setattr(peer_auth, "_EchoHandler", StubHandler)
+        server = make_bundle(ca_state, VENDOR_A, "e13")
+        client = make_bundle(ca_state, VENDOR_B, "e14")
+        with pytest.raises(HandshakeRejected) as excinfo:
+            mtls_echo(server, client, trust_for(ca_state), b"payload")
+        assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("server", reason)
 
     def test_role_swap_symmetry(self, ca_state):
         a = make_bundle(ca_state, VENDOR_A, "e7")

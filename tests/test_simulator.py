@@ -114,8 +114,10 @@ class TestConfigValidation:
             SimConfig(**kwargs)
 
     def test_negative_latency_sample_rejected(self):
-        with pytest.raises(ValueError):
-            LatencySample(0, 0, 1.0, -0.5, "d2d")
+        for latency in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                LatencySample(0, 0, 1.0, latency, "d2d")
+        assert LatencySample(0, 0, 1.0, 0.0, "d2d").latency_seconds == 0.0
 
     def test_star_layout(self):
         cfg = SimConfig()
