@@ -277,10 +277,23 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
             f"{len(filt.levels)} level(s), {len(payload)} bytes -> {filter_path}"
         )
         return 0
+    serial = _serial_spelling(args.serial)
     filt = deserialize(filter_path.read_bytes())
-    verdict = "revoked" if query(filt, args.serial) else "not revoked"
-    print(f"{args.serial}: {verdict} (vendor {filt.vendor_id}, epoch {filt.epoch})")
+    verdict = "revoked" if query(filt, serial) else "not revoked"
+    print(f"{serial}: {verdict} (vendor {filt.vendor_id}, epoch {filt.epoch})")
     return 0
+
+
+def _serial_spelling(text: str) -> str:
+    """A typed hex serial (any case, leading zeros, an optional 0x) in
+    the one spelling filters are built over, ``certs.serial_hex``'s."""
+    try:
+        number = int(text, 16)
+    except ValueError:
+        number = -1
+    if number < 0 or not text.isascii():
+        raise IotPkiError(f"serial {text!r} is not a hex number")
+    return format(number, "x")
 
 
 def _serve_until(duration: float, close) -> None:

@@ -10,9 +10,20 @@ every level hits) decides membership. The inner rate trades slightly
 larger levels for fewer of them, which wins once per-level serialization
 overhead is counted.
 
+Probe: each level hashes its 8-byte seed and the serial's UTF-8 bytes
+with one SHA-256, reads h1 and h2 as the first two big-endian 64-bit
+words, and tests k bit positions of its m-bit array by double hashing,
+(h1 + i*(h2 | 1)) mod m for i = 0..k-1. The loop starts at h1 mod m and
+adds the step (h2 | 1) mod m, subtracting m once when the sum reaches m:
+both terms are below m, so their sum is below 2m, and each position is
+the previous one plus h2 | 1, taken mod m. A query stops at the first
+clear bit.
+
 Serials outside the build-time universe may return either value; relying
 parties reject unknown issuers during chain validation before ever
-consulting the filter.
+consulting the filter. The serialized universe digest (SHA-256 over the
+sorted, newline-joined universe) is never checked on read; it is kept so
+that format v1 stays byte for byte what it was.
 """
 
 from __future__ import annotations
@@ -59,6 +70,10 @@ def _level_seed(vendor_id: str, epoch: int, level: int) -> bytes:
     return hashlib.sha256(f"{vendor_id}|{epoch}|{level}".encode("utf-8")).digest()[:SEED_BYTES]
 
 
+_H1_H2 = struct.Struct("!QQ").unpack_from
+_sha256 = hashlib.sha256
+
+
 @dataclass(frozen=True)
 class BloomLevel:
     """One filter level: bit array, hash count, and hashing seed."""
@@ -74,27 +89,40 @@ class BloomLevel:
         if n == 0:
             return cls(bits=b"\x00", num_bits=8, num_hashes=1, seed=seed)
         fp_rate = min(max(fp_rate, 1e-9), 0.5)
-        num_bits = max(8, math.ceil(-n * math.log(fp_rate) / (math.log(2) ** 2)))
-        num_hashes = max(1, round(num_bits / n * math.log(2)))
-        array = bytearray((num_bits + 7) // 8)
+        m = max(8, math.ceil(-n * math.log(fp_rate) / (math.log(2) ** 2)))
+        k = max(1, round(m / n * math.log(2)))
+        array = bytearray((m + 7) // 8)
         for member in members:
-            for index in _indexes(member, seed, num_hashes, num_bits):
+            h1, h2 = _H1_H2(_sha256(seed + member.encode("utf-8")).digest())
+            index = h1 % m
+            step = (h2 | 1) % m
+            for _ in range(k):
                 array[index >> 3] |= 1 << (index & 7)
-        return cls(bits=bytes(array), num_bits=num_bits, num_hashes=num_hashes, seed=seed)
+                index += step
+                if index >= m:
+                    index -= m
+        return cls(bits=bytes(array), num_bits=m, num_hashes=k, seed=seed)
 
     def contains(self, serial: str) -> bool:
-        return all(
-            self.bits[i >> 3] & (1 << (i & 7))
-            for i in _indexes(serial, self.seed, self.num_hashes, self.num_bits)
-        )
+        return bool(self.hits([serial]))
 
-
-def _indexes(serial: str, seed: bytes, num_hashes: int, num_bits: int):
-    """Double hashing over a seeded SHA-256: index_i = h1 + i*h2 (mod m)."""
-    digest = hashlib.sha256(seed + serial.encode("utf-8")).digest()
-    h1 = int.from_bytes(digest[:8], "big")
-    h2 = int.from_bytes(digest[8:16], "big") | 1
-    return ((h1 + i * h2) % num_bits for i in range(num_hashes))
+    def hits(self, serials: list[str]) -> list[str]:
+        """The serials whose every probed bit is set, in order."""
+        bits, m, k, seed = self.bits, self.num_bits, self.num_hashes, self.seed
+        found = []
+        for serial in serials:
+            h1, h2 = _H1_H2(_sha256(seed + serial.encode("utf-8")).digest())
+            index = h1 % m
+            step = (h2 | 1) % m
+            for _ in range(k):
+                if not bits[index >> 3] & (1 << (index & 7)):
+                    break
+                index += step
+                if index >= m:
+                    index -= m
+            else:
+                found.append(serial)
+        return found
 
 
 @dataclass(frozen=True)
@@ -111,8 +139,9 @@ def build_filter(
     if not revoked <= issued_universe:
         extras = sorted(revoked - issued_universe)[:3]
         raise RevokedNotIssued(f"serials never issued: {extras}")
-    include = sorted(revoked)
-    exclude = sorted(issued_universe - revoked)
+    # Level bits do not depend on member order, so only the digest sorts.
+    include = list(revoked)
+    exclude = [serial for serial in issued_universe if serial not in revoked]
     rate = (
         LEVEL1_RATE_FACTOR * len(revoked) / len(issued_universe)
         if issued_universe
@@ -123,7 +152,7 @@ def build_filter(
         seed = _level_seed(vendor_id, epoch, level_number)
         level = BloomLevel.build(include, rate if level_number == 1 else INNER_FP_RATE, seed)
         levels.append(level)
-        false_positives = [s for s in exclude if level.contains(s)]
+        false_positives = level.hits(exclude)
         if not false_positives:
             break
         exclude = include
@@ -139,10 +168,20 @@ def build_filter(
 def query(filter_: RevocationFilter, serial: str) -> bool:
     """Cascade walk. A miss at level i decides by parity (miss at an odd
     level means not revoked); surviving every level decides by the parity
-    of the level count."""
+    of the level count. The level probe is inlined: it is the relying
+    party's hot loop."""
+    data = serial.encode("utf-8")
     for level_number, level in enumerate(filter_.levels, start=1):
-        if not level.contains(serial):
-            return level_number % 2 == 0
+        bits, m = level.bits, level.num_bits
+        h1, h2 = _H1_H2(_sha256(level.seed + data).digest())
+        index = h1 % m
+        step = (h2 | 1) % m
+        for _ in range(level.num_hashes):
+            if not bits[index >> 3] & (1 << (index & 7)):
+                return level_number % 2 == 0
+            index += step
+            if index >= m:
+                index -= m
     return len(filter_.levels) % 2 == 1
 
 
@@ -192,6 +231,8 @@ def deserialize(data: bytes) -> RevocationFilter:
         offset += 32
         (level_count,) = struct.unpack_from("!H", body, offset)
         offset += 2
+        if level_count > MAX_LEVELS:
+            raise CorruptFilter(f"{level_count} levels; a build makes at most {MAX_LEVELS}")
         levels = []
         for _ in range(level_count):
             num_bits, num_hashes = struct.unpack_from("!IB", body, offset)

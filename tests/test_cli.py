@@ -160,6 +160,45 @@ class TestRevokeAndFilter:
         assert code == 1
         assert "already revoked" in stderr
 
+    @pytest.fixture()
+    def small_filter_dir(self, tmp_path, capsys):
+        """A filter over a written universe, with serial abc005 revoked."""
+        (tmp_path / "issued_serials.txt").write_text("abc005\nabc006\n1f\n")
+        (tmp_path / "revoked_serials.txt").write_text("abc005\n")
+        code, _, _ = run(["filter", "build", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        return str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "typed, spelled, verdict",
+        [
+            ("abc005", "abc005", "revoked"),
+            ("ABC005", "abc005", "revoked"),
+            ("0xabc005", "abc005", "revoked"),
+            ("0XAbC005", "abc005", "revoked"),
+            ("00abc005", "abc005", "revoked"),
+            ("abc006", "abc006", "not revoked"),
+            ("001F", "1f", "not revoked"),
+        ],
+    )
+    def test_filter_check_reads_any_hex_spelling(
+        self, small_filter_dir, capsys, typed, spelled, verdict
+    ):
+        code, stdout, _ = run(
+            ["filter", "check", "--serial", typed, "--out", small_filter_dir], capsys
+        )
+        assert code == 0
+        assert stdout.startswith(f"{spelled}: {verdict} (")
+
+    @pytest.mark.parametrize("typed", ["xyz", "abc-005", "-abc005", "0x", "\u0661\u0662"])
+    def test_filter_check_rejects_text_that_is_not_hex(self, small_filter_dir, capsys, typed):
+        code, stdout, stderr = run(
+            ["filter", "check", f"--serial={typed}", "--out", small_filter_dir], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and "not a hex number" in stderr
+
     def test_filter_build_without_universe_errors(self, tmp_path, capsys):
         code, _, stderr = run(["filter", "build", "--out", str(tmp_path / "empty")], capsys)
         assert code == 1

@@ -16,7 +16,9 @@ from iotpki.revocation import (
     BloomLevel,
     CorruptFilter,
     MAGIC,
+    MAX_LEVELS,
     RevocationLog,
+    RevocationFilter,
     RevokedNotIssued,
     SEED_BYTES,
     VersionMismatch,
@@ -138,6 +140,135 @@ class TestSerialization:
         assert a != b
 
 
+class TestFormatPin:
+    """Format v1 byte for byte: the hashes were taken with the original
+    probe, the one copied below as ``old_indexes``."""
+
+    def test_synthetic_universe_blob(self):
+        universe = synthetic_universe(2_000)
+        revoked = pick_revoked(universe, 0.02, seed=29)
+        blob = serialize(build_filter(revoked, set(universe), "vendor.com", 5))
+        assert len(blob) == 300
+        assert hashlib.sha256(blob).hexdigest() == (
+            "5b91a6ed7d9f2366a7abe387accdbcc7fbb415a769532bd254fda176b3642aad"
+        )
+
+    def test_ca_style_universe_blob(self):
+        universe = [format(0xC0FFEE0000000000 + i, "x") for i in range(1, 5_001)]
+        blob = serialize(build_filter(set(universe[::50]), set(universe), "véndor.example", 3))
+        assert len(blob) == 367
+        assert hashlib.sha256(blob).hexdigest() == (
+            "8af72b6d2fa6665391f5514704e67aa4cc0452c846715494d05faee15cdd882d"
+        )
+
+
+# The probe as first written: a generator of double-hashing positions and
+# all() over it. The rewritten probe must set and test the same bits.
+
+def old_indexes(serial: str, seed: bytes, num_hashes: int, num_bits: int):
+    digest = hashlib.sha256(seed + serial.encode("utf-8")).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:16], "big") | 1
+    return ((h1 + i * h2) % num_bits for i in range(num_hashes))
+
+
+def old_bits(members: list[str], num_bits: int, num_hashes: int, seed: bytes) -> bytes:
+    array = bytearray((num_bits + 7) // 8)
+    for member in members:
+        for index in old_indexes(member, seed, num_hashes, num_bits):
+            array[index >> 3] |= 1 << (index & 7)
+    return bytes(array)
+
+
+def old_contains(level: BloomLevel, serial: str) -> bool:
+    return all(
+        level.bits[i >> 3] & (1 << (i & 7))
+        for i in old_indexes(serial, level.seed, level.num_hashes, level.num_bits)
+    )
+
+
+def old_query(filter_: RevocationFilter, serial: str) -> bool:
+    for level_number, level in enumerate(filter_.levels, start=1):
+        if not old_contains(level, serial):
+            return level_number % 2 == 0
+    return len(filter_.levels) % 2 == 1
+
+
+def single_level_filter(level: BloomLevel) -> RevocationFilter:
+    return RevocationFilter(vendor_id="v", epoch=1, levels=(level,), universe_digest=bytes(32))
+
+
+serials = st.text(max_size=24)
+seeds = st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES)
+
+
+@st.composite
+def levels(draw) -> BloomLevel:
+    """A level of 1 to 64 bits, any bits set and up to 255 hashes."""
+    num_bits = draw(st.integers(1, 64))
+    bits = draw(st.binary(min_size=(num_bits + 7) // 8, max_size=(num_bits + 7) // 8))
+    return BloomLevel(bits=bits, num_bits=num_bits, num_hashes=draw(st.integers(1, 255)),
+                      seed=draw(seeds))
+
+
+class TestProbeMatchesOldCode:
+    @given(st.lists(serials, max_size=30), st.floats(1e-12, 1.0), seeds)
+    def test_build_sets_the_same_bits(self, members, fp_rate, seed):
+        level = BloomLevel.build(members, fp_rate, seed)
+        if members:
+            assert level.bits == old_bits(members, level.num_bits, level.num_hashes, seed)
+
+    @given(levels(), st.lists(serials, max_size=8))
+    def test_contains_and_query_answer_alike(self, level, probes):
+        filt = single_level_filter(level)
+        for serial in probes:
+            assert level.contains(serial) == old_contains(level, serial)
+            assert query(filt, serial) == old_query(filt, serial)
+        assert level.hits(probes) == [s for s in probes if old_contains(level, s)]
+
+    def test_eight_bit_levels(self):
+        level = BloomLevel.build(["aa01", "aa02", "aa03"], 0.5, b"seedseed")
+        assert level.num_bits == 8
+        assert level.bits == old_bits(["aa01", "aa02", "aa03"], 8, level.num_hashes, b"seedseed")
+        for i in range(256):
+            assert level.contains(f"{i:x}") == old_contains(level, f"{i:x}")
+
+    @pytest.mark.parametrize("num_bits", [1, 3, 5, 7, 9, 11])
+    def test_step_divisible_by_m_probes_one_bit(self, num_bits):
+        """When m divides h2 | 1, every position is h1 mod m."""
+        seed = b"seedseed"
+        for i in range(10_000):
+            serial = f"probe-{i}"
+            digest = hashlib.sha256(seed + serial.encode()).digest()
+            h1, h2 = struct.unpack("!QQ", digest[:16])
+            if (h2 | 1) % num_bits == 0:
+                break
+        else:
+            pytest.fail(f"no serial with a step divisible by {num_bits}")
+        assert set(old_indexes(serial, seed, 5, num_bits)) == {h1 % num_bits}
+        nbytes = (num_bits + 7) // 8
+        only_that_bit = (1 << (h1 % num_bits)).to_bytes(nbytes, "little")
+        for bits in (only_that_bit, bytes(nbytes)):
+            level = BloomLevel(bits=bits, num_bits=num_bits, num_hashes=5, seed=seed)
+            expected = bits == only_that_bit
+            assert level.contains(serial) is expected
+            assert old_contains(level, serial) is expected
+
+    @given(
+        st.sets(serials, min_size=1, max_size=60),
+        st.data(),
+        st.lists(serials, max_size=20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_built_cascades_answer_alike(self, universe, data, outside, epoch):
+        revoked = data.draw(st.sets(st.sampled_from(sorted(universe))))
+        filt = build_filter(revoked, universe, "vendör", epoch)
+        for serial in sorted(universe) + outside:
+            assert query(filt, serial) == old_query(filt, serial)
+        for serial in universe:
+            assert query(filt, serial) == (serial in revoked)
+
+
 def reseal(body: bytes) -> bytes:
     """``body`` behind a valid SHA-256 trailer: the checksum holds, so only
     the field checks stand between the blob and a query."""
@@ -174,12 +305,21 @@ class TestResealedBlobs:
             framed(b"vendor.com", [(8, 0, b"\x01")]),
             framed(b"vendor.com", [(64, 3, b"\x01")]),
             framed(b"vendor.com", [(8, 1, b"\x01\x02")]),
+            framed(b"vendor.com", [(8, 1, b"\xff")] * (MAX_LEVELS + 1)),
         ],
-        ids=["vendor-not-utf8", "zero-bits", "zero-hashes", "short-bits", "long-bits"],
+        ids=[
+            "vendor-not-utf8", "zero-bits", "zero-hashes", "short-bits", "long-bits",
+            "too-many-levels",
+        ],
     )
     def test_malformed_level_is_corrupt(self, blob):
         with pytest.raises(CorruptFilter):
             deserialize(blob)
+
+    def test_most_levels_a_build_makes_still_parse(self):
+        filt = deserialize(framed(b"vendor.com", [(8, 1, b"\xff")] * MAX_LEVELS))
+        assert len(filt.levels) == MAX_LEVELS
+        assert query(filt, "aa01") is (MAX_LEVELS % 2 == 1)
 
     def test_well_framed_blob_still_parses(self):
         assert query(deserialize(framed(b"vendor.com", [(8, 1, b"\xff")])), "aa01") is True
