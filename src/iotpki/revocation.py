@@ -41,6 +41,7 @@ MAGIC_PREFIX = b"ATLSCRL"
 LEVEL1_RATE_FACTOR = 0.5
 INNER_FP_RATE = 0.25
 MAX_LEVELS = 100
+DIGEST_CHUNK = 4096  # serials joined per hash update
 
 
 class RevokedNotIssued(IotPkiError):
@@ -159,10 +160,24 @@ def build_filter(
         include = false_positives
     else:
         raise BuildFailed(f"cascade did not converge within {MAX_LEVELS} levels")
-    digest = hashlib.sha256("\n".join(sorted(issued_universe)).encode("utf-8")).digest()
     return RevocationFilter(
-        vendor_id=vendor_id, epoch=epoch, levels=tuple(levels), universe_digest=digest
+        vendor_id=vendor_id,
+        epoch=epoch,
+        levels=tuple(levels),
+        universe_digest=_universe_digest(issued_universe),
     )
+
+
+def _universe_digest(issued_universe: set[str]) -> bytes:
+    """sha256 of the sorted serials joined by newlines, hashed a chunk at a
+    time so the whole joined universe is never held at once."""
+    serials = sorted(issued_universe)
+    h = hashlib.sha256()
+    for start in range(0, len(serials), DIGEST_CHUNK):
+        if start:
+            h.update(b"\n")
+        h.update("\n".join(serials[start : start + DIGEST_CHUNK]).encode("utf-8"))
+    return h.digest()
 
 
 def query(filter_: RevocationFilter, serial: str) -> bool:

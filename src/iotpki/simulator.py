@@ -16,6 +16,24 @@ contacts and of latencies); ``SimReport.samples`` builds
 ``LatencySample`` objects only when iterated, and the CSV is rendered
 straight from the columns, one ``%`` template per contact.
 
+Gateway lookup: a poll measures only the gateways listed for its grid
+cell (side gateway_range / 2) in an index built once per run. The index
+is exact: math.dist is at least max(|dx|, |dy|), so a gateway out of a
+cell's list is out of reach of every point in the cell (see
+``_gateway_cells``). Candidates are compared in gateway order with a
+strict ``<``, so a tie goes to the lowest index, as with a full scan.
+
+Latency draws: cloud latencies come from one iterator per run that
+draws the run's cloud stream a chunk at a time and maps each chunk with
+the inverse-CDF expression of ``sample_weibull`` (``_weibull``), so every
+value and its order are as with one ``sample_weibull`` call per message.
+Uncapped, a tick's messages take their latencies in contact order, so
+they are taken in one batch after the node loop; capped, one at a time,
+as the in-flight heap decides how many a burst takes.
+
+Configs: a NaN or infinite float field raises ``InvalidConfig``; with
+one, a run could never end or would write non-finite latencies.
+
 Report: ``summarize`` sorts the latencies once and reads the median, p95
 and max off the sorted list. Each histogram bin's lower edge is one
 bisect, since the bin index never decreases along the sorted samples.
@@ -37,10 +55,10 @@ import random
 import statistics
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator, Sequence
+from itertools import islice, product, repeat, starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IotPkiError
 
@@ -49,6 +67,7 @@ WEIBULL_LAMBDA = 6.37
 MAX_GATEWAYS = 5
 GATEWAY_ARM_FRACTION = 0.3  # arm length 150 m on the 500 m reference grid
 HISTOGRAM_BINS = 20
+_DRAW_CHUNK = 4096  # cloud latencies drawn at a time
 
 
 class DomainError(IotPkiError):
@@ -63,6 +82,14 @@ class EmptyInput(IotPkiError):
     """Operation requires at least one sample."""
 
 
+def _require_finite(config: object) -> None:
+    """Raise InvalidConfig for any NaN or infinite float field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class WeibullParams:
     """Shape beta (dimensionless) and scale lam (seconds)."""
@@ -71,6 +98,7 @@ class WeibullParams:
     lam: float = WEIBULL_LAMBDA
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.beta > 0 and self.lam > 0):
             raise InvalidConfig(f"weibull shape/scale must be positive: {self}")
 
@@ -79,7 +107,35 @@ def sample_weibull(params: WeibullParams, u: float) -> float:
     """Inverse-CDF transform: x = lam * (-ln(1 - u))^(1/beta)."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
-    return params.lam * (-math.log1p(-u)) ** (1.0 / params.beta)
+    return _weibull(params, 0.0, (u,))[0]
+
+
+def _weibull(params: WeibullParams, offset: float, us: Iterable[float]) -> list[float]:
+    """offset + lam * (-ln(1 - u))^(1/beta) for each u, in order; the
+    caller checks that each u lies strictly inside (0, 1). Adding 0.0 to
+    the non-negative sample leaves it unchanged."""
+    lam = params.lam
+    inv_beta = 1.0 / params.beta
+    log1p = math.log1p
+    return [offset + lam * (-log1p(-u)) ** inv_beta for u in us]
+
+
+def _weibull_stream(
+    draw: Callable[[], float], params: WeibullParams, offset: float
+) -> Iterator[float]:
+    """offset + sample_weibull(params, draw()) for each draw, in order.
+
+    The values are drawn and mapped _DRAW_CHUNK at a time. Drawing ahead
+    changes no value taken, as the stream is the caller's alone. draw()
+    lies in [0, 1), so 0.0 is its one value outside the domain: the
+    iterator raises DomainError on reaching it, as sample_weibull would.
+    """
+    while True:
+        us = list(starmap(draw, repeat((), _DRAW_CHUNK)))
+        if 0.0 in us:
+            yield from _weibull(params, offset, us[: us.index(0.0)])
+            raise DomainError("u must lie strictly inside (0, 1), got 0.0")
+        yield from _weibull(params, offset, us)
 
 
 @dataclass(frozen=True)
@@ -101,6 +157,7 @@ class SimConfig:
     duration: float = 300.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.mode not in ("d2d", "cloud"):
             raise InvalidConfig(f"mode must be d2d or cloud, got {self.mode!r}")
         if self.num_mobile_nodes < 1:
@@ -328,18 +385,54 @@ class _Node:
         return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
 
+# Cell coordinates stay below this, far inside float precision, so the
+# rounding error of a cell coordinate is much less than one cell.
+_MAX_CELLS = 2.0**40
+
+
+def _gateway_cells(
+    gateways: list[tuple[float, float]], reach: float, grid: float
+) -> tuple[float, dict[tuple[int, int], list[tuple[int, tuple[float, float]]]]]:
+    """Index the gateways by grid cell of side reach / 2: returns (scale, cells).
+
+    A point (x, y) lies in cell (floor(x * scale), floor(y * scale)).
+    ``cells`` maps a cell to the (index, position) of each gateway that may
+    be within reach of a point in it, in gateway order; a cell missing from
+    it has none. math.dist is at least max(|dx|, |dy|), so a point within
+    reach of a gateway lies in the gateway's reach box, two cells to each
+    side of it. Each gateway is listed in every cell that box touches,
+    widened by one cell on each side for rounding, so a gateway left out of
+    a cell is out of reach of every point in it. When the cell arithmetic
+    is not finite (a subnormal reach) or too fine for the grid, scale is 0:
+    every point lies in one cell that holds every gateway.
+    """
+    scale = 2.0 / reach
+    if not grid * scale <= _MAX_CELLS:
+        return 0.0, {(0, 0): list(enumerate(gateways))}
+    cells: dict[tuple[int, int], list[tuple[int, tuple[float, float]]]] = {}
+    for gateway in enumerate(gateways):
+        gx, gy = (math.floor(c * scale) for c in gateway[1])
+        for cell in product(range(gx - 3, gx + 4), range(gy - 3, gy + 4)):
+            cells.setdefault(cell, []).append(gateway)
+    return scale, cells
+
+
 def run_smart_city(cfg: SimConfig) -> SimReport:
     """Tick loop: every node polls at t = 0, p, p + p, ... up to the
     duration, in node order within a tick."""
     gateways = gateway_positions(cfg)
+    reach = cfg.gateway_range
+    scale, cells = _gateway_cells(gateways, reach, cfg.grid_size)
     nodes = [_Node(_stream(cfg.seed, f"mobility|{i}"), cfg) for i in range(cfg.num_mobile_nodes)]
-    draw = _stream(cfg.seed, "cloud").random
     link_s = cfg.d2d_link_latency_ms / 1000.0
+    cloud_latency = _weibull_stream(_stream(cfg.seed, "cloud").random, cfg.cloud, link_s)
     handshake_s = cfg.handshake_cost_ms / 1000.0
     burst = cfg.burst_size
     cap = cfg.cloud_connection_cap
     d2d = cfg.mode == "d2d"
-    cloud = cfg.cloud
+    uncapped_cloud = not d2d and not cap
+    dist = math.dist
+    floor = math.floor
     # A d2d burst is burst_size copies of one value; the handshake is
     # amortized over the first burst of a contact.
     fresh_burst = array("d", [link_s + handshake_s / burst]) * burst
@@ -355,23 +448,25 @@ def run_smart_city(cfg: SimConfig) -> SimReport:
 
     t = 0.0
     while t <= cfg.duration:
+        first_contact = len(contact_node)
         for node_id, node in enumerate(nodes):
             pos = node.position(t)
-            ds = [math.dist(pos, g) for g in gateways]
-            d = min(ds)
-            if d > cfg.gateway_range:
+            px, py = pos
+            # The nearest candidate, the lowest index on a tie.
+            d = math.inf
+            for i, g in cells.get((floor(px * scale), floor(py * scale)), ()):
+                e = dist(pos, g)
+                if e < d:
+                    d, nearest = e, i
+            if d > reach:
                 node.contact_gateway = None
                 continue
-            nearest = ds.index(d)
             fresh_contact = node.contact_gateway != nearest
             node.contact_gateway = nearest
             sent = burst
             if d2d:
                 latency.extend(fresh_burst if fresh_contact else repeat_burst)
-            elif not cap:
-                for _ in range(burst):
-                    latency.append(link_s + sample_weibull(cloud, draw()))
-            else:
+            elif cap:
                 for _ in range(burst):
                     while inflight and inflight[0] <= t:
                         heapq.heappop(inflight)
@@ -379,13 +474,16 @@ def run_smart_city(cfg: SimConfig) -> SimReport:
                         drops += 1
                         sent -= 1
                         continue
-                    x = link_s + sample_weibull(cloud, draw())
+                    x = next(cloud_latency)
                     heapq.heappush(inflight, t + x)
                     latency.append(x)
             contact_node.append(node_id)
             contact_gateway.append(nearest)
             contact_time.append(t)
             contact_sent.append(sent)
+        if uncapped_cloud:
+            # The tick's messages take their latencies in contact order.
+            latency.extend(islice(cloud_latency, burst * (len(contact_node) - first_contact)))
         t += cfg.poll_interval
     return SimReport(
         config=cfg,

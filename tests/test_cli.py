@@ -301,6 +301,15 @@ class TestSimulate:
         assert code == 1
         assert "error:" in stderr
 
+    def test_non_finite_duration_is_rejected(self, tmp_path, capsys):
+        # An infinite duration would never end the tick loop.
+        code, _, stderr = run(
+            ["simulate", "--mode", "d2d", "--duration", "inf", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "duration must be finite" in stderr
+
 
 class TestServe:
     def test_serve_dns_answers_while_up(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from iotpki.revocation import (
     AlreadyRevoked,
     BloomLevel,
     CorruptFilter,
+    DIGEST_CHUNK,
     MAGIC,
     MAX_LEVELS,
     RevocationLog,
@@ -160,6 +161,15 @@ class TestFormatPin:
         assert hashlib.sha256(blob).hexdigest() == (
             "8af72b6d2fa6665391f5514704e67aa4cc0452c846715494d05faee15cdd882d"
         )
+
+    @pytest.mark.parametrize(
+        "size", [1, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1, 2 * DIGEST_CHUNK + 3]
+    )
+    def test_universe_digest_hashes_the_joined_universe(self, size):
+        # Hashed a chunk at a time, the digest stays that of one join.
+        universe = synthetic_universe(size)
+        filter_ = build_filter({universe[0]}, set(universe), "vendor.com", 1)
+        assert filter_.universe_digest == hashlib.sha256("\n".join(universe).encode()).digest()
 
 
 # The probe as first written: a generator of double-hashing positions and

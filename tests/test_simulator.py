@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import random
 import statistics
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iotpki import simulator
 from iotpki.simulator import (
     HISTOGRAM_BINS,
     DomainError,
@@ -82,6 +84,13 @@ class TestWeibull:
         with pytest.raises(InvalidConfig):
             WeibullParams(lam=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", ["beta", "lam"])
+    def test_non_finite_params_rejected(self, name, value):
+        # lam=inf would draw infinite latencies.
+        with pytest.raises(InvalidConfig, match=name):
+            WeibullParams(**{name: value})
+
 
 def statistics_mean(xs):
     return sum(xs) / len(xs)
@@ -112,6 +121,23 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs)
+
+    FLOAT_FIELDS = [
+        "grid_size", "speed_min", "speed_max", "gateway_range", "poll_interval",
+        "d2d_link_latency_ms", "handshake_cost_ms", "duration",
+    ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_fields_rejected(self, name, value):
+        # speed_max=inf or grid_size=inf would never end a run; a NaN
+        # gateway_range would count every poll as a contact.
+        with pytest.raises(InvalidConfig, match=name):
+            SimConfig(**{name: value})
+
+    def test_float_fields_listed(self):
+        floats = {name for name, f in SimConfig.__dataclass_fields__.items() if f.type == "float"}
+        assert floats == set(self.FLOAT_FIELDS)
 
     def test_negative_latency_sample_rejected(self):
         for latency in (-0.5, float("nan"), float("inf"), float("-inf")):
@@ -444,3 +470,248 @@ class TestReportOracle:
         )
         assert 0 in report.sent
         assert any(0 < sent < 5 for sent in report.sent)
+
+
+def _old_sample_weibull(params, u):
+    if not 0.0 < u < 1.0:
+        raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
+    return params.lam * (-math.log1p(-u)) ** (1.0 / params.beta)
+
+
+def _old_run_smart_city(cfg):
+    """The tick loop that the batched draws and the gateway cell index
+    replaced, kept as an oracle: one math.dist call per gateway per poll
+    and one Weibull sample per cloud message. Returns the report columns."""
+    gateways = gateway_positions(cfg)
+    nodes = [simulator._Node(simulator._stream(cfg.seed, f"mobility|{i}"), cfg)
+             for i in range(cfg.num_mobile_nodes)]
+    draw = simulator._stream(cfg.seed, "cloud").random
+    link_s = cfg.d2d_link_latency_ms / 1000.0
+    handshake_s = cfg.handshake_cost_ms / 1000.0
+    burst = cfg.burst_size
+    cap = cfg.cloud_connection_cap
+    columns = {"node": [], "gateway": [], "send_time": [], "sent": [], "latency": []}
+    drops = 0
+    inflight = []
+    t = 0.0
+    while t <= cfg.duration:
+        for node_id, node in enumerate(nodes):
+            pos = node.position(t)
+            ds = [math.dist(pos, g) for g in gateways]
+            d = min(ds)
+            if d > cfg.gateway_range:
+                node.contact_gateway = None
+                continue
+            nearest = ds.index(d)
+            fresh_contact = node.contact_gateway != nearest
+            node.contact_gateway = nearest
+            sent = burst
+            if cfg.mode == "d2d":
+                x = link_s + (handshake_s / burst if fresh_contact else 0.0)
+                columns["latency"] += [x] * burst
+            elif not cap:
+                for _ in range(burst):
+                    columns["latency"].append(link_s + _old_sample_weibull(cfg.cloud, draw()))
+            else:
+                for _ in range(burst):
+                    while inflight and inflight[0] <= t:
+                        heapq.heappop(inflight)
+                    if len(inflight) >= cap:
+                        drops += 1
+                        sent -= 1
+                        continue
+                    x = link_s + _old_sample_weibull(cfg.cloud, draw())
+                    heapq.heappush(inflight, t + x)
+                    columns["latency"].append(x)
+            columns["node"].append(node_id)
+            columns["gateway"].append(nearest)
+            columns["send_time"].append(t)
+            columns["sent"].append(sent)
+        t += cfg.poll_interval
+    return columns, drops
+
+
+def _columns(report):
+    return {name: getattr(report, name).tolist() for name in ("node", "gateway", "send_time", "sent", "latency")}
+
+
+GATEWAY_RANGES = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-9, 0.5]),
+    st.floats(0.5, 1000.0),
+    st.floats(1000.0, 1e6),  # larger than every grid drawn here
+)
+
+
+class TestRunOracle:
+    """run_smart_city against the per-poll loop it replaced, column by column."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        mode=st.sampled_from(["d2d", "cloud"]),
+        nodes=st.integers(1, 12),
+        gateways=st.integers(1, 5),
+        grid=st.one_of(st.sampled_from([1.0, 500.0, 3000.0]), st.floats(1.0, 3000.0)),
+        reach=GATEWAY_RANGES,
+        duration=st.floats(0.5, 30.0),
+        poll=st.floats(0.1, 5.0),
+        burst=st.integers(1, 8),
+        cap=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(mode="cloud", nodes=12, gateways=5, grid=500.0, reach=100.0, duration=30.0,
+             poll=0.3, burst=8, cap=0, seed=1)
+    @example(mode="cloud", nodes=12, gateways=5, grid=500.0, reach=100.0, duration=30.0,
+             poll=0.3, burst=8, cap=2, seed=1)
+    @example(mode="d2d", nodes=12, gateways=5, grid=500.0, reach=5e-324, duration=30.0,
+             poll=0.3, burst=1, cap=0, seed=1)
+    @example(mode="d2d", nodes=12, gateways=3, grid=1.0, reach=1e6, duration=30.0,
+             poll=0.3, burst=1, cap=0, seed=1)
+    def test_matches_per_poll_oracle(
+        self, mode, nodes, gateways, grid, reach, duration, poll, burst, cap, seed
+    ):
+        cfg = SimConfig(
+            mode=mode, num_mobile_nodes=nodes, num_gateways=gateways, grid_size=grid,
+            gateway_range=reach, duration=duration, poll_interval=poll, burst_size=burst,
+            cloud_connection_cap=cap, seed=seed, speed_min=1.0, speed_max=50.0,
+        )
+        report = run_smart_city(cfg)
+        columns, drops = _old_run_smart_city(cfg)
+        assert _columns(report) == columns
+        assert report.drops == drops
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_reference_config_matches_oracle(self, cap):
+        cfg = SimConfig(mode="cloud", cloud_connection_cap=cap, **SMALL)
+        report = run_smart_city(cfg)
+        assert (_columns(report), report.drops) == _old_run_smart_city(cfg)
+
+
+def _pin_nodes(monkeypatch, points):
+    """Replace the walkers with nodes parked at the given points."""
+    parked = iter(points)
+
+    class Parked:
+        def __init__(self, rng, cfg):
+            self.pos = next(parked)
+            self.contact_gateway = None
+
+        def position(self, t):
+            return self.pos
+
+    monkeypatch.setattr(simulator, "_Node", Parked)
+
+
+def _brute_force(point, gateways, reach):
+    ds = [math.dist(point, g) for g in gateways]
+    return ds.index(min(ds)) if min(ds) <= reach else None
+
+
+def _lookup(monkeypatch, points, **kwargs):
+    """Gateway index per point from a single-tick run, None for no contact."""
+    _pin_nodes(monkeypatch, points)
+    report = run_smart_city(
+        SimConfig(num_mobile_nodes=len(points), duration=0.5, poll_interval=1.0, **kwargs)
+    )
+    found = dict(zip(report.node, report.gateway))
+    return [found.get(i) for i in range(len(points))]
+
+
+class TestGatewayLookup:
+    """The cell index against brute force at its edges: points on cell
+    boundaries, points exactly at gateway_range, and ties."""
+
+    @pytest.mark.parametrize("reach", [100.0, 150.0, 37.5, 0.1, 1e-9, 5e-324, 1e6])
+    def test_cell_edges_and_range_boundary(self, monkeypatch, reach):
+        cfg = SimConfig(gateway_range=reach)
+        gateways = gateway_positions(cfg)
+        size = reach / 2.0
+        points = []
+        for gx, gy in gateways:
+            # Exactly at the range, along the axes and on a 3-4-5 diagonal.
+            for dx, dy in [(reach, 0.0), (-reach, 0.0), (0.0, reach), (0.0, -reach),
+                           (0.6 * reach, 0.8 * reach), (-0.8 * reach, 0.6 * reach)]:
+                points.append((gx + dx, gy + dy))
+            # On the cell boundaries in and around the gateway's reach box.
+            for k in range(-4, 5):
+                edge = (math.floor(gx / size) + k) * size if size else gx
+                points += [(edge, gy), (gx, edge), (edge, edge)]
+            points += [(gx, gy), (math.nextafter(gx + reach, math.inf), gy)]
+        points = [(x, y) for x, y in points if 0.0 <= x <= cfg.grid_size and 0.0 <= y <= cfg.grid_size]
+        expected = [_brute_force(p, gateways, reach) for p in points]
+        assert _lookup(monkeypatch, points, gateway_range=reach) == expected
+        if reach <= 150.0:
+            assert None in expected and any(e is not None for e in expected)
+
+    def test_exactly_at_range_is_a_contact(self, monkeypatch):
+        points = [(250.0 + 60.0, 250.0 + 80.0), (250.0, 250.0 - 100.0), (350.0, 250.0),
+                  (math.nextafter(350.0, math.inf), 250.0)]
+        found = _lookup(monkeypatch, points, gateway_range=100.0, num_gateways=1)
+        assert found == [0, 0, 0, None]
+
+    def test_tie_goes_to_lowest_index(self, monkeypatch):
+        # Halfway between the center (0) and the east gateway (1); as far
+        # from the east (1) as from the north (3); as far from the center
+        # as from the east and north.
+        points = [(325.0, 250.0), (400.0, 400.0), (325.0, 325.0)]
+        found = _lookup(monkeypatch, points, gateway_range=150.0)
+        assert found == [_brute_force(p, gateway_positions(SimConfig()), 150.0) for p in points]
+        assert found == [0, 1, 0]
+
+    def test_gateway_index_is_small(self):
+        for reach in (100.0, 0.5, 1e6):
+            scale, cells = simulator._gateway_cells(
+                gateway_positions(SimConfig()), reach, 500.0
+            )
+            assert 0 < len(cells) <= 5 * 49
+        # A subnormal range has no finite cell size: one cell holds every gateway.
+        scale, cells = simulator._gateway_cells(gateway_positions(SimConfig()), 5e-324, 500.0)
+        assert scale == 0.0 and list(cells) == [(0, 0)] and len(cells[0, 0]) == 5
+
+
+class _ZeroAt:
+    """A cloud stream that returns 0.0 at one draw (counted from 0) and
+    the seeded stream's values elsewhere."""
+
+    def __init__(self, seed, zero_at):
+        self.rng = random.Random(f"{seed}|cloud")
+        self.count = -1
+        self.zero_at = zero_at
+
+    def random(self):
+        self.count += 1
+        u = self.rng.random()
+        return 0.0 if self.count == self.zero_at else u
+
+
+class TestCloudDomain:
+    CFG = dict(mode="cloud", num_mobile_nodes=5, duration=10.0, gateway_range=150.0, seed=7)
+
+    def _zero_at(self, monkeypatch, zero_at):
+        stream = simulator._stream
+
+        def cloud(seed, purpose):
+            return _ZeroAt(seed, zero_at) if purpose == "cloud" else stream(seed, purpose)
+
+        monkeypatch.setattr(simulator, "_stream", cloud)
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_zero_draw_raises(self, monkeypatch, cap):
+        self._zero_at(monkeypatch, 0)
+        with pytest.raises(DomainError):
+            run_smart_city(SimConfig(cloud_connection_cap=cap, **self.CFG))
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_zero_raises_only_when_taken(self, monkeypatch, cap):
+        # Draws are made a chunk ahead; a 0.0 past the last draw a run
+        # takes must not raise, and the last draw taken must.
+        cfg = SimConfig(cloud_connection_cap=cap, **self.CFG)
+        taken = len(run_smart_city(cfg).latency)
+        assert 0 < taken < simulator._DRAW_CHUNK - 1
+        self._zero_at(monkeypatch, taken)
+        report = run_smart_city(cfg)
+        assert (_columns(report), report.drops) == _old_run_smart_city(cfg)
+        self._zero_at(monkeypatch, taken - 1)
+        with pytest.raises(DomainError):
+            run_smart_city(cfg)
+        with pytest.raises(DomainError):
+            _old_run_smart_city(cfg)
