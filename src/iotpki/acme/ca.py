@@ -34,11 +34,12 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
-from ..dnsauth.zone import InvalidRecord, Rcode, RType, normalize_name
+from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
 from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
 from . import jws
+from .challenges import WELL_KNOWN_PREFIX
 
 log = logging.getLogger(__name__)
 
@@ -76,33 +77,35 @@ class CaConfig:
     clock: Callable[[], dt.datetime] = utcnow
 
 
-@dataclass
-class _Challenge:
-    id: str
-    authz_id: str
-    type: str
-    token: str
-    status: str = "pending"
-
-
-@dataclass
-class _Authz:
-    id: str
-    order_id: str
-    fqdn: str
-    challenge_ids: list[str]
-    status: str = "pending"
-
-
-@dataclass
+# An order owns its authzs and an authz its challenges (RFC 8555 section 7.1).
+# Identity equality and repr-less back-references keep both from walking the tree.
+@dataclass(eq=False)
 class _Order:
     id: str
     account_kid: str
     identifiers: list[str]
-    authz_ids: list[str]
+    authzs: list[_Authz] = field(default_factory=list)
     status: str = "pending"
     cert: x509.Certificate | None = None
     problem: dict | None = None
+
+
+@dataclass(eq=False)
+class _Authz:
+    id: str
+    order: _Order = field(repr=False)
+    fqdn: str
+    challenges: list[_Challenge] = field(default_factory=list)
+    status: str = "pending"
+
+
+@dataclass(eq=False)
+class _Challenge:
+    id: str
+    authz: _Authz = field(repr=False)
+    type: str
+    token: str
+    status: str = "pending"
 
 
 @dataclass
@@ -168,24 +171,19 @@ class TestCaState:
         with self._lock:
             for fqdn in identifiers:
                 self.check_quota(fqdn)
-            order_id = jws.b64url(secrets.token_bytes(9))
-            authz_ids = []
+            order = _Order(jws.b64url(secrets.token_bytes(9)), kid, identifiers)
+            self.orders[order.id] = order
             for fqdn in identifiers:
-                authz_id = jws.b64url(secrets.token_bytes(9))
-                chall_ids = []
+                authz = _Authz(jws.b64url(secrets.token_bytes(9)), order, fqdn)
+                self.authzs[authz.id] = authz
+                order.authzs.append(authz)
                 for ctype in ("dns-01", "http-01"):
-                    chall_id = jws.b64url(secrets.token_bytes(9))
-                    self.challenges[chall_id] = _Challenge(
-                        id=chall_id, authz_id=authz_id, type=ctype,
-                        token=jws.b64url(secrets.token_bytes(24)),
+                    chall = _Challenge(
+                        jws.b64url(secrets.token_bytes(9)), authz, ctype,
+                        jws.b64url(secrets.token_bytes(24)),
                     )
-                    chall_ids.append(chall_id)
-                self.authzs[authz_id] = _Authz(
-                    id=authz_id, order_id=order_id, fqdn=fqdn, challenge_ids=chall_ids
-                )
-                authz_ids.append(authz_id)
-            order = _Order(id=order_id, account_kid=kid, identifiers=identifiers, authz_ids=authz_ids)
-            self.orders[order_id] = order
+                    self.challenges[chall.id] = chall
+                    authz.challenges.append(chall)
         return order
 
     # -- status transitions -------------------------------------------------
@@ -195,8 +193,8 @@ class TestCaState:
         return the key authorization to probe for, or None when the
         challenge stands as it is. Only the order's account may ask."""
         with self._lock:
-            authz = self.authzs[chall.authz_id]
-            if kid != self.orders[authz.order_id].account_kid:
+            authz = chall.authz
+            if kid != authz.order.account_kid:
                 raise _Problem(403, "unauthorized", f"{kid} does not own challenge {chall.id}")
             if chall.status != "pending" or authz.status != "pending":
                 return None
@@ -208,17 +206,15 @@ class TestCaState:
         """Settle a processing challenge and its authz. The order becomes
         ready once all its authzs are valid, and invalid at a failure."""
         with self._lock:
-            authz = self.authzs[chall.authz_id]
-            order = self.orders[authz.order_id]
+            authz = chall.authz
+            order = authz.order
             if not ok:
                 chall.status = authz.status = order.status = "invalid"
                 order.problem = {"type": ERROR_NS + "unauthorized", "detail": detail}
                 log.info("challenge %s for %s failed: %s", chall.type, authz.fqdn, detail)
                 return
             chall.status = authz.status = "valid"
-            if order.status == "pending" and all(
-                self.authzs[a].status == "valid" for a in order.authz_ids
-            ):
+            if order.status == "pending" and all(a.status == "valid" for a in order.authzs):
                 order.status = "ready"
 
     def finalize(self, order: _Order, payload: bytes) -> None:
@@ -621,7 +617,7 @@ class TestCa(BackgroundServer):
         obj = {
             "status": order.status,
             "identifiers": [{"type": "dns", "value": v} for v in order.identifiers],
-            "authorizations": [f"{self.base_url}/acme/authz/{a}" for a in order.authz_ids],
+            "authorizations": [f"{self.base_url}/acme/authz/{a.id}" for a in order.authzs],
             "finalize": f"{self.base_url}/acme/finalize/{order.id}",
         }
         if order.status == "valid":
@@ -634,9 +630,7 @@ class TestCa(BackgroundServer):
         return {
             "identifier": {"type": "dns", "value": authz.fqdn},
             "status": authz.status,
-            "challenges": [
-                self.challenge_json(self.state.challenges[c]) for c in authz.challenge_ids
-            ],
+            "challenges": [self.challenge_json(c) for c in authz.challenges],
         }
 
     def challenge_json(self, chall: _Challenge) -> dict:
@@ -653,8 +647,7 @@ class TestCa(BackgroundServer):
         """Probe a pending challenge once; any other challenge stands."""
         key_auth = self.state.start_challenge(chall, kid)
         if key_auth is not None:
-            fqdn = self.state.authzs[chall.authz_id].fqdn
-            self.state.finish_challenge(chall, *self._probe(chall, fqdn, key_auth))
+            self.state.finish_challenge(chall, *self._probe(chall, chall.authz.fqdn, key_auth))
 
     def _probe(self, chall: _Challenge, fqdn: str, expected_key_auth: str) -> tuple[bool, str]:
         dns_addr = self.config.dns_addr
@@ -663,7 +656,7 @@ class TestCa(BackgroundServer):
         if chall.type == "dns-01":
             expected_txt = jws.dns01_txt_value(expected_key_auth)
             try:
-                rcode, answers = resolve(f"_acme-challenge.{fqdn}", RType.TXT, dns_addr)
+                rcode, answers = resolve(f"{ACME_LABEL}.{fqdn}", RType.TXT, dns_addr)
             except ResolutionFailure as exc:
                 return False, f"dns probe failed: {exc}"
             if rcode is not Rcode.NOERROR:
@@ -683,7 +676,7 @@ class TestCa(BackgroundServer):
             # never go through a proxy named in the environment.
             conn = http.client.HTTPConnection(ip, self.config.http01_port, timeout=3)
             try:
-                conn.request("GET", f"/.well-known/acme-challenge/{chall.token}")
+                conn.request("GET", WELL_KNOWN_PREFIX + chall.token)
                 resp = conn.getresponse()
                 body = resp.read().decode("ascii", "replace")
             except (OSError, http.client.HTTPException) as exc:

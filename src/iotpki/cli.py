@@ -150,9 +150,14 @@ def _device_secret(seed: int, index: int) -> bytes:
 
 
 def _persist_fleet(out: Path, manager: FleetManager, ca: TestCa) -> None:
+    """Write the fleet of a scenario's fresh CA. The revocation artifacts
+    left by an earlier scenario name serials of a CA that is gone, so they
+    go too."""
     manager.inventory.snapshot(out / SNAPSHOT_FILE)
     serials = sorted(ca.state.issued_serials())
     (out / ISSUED_FILE).write_text("\n".join(serials) + "\n")
+    for stale in (REVOKED_FILE, FILTER_FILE):
+        (out / stale).unlink(missing_ok=True)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -278,6 +283,8 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
         )
         return 0
     serial = _serial_spelling(args.serial)
+    if not filter_path.exists():
+        raise IotPkiError(f"no revocation filter at {filter_path}; run filter build first")
     filt = deserialize(filter_path.read_bytes())
     verdict = "revoked" if query(filt, serial) else "not revoked"
     print(f"{serial}: {verdict} (vendor {filt.vendor_id}, epoch {filt.epoch})")

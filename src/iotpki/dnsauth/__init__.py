@@ -3,7 +3,8 @@
 Submodules:
   zone    -- record store with CNAME/TXT binding operations
   wire    -- RFC 1035 wire-format codec for queries and responses
-  server  -- threaded UDP responder plus a small stub-resolver client
+  server  -- UDP responder that answers each query on its serve thread,
+             plus a small stub-resolver client
 """
 
 from .zone import (

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import IoFailure, IotPkiError
-from .identity import DeviceUrn, parse_urn
+from .identity import DeviceUrn, MalformedUrn, parse_urn
 
 SNAPSHOT_HEADER = "ATLASINV v1"
 MAX_CERT_LIFETIME = timedelta(days=90)
@@ -221,8 +221,13 @@ class Inventory:
 
     @classmethod
     def restore(cls, path: str | Path) -> "Inventory":
+        """Read a snapshot back. Whatever its bytes, this returns an
+        Inventory or raises CorruptSnapshot (or IoFailure when the file
+        cannot be read)."""
         try:
             text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptSnapshot(f"snapshot is not UTF-8: {exc}") from exc
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
         lines = text.splitlines(keepends=True)
@@ -237,9 +242,16 @@ class Inventory:
             raise CorruptSnapshot(f"bad header: {record_lines[:1]!r}")
         inv = cls()
         for line in record_lines[1:]:
+            # A line of the wrong shape fails in whichever accessor meets it
+            # first: a non-object record, a field of the wrong type, nesting
+            # too deep to parse, a date out of range, or content the record
+            # types reject.
             try:
                 record = _record_from_obj(json.loads(line))
-            except (ValueError, KeyError) as exc:
+            except (
+                ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                OverflowError, InvalidMeta, MalformedUrn,
+            ) as exc:
                 raise CorruptSnapshot(f"bad record line: {exc}") from exc
             inv._records[record.uuid] = record
         return inv

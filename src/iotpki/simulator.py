@@ -32,7 +32,9 @@ they are taken in one batch after the node loop; capped, one at a time,
 as the in-flight heap decides how many a burst takes.
 
 Configs: a NaN or infinite float field raises ``InvalidConfig``; with
-one, a run could never end or would write non-finite latencies.
+one, a run could never end or would write non-finite latencies. So do
+more than ``MAX_POLL_TICKS`` polls, or a node walk of more than
+``MAX_GRID_LENGTHS`` grid lengths, which finite fields can still ask for.
 
 Report: ``summarize`` sorts the latencies once and reads the median, p95
 and max off the sorted list. Each histogram bin's lower edge is one
@@ -68,6 +70,12 @@ MAX_GATEWAYS = 5
 GATEWAY_ARM_FRACTION = 0.3  # arm length 150 m on the 500 m reference grid
 HISTOGRAM_BINS = 20
 _DRAW_CHUNK = 4096  # cloud latencies drawn at a time
+# Bounds on the work one run may ask for, so that every accepted config
+# ends. A run steps once per poll, and past about 2**52 polls `t +=
+# poll_interval` stops advancing t; a node walks about one waypoint leg (three
+# draws) per grid length it covers between polls.
+MAX_POLL_TICKS = 2**32
+MAX_GRID_LENGTHS = 2**20
 
 
 class DomainError(IotPkiError):
@@ -180,6 +188,14 @@ class SimConfig:
         for name, value in positives.items():
             if value <= 0:
                 raise InvalidConfig(f"{name} must be positive, got {value}")
+        ticks = self.duration / self.poll_interval
+        if ticks > MAX_POLL_TICKS:
+            raise InvalidConfig(f"duration / poll_interval is {ticks} polls, over {MAX_POLL_TICKS}")
+        walk = self.speed_max * self.duration / self.grid_size
+        if walk > MAX_GRID_LENGTHS:
+            raise InvalidConfig(
+                f"speed_max * duration / grid_size is {walk} grid lengths, over {MAX_GRID_LENGTHS}"
+            )
         if self.d2d_link_latency_ms < 0 or self.handshake_cost_ms < 0:
             raise InvalidConfig("latency constants must be non-negative")
         if self.cloud_connection_cap < 0:

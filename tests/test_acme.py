@@ -1079,3 +1079,101 @@ class TestRoundTrips:
         serial = serial_hex(split_pem_chain(pem)[0])
         assert isinstance(stack.ca.state.issued, set)
         assert serial in stack.ca.state.issued
+
+
+def place_two_name_order(client, names: list[str]) -> tuple[dict, list[dict]]:
+    """New order for both ``names``: returns the order (with its URL) and
+    the DNS-01 challenge of each authz, in the order's authz order."""
+    identifiers = [{"type": "dns", "value": n} for n in names]
+    _, headers, raw = client._post(client.directory()["newOrder"], {"identifiers": identifiers})
+    order = dict(json.loads(raw), url=headers["Location"])
+    challs = []
+    for url in order["authorizations"]:
+        authz = json.loads(client._post(url, None)[2])
+        challs.append(next(c for c in authz["challenges"] if c["type"] == "dns-01"))
+    return order, challs
+
+
+def order_status(client, order: dict) -> dict:
+    return json.loads(client._post(order["url"], None)[2])
+
+
+class TestOrderTree:
+    """An order owns its authzs and each authz its challenges: the order
+    turns ready only when every authz is valid, and fails with any one."""
+
+    NAMES = ["left.camera.vendor.com", "right.camera.vendor.com"]
+
+    def test_two_name_order_waits_for_both_then_issues_for_both(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        order, challs = place_two_name_order(client, self.NAMES)
+        assert [a["value"] for a in order["identifiers"]] == self.NAMES
+        assert len(set(order["authorizations"])) == 2
+        assert answer_challenge(stack, client, challs[0], self.NAMES[0])["status"] == "valid"
+        assert order_status(client, order)["status"] == "pending"
+        assert answer_challenge(stack, client, challs[1], self.NAMES[1])["status"] == "valid"
+        assert order_status(client, order)["status"] == "ready"
+        key = generate_key("p256")
+        csr = (
+            x509.CertificateSigningRequestBuilder()
+            .subject_name(x509.Name([]))
+            .add_extension(
+                x509.SubjectAlternativeName([x509.DNSName(n) for n in self.NAMES]), critical=False
+            )
+            .sign(key, hashes.SHA256())
+        )
+        final = json.loads(client._post(order["finalize"], {"csr": jws.b64url(csr_to_der(csr))})[2])
+        assert final["status"] == "valid"
+        _, _, chain = client._post(final["certificate"], None)
+        leaf = split_pem_chain(chain.decode("ascii"))[0]
+        san = leaf.extensions.get_extension_for_class(x509.SubjectAlternativeName).value
+        assert sorted(san.get_values_for_type(x509.DNSName)) == self.NAMES
+
+    def test_failed_second_challenge_fails_the_order(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        names = ["up.camera.vendor.com", "down.camera.vendor.com"]
+        order, challs = place_two_name_order(client, names)
+        assert answer_challenge(stack, client, challs[0], names[0])["status"] == "valid"
+        stack.zone.set_acme_txt(names[1], "not-the-right-proof")
+        try:
+            assert json.loads(client._post(challs[1]["url"], {})[2])["status"] == "invalid"
+        finally:
+            stack.zone.clear_acme_txt(names[1])
+        failed = order_status(client, order)
+        assert failed["status"] == "invalid"
+        assert failed["error"]["type"] == ca_module.ERROR_NS + "unauthorized"
+        assert "txt mismatch" in failed["error"]["detail"]
+        # The first authz keeps its own outcome; the failed one is invalid.
+        statuses = [json.loads(client._post(u, None)[2])["status"] for u in order["authorizations"]]
+        assert statuses == ["valid", "invalid"]
+
+    def test_tables_index_exactly_the_order_trees(self, stack):
+        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
+        try:
+            client = new_client(stack, ca)
+            for i in range(4):
+                fqdn = f"tree{i}.camera.vendor.com"
+                key = generate_key("p256")
+                client.obtain_certificate(fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone))
+            state = ca.state
+            assert (len(state.orders), len(state.authzs), len(state.challenges)) == (4, 4, 8)
+            for order_id, order in state.orders.items():
+                assert order.id == order_id and len(order.authzs) == 1
+            for authz_id, authz in state.authzs.items():
+                assert authz.id == authz_id
+                assert state.orders[authz.order.id] is authz.order
+                assert any(a is authz for a in authz.order.authzs)
+                assert [c.type for c in authz.challenges] == ["dns-01", "http-01"]
+            for chall_id, chall in state.challenges.items():
+                assert chall.id == chall_id
+                assert state.authzs[chall.authz.id] is chall.authz
+                assert any(c is chall for c in chall.authz.challenges)
+            # A resource prints without its parents and compares by identity.
+            assert "order=" not in repr(authz) and "authz=" not in repr(chall)
+            twin = ca_module._Challenge(chall.id, chall.authz, chall.type, chall.token)
+            twin.status = chall.status
+            assert twin != chall
+        finally:
+            ca.close()

@@ -204,6 +204,37 @@ class TestRevokeAndFilter:
         assert code == 1
         assert "enroll first" in stderr
 
+    def test_filter_check_without_filter_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        code, stdout, stderr = run(
+            ["filter", "check", "--serial", "abc", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and str(out / "revocations.filter") in stderr
+        assert stderr.count("\n") == 1
+
+    def test_new_scenario_drops_revocations_of_the_replaced_ca(self, fleet_dir, capsys):
+        from pathlib import Path
+
+        uuid = self.first_uuid(fleet_dir)
+        assert run(["revoke", "--uuid", uuid, "--out", fleet_dir], capsys)[0] == 0
+        build = ["filter", "build", "--out", fleet_dir, "--root-domain", "vendor.test"]
+        assert run(build, capsys)[0] == 0
+        code, _, _ = run(
+            [
+                "enroll-batch", "--count", "3", "--out", fleet_dir,
+                "--root-domain", "vendor.test", "--seed", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert not Path(fleet_dir, "revoked_serials.txt").exists()
+        assert not Path(fleet_dir, "revocations.filter").exists()
+        code, stdout, stderr = run(build, capsys)
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith("filter epoch 1: 0 revoked of 3 issued")
+
 
 class TestDemo:
     def test_demo_succeeds(self, tmp_path, capsys):

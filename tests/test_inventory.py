@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import uuid as uuidlib
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotpki.identity import (
     DeviceSecret,
@@ -14,6 +17,7 @@ from iotpki.identity import (
     VendorNamespace,
     derive_device_uuid,
 )
+from iotpki.errors import IoFailure
 from iotpki.inventory import (
     CertificateMeta,
     CorruptSnapshot,
@@ -155,6 +159,45 @@ class TestRenewalWindow:
         assert inv.due_for_renewal(now=T0) == []
 
 
+URN_UUID = "3f2504e0-4f89-41d3-9a0c-0305e82c3301"
+CERT_KEYS = ("serial", "not_before", "not_after", "fingerprint", "issued_at", "pem")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=40),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+# Record objects with the snapshot's keys, each holding some JSON value or
+# a value of the right kind, so most lines get past the first accessor.
+RECORD_LINES = st.fixed_dictionaries(
+    {
+        "urn": st.one_of(JSON_VALUES, st.just(f"{URN_UUID}.camera.vendor.com")),
+        "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
+        "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
+        "delegation": JSON_VALUES,
+        "cert": st.one_of(JSON_VALUES, st.fixed_dictionaries(dict.fromkeys(CERT_KEYS, JSON_VALUES))),
+    }
+).map(json.dumps)
+
+
+def checksummed(body: str) -> str:
+    return body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    """One file that every generated snapshot overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "inv.snap"
+
+
+def assert_restores_or_is_corrupt(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        assert isinstance(Inventory.restore(path), Inventory)
+    except (CorruptSnapshot, IoFailure):
+        pass
+
+
 class TestSnapshot:
     def _populated(self) -> Inventory:
         inv = Inventory()
@@ -204,6 +247,45 @@ class TestSnapshot:
         path.write_text(body + f"sha256 {digest}\n")
         with pytest.raises(CorruptSnapshot):
             Inventory.restore(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[]",
+            "1",
+            '{"urn": 5}',
+            '{"urn": "%s.camera.vendor.com", "created_at": 5, "state": "due"}' % URN_UUID,
+            '{"urn": "%s.camera.vendor.com", "created_at": "2026-01-01T00:00:00Z", '
+            '"state": "due", "cert": []}' % URN_UUID,
+            '{"urn": "not-a-urn"}',
+            '{"urn": "%s.camera.vendor.com", "state": "due", '
+            '"created_at": "0001-01-01T00:00:00+01:00"}' % URN_UUID,
+            "[" * 100_000,
+        ],
+        ids=["list", "int", "urn-int", "created-int", "cert-list", "bad-urn", "date-range", "deep"],
+    )
+    def test_checksummed_line_of_wrong_shape_is_corrupt(self, tmp_path, line):
+        path = tmp_path / "inv.snap"
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
+        with pytest.raises(CorruptSnapshot, match="bad record line"):
+            Inventory.restore(path)
+
+    def test_snapshot_that_is_not_utf8_is_corrupt(self, tmp_path):
+        path = tmp_path / "inv.snap"
+        path.write_bytes(b"\xff" + checksummed(SNAPSHOT_HEADER + "\n").encode())
+        with pytest.raises(CorruptSnapshot, match="not UTF-8"):
+            Inventory.restore(path)
+
+    @settings(deadline=None)
+    @given(lines=st.lists(st.one_of(st.text(), RECORD_LINES), max_size=3))
+    def test_any_checksummed_record_lines_restore_or_are_corrupt(self, fuzz_path, lines):
+        body = SNAPSHOT_HEADER + "\n" + "".join(line + "\n" for line in lines)
+        assert_restores_or_is_corrupt(fuzz_path, checksummed(body).encode())
+
+    @settings(deadline=None)
+    @given(raw=st.binary(max_size=512))
+    def test_any_file_bytes_restore_or_are_corrupt(self, fuzz_path, raw):
+        assert_restores_or_is_corrupt(fuzz_path, raw)
 
     def test_write_guard_refuses_key_material(self, tmp_path):
         inv = Inventory()

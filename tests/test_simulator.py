@@ -122,6 +122,33 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            # A walk linear in speed: days of waypoint legs on a unit grid.
+            ({"grid_size": 1.0, "speed_min": 1e9, "speed_max": 1e9}, "grid lengths"),
+            # The subnormal grid: finite, yet 3e12 grid lengths per node.
+            ({"grid_size": 1e-310, "speed_min": 1e-300, "speed_max": 1e-300}, "grid lengths"),
+            # speed_max * duration overflows to inf.
+            ({"speed_max": 1e300, "duration": 1e300, "poll_interval": 1e300}, "grid lengths"),
+            # t += poll_interval stops advancing long before 1e17 polls.
+            ({"num_mobile_nodes": 1, "poll_interval": 1e-3, "duration": 1e14}, "polls"),
+            ({"poll_interval": 1e-300, "duration": 1e10}, "polls"),
+        ],
+        ids=["fast-walk", "subnormal-grid", "walk-overflow", "stalled-clock", "ticks-overflow"],
+    )
+    def test_runs_that_cannot_end_rejected(self, kwargs, match):
+        with pytest.raises(InvalidConfig, match=match):
+            SimConfig(**kwargs)
+
+    def test_configs_at_the_work_bounds_accepted(self):
+        # The defaults (151 polls, 15 grid lengths), and the bounds themselves.
+        SimConfig()
+        SimConfig(
+            duration=2.0**32, poll_interval=1.0, speed_min=1.0, speed_max=1.0, grid_size=2.0**12
+        )
+        SimConfig(duration=2.0**20, grid_size=1.0, speed_min=1.0, speed_max=1.0)
+
     FLOAT_FIELDS = [
         "grid_size", "speed_min", "speed_max", "gateway_range", "poll_interval",
         "d2d_link_latency_ms", "handshake_cost_ms", "duration",
