@@ -31,7 +31,7 @@ from .acme import CaConfig, TestCa, TokenShelf
 from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
-from .inventory import Inventory, RenewalState, from_rfc3339
+from .inventory import Inventory, RenewalState, from_rfc3339, utcnow
 from .lifecycle import EnrollmentRequest, FleetManager, require_certificate
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
@@ -51,7 +51,7 @@ class ManualClock:
     sessions check validity windows against this clock, not the real one."""
 
     def __init__(self, now: datetime | None = None) -> None:
-        self.now = now if now is not None else datetime.now(timezone.utc)
+        self.now = now if now is not None else utcnow()
 
     def __call__(self) -> datetime:
         return self.now

@@ -61,7 +61,12 @@ def to_rfc3339(dt: datetime) -> str:
 
 
 def from_rfc3339(s: str) -> datetime:
-    return datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(timezone.utc)
+    """A time with no zone is read as UTC, as ``to_rfc3339`` writes it,
+    whatever the host's zone."""
+    dt = datetime.fromisoformat(s.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
 
 
 def utcnow() -> datetime:
@@ -278,24 +283,31 @@ def _record_to_obj(record: DeviceRecord) -> dict:
     }
 
 
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} is not a string: {value!r:.40}")
+    return value
+
+
 def _record_from_obj(obj: dict) -> DeviceRecord:
     cert_obj = obj.get("cert")
     cert = None
     if cert_obj is not None:
         cert = CertificateMeta(
-            serial=cert_obj["serial"],
+            serial=_text(cert_obj["serial"], "serial"),
             not_before=from_rfc3339(cert_obj["not_before"]),
             not_after=from_rfc3339(cert_obj["not_after"]),
-            public_key_fingerprint=cert_obj["fingerprint"],
+            public_key_fingerprint=_text(cert_obj["fingerprint"], "fingerprint"),
             issuance_time=from_rfc3339(cert_obj["issued_at"]),
-            pem_chain=cert_obj["pem"],
+            pem_chain=_text(cert_obj["pem"], "pem"),
         )
     urn = parse_urn(obj["urn"])
+    delegation = obj.get("delegation")
     return DeviceRecord(
         urn=urn,
         uuid=urn.uuid,
         current_cert=cert,
         renewal_state=RenewalState(obj["state"]),
-        gateway_delegation=obj.get("delegation"),
+        gateway_delegation=None if delegation is None else _text(delegation, "delegation"),
         created_at=from_rfc3339(obj["created_at"]),
     )

@@ -12,7 +12,6 @@ peer's leaf, so both layers must agree before any payload flows.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import socket
@@ -21,7 +20,7 @@ import ssl
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
@@ -49,11 +48,9 @@ MAX_FRAME = 1 << 20
 # TrustContext.clock instead of the wall clock.
 X509_V_FLAG_NO_CHECK_TIME = 0x200000
 
-# Bounds on echo_once's client-side cache: one TLS context per (device
-# chain, device key, trust roots), and on each context the servers it
-# last met. One-shot servers on fresh ports would otherwise add an entry
-# per contact for as long as the context lives.
-MAX_CLIENT_CONTEXTS = 64
+# Bound on the servers each echo_once client context remembers. One-shot
+# servers on fresh ports would otherwise add an entry per contact for as
+# long as the context lives.
 MAX_PEERS_PER_CONTEXT = 16
 
 # Vendors already warned about a missing revocation filter: the warning
@@ -88,6 +85,9 @@ class TrustContext:
     roots: tuple[x509.Certificate, ...]
     filters: Mapping[str, RevocationFilter]
     clock: Callable[[], datetime] = utcnow
+    # Device private key -> that device's echo_once client side under this
+    # trust; bounded by the live device keys and freed with the trust.
+    _clients: dict[object, _ClientSide] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.roots:
@@ -213,7 +213,7 @@ class EchoResult:
     resumed: bool
 
 
-def _tls13_context(purpose: ssl.Purpose, chain_pem: str, key_pem: str, roots_pem: str) -> ssl.SSLContext:
+def _tls13_context(purpose: ssl.Purpose, bundle, roots: tuple[x509.Certificate, ...]) -> ssl.SSLContext:
     ctx = ssl.SSLContext(
         ssl.PROTOCOL_TLS_SERVER if purpose is ssl.Purpose.CLIENT_AUTH else ssl.PROTOCOL_TLS_CLIENT
     )
@@ -222,16 +222,13 @@ def _tls13_context(purpose: ssl.Purpose, chain_pem: str, key_pem: str, roots_pem
     ctx.verify_mode = ssl.CERT_REQUIRED
     ctx.check_hostname = False
     ctx.verify_flags |= X509_V_FLAG_NO_CHECK_TIME
-    load_cert_chain_in_memory(ctx, chain_pem, key_pem)
-    ctx.load_verify_locations(cadata=roots_pem)
+    load_cert_chain_in_memory(ctx, bundle.certificate_chain, key_to_pem(bundle.private_key))
+    ctx.load_verify_locations(cadata="".join(cert_to_pem(root) for root in roots))
     return ctx
 
 
-def _roots_pem(roots: tuple[x509.Certificate, ...]) -> str:
-    return "".join(cert_to_pem(root) for root in roots)
-
-
 class _ClientSide(NamedTuple):
+    chain_pem: str
     ctx: ssl.SSLContext
     leaf: x509.Certificate
     # Server address -> the session kept for it, or None after the first
@@ -240,14 +237,20 @@ class _ClientSide(NamedTuple):
     lock: threading.Lock
 
 
-@functools.lru_cache(maxsize=MAX_CLIENT_CONTEXTS)
-def _client_side(chain_pem: str, private_key, roots: tuple[x509.Certificate, ...]) -> _ClientSide:
-    """The client TLS context for one device identity under one set of
-    trust roots, the device's own leaf, and the sessions kept on that
-    context. A renewed chain is a new cache entry, so it never picks up
-    the old chain's context or sessions; evicting an entry drops both."""
-    ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, chain_pem, key_to_pem(private_key), _roots_pem(roots))
-    return _ClientSide(ctx, split_pem_chain(chain_pem)[0], {}, threading.Lock())
+def _client_side(bundle, trust: TrustContext) -> _ClientSide:
+    """The device's client TLS context under ``trust``, its own leaf, and
+    the sessions kept on that context. Concurrent first contacts share one
+    entry; a renewed chain replaces it, so it never picks up the old
+    chain's context or sessions."""
+    key, chain_pem = bundle.private_key, bundle.certificate_chain
+    side = trust._clients.get(key)
+    if side is None or side.chain_pem != chain_pem:
+        ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, bundle, trust.roots)
+        fresh = _ClientSide(chain_pem, ctx, split_pem_chain(chain_pem)[0], {}, threading.Lock())
+        side = trust._clients.setdefault(key, fresh)
+        if side.chain_pem != chain_pem:
+            trust._clients[key] = side = fresh
+    return side
 
 
 def _note_full_handshake(side: _ClientSide, addr: tuple[str, int], offered, tls) -> None:
@@ -305,12 +308,7 @@ class EchoServer(BackgroundServer):
         expected_vendor: str | None = None,
         bind_addr: tuple[str, int] = ("127.0.0.1", 0),
     ) -> None:
-        ssl_ctx = _tls13_context(
-            ssl.Purpose.CLIENT_AUTH,
-            bundle.certificate_chain,
-            key_to_pem(bundle.private_key),
-            _roots_pem(trust.roots),
-        )
+        ssl_ctx = _tls13_context(ssl.Purpose.CLIENT_AUTH, bundle, trust.roots)
         super().__init__("mtls-echo", "echo server", TlsServer, bind_addr, _EchoHandler, ssl_ctx)
         self._server.trust = trust
         self._server.expected_vendor = expected_vendor
@@ -322,21 +320,22 @@ def echo_once(
     trust: TrustContext,
     payload: bytes,
     expected_vendor: str | None = None,
-    timeout: float = 5.0,
 ) -> EchoResult:
     """Connect to a running EchoServer, mutually authenticate, validate the
     server's certificate, and exchange the payload.
 
-    The TLS context is cached per (chain, key, roots). From the second
-    full handshake with a server on, its session is kept and resumed
-    until the server declines the ticket; every connection, resumed or
-    not, still runs ``_live_verdict``."""
-    side = _client_side(client_bundle.certificate_chain, client_bundle.private_key, trust.roots)
+    The client's TLS context lives on ``trust``, one per device key, is
+    rebuilt when the key's chain changes and is freed with the trust. From
+    the second full handshake with a server on, its session is kept and
+    resumed until the server declines the ticket; every connection,
+    resumed or not, still runs ``_live_verdict``. Each socket operation
+    times out after 5 s."""
+    side = _client_side(client_bundle, trust)
     addr = tuple(server_addr)
     offered = side.peers.get(addr)
     start = time.perf_counter()
     try:
-        raw = socket.create_connection(server_addr, timeout=timeout)
+        raw = socket.create_connection(server_addr, timeout=5.0)
         tls = side.ctx.wrap_socket(raw, server_hostname="peer", session=offered)
     except ssl.SSLError as exc:
         raise HandshakeRejected(

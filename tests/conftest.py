@@ -1,8 +1,12 @@
 """Shared test setup: with CI set in the environment, hypothesis runs
 derandomized and prints a reproduction blob for every failure, so a
-property that fails in CI fails the same way on a developer machine."""
+property that fails in CI fails the same way on a developer machine.
+The ``far_zone`` fixture runs a test with the host nine hours east of UTC."""
 
 import os
+import time
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -12,3 +16,15 @@ else:
     settings.register_profile("ci", derandomize=True, print_blob=True)
     if os.environ.get("CI"):
         settings.load_profile("ci")
+
+
+@pytest.fixture
+def far_zone(monkeypatch):
+    """The host's local zone at UTC+9 for one test. A POSIX zone string
+    needs no zone database, so the shift takes effect on any host."""
+    monkeypatch.setenv("TZ", "JST-9")
+    time.tzset()
+    assert time.timezone == -9 * 3600
+    yield
+    monkeypatch.undo()
+    time.tzset()

@@ -6,12 +6,14 @@ import hashlib
 import json
 import threading
 import time
+from datetime import datetime, timezone
 
 import pytest
 
 from iotpki import cli
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
+from iotpki.inventory import Inventory
 from iotpki.revocation import deserialize, query
 
 
@@ -234,6 +236,21 @@ class TestRevokeAndFilter:
         code, stdout, stderr = run(build, capsys)
         assert (code, stderr) == (0, "")
         assert stdout.startswith("filter epoch 1: 0 revoked of 3 issued")
+
+
+class TestRenew:
+    def test_now_without_zone_is_utc_in_any_host_zone(self, tmp_path, capsys, far_zone):
+        out = tmp_path / "r"
+        code, _, _ = run(
+            [
+                "renew", "--count", "1", "--now", "2026-03-15T00:00:00", "--out", str(out),
+                "--root-domain", "vendor.test",
+            ],
+            capsys,
+        )
+        assert code == 0
+        (record,) = Inventory.restore(out / "inventory.snapshot").records()
+        assert record.current_cert.issuance_time == datetime(2026, 3, 15, tzinfo=timezone.utc)
 
 
 class TestDemo:

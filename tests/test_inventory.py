@@ -160,7 +160,32 @@ class TestRenewalWindow:
 
 
 URN_UUID = "3f2504e0-4f89-41d3-9a0c-0305e82c3301"
-CERT_KEYS = ("serial", "not_before", "not_after", "fingerprint", "issued_at", "pem")
+GOOD_CERT = {
+    "serial": "0a",
+    "not_before": "2026-01-01T00:00:00Z",
+    "not_after": "2026-02-01T00:00:00Z",
+    "fingerprint": "ab" * 32,
+    "issued_at": "2026-01-01T00:00:00Z",
+    "pem": "-----BEGIN CERTIFICATE-----\nMIIB\n-----END CERTIFICATE-----\n",
+}
+GOOD_RECORD = {
+    "urn": f"{URN_UUID}.camera.vendor.com",
+    "state": "current",
+    "created_at": "2026-01-01T00:00:00Z",
+    "delegation": None,
+    "cert": GOOD_CERT,
+}
+# The record fields that must be strings (delegation may also be null).
+TEXT_FIELDS = ("serial", "fingerprint", "pem", "delegation")
+
+
+def retyped(field: str, value) -> dict:
+    """GOOD_RECORD with one text field set to ``value``."""
+    if field == "delegation":
+        return {**GOOD_RECORD, "delegation": value}
+    return {**GOOD_RECORD, "cert": {**GOOD_CERT, field: value}}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=40),
     lambda inner: st.lists(inner, max_size=3)
@@ -168,15 +193,19 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 # Record objects with the snapshot's keys, each holding some JSON value or
-# a value of the right kind, so most lines get past the first accessor.
-RECORD_LINES = st.fixed_dictionaries(
-    {
-        "urn": st.one_of(JSON_VALUES, st.just(f"{URN_UUID}.camera.vendor.com")),
-        "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
-        "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
-        "delegation": JSON_VALUES,
-        "cert": st.one_of(JSON_VALUES, st.fixed_dictionaries(dict.fromkeys(CERT_KEYS, JSON_VALUES))),
-    }
+# a value of the right kind, so most lines get past the first accessor;
+# and good records with one text field of any JSON type.
+RECORD_LINES = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "urn": st.one_of(JSON_VALUES, st.just(f"{URN_UUID}.camera.vendor.com")),
+            "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
+            "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
+            "delegation": JSON_VALUES,
+            "cert": st.one_of(JSON_VALUES, st.fixed_dictionaries(dict.fromkeys(GOOD_CERT, JSON_VALUES))),
+        }
+    ),
+    st.builds(retyped, st.sampled_from(TEXT_FIELDS), JSON_VALUES),
 ).map(json.dumps)
 
 
@@ -191,11 +220,18 @@ def fuzz_path(tmp_path_factory):
 
 
 def assert_restores_or_is_corrupt(path, raw: bytes) -> None:
+    """A snapshot restores with every text field a string, or is corrupt."""
     path.write_bytes(raw)
     try:
-        assert isinstance(Inventory.restore(path), Inventory)
+        inv = Inventory.restore(path)
     except (CorruptSnapshot, IoFailure):
-        pass
+        return
+    for record in inv.records():
+        texts = [] if record.gateway_delegation is None else [record.gateway_delegation]
+        cert = record.current_cert
+        if cert is not None:
+            texts += [cert.serial, cert.public_key_fingerprint, cert.pem_chain]
+        assert all(isinstance(text, str) for text in texts), record
 
 
 class TestSnapshot:
@@ -261,14 +297,29 @@ class TestSnapshot:
             '{"urn": "%s.camera.vendor.com", "state": "due", '
             '"created_at": "0001-01-01T00:00:00+01:00"}' % URN_UUID,
             "[" * 100_000,
+            json.dumps(retyped("serial", 5)),
+            json.dumps(retyped("fingerprint", 6)),
+            json.dumps(retyped("pem", 8)),
+            json.dumps(retyped("delegation", 7)),
         ],
-        ids=["list", "int", "urn-int", "created-int", "cert-list", "bad-urn", "date-range", "deep"],
+        ids=[
+            "list", "int", "urn-int", "created-int", "cert-list", "bad-urn", "date-range", "deep",
+            "serial-int", "fingerprint-int", "pem-int", "delegation-int",
+        ],
     )
     def test_checksummed_line_of_wrong_shape_is_corrupt(self, tmp_path, line):
         path = tmp_path / "inv.snap"
         path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
         with pytest.raises(CorruptSnapshot, match="bad record line"):
             Inventory.restore(path)
+
+    @pytest.mark.parametrize("delegation", [None, "gateway-7"])
+    def test_good_record_line_restores(self, tmp_path, delegation):
+        path = tmp_path / "inv.snap"
+        line = json.dumps(retyped("delegation", delegation))
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
+        (record,) = Inventory.restore(path).records()
+        assert (record.current_cert.serial, record.gateway_delegation) == ("0a", delegation)
 
     def test_snapshot_that_is_not_utf8_is_corrupt(self, tmp_path):
         path = tmp_path / "inv.snap"
@@ -308,3 +359,7 @@ class TestTimestamps:
 
     def test_naive_datetimes_treated_as_utc(self):
         assert to_rfc3339(datetime(2026, 3, 4)) == "2026-03-04T00:00:00Z"
+
+    def test_zone_less_time_is_utc_in_any_host_zone(self, far_zone):
+        assert from_rfc3339("2026-01-01T00:00:00") == T0
+        assert from_rfc3339("2026-01-01T09:00:00+09:00") == T0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import socket
 import ssl
@@ -9,6 +10,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -617,7 +619,7 @@ class TestSessionGetterBounded:
         results = [mtls_echo(server, client, trust, b"once") for _ in range(4)]
         assert [r.resumed for r in results] == [False] * 4
         assert getter_reads == []
-        side = peer_auth._client_side(client.certificate_chain, client.private_key, trust.roots)
+        side = peer_auth._client_side(client, trust)
         assert len(side.peers) <= 2
 
     def test_server_without_tickets_read_once(self, ca_state, getter_reads):
@@ -647,3 +649,81 @@ class TestSessionGetterBounded:
         # One connection notes the server and one keeps its session; the
         # rest of the first burst finds that session kept and reads nothing.
         assert len(getter_reads) <= 2
+
+
+class TestTrustScopedClients:
+    """echo_once keeps each device's client context on the trust context
+    it ran under: one entry per device key, freed with the trust."""
+
+    def test_client_context_freed_with_trust_and_server(self, ca_state):
+        server = make_bundle(ca_state, VENDOR_A, "t-server")
+        client = make_bundle(ca_state, VENDOR_B, "t-client")
+        trust = trust_for(ca_state)
+        with EchoServer(server, trust) as echo:
+            assert [echo_once(echo.address, client, trust, b"x").resumed for _ in range(3)] == [
+                False, False, True,
+            ]
+        context = weakref.ref(peer_auth._client_side(client, trust).ctx)
+        del trust, echo
+        gc.collect()
+        assert context() is None
+
+    def test_two_identities_hold_two_entries_and_both_resume(self, ca_state):
+        server = make_bundle(ca_state, VENDOR_A, "t-server2")
+        clients = [make_bundle(ca_state, VENDOR_B, f"t-client-{i}") for i in range(2)]
+        trust = trust_for(ca_state)
+        with EchoServer(server, trust) as echo:
+            resumed = [
+                [echo_once(echo.address, client, trust, b"x").resumed for _ in range(3)]
+                for client in clients
+            ]
+        assert resumed == [[False, False, True]] * 2
+        assert len(trust._clients) == 2
+
+    def test_concurrent_echoes_keep_one_entry_per_key(self, ca_state, monkeypatch):
+        import concurrent.futures
+
+        server = make_bundle(ca_state, VENDOR_A, "t-server4")
+        firsts = [make_bundle(ca_state, VENDOR_B, f"t-many-{i}") for i in range(4)]
+        renewals = [
+            make_bundle(ca_state, VENDOR_B, f"t-many-{i}", key=b.private_key) for i, b in enumerate(firsts)
+        ]
+        bundles = (firsts + renewals) * 6
+        trust = trust_for(ca_state)
+        # Chains an echo ran under that were not its own bundle's.
+        mismatched = []
+        client_side = peer_auth._client_side
+
+        def spy(bundle, trust):
+            side = client_side(bundle, trust)
+            if side.chain_pem != bundle.certificate_chain:
+                mismatched.append(bundle.serial)
+            return side
+
+        monkeypatch.setattr(peer_auth, "_client_side", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EchoServer(server, trust) as echo, concurrent.futures.ThreadPoolExecutor(8) as pool:
+                echoed = pool.map(
+                    lambda b: echo_once(echo.address, b, trust, b.serial.encode()).payload_echoed,
+                    bundles,
+                    timeout=60,
+                )
+                assert list(echoed) == [b.serial.encode() for b in bundles]
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatched == []
+        assert len(trust._clients) == 4
+
+    def test_renewed_chain_on_same_key_leaves_one_entry(self, ca_state):
+        server = make_bundle(ca_state, VENDOR_A, "t-server3")
+        client = make_bundle(ca_state, VENDOR_B, "t-client3")
+        renewed = make_bundle(ca_state, VENDOR_B, "t-client3", key=client.private_key)
+        trust = trust_for(ca_state)
+        with EchoServer(server, trust) as echo:
+            before = [echo_once(echo.address, client, trust, b"x").resumed for _ in range(3)]
+            after = [echo_once(echo.address, renewed, trust, b"x").resumed for _ in range(3)]
+        assert (before, after) == ([False, False, True], [False, False, True])
+        assert len(trust._clients) == 1
+        assert peer_auth._client_side(renewed, trust).chain_pem == renewed.certificate_chain
