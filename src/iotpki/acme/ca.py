@@ -50,6 +50,8 @@ MAX_BODY_BYTES = 64 * 1024
 # its holder gets badNonce and retries with the fresh nonce that reply
 # carries (RFC 8555 section 6.5).
 MAX_NONCES = 4096
+# Orders per registrable domain per week; the CA's policy, not the client's.
+WEEKLY_ORDER_QUOTA = 30000
 
 
 class QuotaExceeded(IotPkiError):
@@ -72,8 +74,6 @@ class CaConfig:
     bind_addr: tuple[str, int] = ("127.0.0.1", 0)
     dns_addr: tuple[str, int] | None = None
     http01_port: int | None = None
-    validity: timedelta = MAX_CERT_LIFETIME
-    weekly_order_quota: int = 30000
     clock: Callable[[], dt.datetime] = utcnow
 
 
@@ -121,8 +121,6 @@ class TestCaState:
     __test__ = False  # "Test" here means embedded test CA, not a test suite
 
     clock: Callable[[], dt.datetime]
-    validity: timedelta
-    weekly_order_quota: int
     root_key: ec.EllipticCurvePrivateKey = field(init=False)
     root_cert: x509.Certificate = field(init=False)
 
@@ -250,10 +248,8 @@ class TestCaState:
         week = int(self.clock().timestamp()) // (7 * 86400)
         with self._lock:
             count = self._order_counts.get((domain, week), 0) + 1
-            if count > self.weekly_order_quota:
-                raise QuotaExceeded(
-                    f"{domain}: {count} orders this week exceeds {self.weekly_order_quota}"
-                )
+            if count > WEEKLY_ORDER_QUOTA:
+                raise QuotaExceeded(f"{domain}: {count} orders this week exceeds {WEEKLY_ORDER_QUOTA}")
             self._order_counts[(domain, week)] = count
 
     # -- issuance -----------------------------------------------------------
@@ -261,9 +257,7 @@ class TestCaState:
     def issue(self, csr: x509.CertificateSigningRequest) -> tuple[str, x509.Certificate]:
         not_before = self.clock() - timedelta(minutes=1)
         # A leaf never outlives the root it chains to.
-        not_after = min(
-            not_before + min(self.validity, MAX_CERT_LIFETIME), self.root_cert.not_valid_after_utc
-        )
+        not_after = min(not_before + MAX_CERT_LIFETIME, self.root_cert.not_valid_after_utc)
         with self._lock:
             self._next_serial += 1
             serial_int = self._next_serial
@@ -577,11 +571,7 @@ class TestCa(BackgroundServer):
 
     def __init__(self, config: CaConfig | None = None) -> None:
         self.config = config or CaConfig()
-        self.state = TestCaState(
-            clock=self.config.clock,
-            validity=self.config.validity,
-            weekly_order_quota=self.config.weekly_order_quota,
-        )
+        self.state = TestCaState(self.config.clock)
         self.service_cert_pem, service_key_pem = _service_identity()
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         load_cert_chain_in_memory(ctx, self.service_cert_pem, service_key_pem)

@@ -137,7 +137,7 @@ class AcmeClient:
     ) -> None:
         self.directory_url = directory_url
         self.timeout = timeout
-        key = account_key if account_key is not None else generate_key("p256")
+        key = account_key if account_key is not None else generate_key()
         thumb = jws.jwk_thumbprint(jws.public_jwk(key.public_key()))
         self.account = AcmeAccount(account_key=key, kid=None, jwk_thumbprint=thumb)
         if ca_bundle_pem is not None:

@@ -14,26 +14,13 @@ import ssl
 
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, rsa
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
-from .errors import IotPkiError
 
-KEY_ALG_RSA = "rsa2048"
-KEY_ALG_EC = "p256"
-
-
-class UnsupportedKeyAlgorithm(IotPkiError):
-    pass
-
-
-def generate_key(algorithm: str = KEY_ALG_RSA):
-    """Device/account keypair. RSA-2048 default, P-256 optional."""
-    if algorithm == KEY_ALG_RSA:
-        return rsa.generate_private_key(public_exponent=65537, key_size=2048)
-    if algorithm == KEY_ALG_EC:
-        return ec.generate_private_key(ec.SECP256R1())
-    raise UnsupportedKeyAlgorithm(algorithm)
+def generate_key() -> ec.EllipticCurvePrivateKey:
+    """A fresh P-256 keypair, the one kind of device or account key."""
+    return ec.generate_private_key(ec.SECP256R1())
 
 
 def build_csr(private_key, fqdn: str) -> x509.CertificateSigningRequest:

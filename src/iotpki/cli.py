@@ -32,10 +32,10 @@ from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
 from .inventory import Inventory, RenewalState, from_rfc3339, utcnow
-from .lifecycle import EnrollmentRequest, FleetManager, require_certificate
+from .lifecycle import DEFAULT_PARALLELISM, EnrollmentRequest, FleetManager, require_certificate
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
-from .simulator import SimConfig, WeibullParams, run_smart_city, summarize
+from .simulator import WEIBULL_BETA, WEIBULL_LAMBDA, SimConfig, WeibullParams, run_smart_city, summarize
 
 BASE_TIME = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -62,7 +62,7 @@ class Settings:
     root_domain: str = "vendor.example"
     device_class: str = "sensor"
     challenge: str = "dns01"
-    parallelism: int = 4
+    parallelism: int = DEFAULT_PARALLELISM
     seed: int = 0
     out: str = "out"
 
@@ -209,6 +209,8 @@ def cmd_enroll_batch(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
+    if args.count < 1:
+        raise IotPkiError(f"renew needs at least one device, got --count {args.count}")
     out = _out_dir(settings)
     ns = VendorNamespace(settings.root_domain, settings.device_class)
     rows = ["cycle,uuid,status,serial,fingerprint"]
@@ -220,8 +222,8 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
                 ns, DeviceSecret(_device_secret(settings.seed, i)), settings.challenge
             )
         for cycle in range(1, args.cycles + 1):
-            if args.now:
-                stack.clock.now = from_rfc3339(args.now)
+            if args.now is not None:
+                stack.clock.now = args.now
             else:
                 horizon = min(
                     r.current_cert.not_after
@@ -437,6 +439,29 @@ def cmd_simulate(args: argparse.Namespace, settings: Settings) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _rfc3339_arg(text: str) -> datetime:
+    """An argparse type for an RFC 3339 time, read as ``from_rfc3339`` does."""
+    try:
+        return from_rfc3339(text)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not an RFC 3339 time: {text!r}") from None
+
+
+def _int_in(low: int, high: int):
+    """An argparse type for an integer in low..high."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer in {low}..{high}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
@@ -464,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("renew", parents=[common], help="enroll a fleet, then run renewal cycles")
     p.add_argument("--count", type=int, default=5, help="devices to enroll")
     p.add_argument("--cycles", type=int, default=1, help="renewal ticks to run")
-    p.add_argument("--now", help="RFC 3339 time for the tick (defaults to auto-advance)")
+    p.add_argument(
+        "--now", type=_rfc3339_arg, help="RFC 3339 time for the tick (defaults to auto-advance)"
+    )
     p.set_defaults(func=cmd_renew)
 
     p = sub.add_parser("revoke", parents=[common], help="revoke a device from the saved snapshot")
@@ -473,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", parents=[common], help="build or query the revocation filter")
     p.add_argument("action", choices=["build", "check"])
-    p.add_argument("--epoch", type=int, default=1)
+    p.add_argument("--epoch", type=_int_in(0, 2**32 - 1), default=1)
     p.add_argument("--serial", help="serial to check (hex)")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("serve", parents=[common], help="run the DNS authority or the embedded CA")
     p.add_argument("service", choices=["dns", "ca"])
-    p.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral)")
+    p.add_argument("--port", type=_int_in(0, 65535), default=0, help="bind port (0 = ephemeral)")
     p.add_argument("--duration", type=float, default=0.0, help="seconds to serve (0 = until interrupt)")
     p.set_defaults(func=cmd_serve)
 
@@ -490,16 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="smart-city latency simulation")
     p.add_argument("--mode", choices=["d2d", "cloud", "both"], default="both")
-    p.add_argument("--nodes", type=int, default=500)
-    p.add_argument("--duration", type=float, default=300.0, help="simulated seconds")
-    p.add_argument("--burst-size", dest="burst_size", type=int, default=10)
-    p.add_argument("--poll-interval", dest="poll_interval", type=float, default=2.0)
-    p.add_argument("--gateway-range", dest="gateway_range", type=float, default=100.0)
-    p.add_argument("--d2d-latency-ms", dest="d2d_latency_ms", type=float, default=17.0)
-    p.add_argument("--handshake-ms", dest="handshake_ms", type=float, default=50.0)
-    p.add_argument("--weibull-beta", dest="weibull_beta", type=float, default=0.5)
-    p.add_argument("--weibull-lambda", dest="weibull_lambda", type=float, default=6.37)
-    p.add_argument("--cloud-cap", dest="cloud_cap", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=SimConfig.num_mobile_nodes)
+    p.add_argument("--duration", type=float, default=SimConfig.duration, help="simulated seconds")
+    p.add_argument("--burst-size", dest="burst_size", type=int, default=SimConfig.burst_size)
+    p.add_argument("--poll-interval", dest="poll_interval", type=float, default=SimConfig.poll_interval)
+    p.add_argument("--gateway-range", dest="gateway_range", type=float, default=SimConfig.gateway_range)
+    p.add_argument(
+        "--d2d-latency-ms", dest="d2d_latency_ms", type=float, default=SimConfig.d2d_link_latency_ms
+    )
+    p.add_argument("--handshake-ms", dest="handshake_ms", type=float, default=SimConfig.handshake_cost_ms)
+    p.add_argument("--weibull-beta", dest="weibull_beta", type=float, default=WEIBULL_BETA)
+    p.add_argument("--weibull-lambda", dest="weibull_lambda", type=float, default=WEIBULL_LAMBDA)
+    p.add_argument("--cloud-cap", dest="cloud_cap", type=int, default=SimConfig.cloud_connection_cap)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -23,8 +23,9 @@ from .zone import DnsResponse, Rcode, RType, Zone, ZoneRecord
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BIND = ("127.0.0.1", 5353)
 MAX_UDP = 512
+# How long the stub resolver waits for one reply.
+RESOLVE_TIMEOUT = 2.0
 
 
 class ResolutionFailure(IotPkiError):
@@ -65,7 +66,7 @@ def _salvage_id(packet: bytes) -> int:
 class DnsUdpServer(BackgroundServer):
     """Owns the socket server and the one thread that answers on it."""
 
-    def __init__(self, zone: Zone, bind_addr: tuple[str, int] = DEFAULT_BIND) -> None:
+    def __init__(self, zone: Zone, bind_addr: tuple[str, int]) -> None:
         super().__init__("dns-udp", "udp", socketserver.UDPServer, bind_addr, _Handler)
         self._server.zone = zone
         self.zone = zone
@@ -76,19 +77,14 @@ class DnsUdpServer(BackgroundServer):
         return self
 
 
-def resolve(
-    name: str,
-    rtype: RType,
-    server_addr: tuple[str, int],
-    timeout: float = 2.0,
-) -> tuple[Rcode, list[ZoneRecord]]:
+def resolve(name: str, rtype: RType, server_addr: tuple[str, int]) -> tuple[Rcode, list[ZoneRecord]]:
     """One-shot UDP stub query against a specific server. Any failure,
     from an unencodable name to a malformed reply, is a ResolutionFailure."""
     txn_id = random.randrange(0, 0x10000)
     try:
         query = wire.build_query(txn_id, name, rtype)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(timeout)
+            sock.settimeout(RESOLVE_TIMEOUT)
             sock.sendto(query, server_addr)
             packet, _ = sock.recvfrom(4096)
         got_id, rcode, _, answers = wire.parse_response(packet)

@@ -90,10 +90,10 @@ class Zone:
     never mutate, so the UDP responder can answer concurrently.
     """
 
-    def __init__(self, apex: str, serial: int = 1) -> None:
+    def __init__(self, apex: str) -> None:
         self.apex = normalize_name(apex)
         self._records: dict[str, list[ZoneRecord]] = {}
-        self._serial = serial
+        self._serial = 1
         self._lock = threading.RLock()
 
     @property
@@ -112,12 +112,12 @@ class Zone:
 
     # -- mutations -----------------------------------------------------
 
-    def set_record(self, name: str, rtype: RType, value: str, ttl: int = DEFAULT_TTL) -> ZoneRecord:
+    def set_record(self, name: str, rtype: RType, value: str) -> ZoneRecord:
         """Install one record. CNAME and TXT replace any same-type record
         at the name (last write wins); A records accumulate."""
         name = self._require_in_zone(name)
         value = _validate_value(rtype, value)
-        record = ZoneRecord(name, rtype, value, ttl)
+        record = ZoneRecord(name, rtype, value)
         with self._lock:
             existing = self._records.get(name, [])
             if rtype is RType.CNAME and any(r.rtype is not RType.CNAME for r in existing):

@@ -85,18 +85,15 @@ class VendorNamespace:
 class DeviceSecret:
     """Opaque device-bound secret feeding UUID derivation.
 
-    ``synthetic`` secrets are derived from provisioning inputs (the
-    prototype path uses the device MAC); ``external`` secrets are
-    caller-supplied high-entropy values, the hook for hardware-backed
-    keys. Either way the bytes must be at least 16 octets.
+    The bytes are either caller-supplied high-entropy values, the hook for
+    hardware-backed keys, or derived from provisioning inputs by
+    ``from_mac`` (the prototype path). Either way they must be at least 16
+    octets.
     """
 
     data: bytes
-    source: str = "external"
 
     def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "external"):
-            raise ValueError(f"unknown secret source: {self.source!r}")
         if len(self.data) < MIN_SECRET_BYTES:
             raise WeakSecret(
                 f"secret is {len(self.data)} bytes, need >= {MIN_SECRET_BYTES}"
@@ -117,7 +114,7 @@ class DeviceSecret:
             raise WeakSecret(f"not a MAC address: {mac!r}")
         if len(hexstr) == 12:
             hexstr = hexstr[:6] + "FFFE" + hexstr[6:]
-        return cls(data=hexstr.encode("ascii"), source="synthetic")
+        return cls(hexstr.encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,6 @@ def derive_device_uuid(ns: VendorNamespace, secret: DeviceSecret) -> uuid.UUID:
     ``root_domain || 0x00 || secret``; the 0x00 separator prevents
     boundary-ambiguity collisions between domain and secret bytes.
     """
-    if len(secret.data) < MIN_SECRET_BYTES:
-        raise WeakSecret("secret too short")
     name = hashlib.sha256(
         ns.root_domain.encode("ascii") + b"\x00" + secret.data
     ).hexdigest()

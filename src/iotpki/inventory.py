@@ -186,10 +186,8 @@ class Inventory:
     def __len__(self) -> int:
         return len(self._records)
 
-    def due_for_renewal(
-        self, now: datetime, window: timedelta = RENEWAL_WINDOW
-    ) -> list[DeviceRecord]:
-        """Records whose cert expires within ``window`` and that are not
+    def due_for_renewal(self, now: datetime) -> list[DeviceRecord]:
+        """Records whose cert expires within RENEWAL_WINDOW and that are not
         revoked or already being renewed. Marks nothing."""
         out = []
         with self._lock:
@@ -198,7 +196,7 @@ class Inventory:
                     continue
                 if record.renewal_state in (RenewalState.REVOKED, RenewalState.IN_PROGRESS):
                     continue
-                if record.current_cert.not_after - now <= window:
+                if record.current_cert.not_after - now <= RENEWAL_WINDOW:
                     out.append(record)
         return sorted(out, key=lambda r: str(r.uuid))
 
@@ -302,6 +300,8 @@ def _record_from_obj(obj: dict) -> DeviceRecord:
             pem_chain=_text(cert_obj["pem"], "pem"),
         )
     urn = parse_urn(obj["urn"])
+    if uuidlib.UUID(_text(obj["uuid"], "uuid")) != urn.uuid:
+        raise ValueError(f"uuid {obj['uuid']} is not the uuid of {urn}")
     delegation = obj.get("delegation")
     return DeviceRecord(
         urn=urn,

@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 
 DELEGATION_MAGIC = b"ATLSDLG1"
 DEFAULT_PARALLELISM = 4
-DEFAULT_DELEGATION_LIFETIME = timedelta(days=7)
+DELEGATION_LIFETIME = timedelta(days=7)
 
 
 class EnrollmentAborted(IotPkiError):
@@ -66,6 +66,10 @@ class RenewalBusy(IotPkiError):
 
 class EmptyBatch(IotPkiError):
     """enroll_batch requires at least one enrollment request."""
+
+
+class BadParallelism(IotPkiError):
+    """enroll_batch requires at least one worker."""
 
 
 class RevocationReason(str, Enum):
@@ -254,7 +258,7 @@ class FleetManager:
         self.cloud_target = cloud_target
         self.clock = clock
         self.http_shelf = http_shelf
-        self._account_key = generate_key("p256")
+        self._account_key = generate_key()
         self._delegation_key = ed25519.Ed25519PrivateKey.generate()
         self._device_keys: dict[uuidlib.UUID, tuple[object, str]] = {}
         self._revocation_reasons: dict[uuidlib.UUID, RevocationReason] = {}
@@ -347,15 +351,11 @@ class FleetManager:
         secret: DeviceSecret,
         challenge: str = "dns01",
     ) -> ProvisionedDevice:
-        bundle, _, _ = self._enroll_timed(ns, secret, challenge)
+        bundle, _, _ = self._enroll_timed(DeviceUrn(derive_device_uuid(ns, secret), ns), challenge)
         return bundle
 
-    def _enroll_timed(
-        self, ns: VendorNamespace, secret: DeviceSecret, challenge: str
-    ) -> tuple[ProvisionedDevice, float, float]:
+    def _enroll_timed(self, urn: DeviceUrn, challenge: str) -> tuple[ProvisionedDevice, float, float]:
         t0 = time.perf_counter()
-        device_uuid = derive_device_uuid(ns, secret)
-        urn = DeviceUrn(device_uuid, ns)
         self.inventory.upsert_device(urn, now=self.clock())
         self.zone.bind_device(str(urn), self.cloud_target)
         binding_ms = (time.perf_counter() - t0) * 1000.0
@@ -363,13 +363,13 @@ class FleetManager:
         t1 = time.perf_counter()
         # Full (re-)enrollment always injects a fresh keypair; key reuse is
         # a renewal-only property.
-        key = generate_key("p256")
+        key = generate_key()
         try:
             meta = self._issue(urn, build_csr(key, str(urn)), challenge)
         except IotPkiError as exc:
             raise EnrollmentAborted(f"issuance failed for {urn}: {exc}") from exc
         with self._keys_lock:
-            self._device_keys[device_uuid] = (key, challenge)
+            self._device_keys[urn.uuid] = (key, challenge)
         issuance_ms = (time.perf_counter() - t1) * 1000.0
         bundle = ProvisionedDevice(urn, key, meta.pem_chain, meta.issuance_time)
         return bundle, binding_ms, issuance_ms
@@ -382,7 +382,7 @@ class FleetManager:
         if not requests:
             raise EmptyBatch("enrollment batch is empty")
         if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+            raise BadParallelism(f"parallelism must be >= 1, got {parallelism}")
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(self._enroll_one_row, requests))
         return BatchReport(rows=tuple(rows))
@@ -390,16 +390,15 @@ class FleetManager:
     def _enroll_one_row(self, request: EnrollmentRequest) -> BatchRow:
         try:
             ns = VendorNamespace(request.root_domain, request.device_class)
-            secret = DeviceSecret(request.secret)
-            device_uuid = derive_device_uuid(ns, secret)
+            urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(request.secret)), ns)
         except IotPkiError as exc:
             return BatchRow("", type(exc).__name__, 0.0, 0.0)
         try:
-            _, binding_ms, issuance_ms = self._enroll_timed(ns, secret, request.challenge)
+            _, binding_ms, issuance_ms = self._enroll_timed(urn, request.challenge)
         except Exception as exc:  # per-device outcome, batch never aborts
-            log.warning("enrollment failed for %s: %s", device_uuid, exc)
-            return BatchRow(str(device_uuid), type(exc).__name__, 0.0, 0.0)
-        return BatchRow(str(device_uuid), "ok", binding_ms, issuance_ms)
+            log.warning("enrollment failed for %s: %s", urn.uuid, exc)
+            return BatchRow(str(urn.uuid), type(exc).__name__, 0.0, 0.0)
+        return BatchRow(str(urn.uuid), "ok", binding_ms, issuance_ms)
 
     # -- renewal -------------------------------------------------------------
 
@@ -429,14 +428,9 @@ class FleetManager:
 
     # -- proxy renewal -------------------------------------------------------
 
-    def make_delegation(
-        self,
-        gateway_id: str,
-        device_uuid: uuidlib.UUID,
-        lifetime: timedelta = DEFAULT_DELEGATION_LIFETIME,
-    ) -> DelegationRecord:
+    def make_delegation(self, gateway_id: str, device_uuid: uuidlib.UUID) -> DelegationRecord:
         return sign_delegation(
-            self._delegation_key, gateway_id, device_uuid, self.clock() + lifetime
+            self._delegation_key, gateway_id, device_uuid, self.clock() + DELEGATION_LIFETIME
         )
 
     def proxy_renew(self, delegation: DelegationRecord, csr) -> str:

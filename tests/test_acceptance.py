@@ -154,8 +154,6 @@ def renewal_run(artifact_root: Path) -> SimpleNamespace:
         CaConfig(
             dns_addr=dns.address,
             http01_port=shelf.port,
-            validity=timedelta(days=90),
-            weekly_order_quota=10**9,
             clock=clock,
         )
     ).start()
@@ -319,7 +317,7 @@ class TestFilterExactness:
 
 def issue_bundle(state: TestCaState, ns: VendorNamespace, tag: str, san: str | None = None):
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"matrix-secret-{tag}".encode())), ns)
-    key = generate_key("p256")
+    key = generate_key()
     serial, cert = state.issue(build_csr(key, san if san is not None else str(urn)))
     return SimpleNamespace(
         urn=urn,
@@ -336,12 +334,8 @@ class TestCrossVendorMatrix:
         started = time.monotonic()
         now = datetime.now(timezone.utc)
         clock = SettableClock(now)
-        state = TestCaState(
-            clock=clock, validity=timedelta(days=90), weekly_order_quota=10**9
-        )
-        foreign = TestCaState(
-            clock=clock, validity=timedelta(days=90), weekly_order_quota=10**9
-        )
+        state = TestCaState(clock=clock)
+        foreign = TestCaState(clock=clock)
         vendor_a = VendorNamespace("a.matrix.test", "gateway")
         vendor_b = VendorNamespace("b.matrix.test", "sensor")
 
@@ -591,7 +585,7 @@ class TestDnsAuthorityConformance:
                 stack.ca.directory_url, ca_bundle_pem=stack.ca.service_cert_pem
             ) as client:
                 chain = client.obtain_certificate(
-                    urn, build_csr(generate_key("p256"), urn), observer
+                    urn, build_csr(generate_key(), urn), observer
                 )
             assert "BEGIN CERTIFICATE" in chain
             assert len(observer.observations) == 1

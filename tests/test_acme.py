@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec, padding, utils
+from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa, utils
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -59,6 +59,15 @@ RFC8555_TOKEN = "evaGxfADs6pSRb2LAv9IZf17Dt3juxGJ-PCt92wr-oA"
 FROZEN_DNS01_TXT = "ZTRx1Ckl1-tM05o5zaizTTA0yUy5AGereMgSNWC6Ll8"
 
 
+def rsa_key() -> rsa.RSAPrivateKey:
+    """An RSA-2048 key, as a foreign account or CSR may carry; the package
+    itself only makes P-256 keys."""
+    return rsa.generate_private_key(public_exponent=65537, key_size=2048)
+
+
+KEYGEN = {"rsa2048": rsa_key, "p256": generate_key}
+
+
 class TestJwsPrimitives:
     def test_b64url_no_padding_round_trip(self):
         for raw in (b"", b"\x00", b"fo", b"\xff" * 17):
@@ -74,14 +83,14 @@ class TestJwsPrimitives:
         assert jws.jwk_thumbprint(padded) == RFC7638_THUMBPRINT
 
     def test_public_jwk_has_exactly_required_members(self):
-        rsa_jwk = jws.public_jwk(generate_key("rsa2048").public_key())
+        rsa_jwk = jws.public_jwk(rsa_key().public_key())
         assert sorted(rsa_jwk) == ["e", "kty", "n"]
-        ec_jwk = jws.public_jwk(generate_key("p256").public_key())
+        ec_jwk = jws.public_jwk(generate_key().public_key())
         assert sorted(ec_jwk) == ["crv", "kty", "x", "y"]
 
     @pytest.mark.parametrize("alg", ["rsa2048", "p256"])
     def test_sign_verify_round_trip(self, alg):
-        key = generate_key(alg)
+        key = KEYGEN[alg]()
         protected = {"alg": jws.alg_for_key(key), "nonce": "n", "url": "https://x/y"}
         envelope = jws.sign_jws(key, protected, b'{"a":1}')
         got_protected, payload = jws.verify_jws(envelope, key.public_key())
@@ -90,7 +99,7 @@ class TestJwsPrimitives:
 
     @pytest.mark.parametrize("alg", ["rsa2048", "p256"])
     def test_tampered_payload_rejected(self, alg):
-        key = generate_key(alg)
+        key = KEYGEN[alg]()
         protected = {"alg": jws.alg_for_key(key), "nonce": "n", "url": "https://x/y"}
         envelope = jws.sign_jws(key, protected, b'{"a":1}')
         envelope["payload"] = jws.b64url(b'{"a":2}')
@@ -98,12 +107,12 @@ class TestJwsPrimitives:
             jws.verify_jws(envelope, key.public_key())
 
     def test_es256_signature_is_raw_64_bytes(self):
-        key = generate_key("p256")
+        key = generate_key()
         envelope = jws.sign_jws(key, {"alg": "ES256"}, b"x")
         assert len(jws.b64url_decode(envelope["signature"])) == 64
 
     def test_jwk_round_trip_preserves_key(self):
-        key = generate_key("p256")
+        key = generate_key()
         restored = jws.jwk_to_public_key(jws.public_jwk(key.public_key()))
         message = b"check"
         sig = key.sign(message, ec.ECDSA(hashes.SHA256()))
@@ -119,7 +128,7 @@ class TestJwsPrimitives:
         assert jws.dns01_txt_value(key_auth) == FROZEN_DNS01_TXT
 
 
-ENVELOPE_KEY = generate_key("p256")
+ENVELOPE_KEY = generate_key()
 ES256_HEADER = jws.b64url(b'{"alg":"ES256"}')
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -226,7 +235,7 @@ def verify_chain(pem: str, fqdn: str, root: x509.Certificate) -> x509.Certificat
 class TestIssuanceFlow:
     def test_dns01_issues_verifiable_chain(self, stack):
         fqdn = "dev1.camera.vendor.com"
-        key = generate_key("p256")
+        key = generate_key()
         pem = new_client(stack).obtain_certificate(
             fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
@@ -236,7 +245,7 @@ class TestIssuanceFlow:
     def test_http01_issues_verifiable_chain(self, stack):
         fqdn = "dev2.camera.vendor.com"
         stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
-        key = generate_key("rsa2048")
+        key = rsa_key()
         pem = new_client(stack).obtain_certificate(
             fqdn, build_csr(key, fqdn), HttpShelfFulfiller(stack.shelf)
         )
@@ -244,7 +253,7 @@ class TestIssuanceFlow:
 
     def test_challenge_cleanup_removes_txt(self, stack):
         fqdn = "dev3.camera.vendor.com"
-        key = generate_key("p256")
+        key = generate_key()
         new_client(stack).obtain_certificate(
             fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
@@ -263,7 +272,7 @@ class TestIssuanceFlow:
             def cleanup(self, fqdn, token):
                 stack.zone.clear_acme_txt(fqdn)
 
-        key = generate_key("p256")
+        key = generate_key()
         with pytest.raises(ChallengeFailed):
             new_client(stack).obtain_certificate(
                 fqdn, build_csr(key, fqdn), LyingFulfiller()
@@ -271,7 +280,7 @@ class TestIssuanceFlow:
 
     def test_csr_for_other_name_rejected(self, stack):
         fqdn = "dev5.camera.vendor.com"
-        key = generate_key("p256")
+        key = generate_key()
         wrong_csr = build_csr(key, "evil.camera.vendor.com")
         with pytest.raises(CsrMismatch):
             new_client(stack).obtain_certificate(
@@ -282,13 +291,13 @@ class TestIssuanceFlow:
         issue = ca_module.TestCaState.issue
 
         def issue_for_fresh_key(state, csr):
-            return issue(state, build_csr(generate_key("p256"), san_dns_names(csr)[0]))
+            return issue(state, build_csr(generate_key(), san_dns_names(csr)[0]))
 
         monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
         fqdn = "swapped.camera.vendor.com"
         with pytest.raises(CsrMismatch, match="other than the csr"):
             new_client(stack).obtain_certificate(
-                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
+                fqdn, build_csr(generate_key(), fqdn), DnsTxtFulfiller(stack.zone)
             )
 
     def test_unreadable_chain_rejected(self, stack, monkeypatch):
@@ -296,7 +305,7 @@ class TestIssuanceFlow:
         fqdn = "garbled.camera.vendor.com"
         with pytest.raises(CsrMismatch, match="unreadable chain"):
             new_client(stack).obtain_certificate(
-                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
+                fqdn, build_csr(generate_key(), fqdn), DnsTxtFulfiller(stack.zone)
             )
 
     def test_serials_unique_and_increasing(self, stack):
@@ -305,7 +314,7 @@ class TestIssuanceFlow:
         serials = []
         for i in range(3):
             fqdn = f"serial{i}.camera.vendor.com"
-            key = generate_key("p256")
+            key = generate_key()
             pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), fulfiller)
             serials.append(split_pem_chain(pem)[0].serial_number)
         assert len(set(serials)) == 3
@@ -313,7 +322,7 @@ class TestIssuanceFlow:
 
     def test_issued_cert_verifies_against_served_root(self, stack):
         fqdn = "dev6.camera.vendor.com"
-        key = generate_key("p256")
+        key = generate_key()
         pem = new_client(stack).obtain_certificate(
             fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
         )
@@ -377,7 +386,7 @@ class TestMisshapenAnswers:
         fqdn = f"{case}.camera.vendor.com"
         with pytest.raises(MalformedAnswer):
             new_client(stack).obtain_certificate(
-                fqdn, build_csr(generate_key("p256"), fqdn), DnsTxtFulfiller(stack.zone)
+                fqdn, build_csr(generate_key(), fqdn), DnsTxtFulfiller(stack.zone)
             )
         assert stack.zone.answer_query(f"_acme-challenge.{fqdn}", RType.TXT).answers == ()
 
@@ -389,7 +398,7 @@ class TestMisshapenAnswers:
         fqdn = "local-bug.camera.vendor.com"
         with pytest.raises(TypeError, match="fulfiller bug"):
             new_client(stack).obtain_certificate(
-                fqdn, build_csr(generate_key("p256"), fqdn), BrokenFulfiller(stack.zone)
+                fqdn, build_csr(generate_key(), fqdn), BrokenFulfiller(stack.zone)
             )
 
     @pytest.mark.parametrize(
@@ -454,8 +463,7 @@ class TestNonces:
 class TestQuota:
     def test_internal_gate_trips_past_quota(self):
         # Exercise the counting gate directly at full scale.
-        ca_state_cfg = CaConfig(weekly_order_quota=30000)
-        ca = TestCa(ca_state_cfg)
+        ca = TestCa()
         try:
             for _ in range(30000):
                 ca.state.check_quota("x.camera.vendor.com")
@@ -464,10 +472,9 @@ class TestQuota:
         finally:
             ca.close()
 
-    def test_http_order_past_quota_is_rate_limited(self, stack):
-        ca = TestCa(
-            CaConfig(dns_addr=stack.dns.address, weekly_order_quota=2)
-        ).start()
+    def test_http_order_past_quota_is_rate_limited(self, stack, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 2)
+        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
         try:
             client = new_client(stack, ca)
             client.ensure_account()
@@ -484,8 +491,9 @@ class TestQuota:
         finally:
             ca.close()
 
-    def test_quota_is_per_domain(self):
-        ca = TestCa(CaConfig(weekly_order_quota=1))
+    def test_quota_is_per_domain(self, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
+        ca = TestCa()
         try:
             ca.state.check_quota("a.camera.vendor.com")
             ca.state.check_quota("b.camera.other.org")  # different registrable domain
@@ -496,40 +504,21 @@ class TestQuota:
 
 
 class TestValidityConfiguration:
-    def test_short_lifetime_configurable(self, stack):
-        ca = TestCa(
-            CaConfig(dns_addr=stack.dns.address, validity=timedelta(hours=2))
-        ).start()
-        try:
-            fqdn = "short.camera.vendor.com"
-            client = new_client(stack, ca)
-            key = generate_key("p256")
-            pem = client.obtain_certificate(
-                fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone)
-            )
-            leaf = split_pem_chain(pem)[0]
-            span = leaf.not_valid_after_utc - leaf.not_valid_before_utc
-            assert span == timedelta(hours=2)
-        finally:
-            ca.close()
-
-    def test_lifetime_clamped_to_90_days(self):
-        ca = TestCa(CaConfig(validity=timedelta(days=365)))
-        try:
-            key = generate_key("p256")
-            csr = build_csr(key, "clamp.camera.vendor.com")
-            _, cert = ca.state.issue(csr)
-            assert cert.not_valid_after_utc - cert.not_valid_before_utc <= timedelta(days=90)
-        finally:
-            ca.close()
+    def test_issued_lifetime_is_max_cert_lifetime(self, stack):
+        fqdn = "lifetime.camera.vendor.com"
+        pem = new_client(stack).obtain_certificate(
+            fqdn, build_csr(generate_key(), fqdn), DnsTxtFulfiller(stack.zone)
+        )
+        leaf = split_pem_chain(pem)[0]
+        assert leaf.not_valid_after_utc - leaf.not_valid_before_utc == MAX_CERT_LIFETIME
 
     def test_leaf_never_outlives_root(self):
         now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
-        ca = TestCa(CaConfig(validity=timedelta(days=90), clock=lambda: now[0]))
+        ca = TestCa(CaConfig(clock=lambda: now[0]))
         try:
             root_end = ca.state.root_cert.not_valid_after_utc
             now[0] = root_end - timedelta(days=10)
-            csr = build_csr(generate_key("p256"), "late.camera.vendor.com")
+            csr = build_csr(generate_key(), "late.camera.vendor.com")
             _, cert = ca.state.issue(csr)
             assert cert.not_valid_after_utc <= root_end
             assert cert.not_valid_before_utc < cert.not_valid_after_utc
@@ -538,11 +527,9 @@ class TestValidityConfiguration:
 
     def test_leaf_from_rewound_clock_lies_inside_root(self):
         now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
-        state = ca_module.TestCaState(
-            clock=lambda: now[0], validity=timedelta(days=90), weekly_order_quota=10
-        )
+        state = ca_module.TestCaState(clock=lambda: now[0])
         now[0] -= MAX_CERT_LIFETIME
-        _, cert = state.issue(build_csr(generate_key("p256"), "rewound.camera.vendor.com"))
+        _, cert = state.issue(build_csr(generate_key(), "rewound.camera.vendor.com"))
         root = state.root_cert
         assert root.not_valid_before_utc <= cert.not_valid_before_utc
         assert cert.not_valid_after_utc <= root.not_valid_after_utc
@@ -554,7 +541,7 @@ def enroll(client, stack, fqdn: str, challenge: str = "dns01") -> str:
         fulfiller = HttpShelfFulfiller(stack.shelf)
     else:
         fulfiller = DnsTxtFulfiller(stack.zone)
-    key = generate_key("p256")
+    key = generate_key()
     pem = client.obtain_certificate(fqdn, build_csr(key, fqdn), fulfiller)
     verify_chain(pem, fqdn, stack.ca.state.root_cert)
     return pem
@@ -686,7 +673,7 @@ def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, 
 
 
 def csr_b64(fqdn: str, tamper: bool = False) -> str:
-    der = bytearray(csr_to_der(build_csr(generate_key("p256"), fqdn)))
+    der = bytearray(csr_to_der(build_csr(generate_key(), fqdn)))
     if tamper:
         der[-1] ^= 1  # last byte of the signature's s: still parses, no longer verifies
     return jws.b64url(bytes(der))
@@ -1114,7 +1101,7 @@ class TestOrderTree:
         assert order_status(client, order)["status"] == "pending"
         assert answer_challenge(stack, client, challs[1], self.NAMES[1])["status"] == "valid"
         assert order_status(client, order)["status"] == "ready"
-        key = generate_key("p256")
+        key = generate_key()
         csr = (
             x509.CertificateSigningRequestBuilder()
             .subject_name(x509.Name([]))
@@ -1155,7 +1142,7 @@ class TestOrderTree:
             client = new_client(stack, ca)
             for i in range(4):
                 fqdn = f"tree{i}.camera.vendor.com"
-                key = generate_key("p256")
+                key = generate_key()
                 client.obtain_certificate(fqdn, build_csr(key, fqdn), DnsTxtFulfiller(stack.zone))
             state = ca.state
             assert (len(state.orders), len(state.authzs), len(state.challenges)) == (4, 4, 8)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import ssl
 import threading
 import time
 from datetime import datetime, timezone
@@ -21,6 +23,16 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def small_filter_dir(tmp_path, capsys):
+    """A filter over a written universe, with serial abc005 revoked."""
+    (tmp_path / "issued_serials.txt").write_text("abc005\nabc006\n1f\n")
+    (tmp_path / "revoked_serials.txt").write_text("abc005\n")
+    code, _, _ = run(["filter", "build", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    return str(tmp_path)
 
 
 class TestUsageErrors:
@@ -43,6 +55,41 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["filter", "check"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, env, code, diagnostic",
+        [
+            (["renew", "--count", "0"], {}, 1, "at least one device"),
+            (["renew", "--now", "2026-13-01"], {}, 2, "--now"),
+            (["filter", "build", "--epoch", "-1"], {}, 2, "--epoch"),
+            (["filter", "build", "--epoch", "4294967296"], {}, 2, "--epoch"),
+            (["serve", "dns", "--port", "70000"], {}, 2, "--port"),
+            (["enroll-batch", "--count", "2", "--parallelism", "0"], {}, 1, "parallelism"),
+            (["enroll-batch", "--count", "2"], {"IOTPKI_PARALLELISM": "0"}, 1, "parallelism"),
+        ],
+        ids=["renew-count-0", "renew-month-13", "epoch-neg", "epoch-2^32", "port-70000",
+             "parallelism-flag-0", "parallelism-env-0"],
+    )
+    def test_value_out_of_range_keeps_exit_contract(
+        self, small_filter_dir, capsys, monkeypatch, argv, env, code, diagnostic
+    ):
+        """1 with one error line for a domain error, 2 for a flag argparse
+        rejects; never a traceback. The filter rows run over a built
+        universe, so they reach the epoch."""
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        argv = [*argv, "--out", small_filter_dir]
+        if code == 2:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
+            assert diagnostic in capsys.readouterr().err
+            return
+        got, stdout, stderr = run(argv, capsys)
+        assert got == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and diagnostic in stderr
+        assert stderr.count("\n") == 1
 
 
 class TestEnrollmentCommands:
@@ -161,15 +208,6 @@ class TestRevokeAndFilter:
         code, _, stderr = run(["revoke", "--uuid", uuid, "--out", fleet_dir], capsys)
         assert code == 1
         assert "already revoked" in stderr
-
-    @pytest.fixture()
-    def small_filter_dir(self, tmp_path, capsys):
-        """A filter over a written universe, with serial abc005 revoked."""
-        (tmp_path / "issued_serials.txt").write_text("abc005\nabc006\n1f\n")
-        (tmp_path / "revoked_serials.txt").write_text("abc005\n")
-        code, _, _ = run(["filter", "build", "--out", str(tmp_path)], capsys)
-        assert code == 0
-        return str(tmp_path)
 
     @pytest.mark.parametrize(
         "typed, spelled, verdict",
@@ -387,6 +425,44 @@ class TestServe:
             assert any(rec.value == "127.0.0.1" for rec in answers)
         finally:
             thread.join(timeout=10)
+        assert result["code"] == 0
+
+    def test_serve_ca_publishes_directory_while_up(self, tmp_path, capsys):
+        result = {}
+
+        def target():
+            result["code"] = cli.main(
+                ["serve", "ca", "--port", "0", "--duration", "2", "--out", str(tmp_path)]
+            )
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        try:
+            deadline = time.time() + 5
+            stdout = ""
+            while time.time() < deadline and "listening at" not in stdout:
+                time.sleep(0.05)
+                stdout = capsys.readouterr().out or stdout
+            assert "listening at" in stdout
+            url = stdout.split("listening at ", 1)[1].split()[0]
+            assert url.startswith("https://127.0.0.1:") and url.endswith("/directory")
+            port = int(url.removeprefix("https://127.0.0.1:").removesuffix("/directory"))
+            # The CA's service certificate is minted per run and not printed.
+            ctx = ssl.create_default_context()
+            ctx.check_hostname = False
+            ctx.verify_mode = ssl.CERT_NONE
+            conn = http.client.HTTPSConnection("127.0.0.1", port, timeout=5, context=ctx)
+            try:
+                conn.request("GET", "/directory")
+                reply = conn.getresponse()
+                assert reply.status == 200
+                directory = json.loads(reply.read())
+            finally:
+                conn.close()
+            assert {"newNonce", "newAccount", "newOrder"} <= directory.keys()
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert result["code"] == 0
 
 

@@ -114,7 +114,6 @@ class TestMacSecret:
     def test_eui48_expands_to_16_bytes(self):
         s = DeviceSecret.from_mac("aa:bb:cc:dd:ee:ff")
         assert s.data == b"AABBCCFFFEDDEEFF"
-        assert s.source == "synthetic"
 
     def test_eui64_passthrough(self):
         s = DeviceSecret.from_mac("01-23-45-67-89-AB-CD-EF")

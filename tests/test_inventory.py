@@ -169,6 +169,7 @@ GOOD_CERT = {
     "pem": "-----BEGIN CERTIFICATE-----\nMIIB\n-----END CERTIFICATE-----\n",
 }
 GOOD_RECORD = {
+    "uuid": URN_UUID,
     "urn": f"{URN_UUID}.camera.vendor.com",
     "state": "current",
     "created_at": "2026-01-01T00:00:00Z",
@@ -198,6 +199,7 @@ JSON_VALUES = st.recursive(
 RECORD_LINES = st.one_of(
     st.fixed_dictionaries(
         {
+            "uuid": st.one_of(JSON_VALUES, st.just(URN_UUID)),
             "urn": st.one_of(JSON_VALUES, st.just(f"{URN_UUID}.camera.vendor.com")),
             "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
             "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
@@ -301,10 +303,12 @@ class TestSnapshot:
             json.dumps(retyped("fingerprint", 6)),
             json.dumps(retyped("pem", 8)),
             json.dumps(retyped("delegation", 7)),
+            json.dumps({**GOOD_RECORD, "uuid": "00000000-0000-0000-0000-000000000000"}),
+            json.dumps({**GOOD_RECORD, "uuid": 5}),
         ],
         ids=[
             "list", "int", "urn-int", "created-int", "cert-list", "bad-urn", "date-range", "deep",
-            "serial-int", "fingerprint-int", "pem-int", "delegation-int",
+            "serial-int", "fingerprint-int", "pem-int", "delegation-int", "uuid-mismatch", "uuid-int",
         ],
     )
     def test_checksummed_line_of_wrong_shape_is_corrupt(self, tmp_path, line):

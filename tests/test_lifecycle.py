@@ -25,6 +25,7 @@ from iotpki.dnsauth.server import ResolutionFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
 from iotpki.inventory import Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
+    DELEGATION_LIFETIME,
     DELEGATION_MAGIC,
     BadDelegation,
     DelegationRecord,
@@ -68,8 +69,6 @@ def stack():
         CaConfig(
             dns_addr=dns.address,
             http01_port=shelf.port,
-            validity=timedelta(days=90),
-            weekly_order_quota=10**9,
             clock=clock,
         )
     ).start()
@@ -171,7 +170,7 @@ def certify_fresh_keys(monkeypatch) -> None:
     issue = ca_module.TestCaState.issue
 
     def issue_for_fresh_key(state, csr):
-        return issue(state, build_csr(generate_key("p256"), san_dns_names(csr)[0]))
+        return issue(state, build_csr(generate_key(), san_dns_names(csr)[0]))
 
     monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
 
@@ -411,9 +410,9 @@ class TestDelegation:
         verify_delegation(manager.delegation_public_key, restored, NOW)
 
     def test_expired_delegation_rejected(self, manager):
-        record = manager.make_delegation("gw", uuidlib.uuid4(), lifetime=timedelta(seconds=0))
+        record = manager.make_delegation("gw", uuidlib.uuid4())
         with pytest.raises(BadDelegation):
-            verify_delegation(manager.delegation_public_key, record, NOW)
+            verify_delegation(manager.delegation_public_key, record, NOW + DELEGATION_LIFETIME)
 
     def test_foreign_signature_rejected(self, manager):
         stranger = ed25519.Ed25519PrivateKey.generate()
@@ -479,7 +478,7 @@ class TestProxyRenew:
     def test_fresh_keypair_csr_rejected(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("p2"))
         delegation = manager.make_delegation("gateway-1", bundle.urn.uuid)
-        csr = build_csr(generate_key("p256"), str(bundle.urn))
+        csr = build_csr(generate_key(), str(bundle.urn))
         with pytest.raises(KeyMismatch):
             manager.proxy_renew(delegation, csr)
         assert (
@@ -489,7 +488,7 @@ class TestProxyRenew:
     def test_unknown_device_rejected(self, manager):
         ghost = uuidlib.uuid4()
         delegation = manager.make_delegation("gw", ghost)
-        csr = build_csr(generate_key("p256"), "ghost.camera.vendor.com")
+        csr = build_csr(generate_key(), "ghost.camera.vendor.com")
         with pytest.raises(UnknownDevice):
             manager.proxy_renew(delegation, csr)
 

@@ -51,13 +51,13 @@ def fixed_clock(at: datetime):
 
 @pytest.fixture(scope="module")
 def ca_state() -> TestCaState:
-    return TestCaState(clock=fixed_clock(NOW), validity=timedelta(days=90), weekly_order_quota=10**9)
+    return TestCaState(clock=fixed_clock(NOW))
 
 
 def make_bundle(ca: TestCaState, ns: VendorNamespace, tag: str, san: str | None = None, key=None):
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"peer-auth-secret-{tag}".encode())), ns)
     name = san if san is not None else str(urn)
-    key = key if key is not None else generate_key("p256")
+    key = key if key is not None else generate_key()
     serial, cert = ca.issue(build_csr(key, name))
     return SimpleNamespace(
         urn=urn,
@@ -84,7 +84,7 @@ class TestExtractUrn:
         assert str(extract_urn(bundle.leaf)) == name
 
     def test_cn_fallback_when_no_san(self, ca_state):
-        key = generate_key("p256")
+        key = generate_key()
         urn_str = format_urn(
             derive_device_uuid(VENDOR_A, DeviceSecret(b"cn-fallback-secret")), VENDOR_A
         )
@@ -119,9 +119,7 @@ class TestValidatePeerMatrix:
         assert verdict.reject_reason is None
 
     def test_untrusted_chain_rejected(self, ca_state):
-        other_ca = TestCaState(
-            clock=fixed_clock(NOW), validity=timedelta(days=90), weekly_order_quota=10**9
-        )
+        other_ca = TestCaState(clock=fixed_clock(NOW))
         foreign = make_bundle(other_ca, VENDOR_A, "m2")
         verdict = validate_peer([foreign.leaf], trust_for(ca_state))
         assert verdict == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
@@ -177,9 +175,7 @@ class TestCheckOrdering:
         assert validate_peer([bundle.leaf], ctx).reject_reason is RejectReason.EXPIRED
 
     def test_bad_chain_beats_everything(self, ca_state):
-        other_ca = TestCaState(
-            clock=fixed_clock(NOW), validity=timedelta(days=90), weekly_order_quota=10**9
-        )
+        other_ca = TestCaState(clock=fixed_clock(NOW))
         bundle = make_bundle(other_ca, VENDOR_A, "o2", san="www.example.org")
         ctx = trust_for(ca_state, at=NOW + timedelta(days=365))
         assert validate_peer([bundle.leaf], ctx).reject_reason is RejectReason.CHAIN
@@ -248,7 +244,7 @@ class TestPathValidation:
         # Device A's own leaf carries AKI, SKI and ca=False; it signs a leaf
         # naming device B, so the only fault is the non-CA issuer.
         forged = sign_cert(
-            generate_key("p256"), str(victim), device_a.private_key, str(device_a.urn),
+            generate_key(), str(victim), device_a.private_key, str(device_a.urn),
             NOW - timedelta(minutes=1), NOW + timedelta(days=30), ca=False,
         )
         assert forged.issuer == device_a.leaf.subject
@@ -256,7 +252,7 @@ class TestPathValidation:
         assert verdict == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
 
     def test_leaf_outliving_its_root_is_chain_once_root_expires(self):
-        root_key, leaf_key = generate_key("p256"), generate_key("p256")
+        root_key, leaf_key = generate_key(), generate_key()
         urn = DeviceUrn(derive_device_uuid(VENDOR_A, DeviceSecret(b"path-validation-outlive")), VENDOR_A)
         root = sign_cert(root_key, "short root", root_key, "short root",
                          NOW, NOW + timedelta(days=30), ca=True)
@@ -267,12 +263,12 @@ class TestPathValidation:
         assert validate_peer([leaf], day(40)) == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
 
     def test_live_session_with_leaf_outliving_its_root_is_chain_once_root_expires(self):
-        root_key = generate_key("p256")
+        root_key = generate_key()
         root = sign_cert(root_key, "short root", root_key, "short root",
                          NOW, NOW + timedelta(days=30), ca=True)
 
         def bundle(tag: str):
-            key = generate_key("p256")
+            key = generate_key()
             secret = DeviceSecret(f"live-root-window-{tag}".encode())
             urn = DeviceUrn(derive_device_uuid(VENDOR_A, secret), VENDOR_A)
             leaf = sign_cert(key, str(urn), root_key, "short root",
@@ -385,9 +381,7 @@ class TestEchoHarness:
             mtls_echo(b, a, trust_rev, b"ping")
 
     def test_foreign_root_client_fails_tls_handshake(self, ca_state):
-        other_ca = TestCaState(
-            clock=fixed_clock(NOW), validity=timedelta(days=90), weekly_order_quota=10**9
-        )
+        other_ca = TestCaState(clock=fixed_clock(NOW))
         server = make_bundle(ca_state, VENDOR_A, "e9")
         foreign_client = make_bundle(other_ca, VENDOR_B, "e10")
         trust = trust_for(ca_state)
@@ -471,7 +465,7 @@ class TestInjectedClockOwnsTime:
     @pytest.fixture
     def past_ca(self):
         clock = ManualClock(self.PAST)
-        ca = TestCaState(clock=clock, validity=timedelta(days=90), weekly_order_quota=10**9)
+        ca = TestCaState(clock=clock)
         return SimpleNamespace(state=ca, clock=clock)
 
     def test_echo_succeeds_at_past_trust_clock(self, past_ca):
@@ -511,7 +505,7 @@ class TestInjectedClockOwnsTime:
         assert excinfo.value.verdict.reject_reason is RejectReason.EXPIRED
 
     def test_foreign_root_still_fails_as_chain(self, past_ca):
-        other = TestCaState(clock=past_ca.clock, validity=timedelta(days=90), weekly_order_quota=10**9)
+        other = TestCaState(clock=past_ca.clock)
         server = make_bundle(past_ca.state, VENDOR_A, "p9")
         foreign_client = make_bundle(other, VENDOR_B, "p10")
         with pytest.raises(HandshakeRejected) as excinfo:

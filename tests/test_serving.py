@@ -6,7 +6,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import pytest
@@ -23,12 +23,8 @@ SERVE_THREADS = {"dns-udp", "token-shelf", "acme-ca", "mtls-echo"}
 
 @pytest.fixture(scope="module")
 def echo_args():
-    ca = TestCaState(
-        clock=lambda: datetime.now(timezone.utc),
-        validity=timedelta(days=90),
-        weekly_order_quota=10**9,
-    )
-    key = generate_key("p256")
+    ca = TestCaState(clock=lambda: datetime.now(timezone.utc))
+    key = generate_key()
     _, cert = ca.issue(build_csr(key, "serving.camera.vendor.test"))
     bundle = SimpleNamespace(
         private_key=key, certificate_chain=cert_to_pem(cert) + cert_to_pem(ca.root_cert)
