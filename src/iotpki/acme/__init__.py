@@ -2,14 +2,12 @@
 fulfillers, and the JWS/JWK primitives both sides share."""
 
 from .jws import dns01_txt_value, jwk_thumbprint, key_authorization, public_jwk
-from .ca import CaConfig, TestCa
-from .client import AcmeAccount, AcmeClient
+from .ca import TestCa
+from .client import AcmeClient
 from .challenges import DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
 
 __all__ = [
-    "AcmeAccount",
     "AcmeClient",
-    "CaConfig",
     "DnsTxtFulfiller",
     "HttpShelfFulfiller",
     "TestCa",

@@ -32,7 +32,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
-from ..certs import cert_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
+from ..certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
@@ -67,14 +67,6 @@ class _Problem(Exception):
     type: str
     detail: str
     close: bool = False
-
-
-@dataclass
-class CaConfig:
-    bind_addr: tuple[str, int] = ("127.0.0.1", 0)
-    dns_addr: tuple[str, int] | None = None
-    http01_port: int | None = None
-    clock: Callable[[], dt.datetime] = utcnow
 
 
 # An order owns its authzs and an authz its challenges (RFC 8555 section 7.1).
@@ -125,8 +117,26 @@ class TestCaState:
     root_cert: x509.Certificate = field(init=False)
 
     def __post_init__(self) -> None:
-        self.root_key = ec.generate_private_key(ec.SECP256R1())
-        self.root_cert = _self_signed_root(self.root_key, self.clock())
+        now = self.clock()
+        # Path validation needs an instant at which both the leaf and the
+        # root are valid. Dating the root back by one leaf lifetime keeps
+        # that true for leaves issued with a clock wound back (as tests do
+        # to make expired peers): up to one lifetime back, the whole leaf
+        # lies inside the root's window.
+        self.root_key, self.root_cert = _self_signed(
+            "iotpki test root",
+            now - MAX_CERT_LIFETIME - timedelta(minutes=1),
+            now + timedelta(days=3650),
+            (x509.BasicConstraints(ca=True, path_length=1), True),
+            (
+                x509.KeyUsage(
+                    digital_signature=False, content_commitment=False, key_encipherment=False,
+                    data_encipherment=False, key_agreement=False, key_cert_sign=True,
+                    crl_sign=True, encipher_only=False, decipher_only=False,
+                ),
+                True,
+            ),
+        )
         self.issued: set[str] = set()  # serials; each certificate stays on its order
         self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
         self.accounts: dict[str, dict] = {}
@@ -217,7 +227,8 @@ class TestCaState:
 
     def finalize(self, order: _Order, payload: bytes) -> None:
         """Issue for a ready order: ready -> processing -> valid. A CSR
-        naming anything but the order's identifiers makes it invalid."""
+        naming anything but the order's identifiers makes it invalid, and
+        so does a leaf that cannot be issued at the CA's clock."""
         with self._lock:
             if order.status != "ready":
                 raise _Problem(403, "orderNotReady", f"order status is {order.status}")
@@ -234,7 +245,14 @@ class TestCaState:
                     400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
                 )
             order.status = "processing"
-        _, cert = self.issue(csr)
+        try:
+            _, cert = self.issue(csr)
+        except (ValueError, OverflowError) as exc:
+            # No leaf fits between the CA clock and the root's end.
+            with self._lock:
+                order.status = "invalid"
+                order.problem = {"type": ERROR_NS + "serverInternal", "detail": f"cannot issue: {exc}"}
+            raise _Problem(500, "serverInternal", order.problem["detail"]) from None
         with self._lock:
             order.cert = cert
             order.status = "valid"
@@ -303,33 +321,26 @@ class TestCaState:
             return set(self.issued)
 
 
-def _self_signed_root(key: ec.EllipticCurvePrivateKey, now: dt.datetime) -> x509.Certificate:
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "iotpki test root")])
-    return (
+def _self_signed(
+    common_name: str, not_before: dt.datetime, not_after: dt.datetime, *extensions
+) -> tuple[ec.EllipticCurvePrivateKey, x509.Certificate]:
+    """A fresh P-256 key and a certificate it signs for itself, with each
+    (extension, critical) pair given and then a subject key identifier."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
+    builder = (
         x509.CertificateBuilder()
         .subject_name(name)
         .issuer_name(name)
         .public_key(key.public_key())
         .serial_number(x509.random_serial_number())
-        # Path validation needs an instant at which both the leaf and the
-        # root are valid. Dating the root back by one leaf lifetime keeps
-        # that true for leaves issued with a clock wound back (as tests do
-        # to make expired peers): up to one lifetime back, the whole leaf
-        # lies inside the root's window.
-        .not_valid_before(now - MAX_CERT_LIFETIME - timedelta(minutes=1))
-        .not_valid_after(now + timedelta(days=3650))
-        .add_extension(x509.BasicConstraints(ca=True, path_length=1), critical=True)
-        .add_extension(
-            x509.KeyUsage(
-                digital_signature=False, content_commitment=False, key_encipherment=False,
-                data_encipherment=False, key_agreement=False, key_cert_sign=True,
-                crl_sign=True, encipher_only=False, decipher_only=False,
-            ),
-            critical=True,
-        )
-        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
-        .sign(key, hashes.SHA256())
+        .not_valid_before(not_before)
+        .not_valid_after(not_after)
     )
+    for extension, critical in extensions:
+        builder = builder.add_extension(extension, critical)
+    ski = x509.SubjectKeyIdentifier.from_public_key(key.public_key())
+    return key, builder.add_extension(ski, critical=False).sign(key, hashes.SHA256())
 
 
 def _service_identity() -> tuple[str, str]:
@@ -337,26 +348,12 @@ def _service_identity() -> tuple[str, str]:
     (distinct from the ACME issuing root). Returns (cert_pem, key_pem).
     Dated on wall time, not the CA's clock: OpenSSL checks it against
     wall time."""
-    key = ec.generate_private_key(ec.SECP256R1())
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "acme service")])
-    cert = (
-        x509.CertificateBuilder()
-        .subject_name(name)
-        .issuer_name(name)
-        .public_key(key.public_key())
-        .serial_number(x509.random_serial_number())
-        .not_valid_before(utcnow() - timedelta(minutes=1))
-        .not_valid_after(utcnow() + timedelta(days=365))
-        .add_extension(
-            x509.SubjectAlternativeName(
-                [x509.DNSName("localhost"), x509.IPAddress(ipaddress.IPv4Address("127.0.0.1"))]
-            ),
-            critical=False,
-        )
-        .sign(key, hashes.SHA256())
+    now = utcnow()
+    names = [x509.DNSName("localhost"), x509.IPAddress(ipaddress.IPv4Address("127.0.0.1"))]
+    key, cert = _self_signed(
+        "acme service", now - timedelta(minutes=1), now + timedelta(days=365),
+        (x509.SubjectAlternativeName(names), False),
     )
-    from ..certs import key_to_pem
-
     return cert_to_pem(cert), key_to_pem(key)
 
 
@@ -569,21 +566,23 @@ class TestCa(BackgroundServer):
 
     __test__ = False  # "Test" here means embedded test CA, not a test suite
 
-    def __init__(self, config: CaConfig | None = None) -> None:
-        self.config = config or CaConfig()
-        self.state = TestCaState(self.config.clock)
+    def __init__(
+        self,
+        bind_addr: tuple[str, int] = ("127.0.0.1", 0),
+        dns_addr: tuple[str, int] | None = None,
+        http01_port: int | None = None,
+        clock: Callable[[], dt.datetime] = utcnow,
+    ) -> None:
+        self.dns_addr = dns_addr
+        self.http01_port = http01_port
+        self.state = TestCaState(clock)
         self.service_cert_pem, service_key_pem = _service_identity()
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         load_cert_chain_in_memory(ctx, self.service_cert_pem, service_key_pem)
-        super().__init__("acme-ca", "ca", TlsServer, self.config.bind_addr, _AcmeHandler, ctx)
+        super().__init__("acme-ca", "ca", TlsServer, bind_addr, _AcmeHandler, ctx)
         self._server.ca = self
         host, port = self.address
         self.base_url = f"https://{host}:{port}"
-
-    def start(self) -> "TestCa":
-        super().start()
-        log.info("test ca listening at %s", self.base_url)
-        return self
 
     # -- protocol objects --------------------------------------------------
 
@@ -640,13 +639,12 @@ class TestCa(BackgroundServer):
             self.state.finish_challenge(chall, *self._probe(chall, chall.authz.fqdn, key_auth))
 
     def _probe(self, chall: _Challenge, fqdn: str, expected_key_auth: str) -> tuple[bool, str]:
-        dns_addr = self.config.dns_addr
-        if dns_addr is None:
+        if self.dns_addr is None:
             return False, "ca has no dns responder configured"
         if chall.type == "dns-01":
             expected_txt = jws.dns01_txt_value(expected_key_auth)
             try:
-                rcode, answers = resolve(f"{ACME_LABEL}.{fqdn}", RType.TXT, dns_addr)
+                rcode, answers = resolve(f"{ACME_LABEL}.{fqdn}", RType.TXT, self.dns_addr)
             except ResolutionFailure as exc:
                 return False, f"dns probe failed: {exc}"
             if rcode is not Rcode.NOERROR:
@@ -656,15 +654,15 @@ class TestCa(BackgroundServer):
                 return True, ""
             return False, f"txt mismatch: {values} != {expected_txt}"
         if chall.type == "http-01":
-            if self.config.http01_port is None:
+            if self.http01_port is None:
                 return False, "ca has no http-01 port configured"
             try:
-                ip = resolve_address(fqdn, dns_addr)
+                ip = resolve_address(fqdn, self.dns_addr)
             except ResolutionFailure as exc:
                 return False, f"address resolution failed: {exc}"
             # A direct connection to the resolved address: the probe must
             # never go through a proxy named in the environment.
-            conn = http.client.HTTPConnection(ip, self.config.http01_port, timeout=3)
+            conn = http.client.HTTPConnection(ip, self.http01_port, timeout=3)
             try:
                 conn.request("GET", WELL_KNOWN_PREFIX + chall.token)
                 resp = conn.getresponse()

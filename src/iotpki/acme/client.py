@@ -11,7 +11,6 @@ import logging
 import ssl
 import time
 import urllib.parse
-from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
@@ -22,6 +21,8 @@ log = logging.getLogger(__name__)
 
 POLL_INTERVAL = 0.05
 MAX_POLLS = 60
+# Seconds the client waits to connect to the CA and for each read.
+REQUEST_TIMEOUT = 10.0
 # A reused keep-alive connection the CA has since closed fails with one
 # of these (SSLEOFError when TLS sees the close first); the request is
 # sent again once on a fresh connection.
@@ -53,10 +54,6 @@ class RateLimited(IotPkiError):
 
 
 class CaUnreachable(IotPkiError):
-    pass
-
-
-class InvalidToken(IotPkiError):
     pass
 
 
@@ -101,22 +98,18 @@ def _order_urls(order) -> tuple[str, str]:
 
 
 def _challenge(authz, wire_type: str) -> tuple[str, str] | None:
-    """(token, URL) of the authorization's challenge of ``wire_type``."""
+    """(token, URL) of the authorization's challenge of ``wire_type``. An
+    empty token is as misshapen as a missing one."""
     chall = next((c for c in authz["challenges"] if c["type"] == wire_type), None)
-    return None if chall is None else (_text(chall.get("token", "")), _text(chall["url"]))
+    if chall is not None and not _text(chall["token"]):
+        raise ValueError("challenge token is empty")
+    return None if chall is None else (chall["token"], _text(chall["url"]))
 
 
 def _state(obj) -> tuple[str, str | None]:
     """(status, certificate URL or None) of an authorization or order."""
     cert = obj.get("certificate")
     return _text(obj["status"]), None if cert is None else _text(cert)
-
-
-@dataclass
-class AcmeAccount:
-    account_key: object
-    kid: str | None
-    jwk_thumbprint: str
 
 
 class AcmeClient:
@@ -133,13 +126,11 @@ class AcmeClient:
         directory_url: str,
         account_key=None,
         ca_bundle_pem: str | None = None,
-        timeout: float = 10.0,
     ) -> None:
         self.directory_url = directory_url
-        self.timeout = timeout
-        key = account_key if account_key is not None else generate_key()
-        thumb = jws.jwk_thumbprint(jws.public_jwk(key.public_key()))
-        self.account = AcmeAccount(account_key=key, kid=None, jwk_thumbprint=thumb)
+        self.account_key = account_key if account_key is not None else generate_key()
+        self.kid: str | None = None
+        self.jwk_thumbprint = jws.jwk_thumbprint(jws.public_jwk(self.account_key.public_key()))
         if ca_bundle_pem is not None:
             self._ctx = ssl.create_default_context(cadata=ca_bundle_pem)
             self._ctx.check_hostname = False
@@ -175,7 +166,7 @@ class AcmeClient:
             reused = self._conn is not None
             if self._conn is None:
                 self._conn = http.client.HTTPSConnection(
-                    self._origin, timeout=self.timeout, context=self._ctx
+                    self._origin, timeout=REQUEST_TIMEOUT, context=self._ctx
                 )
             try:
                 self._conn.request(method, target, body=body, headers=headers)
@@ -220,16 +211,16 @@ class AcmeClient:
         with the server-supplied replacement, per RFC 8555 section 6.5."""
         for attempt in (0, 1):
             protected = {
-                "alg": jws.alg_for_key(self.account.account_key),
+                "alg": jws.alg_for_key(self.account_key),
                 "nonce": self._take_nonce(),
                 "url": url,
             }
             if use_jwk:
-                protected["jwk"] = jws.public_jwk(self.account.account_key.public_key())
+                protected["jwk"] = jws.public_jwk(self.account_key.public_key())
             else:
-                protected["kid"] = self.account.kid
+                protected["kid"] = self.kid
             body = json.dumps(payload).encode() if payload is not None else None
-            envelope = jws.sign_jws(self.account.account_key, protected, body)
+            envelope = jws.sign_jws(self.account_key, protected, body)
             status, headers, raw = self._http("POST", url, json.dumps(envelope).encode())
             self._remember_nonce(headers)
             if status < 400:
@@ -242,17 +233,18 @@ class AcmeClient:
 
     # -- account/order flow ---------------------------------------------
 
-    def ensure_account(self) -> AcmeAccount:
-        if self.account.kid is not None:
-            return self.account
+    def ensure_account(self) -> str:
+        """The account's kid, registering the account key on first use."""
+        if self.kid is not None:
+            return self.kid
         _, headers, _ = self._post(self.directory()["newAccount"], {
             "termsOfServiceAgreed": True,
         }, use_jwk=True)
         kid = headers.get("Location")
         if not kid:
             raise CaUnreachable("newAccount response lacks a Location header")
-        self.account.kid = kid
-        return self.account
+        self.kid = kid
+        return kid
 
     def obtain_certificate(self, fqdn: str, csr, fulfiller) -> str:
         """Full order flow for one FQDN, answering the challenge type the
@@ -272,9 +264,7 @@ class AcmeClient:
         if chall is None:
             raise ChallengeFailed(f"ca offers no {wire_type} challenge")
         token, chall_url = chall
-        if not token:
-            raise InvalidToken("challenge token is empty")
-        key_auth = jws.key_authorization(token, self.account.jwk_thumbprint)
+        key_auth = jws.key_authorization(token, self.jwk_thumbprint)
 
         fulfiller.install(fqdn, token, key_auth)
         try:

@@ -21,13 +21,13 @@ import random
 import sys
 import time
 import uuid as uuidlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
-from .acme import CaConfig, TestCa, TokenShelf
+from .acme import TestCa, TokenShelf
 from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
@@ -123,7 +123,7 @@ def scenario_stack(apex: str):
     zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
-    ca = TestCa(CaConfig(dns_addr=dns.address, http01_port=shelf.port, clock=clock)).start()
+    ca = TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock).start()
     try:
         yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
     finally:
@@ -214,7 +214,7 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
     out = _out_dir(settings)
     ns = VendorNamespace(settings.root_domain, settings.device_class)
     rows = ["cycle,uuid,status,serial,fingerprint"]
-    all_renewed = True
+    renewed = deferred = 0
     with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         for i in range(args.count):
             stack.clock.now = BASE_TIME + timedelta(hours=12) * i
@@ -236,17 +236,18 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
                     f"{cycle},{outcome.device_uuid},{outcome.status},"
                     f"{outcome.serial or ''},{outcome.public_key_fingerprint or ''}"
                 )
-                if outcome.status != "renewed":
-                    all_renewed = False
+                if outcome.status == "renewed":
+                    renewed += 1
+                else:
+                    deferred += 1
         _persist_fleet(out, manager, stack.ca)
     report_path = out / "renewal_report.csv"
     report_path.write_text("\n".join(rows) + "\n")
-    renewals = len(rows) - 1
     print(
-        f"{renewals} renewals over {args.cycles} cycle(s) for {args.count} devices; "
-        f"key fingerprints preserved; report {report_path}"
+        f"{renewed} renewed (key fingerprints preserved), {deferred} deferred "
+        f"over {args.cycles} cycle(s) for {args.count} devices; report {report_path}"
     )
-    return 0 if all_renewed else 1
+    return 0 if deferred == 0 else 1
 
 
 def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
@@ -305,7 +306,7 @@ def _serial_spelling(text: str) -> str:
     return format(number, "x")
 
 
-def _serve_until(duration: float, close) -> None:
+def _serve_until(duration: float) -> None:
     try:
         if duration > 0:
             time.sleep(duration)
@@ -314,8 +315,6 @@ def _serve_until(duration: float, close) -> None:
                 time.sleep(3600)
     except KeyboardInterrupt:
         pass
-    finally:
-        close()
 
 
 def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
@@ -328,24 +327,20 @@ def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
         for record in inventory.records():
             zone.bind_device(str(record.urn), f"cloud.{apex}")
     if args.service == "dns":
-        dns = DnsUdpServer(zone, ("127.0.0.1", args.port)).start()
-        print(f"dns authority for {apex} listening on {dns.address[0]}:{dns.address[1]}", flush=True)
-        _serve_until(args.duration, dns.close)
+        with DnsUdpServer(zone, ("127.0.0.1", args.port)) as dns:
+            print(f"dns authority for {apex} listening on {dns.address[0]}:{dns.address[1]}", flush=True)
+            _serve_until(args.duration)
         return 0
-    dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
-    shelf = TokenShelf().start()
-    ca = TestCa(
-        CaConfig(bind_addr=("127.0.0.1", args.port), dns_addr=dns.address, http01_port=shelf.port)
-    ).start()
-    print(f"acme ca listening at {ca.directory_url}", flush=True)
-    print(f"challenge dns authority on {dns.address[0]}:{dns.address[1]}", flush=True)
-
-    def close_all():
-        ca.close()
-        shelf.close()
-        dns.close()
-
-    _serve_until(args.duration, close_all)
+    # Closed in reverse, so a CA that cannot bind leaves nothing running.
+    with ExitStack() as services:
+        dns = services.enter_context(DnsUdpServer(zone, ("127.0.0.1", 0)))
+        shelf = services.enter_context(TokenShelf())
+        ca = services.enter_context(
+            TestCa(bind_addr=("127.0.0.1", args.port), dns_addr=dns.address, http01_port=shelf.port)
+        )
+        print(f"acme ca listening at {ca.directory_url}", flush=True)
+        print(f"challenge dns authority on {dns.address[0]}:{dns.address[1]}", flush=True)
+        _serve_until(args.duration)
     return 0
 
 

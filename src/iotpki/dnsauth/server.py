@@ -10,7 +10,6 @@ bytes, otherwise they are dropped.
 
 from __future__ import annotations
 
-import logging
 import random
 import socket
 import socketserver
@@ -20,8 +19,6 @@ from ..errors import IotPkiError
 from ..serving import BackgroundServer
 from . import wire
 from .zone import DnsResponse, Rcode, RType, Zone, ZoneRecord
-
-log = logging.getLogger(__name__)
 
 MAX_UDP = 512
 # How long the stub resolver waits for one reply.
@@ -69,12 +66,6 @@ class DnsUdpServer(BackgroundServer):
     def __init__(self, zone: Zone, bind_addr: tuple[str, int]) -> None:
         super().__init__("dns-udp", "udp", socketserver.UDPServer, bind_addr, _Handler)
         self._server.zone = zone
-        self.zone = zone
-
-    def start(self) -> "DnsUdpServer":
-        super().start()
-        log.info("dns responder listening on %s:%d", *self.address)
-        return self
 
 
 def resolve(name: str, rtype: RType, server_addr: tuple[str, int]) -> tuple[Rcode, list[ZoneRecord]]:

@@ -149,15 +149,13 @@ class Zone:
 
     def bind_device(self, urn, cloud_target: str) -> ZoneRecord:
         """Register a device subdomain as a CNAME to the vendor cloud."""
-        return self.set_record(str(urn), RType.CNAME, normalize_name(cloud_target))
+        return self.set_record(str(urn), RType.CNAME, cloud_target)
 
     def set_acme_txt(self, fqdn: str, txt_value: str) -> ZoneRecord:
-        name = self._require_in_zone(fqdn)
-        return self.set_record(f"{ACME_LABEL}.{name}", RType.TXT, txt_value)
+        return self.set_record(f"{ACME_LABEL}.{fqdn}", RType.TXT, txt_value)
 
     def clear_acme_txt(self, fqdn: str) -> None:
-        name = self._require_in_zone(fqdn)
-        self.remove(f"{ACME_LABEL}.{name}", RType.TXT)
+        self.remove(f"{ACME_LABEL}.{fqdn}", RType.TXT)
 
     # -- queries ---------------------------------------------------------
 

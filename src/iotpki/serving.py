@@ -44,6 +44,7 @@ class BackgroundServer:
             self._server = server_cls(bind_addr, *server_args)
         except OSError as exc:
             raise BindFailure(f"cannot bind {label} {bind_addr}: {exc}") from exc
+        self._label = label
         self.address: tuple[str, int] = self._server.server_address
         self._wake, self._waker = socket.socketpair()
         self._thread = threading.Thread(target=self._serve, daemon=True, name=thread_name)
@@ -57,6 +58,7 @@ class BackgroundServer:
 
     def start(self) -> "BackgroundServer":
         self._thread.start()
+        log.info("%s listening on %s:%d", self._label, *self.address)
         return self
 
     def close(self) -> None:
@@ -83,11 +85,12 @@ class TlsServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
 
     def __init__(self, bind_addr, handler, tls: ssl.SSLContext) -> None:
-        super().__init__(bind_addr, handler)
+        # Set first: the base initializer calls server_close() when bind fails.
         self._tls = tls
         self._live: set[socket.socket] = set()
         self._live_lock = threading.Lock()
         self._closing = False
+        super().__init__(bind_addr, handler)
 
     def _swap_live(self, old: socket.socket | None, new: socket.socket | None) -> bool:
         """Replace ``old`` by ``new`` in the live set. Once the server is

@@ -1,10 +1,13 @@
 """Shared test setup: with CI set in the environment, hypothesis runs
 derandomized and prints a reproduction blob for every failure, so a
 property that fails in CI fails the same way on a developer machine.
-The ``far_zone`` fixture runs a test with the host nine hours east of UTC."""
+A test during which a server's request handler raised fails. The
+``far_zone`` fixture runs a test with the host nine hours east of UTC."""
 
 import os
+import socketserver
 import time
+import traceback
 
 import pytest
 
@@ -28,3 +31,22 @@ def far_zone(monkeypatch):
     yield
     monkeypatch.undo()
     time.tzset()
+
+
+@pytest.fixture(autouse=True)
+def handler_errors_fail_the_test():
+    """socketserver only prints a handler's traceback from the serving
+    thread; record each one, and fail the test that saw it."""
+    seen = []
+    handle_error = socketserver.BaseServer.handle_error
+
+    def record(server, request, client_address):
+        seen.append(f"{type(server).__name__} for {client_address}:\n{traceback.format_exc()}")
+        handle_error(server, request, client_address)
+
+    socketserver.BaseServer.handle_error = record
+    try:
+        yield
+    finally:
+        socketserver.BaseServer.handle_error = handle_error
+    assert not seen, "a server's request handler raised:\n" + "\n".join(seen)

@@ -34,7 +34,7 @@ from cryptography import x509
 from cryptography.hazmat.primitives import serialization
 
 from iotpki import cli
-from iotpki.acme import AcmeClient, CaConfig, DnsTxtFulfiller, TestCa, TokenShelf
+from iotpki.acme import AcmeClient, DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme.ca import TestCaState
 from iotpki.acme.jws import dns01_txt_value
 from iotpki.certs import build_csr, cert_to_pem, generate_key
@@ -150,13 +150,7 @@ def renewal_run(artifact_root: Path) -> SimpleNamespace:
     zone.set_record("cloud.renew.test", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
-    ca = TestCa(
-        CaConfig(
-            dns_addr=dns.address,
-            http01_port=shelf.port,
-            clock=clock,
-        )
-    ).start()
+    ca = TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock).start()
     started = time.monotonic()
     try:
         manager = FleetManager(

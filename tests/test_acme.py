@@ -22,8 +22,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iotpki.acme import ca as ca_module
+from iotpki.acme import client as client_module
 from iotpki.acme import jws
-from iotpki.acme.ca import CaConfig, QuotaExceeded, TestCa
+from iotpki.acme.ca import QuotaExceeded, TestCa
 from iotpki.acme.challenges import DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
 from iotpki.acme.client import (
     AcmeClient,
@@ -201,7 +202,7 @@ def stack():
     zone.set_record("cloud.vendor.com", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
-    ca = TestCa(CaConfig(dns_addr=dns.address, http01_port=shelf.port)).start()
+    ca = TestCa(dns_addr=dns.address, http01_port=shelf.port).start()
     clients = []
     yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clients=clients)
     for client in clients:
@@ -211,10 +212,10 @@ def stack():
     dns.close()
 
 
-def new_client(stack, ca=None, timeout: float = 10.0) -> AcmeClient:
+def new_client(stack, ca=None) -> AcmeClient:
     """A client of ``ca`` (default: the stack's CA), closed with the stack."""
     ca = ca or stack.ca
-    client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem, timeout=timeout)
+    client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem)
     stack.clients.append(client)
     return client
 
@@ -334,8 +335,9 @@ class TestIssuanceFlow:
             served_root = x509.load_pem_x509_certificates(resp.read())[0]
         split_pem_chain(pem)[0].verify_directly_issued_by(served_root)
 
-    def test_ca_unreachable_maps_to_domain_error(self):
-        client = AcmeClient("https://127.0.0.1:1/directory", ca_bundle_pem=None, timeout=0.5)
+    def test_ca_unreachable_maps_to_domain_error(self, monkeypatch):
+        monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 0.5)
+        client = AcmeClient("https://127.0.0.1:1/directory", ca_bundle_pem=None)
         with pytest.raises(CaUnreachable):
             client.ensure_account()
 
@@ -373,6 +375,8 @@ MISSHAPEN_ANSWERS = {
     "challenge-without-url": ("challenge_json", without("url")),
     "challenge-without-status": ("challenge_json", without("status")),
     "challenge-url-not-text": ("challenge_json", lambda obj: {**obj, "url": 7}),
+    "token-missing": ("challenge_json", without("token")),
+    "token-empty": ("challenge_json", lambda obj: {**obj, "token": ""}),
 }
 
 
@@ -389,6 +393,23 @@ class TestMisshapenAnswers:
                 fqdn, build_csr(generate_key(), fqdn), DnsTxtFulfiller(stack.zone)
             )
         assert stack.zone.answer_query(f"_acme-challenge.{fqdn}", RType.TXT).answers == ()
+
+    @pytest.mark.parametrize("case", ["token-missing", "token-empty"])
+    def test_bad_token_installs_no_proof(self, stack, monkeypatch, case):
+        misshape_answers(monkeypatch, *MISSHAPEN_ANSWERS[case])
+        installed = []
+
+        class RecordingFulfiller(DnsTxtFulfiller):
+            def install(self, fqdn, token, key_auth):
+                installed.append(token)
+                super().install(fqdn, token, key_auth)
+
+        fqdn = f"no-proof-{case}.camera.vendor.com"
+        with pytest.raises(MalformedAnswer):
+            new_client(stack).obtain_certificate(
+                fqdn, build_csr(generate_key(), fqdn), RecordingFulfiller(stack.zone)
+            )
+        assert installed == []
 
     def test_client_side_error_is_not_malformed_answer(self, stack):
         class BrokenFulfiller(DnsTxtFulfiller):
@@ -425,12 +446,12 @@ class TestNonces:
 
         def submit():
             protected = {
-                "alg": jws.alg_for_key(client.account.account_key),
+                "alg": jws.alg_for_key(client.account_key),
                 "nonce": nonce,
                 "url": url,
-                "kid": client.account.kid,
+                "kid": client.kid,
             }
-            envelope = jws.sign_jws(client.account.account_key, protected, payload)
+            envelope = jws.sign_jws(client.account_key, protected, payload)
             return client._http("POST", url, json.dumps(envelope).encode())
 
         first_status, _, _ = submit()
@@ -474,7 +495,7 @@ class TestQuota:
 
     def test_http_order_past_quota_is_rate_limited(self, stack, monkeypatch):
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 2)
-        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
+        ca = TestCa(dns_addr=stack.dns.address).start()
         try:
             client = new_client(stack, ca)
             client.ensure_account()
@@ -514,7 +535,7 @@ class TestValidityConfiguration:
 
     def test_leaf_never_outlives_root(self):
         now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
-        ca = TestCa(CaConfig(clock=lambda: now[0]))
+        ca = TestCa(clock=lambda: now[0])
         try:
             root_end = ca.state.root_cert.not_valid_after_utc
             now[0] = root_end - timedelta(days=10)
@@ -582,9 +603,10 @@ def raw_exchange(ca, request: bytes, read_reply: bool = True) -> bytes:
 
 
 class TestTransport:
-    def test_idle_peer_does_not_block_enrollment(self, stack):
+    def test_idle_peer_does_not_block_enrollment(self, stack, monkeypatch):
+        monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 2)
         with socket.create_connection(stack.ca._server.server_address):
-            client = new_client(stack, timeout=2)
+            client = new_client(stack)
             enroll(client, stack, "idle-peer.camera.vendor.com")
 
     def test_sequential_enrollments_share_one_connection(self, stack, monkeypatch):
@@ -604,7 +626,7 @@ class TestTransport:
         assert len(accepted) == 2
 
     def test_close_ends_live_connections(self, stack):
-        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
+        ca = TestCa(dns_addr=stack.dns.address).start()
         client = new_client(stack, ca)
         client.ensure_account()
         started = time.perf_counter()
@@ -661,14 +683,14 @@ def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, 
     if isinstance(payload, bytes):
         return client._http("POST", url, payload)
     header = {
-        "alg": jws.alg_for_key(client.account.account_key),
+        "alg": jws.alg_for_key(client.account_key),
         "nonce": client._take_nonce(),
         "url": url,
-        "kid": client.account.kid,
+        "kid": client.kid,
         **protected,
     }
     body = json.dumps(payload).encode() if payload is not None else None
-    envelope = jws.sign_jws(client.account.account_key, header, body)
+    envelope = jws.sign_jws(client.account_key, header, body)
     return client._http("POST", url, json.dumps(envelope).encode())
 
 
@@ -695,7 +717,7 @@ def answer_challenge(stack, client, chall: dict, fqdn: str) -> dict:
     """Publish the right DNS-01 proof, POST the challenge, withdraw the proof."""
     fulfiller = DnsTxtFulfiller(stack.zone)
     token = chall["token"]
-    fulfiller.install(fqdn, token, jws.key_authorization(token, client.account.jwk_thumbprint))
+    fulfiller.install(fqdn, token, jws.key_authorization(token, client.jwk_thumbprint))
     try:
         return json.loads(client._post(chall["url"], {})[2])
     finally:
@@ -730,7 +752,7 @@ def _new_order_envelope(**members):
 
     def build(stack, client):
         url = acme_url(stack, "new-order")
-        header = {"alg": "ES256", "nonce": client._take_nonce(), "url": url, "kid": client.account.kid}
+        header = {"alg": "ES256", "nonce": client._take_nonce(), "url": url, "kid": client.kid}
         protected = jws.b64url(json.dumps(header).encode())
         envelope = {"protected": protected, "payload": "", "signature": "", **members}
         return url, json.dumps(envelope).encode(), {}
@@ -915,6 +937,33 @@ class TestOrderStates:
         assert answer_challenge(stack, client, chall, fqdn)["status"] == "invalid"
         assert json.loads(client._post(order["url"], None)[2])["status"] == "invalid"
 
+    @pytest.mark.parametrize(
+        "late",
+        [
+            pytest.param(lambda root_end: root_end + timedelta(days=1), id="past-root-end"),
+            pytest.param(lambda _: datetime(9999, 12, 31, tzinfo=timezone.utc), id="year-9999"),
+        ],
+    )
+    def test_finalize_with_no_leaf_to_issue_is_a_problem(self, stack, late):
+        now = [datetime.now(timezone.utc)]
+        ca = TestCa(dns_addr=stack.dns.address, clock=lambda: now[0]).start()
+        try:
+            client = new_client(stack, ca)
+            client.ensure_account()
+            fqdn = "too-late.camera.vendor.com"
+            order, _ = ready_order(stack, client, fqdn)
+            now[0] = late(ca.state.root_cert.not_valid_after_utc)
+            issued = ca.state.issued_serials()
+            with pytest.raises(AcmeProblem) as excinfo:
+                client._post(order["finalize"], {"csr": csr_b64(fqdn)})
+            server_internal = ca_module.ERROR_NS + "serverInternal"
+            assert (excinfo.value.status, excinfo.value.ptype) == (500, server_internal)
+            final = order_status(client, order)
+            assert (final["status"], final["error"]["type"]) == ("invalid", server_internal)
+            assert ca.state.issued_serials() == issued
+        finally:
+            ca.close()
+
     def test_post_as_get_reads_challenge_without_probing(self, stack):
         client = new_client(stack)
         client.ensure_account()
@@ -947,7 +996,7 @@ class TestOrderStates:
 
         monkeypatch.setattr(ca_module.TestCaState, "issue", slow_issue)
         rival = new_client(stack)
-        rival.account = client.account
+        rival.account_key, rival.kid = client.account_key, client.kid
         before = len(stack.ca.state.issued_serials())
         outcomes = []
 
@@ -1049,7 +1098,7 @@ class TestRoundTrips:
         first.ensure_account()
         again = AcmeClient(
             stack.ca.directory_url,
-            account_key=first.account.account_key,
+            account_key=first.account_key,
             ca_bundle_pem=stack.ca.service_cert_pem,
         )
         stack.clients.append(again)
@@ -1057,8 +1106,8 @@ class TestRoundTrips:
         status, headers, _ = again._post(
             again.directory()["newAccount"], {"termsOfServiceAgreed": True}, use_jwk=True
         )
-        assert (status, headers["Location"]) == (200, first.account.kid)
-        assert first.account.kid.endswith("/" + first.account.jwk_thumbprint)
+        assert (status, headers["Location"]) == (200, first.kid)
+        assert first.kid.endswith("/" + first.jwk_thumbprint)
         assert len(stack.ca.state.accounts) == accounts
 
     def test_ca_files_serials_and_serves_the_order_certificate(self, stack):
@@ -1137,7 +1186,7 @@ class TestOrderTree:
         assert statuses == ["valid", "invalid"]
 
     def test_tables_index_exactly_the_order_trees(self, stack):
-        ca = TestCa(CaConfig(dns_addr=stack.dns.address)).start()
+        ca = TestCa(dns_addr=stack.dns.address).start()
         try:
             client = new_client(stack, ca)
             for i in range(4):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
 import ssl
 import threading
 import time
@@ -290,6 +291,22 @@ class TestRenew:
         (record,) = Inventory.restore(out / "inventory.snapshot").records()
         assert record.current_cert.issuance_time == datetime(2026, 3, 15, tzinfo=timezone.utc)
 
+    def test_deferred_renewal_is_counted_as_deferred(self, tmp_path, capsys):
+        # The scenario CA's root ends ten years after it starts: in 2090
+        # it can issue no leaf, so the renewal is deferred.
+        code, out, err = run(
+            [
+                "renew", "--count", "1", "--now", "2090-01-01T00:00:00Z", "--out", str(tmp_path),
+                "--root-domain", "vendor.test",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out.startswith("0 renewed (key fingerprints preserved), 1 deferred over 1 cycle(s)")
+        rows = (tmp_path / "renewal_report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["deferred"]
+        assert "Traceback" not in err
+
 
 class TestDemo:
     def test_demo_succeeds(self, tmp_path, capsys):
@@ -464,6 +481,22 @@ class TestServe:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert result["code"] == 0
+
+    @pytest.mark.parametrize(
+        "service, kind, label", [("dns", socket.SOCK_DGRAM, "udp"), ("ca", socket.SOCK_STREAM, "ca")]
+    )
+    def test_serve_on_busy_port_is_one_error_line(self, tmp_path, capsys, service, kind, label):
+        with socket.socket(socket.AF_INET, kind) as holder:
+            holder.bind(("127.0.0.1", 0))
+            if kind == socket.SOCK_STREAM:
+                holder.listen()
+            port = holder.getsockname()[1]
+            code, _, err = run(
+                ["serve", service, "--port", str(port), "--duration", "0.1", "--out", str(tmp_path)],
+                capsys,
+            )
+        assert code == 1
+        assert err.startswith(f"error: cannot bind {label} ") and err.count("\n") == 1
 
 
 class TestSettingsPrecedence:

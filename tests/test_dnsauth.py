@@ -84,6 +84,18 @@ class TestZoneMutations:
         z.clear_acme_txt(str(URN))
         assert z.answer_query(name, RType.TXT).rcode is Rcode.NXDOMAIN
 
+    def test_acme_txt_name_is_checked_where_it_is_written(self):
+        z = Zone("vendor.com")
+        z.set_acme_txt("X.Vendor.COM.", "v")
+        assert [r.name for r in z.records()] == ["_acme-challenge.x.vendor.com"]
+        z.clear_acme_txt("x.vendor.com")
+        assert z.records() == []
+        for fqdn in ("", "x.other.org"):
+            with pytest.raises(OutOfZone):
+                z.set_acme_txt(fqdn, "v")
+            with pytest.raises(OutOfZone):
+                z.clear_acme_txt(fqdn)
+
     def test_record_value_validation(self):
         z = Zone("vendor.com")
         with pytest.raises(InvalidRecord):

@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotpki.acme import CaConfig, DnsTxtFulfiller, TestCa, TokenShelf
+from iotpki.acme import DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
 from iotpki.acme.client import CaUnreachable, CsrMismatch
 from iotpki.certs import build_csr, generate_key, san_dns_names, spki_fingerprint, split_pem_chain
@@ -65,13 +65,7 @@ def stack():
     zone.set_record("cloud.vendor.com", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
-    ca = TestCa(
-        CaConfig(
-            dns_addr=dns.address,
-            http01_port=shelf.port,
-            clock=clock,
-        )
-    ).start()
+    ca = TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock).start()
     yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
     ca.close()
     shelf.close()

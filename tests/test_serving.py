@@ -15,6 +15,7 @@ from iotpki.acme.ca import TestCa, TestCaState
 from iotpki.acme.challenges import TokenShelf, _ShelfHandler
 from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.dnsauth import DnsUdpServer, Zone
+from iotpki.errors import BindFailure
 from iotpki.peer_auth import EchoServer, TrustContext
 from iotpki.serving import BackgroundServer
 
@@ -66,3 +67,18 @@ def test_token_shelf_drops_idle_peer(monkeypatch):
     monkeypatch.setattr(_ShelfHandler, "timeout", 0.3)
     with TokenShelf() as shelf, socket.create_connection(shelf.address, timeout=3) as idle:
         assert idle.recv(1) == b""
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda addr, echo_args: TestCa(bind_addr=addr), id="ca"),
+        pytest.param(lambda addr, echo_args: EchoServer(*echo_args, bind_addr=addr), id="echo"),
+    ],
+)
+def test_tls_server_on_busy_port_is_bind_failure(echo_args, make):
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        with pytest.raises(BindFailure, match="cannot bind"):
+            make(holder.getsockname(), echo_args)
