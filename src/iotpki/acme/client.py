@@ -8,6 +8,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import select
 import ssl
 import time
 import urllib.parse
@@ -23,12 +24,6 @@ POLL_INTERVAL = 0.05
 MAX_POLLS = 60
 # Seconds the client waits to connect to the CA and for each read.
 REQUEST_TIMEOUT = 10.0
-# A reused keep-alive connection the CA has since closed fails with one
-# of these (SSLEOFError when TLS sees the close first); the request is
-# sent again once on a fresh connection.
-_STALE_CONNECTION = (
-    http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError, ssl.SSLEOFError,
-)
 
 
 class AcmeProblem(IotPkiError):
@@ -118,7 +113,7 @@ class AcmeClient:
     per-client).
 
     Requests share one keep-alive HTTPS connection, opened on first use
-    and reopened when the CA closes it or a URL names another origin.
+    and reopened when the CA has closed it or a URL names another origin.
     """
 
     def __init__(
@@ -159,30 +154,24 @@ class AcmeClient:
         parts = urllib.parse.urlsplit(url)
         target = parts.path + (f"?{parts.query}" if parts.query else "")
         headers = {"Content-Type": "application/jose+json"} if body is not None else {}
-        if parts.netloc != self._origin:
+        if parts.netloc != self._origin or _closed_by_peer(self._conn):
             self.close()
             self._origin = parts.netloc
-        while True:
-            reused = self._conn is not None
-            if self._conn is None:
-                self._conn = http.client.HTTPSConnection(
-                    self._origin, timeout=REQUEST_TIMEOUT, context=self._ctx
-                )
-            try:
-                self._conn.request(method, target, body=body, headers=headers)
-                resp = self._conn.getresponse()
-                payload = resp.read()
-            except _STALE_CONNECTION as exc:
-                self.close()
-                if reused:
-                    continue
-                raise CaUnreachable(f"{method} {url}: {exc}") from exc
-            except (OSError, http.client.HTTPException) as exc:
-                self.close()
-                raise CaUnreachable(f"{method} {url}: {exc}") from exc
-            if resp.will_close:
-                self.close()
-            return resp.status, dict(resp.getheaders()), payload
+        if self._conn is None:
+            self._conn = http.client.HTTPSConnection(
+                self._origin, timeout=REQUEST_TIMEOUT, context=self._ctx
+            )
+        # Sent once: the CA may have acted on a request it never answered.
+        try:
+            self._conn.request(method, target, body=body, headers=headers)
+            resp = self._conn.getresponse()
+            payload = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            self.close()
+            raise CaUnreachable(f"{method} {url}: {exc}") from exc
+        if resp.will_close:
+            self.close()
+        return resp.status, dict(resp.getheaders()), payload
 
     def _remember_nonce(self, headers: dict) -> None:
         nonce = headers.get("Replay-Nonce")
@@ -302,6 +291,17 @@ class AcmeClient:
             if status in ("valid", "invalid"):
                 return status, cert_url
         raise CaUnreachable(f"{url} still {status} after {MAX_POLLS} polls")
+
+
+def _closed_by_peer(conn: http.client.HTTPSConnection | None) -> bool:
+    """No kept connection to reuse: none, its socket gone, or its socket
+    readable with no answer due, so the CA closed it (its idle timeout)."""
+    sock = getattr(conn, "sock", None)
+    if sock is None or sock.fileno() < 0:
+        return True
+    poller = select.poll()  # select.select fails for descriptors above 1023
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _parse_problem(raw: bytes) -> dict:

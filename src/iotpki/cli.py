@@ -31,7 +31,7 @@ from .acme import TestCa, TokenShelf
 from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
-from .inventory import Inventory, RenewalState, from_rfc3339, utcnow
+from .inventory import Inventory, RenewalState, from_rfc3339
 from .lifecycle import DEFAULT_PARALLELISM, EnrollmentRequest, FleetManager, require_certificate
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
@@ -46,12 +46,13 @@ FILTER_FILE = "revocations.filter"
 
 
 class ManualClock:
-    """Injectable clock so scenario time is script-controlled. Anchored at
-    wall time by default so a scenario starts at the present; live mTLS
-    sessions check validity windows against this clock, not the real one."""
+    """Injectable clock that reads ``now`` until the script sets it.
+    Scenarios start it at BASE_TIME, so what they issue and record does not
+    depend on the date they run; live mTLS sessions check validity windows
+    against it, not against wall time."""
 
-    def __init__(self, now: datetime | None = None) -> None:
-        self.now = now if now is not None else utcnow()
+    def __init__(self, now: datetime) -> None:
+        self.now = now
 
     def __call__(self) -> datetime:
         return self.now
@@ -118,7 +119,7 @@ def _out_dir(settings: Settings) -> Path:
 @contextmanager
 def scenario_stack(apex: str):
     """Embedded DNS authority + token shelf + ACME CA on loopback."""
-    clock = ManualClock()
+    clock = ManualClock(BASE_TIME)
     zone = Zone(apex)
     zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()

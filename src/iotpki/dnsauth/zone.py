@@ -15,9 +15,8 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
-from ..errors import IoFailure, IotPkiError
+from ..errors import IotPkiError
 
 DEFAULT_TTL = 60
 ACME_LABEL = "_acme-challenge"
@@ -195,23 +194,6 @@ class Zone:
         with self._lock:
             out = [r for recs in self._records.values() for r in recs]
         return sorted(out, key=lambda r: (r.name, int(r.rtype), r.value))
-
-    # -- export ------------------------------------------------------------
-
-    def export_zone(self, path: str | Path) -> None:
-        """Write the zone in RFC 1035 master-file format, one record per line."""
-        lines = [f"$ORIGIN {self.apex}.", f"$TTL {DEFAULT_TTL}", f"; serial {self.serial}"]
-        for r in self.records():
-            value = f'"{r.value}"' if r.rtype is RType.TXT else _abs(r.value, r.rtype)
-            lines.append(f"{r.name}. {r.ttl} IN {r.rtype.name} {value}")
-        try:
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-
-
-def _abs(value: str, rtype: RType) -> str:
-    return value + "." if rtype is RType.CNAME else value
 
 
 def _validate_value(rtype: RType, value: str) -> str:

@@ -158,21 +158,6 @@ class Inventory:
             self._records[device_uuid] = record
             return record
 
-    def sweep_expired(self, now: datetime) -> list[DeviceRecord]:
-        """Flip current/due records whose certificate lapsed to expired."""
-        flipped = []
-        with self._lock:
-            for device_uuid, record in list(self._records.items()):
-                if (
-                    record.current_cert is not None
-                    and record.renewal_state in (RenewalState.CURRENT, RenewalState.DUE)
-                    and now > record.current_cert.not_after
-                ):
-                    record = replace(record, renewal_state=RenewalState.EXPIRED)
-                    self._records[device_uuid] = record
-                    flipped.append(record)
-        return flipped
-
     # -- reads -------------------------------------------------------------
 
     def get(self, device_uuid: uuidlib.UUID) -> DeviceRecord:

@@ -21,7 +21,6 @@ import time
 import uuid as uuidlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 from typing import Callable, Iterator
 
 from cryptography.exceptions import InvalidSignature
@@ -70,13 +69,6 @@ class EmptyBatch(IotPkiError):
 
 class BadParallelism(IotPkiError):
     """enroll_batch requires at least one worker."""
-
-
-class RevocationReason(str, Enum):
-    KEY_COMPROMISE = "key_compromise"
-    CESSATION = "cessation_of_operation"
-    SUPERSEDED = "superseded"
-    UNSPECIFIED = "unspecified"
 
 
 @dataclass(frozen=True)
@@ -261,7 +253,6 @@ class FleetManager:
         self._account_key = generate_key()
         self._delegation_key = ed25519.Ed25519PrivateKey.generate()
         self._device_keys: dict[uuidlib.UUID, tuple[object, str]] = {}
-        self._revocation_reasons: dict[uuidlib.UUID, RevocationReason] = {}
         self._keys_lock = threading.Lock()
         self._tick_lock = threading.Lock()
         self._idle_clients: list[AcmeClient] = []
@@ -303,9 +294,6 @@ class FleetManager:
     @property
     def delegation_public_key(self) -> ed25519.Ed25519PublicKey:
         return self._delegation_key.public_key()
-
-    def revocation_reason(self, device_uuid: uuidlib.UUID) -> RevocationReason | None:
-        return self._revocation_reasons.get(device_uuid)
 
     # -- issuance ------------------------------------------------------------
 
@@ -453,14 +441,8 @@ class FleetManager:
 
     # -- revocation ----------------------------------------------------------
 
-    def revoke_device(
-        self,
-        device_uuid: uuidlib.UUID,
-        reason: RevocationReason = RevocationReason.UNSPECIFIED,
-    ) -> None:
+    def revoke_device(self, device_uuid: uuidlib.UUID) -> None:
         cert = require_certificate(self.inventory.get(device_uuid))
         self.revocation_log.add(cert.serial)
         self.inventory.set_state(device_uuid, RenewalState.REVOKED)
-        with self._keys_lock:
-            self._revocation_reasons[device_uuid] = reason
-        log.info("revoked device %s (%s)", device_uuid, reason.value)
+        log.info("revoked device %s", device_uuid)

@@ -625,6 +625,27 @@ class TestTransport:
         enroll(client, stack, "reconnect.camera.vendor.com")
         assert len(accepted) == 2
 
+    def test_post_the_ca_acted_on_but_never_answered_is_sent_once(self, stack, monkeypatch):
+        finalize = ca_module.TestCaState.finalize
+        finalized = []
+
+        def counting(state, order, payload):
+            finalized.append(order.id)
+            return finalize(state, order, payload)
+
+        def finalize_then_hang_up(handler, order_id, _, payload):
+            order = ca_module._find(handler.ca.state.orders, order_id, "order")
+            handler.ca.state.finalize(order, payload)
+            handler.close_connection = True
+
+        monkeypatch.setattr(ca_module.TestCaState, "finalize", counting)
+        monkeypatch.setitem(ca_module._AcmeHandler._POST_ROUTES, "/acme/finalize/", finalize_then_hang_up)
+        client = new_client(stack)
+        client.ensure_account()
+        with pytest.raises(CaUnreachable):
+            enroll(client, stack, "hang-up.camera.vendor.com")
+        assert len(finalized) == 1
+
     def test_close_ends_live_connections(self, stack):
         ca = TestCa(dns_addr=stack.dns.address).start()
         client = new_client(stack, ca)

@@ -14,9 +14,11 @@ from datetime import datetime, timezone
 import pytest
 
 from iotpki import cli
+from iotpki.certs import split_pem_chain
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
 from iotpki.inventory import Inventory
+from iotpki.peer_auth import TrustContext, validate_peer
 from iotpki.revocation import deserialize, query
 
 
@@ -290,6 +292,22 @@ class TestRenew:
         assert code == 0
         (record,) = Inventory.restore(out / "inventory.snapshot").records()
         assert record.current_cert.issuance_time == datetime(2026, 3, 15, tzinfo=timezone.utc)
+
+    def test_renewed_chains_verify_under_the_scenario_root(self, tmp_path, capsys):
+        # Scenario time starts at cli.BASE_TIME whatever the date, so the
+        # scenario root covers every leaf the scenario issues.
+        code, _, _ = run(
+            ["renew", "--count", "2", "--out", str(tmp_path), "--root-domain", "vendor.test"],
+            capsys,
+        )
+        assert code == 0
+        records = Inventory.restore(tmp_path / "inventory.snapshot").records()
+        assert len(records) == 2
+        for record in records:
+            cert = record.current_cert
+            chain = split_pem_chain(cert.pem_chain)
+            trust = TrustContext(roots=(chain[-1],), filters={}, clock=lambda: cert.issuance_time)
+            assert validate_peer(chain, trust).accepted
 
     def test_deferred_renewal_is_counted_as_deferred(self, tmp_path, capsys):
         # The scenario CA's root ends ten years after it starts: in 2090

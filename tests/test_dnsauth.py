@@ -429,21 +429,6 @@ class TestUdpServer:
         assert all(rc is Rcode.NOERROR for rc in rcodes)
 
 
-class TestZoneExport:
-    def test_master_file_layout(self, tmp_path):
-        z = make_zone()
-        z.bind_device(URN, "cloud.vendor.com")
-        z.set_acme_txt(str(URN), "tok")
-        path = tmp_path / "zone.db"
-        z.export_zone(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "$ORIGIN vendor.com."
-        record_lines = [l for l in lines if " IN " in l]
-        assert len(record_lines) == len(z.records())
-        assert f"{URN}. 60 IN CNAME cloud.vendor.com." in record_lines
-        assert any(l.endswith('IN TXT "tok"') for l in record_lines)
-
-
 # A 190-character name: one 255-octet TXT answer there makes a 666-byte reply.
 LONG_NAME = ".".join(["a" * 63, "b" * 63, "c" * 50, "vendor.com"])
 

@@ -113,24 +113,6 @@ class TestStateMachine:
         rec = inv.set_state(urn.uuid, RenewalState.REVOKED)
         assert rec.renewal_state is RenewalState.REVOKED
 
-    def test_sweep_expired_flips_lapsed_certs(self):
-        inv = Inventory()
-        urn = make_urn(1)
-        inv.upsert_device(urn, now=T0)
-        inv.attach_certificate(urn.uuid, make_meta(days=30))
-        flipped = inv.sweep_expired(now=T0 + timedelta(days=31))
-        assert [r.uuid for r in flipped] == [urn.uuid]
-        assert inv.get(urn.uuid).renewal_state is RenewalState.EXPIRED
-
-    def test_sweep_leaves_revoked_alone(self):
-        inv = Inventory()
-        urn = make_urn(1)
-        inv.upsert_device(urn, now=T0)
-        inv.attach_certificate(urn.uuid, make_meta(days=30))
-        inv.set_state(urn.uuid, RenewalState.REVOKED)
-        assert inv.sweep_expired(now=T0 + timedelta(days=365)) == []
-        assert inv.get(urn.uuid).renewal_state is RenewalState.REVOKED
-
 
 class TestRenewalWindow:
     def test_within_30_days_of_expiry_is_due(self):
@@ -244,6 +226,8 @@ class TestSnapshot:
             inv.upsert_device(urn, now=T0)
             if i % 2 == 0:
                 inv.attach_certificate(urn.uuid, make_meta(serial=f"{i:02x}"))
+        # No flow sets "expired" any more, but a snapshot holding it restores.
+        inv.set_state(make_urn(4).uuid, RenewalState.EXPIRED)
         return inv
 
     def test_round_trip_preserves_records(self, tmp_path):

@@ -36,7 +36,6 @@ from iotpki.lifecycle import (
     KeyMismatch,
     ProvisionedDevice,
     RenewalBusy,
-    RevocationReason,
     sign_delegation,
     verify_delegation,
 )
@@ -511,10 +510,9 @@ class TestRevocation:
     def test_revoke_feeds_filter(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("v1"))
         serial = manager.inventory.get(bundle.urn.uuid).current_cert.serial
-        manager.revoke_device(bundle.urn.uuid, RevocationReason.KEY_COMPROMISE)
+        manager.revoke_device(bundle.urn.uuid)
         assert serial in manager.revocation_log
         assert manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.REVOKED
-        assert manager.revocation_reason(bundle.urn.uuid) is RevocationReason.KEY_COMPROMISE
         filt = manager.revocation_log.publish(stack.ca.state.issued_serials())
         assert query(filt, serial) is True
 
