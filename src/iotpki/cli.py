@@ -406,7 +406,8 @@ def cmd_simulate(args: argparse.Namespace, settings: Settings) -> int:
             seed=settings.seed,
         )
         report = run_smart_city(cfg)
-        (out / f"sim_{mode}.csv").write_text(report.to_csv())
+        with (out / f"sim_{mode}.csv").open("w") as fp:
+            report.write_csv(fp)
         summary = summarize(report.latencies()) if report.samples else None
         if summary is None:
             stats[mode] = {"count": 0, "drops": report.drops}

@@ -14,7 +14,7 @@ per-node timer would; k * poll_interval rounds differently and would
 change the CSV. A report keeps its samples in columns (arrays of
 contacts and of latencies); ``SimReport.samples`` builds
 ``LatencySample`` objects only when iterated, and the CSV is rendered
-straight from the columns, one ``%`` template per contact.
+straight from the columns (see Report).
 
 Gateway lookup: a poll measures only the gateways listed for its grid
 cell (side gateway_range / 2) in an index built once per run. The index
@@ -36,13 +36,19 @@ one, a run could never end or would write non-finite latencies. So do
 more than ``MAX_POLL_TICKS`` polls, or a node walk of more than
 ``MAX_GRID_LENGTHS`` grid lengths, which finite fields can still ask for.
 
-Report: ``summarize`` sorts the latencies once and reads the median, p95
-and max off the sorted list. Each histogram bin's lower edge is one
-bisect, since the bin index never decreases along the sorted samples.
-The mean equals ``statistics.mean`` (the exact rational mean, rounded
-once): every sample is scaled by one power of two to an integer, the
-integers are summed, and the quotient is rounded once. Latencies must be
-finite and non-negative; anything else raises ``DomainError``.
+Report: the CSV is one string per contact, from one renderer that
+``to_csv`` joins and ``write_csv`` writes as it goes. The send time is
+formatted once per tick. A burst whose latencies share their bits (a
+d2d burst is one value repeated) is formatted once and its row repeated;
+bits, because 0.0 == -0.0 and they print apart. Any other burst is one
+``%`` template. ``summarize`` sorts the latencies once and reads the
+median, p95 and max off the sorted list. Each histogram bin's lower edge
+is one bisect, since the bin index never decreases along the sorted
+samples. The mean equals ``statistics.mean`` (the exact rational mean,
+rounded once): ``math.fsum`` passes build the exact sum as a few floats,
+whose sum is divided and rounded once, and ``statistics.mean`` itself
+answers when the sum overflows. Latencies must be finite and
+non-negative; anything else raises ``DomainError``.
 
 Reproducibility: every stochastic purpose draws from its own named RNG
 stream derived from the config seed, so mobility is identical across
@@ -56,11 +62,11 @@ import math
 import random
 import statistics
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import islice, product, repeat, starmap
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice, product, repeat, starmap
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import IotPkiError
 
@@ -270,16 +276,37 @@ class SimReport:
         return self.latency.tolist()
 
     def to_csv(self) -> str:
+        return "".join(self._csv_rows())
+
+    def write_csv(self, fp: TextIO) -> None:
+        """Write the bytes of ``to_csv`` to fp, one contact at a time."""
+        fp.writelines(self._csv_rows())
+
+    def _csv_rows(self) -> Iterator[str]:
+        """The CSV header, then one string per contact holding its rows."""
+        yield "mode,node,gateway,t_send,latency_s\n"
         mode = self.config.mode
         latency = self.latency
-        rows = ["mode,node,gateway,t_send,latency_s\n"]
         start = 0
+        last_t = math.nan
         for node, gateway, t, sent in zip(self.node, self.gateway, self.send_time, self.sent):
+            # Contacts of one tick share t. Equal nonzero floats print alike,
+            # but 0.0 == -0.0 and they print apart, so a zero is formatted
+            # every time.
+            if t != last_t or not t:
+                tail = f",{t:.3f},%.6f\n"
+                last_t = t
+            row = f"{mode},{node},{gateway}{tail}"
             end = start + sent
-            row = f"{mode},{node},{gateway},{t:.3f},%.6f\n"
-            rows.append((row * sent) % tuple(latency[start:end]))
+            burst = latency[start:end]
             start = end
-        return "".join(rows)
+            # A burst of one value (by its bits: 0.0 and -0.0 print apart)
+            # is formatted once.
+            raw = burst.tobytes()
+            if sent and raw == raw[:8] * sent:
+                yield (row % burst[0]) * sent
+            else:
+                yield (row * sent) % tuple(burst)
 
 
 @dataclass(frozen=True)
@@ -329,21 +356,24 @@ def summarize(latencies: Sequence[float]) -> Summary:
 
 
 def _exact_mean(xs: list[float]) -> float:
-    """``statistics.mean`` of sorted non-negative floats: the exact rational
-    mean, rounded once. Scaling by 2**k, with k set by the smallest nonzero
-    sample, makes every sample an integer, so the sum is exact."""
-    n = len(xs)
-    first = bisect_right(xs, 0.0)
-    k = max(0, 53 - math.frexp(xs[first])[1]) if first < n else 0
+    """``statistics.mean`` of non-negative floats: the exact rational mean,
+    rounded once. ``math.fsum`` rounds the exact sum; the sum less the
+    terms found so far is summed again until it is zero, so the terms add
+    up to the exact sum (a float expansion), usually in two or three passes."""
+    terms: list[float] = []
     try:
-        total = sum(map(int, map(math.ldexp, xs, repeat(k))))
+        while r := math.fsum(chain(xs, [-t for t in terms])):
+            if not math.isfinite(r):
+                raise OverflowError
+            terms.append(r)
     except (OverflowError, ValueError):
-        # int() rejects inf and NaN; ldexp overflows when the samples span
-        # more than the float exponent range (a subnormal beside a large value).
+        # fsum yields inf or NaN for such a sample, and overflows when the
+        # exact sum is past the float range although the mean is not.
         if not all(map(math.isfinite, xs)):
             raise DomainError("latencies must be finite") from None
         return statistics.mean(xs)
-    return float(Fraction(total, n << k))
+    # An empty sum is the int 0, so an all-zero mean is 0.0, not -0.0.
+    return float(sum(map(Fraction, terms)) / len(xs))
 
 
 def gateway_positions(cfg: SimConfig) -> list[tuple[float, float]]:

@@ -1,6 +1,8 @@
 """Shared test setup: with CI set in the environment, hypothesis runs
 derandomized and prints a reproduction blob for every failure, so a
 property that fails in CI fails the same way on a developer machine.
+``--hypothesis-profile=thorough`` does the same with 2,000 examples per
+property, for float edge cases too rare for the default 100.
 A test during which a server's request handler raised fails. The
 ``far_zone`` fixture runs a test with the host nine hours east of UTC."""
 
@@ -17,6 +19,7 @@ except ImportError:  # the suites that use hypothesis report the missing import
     pass
 else:
     settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.register_profile("thorough", derandomize=True, print_blob=True, max_examples=2000)
     if os.environ.get("CI"):
         settings.load_profile("ci")
 

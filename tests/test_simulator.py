@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import math
 import random
 import statistics
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from iotpki.simulator import (
     InvalidConfig,
     LatencySample,
     SimConfig,
+    SimReport,
     Summary,
     WeibullParams,
     gateway_positions,
@@ -419,8 +422,25 @@ def _old_to_csv(report):
 SUBNORMALS = [5e-324, 1e-323, 2.5e-310, 2.2250738585072014e-308 / 2]
 LATENCIES = st.one_of(
     st.floats(min_value=0.0, max_value=400.0),
-    st.sampled_from([0.0, 0.017, 0.022, *SUBNORMALS]),
+    st.sampled_from([0.0, -0.0, 0.017, 0.022, *SUBNORMALS]),
     st.floats(min_value=1e299, max_value=1e301),
+    # Two of these sum past the float range, though their mean is finite.
+    st.floats(min_value=1.6e308, max_value=1.7976931348623157e308),
+    # Magnitudes far apart, whose exact sum takes three or more fsum passes.
+    st.sampled_from([1e16, 1.0, 1e-16, 2.0**-80, 2.0**80]),
+)
+
+
+# Send times repeat within a tick; a zero send time may carry either sign.
+TICKS = st.sampled_from([0.0, -0.0, 0.2, 1.0005, 300.0])
+BURST_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.017, 0.022, 1e300, 1.7e308, *SUBNORMALS]),
+    st.floats(min_value=0.0, max_value=400.0),
+)
+# A burst of one value, as a d2d contact sends, or of any values.
+BURSTS = st.one_of(
+    st.builds(lambda x, n: [x] * n, BURST_VALUES, st.integers(0, 6)),
+    st.lists(BURST_VALUES, max_size=6),
 )
 
 
@@ -445,10 +465,14 @@ class TestReportOracle:
     @example([1.0, 2.0])
     @example([0.0, 0.0, 0.0])
     @example([1e300, 1e300, 3e300])
-    @example([5e-324, 1e300])  # 2**k overflows: the statistics.mean fallback
+    @example([5e-324, 1e300])  # a subnormal beside a large value
     @example([5e-324, 5e-324])  # the median halves the sum, not each half
     @example([0.0, 0.55, 1.1, 1.1 * 19 / 20])
+    @example([-0.0, -0.0])  # an all-zero mean is 0.0, whatever the signs
+    @example([1.7e308, 1.7e308])  # fsum overflows: the statistics.mean fallback
+    @example([1e16, 1.0, 1e-16])  # the exact sum is an expansion of three floats
     def test_summarize_matches_per_element_oracle(self, xs):
+        assert repr(simulator._exact_mean(sorted(xs))) == repr(statistics.mean(xs))
         new = summarize(xs)
         try:
             old = _old_summarize(xs)
@@ -468,7 +492,7 @@ class TestReportOracle:
             )
         assert _fields(new) == _fields(old)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None)
     @given(
         mode=st.sampled_from(["d2d", "cloud"]),
         nodes=st.integers(1, 6),
@@ -487,6 +511,28 @@ class TestReportOracle:
             )
         )
         assert report.to_csv() == _old_to_csv(report)
+
+    # A run writes no -0.0 and no latency past 1e3, so these reports are
+    # built by hand: (send time, burst) per contact.
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(TICKS, BURSTS), max_size=12), st.sampled_from(["d2d", "cloud"]))
+    @example([(0.0, [0.0] * 3), (0.0, [-0.0] * 3), (0.0, [0.0, -0.0])], "d2d")
+    @example([(2.0, [0.017] * 4), (2.0, [0.017, 0.022, 0.017]), (2.0, [0.022] * 4)], "d2d")
+    @example([(0.0, []), (0.2, [0.5]), (0.2, []), (0.4, [1.0, 1.0]), (0.4, [3.0, 4.0])], "cloud")
+    @example([(-0.0, [5e-324] * 3), (0.0, [1.7e308] * 2), (0.0, [2.5e-310, 2.5e-310])], "cloud")
+    def test_hand_built_reports_match_format_oracle(self, contacts, mode):
+        report = SimReport(
+            config=SimConfig(mode=mode),
+            drops=0,
+            node=array("l", range(len(contacts))),
+            gateway=array("l", [i % 5 for i in range(len(contacts))]),
+            send_time=array("d", [t for t, _ in contacts]),
+            sent=array("l", [len(burst) for _, burst in contacts]),
+            latency=array("d", [x for _, burst in contacts for x in burst]),
+        )
+        fp = io.StringIO()
+        report.write_csv(fp)
+        assert report.to_csv() == fp.getvalue() == _old_to_csv(report)
 
     def test_capped_example_has_short_and_empty_contacts(self):
         report = run_smart_city(
