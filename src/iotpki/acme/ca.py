@@ -30,6 +30,7 @@ from typing import Callable
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.types import PublicKeyTypes
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 from ..certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
@@ -37,7 +38,7 @@ from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
-from ..serving import IDLE_TIMEOUT, BackgroundServer, TlsServer
+from ..serving import IDLE_TIMEOUT, BackgroundServer, BadHead, TlsServer, read_headers
 from . import jws
 from .challenges import WELL_KNOWN_PREFIX
 
@@ -139,7 +140,7 @@ class TestCaState:
         )
         self.issued: set[str] = set()  # serials; each certificate stays on its order
         self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
-        self.accounts: dict[str, dict] = {}
+        self.accounts: dict[str, PublicKeyTypes] = {}  # kid -> the account's key
         self.orders: dict[str, _Order] = {}
         self.authzs: dict[str, _Authz] = {}
         self.challenges: dict[str, _Challenge] = {}
@@ -165,11 +166,13 @@ class TestCaState:
 
     def register_account(self, jwk_obj: dict, accounts_url: str) -> tuple[str, bool]:
         """Return (kid, created) for the account holding this key,
-        creating it under ``accounts_url`` on first sight."""
+        creating it under ``accounts_url`` on first sight. The kid ends
+        in the key's thumbprint, and the CA keeps the key itself."""
         kid = f"{accounts_url}/{jws.jwk_thumbprint(jwk_obj)}"
+        key = jws.jwk_to_public_key(jwk_obj)
         with self._lock:
             created = kid not in self.accounts
-            self.accounts.setdefault(kid, jwk_obj)
+            self.accounts.setdefault(kid, key)
         return kid, created
 
     def create_order(self, kid: str, identifiers: list[str]) -> _Order:
@@ -207,8 +210,7 @@ class TestCaState:
             if chall.status != "pending" or authz.status != "pending":
                 return None
             chall.status = "processing"
-            thumbprint = jws.jwk_thumbprint(self.accounts[kid])
-        return jws.key_authorization(chall.token, thumbprint)
+        return jws.key_authorization(chall.token, kid.rpartition("/")[2])
 
     def finish_challenge(self, chall: _Challenge, ok: bool, detail: str) -> None:
         """Settle a processing challenge and its authz. The order becomes
@@ -372,18 +374,48 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        """Read the request line and head with the shared bounded reader.
+        A head the reader refuses is answered, and ends the connection."""
+        self.command = None
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, explain=f"bad request line {self.requestline[:40]!r}")
+            return False
+        if words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self.send_error(505, explain=f"unsupported version {words[2][:40]!r}")
+            return False
+        self.command, self.path, self.request_version = words
+        try:
+            self.headers = read_headers(self.rfile)
+        except BadHead as exc:
+            self.send_error(exc.status, explain=str(exc))
+            return False
+        self.close_connection = (
+            self.request_version == "HTTP/1.0"
+            or self.headers.get("connection", "").lower() == "close"
+        )
+        return True
+
     def _reply(self, status: int, body: bytes, ctype: str, location: str | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Replay-Nonce", self.ca.state.fresh_nonce())
-        self.send_header("Cache-Control", "no-store")
+        """Answer with head and body in one write, so one TLS record."""
+        self.log_request(status)
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+            f"Content-Type: {ctype}\r\nContent-Length: {len(body)}\r\n"
+            f"Replay-Nonce: {self.ca.state.fresh_nonce()}\r\nCache-Control: no-store\r\n"
+        )
         if location:
-            self.send_header("Location", location)
+            head += f"Location: {location}\r\n"
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _json(self, status: int, obj: dict, location: str | None = None) -> None:
         self._reply(status, json.dumps(obj).encode(), "application/json", location)
@@ -396,7 +428,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         """
         # On a keep-alive connection a body left unread would be parsed as
         # the next request, so any reply that skips it closes the connection.
-        declared = self.headers.get("Content-Length", "")
+        declared = self.headers.get("content-length", "")
         if not (declared.isascii() and declared.isdigit()):
             raise _Problem(400, "malformed", f"bad Content-Length {declared!r}", close=True)
         length = int(declared)
@@ -427,11 +459,13 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
                 raise _Problem(400, "malformed", "newAccount requires an embedded jwk")
         else:
             kid = protected.get("kid")
-            jwk_obj = self.ca.state.accounts.get(kid)
-            if jwk_obj is None:
+            key = self.ca.state.accounts.get(kid)
+            if key is None:
                 raise _Problem(400, "accountDoesNotExist", f"unknown account {kid!r}")
         try:
-            _, payload = jws.verify_jws(envelope, jws.jwk_to_public_key(jwk_obj))
+            if require_jwk:
+                key = jws.jwk_to_public_key(jwk_obj)
+            _, payload = jws.verify_jws(envelope, key)
         except (jws.MalformedJws, ValueError, KeyError, TypeError) as exc:
             # A malformed envelope, or a jwk of a wrong shape.
             raise _Problem(400, "malformed", f"bad jws: {exc}") from None

@@ -5,10 +5,11 @@ RFC 8555 directory endpoint.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
+import re
 import select
+import socket
 import ssl
 import time
 import urllib.parse
@@ -16,6 +17,7 @@ from typing import Any, Callable, TypeVar
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
 from ..errors import IotPkiError
+from ..serving import BadHead, Headers, read_headers, read_line
 from . import jws
 
 log = logging.getLogger(__name__)
@@ -24,6 +26,9 @@ POLL_INTERVAL = 0.05
 MAX_POLLS = 60
 # Seconds the client waits to connect to the CA and for each read.
 REQUEST_TIMEOUT = 10.0
+# What may not appear in a request target or Host: controls, spaces and
+# anything outside ASCII.
+_NOT_URL_TEXT = re.compile(r"[^\x21-\x7e]")
 
 
 class AcmeProblem(IotPkiError):
@@ -133,16 +138,18 @@ class AcmeClient:
             self._ctx = ssl.create_default_context()
         self._directory: dict | None = None
         self._nonce: str | None = None
-        self._conn: http.client.HTTPSConnection | None = None
+        self._sock: ssl.SSLSocket | None = None
+        self._rfile = None
         self._origin: str | None = None
 
     # -- transport ---------------------------------------------------------
 
     def close(self) -> None:
         """Close the connection to the CA; the next request reopens it."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "AcmeClient":
         return self
@@ -150,31 +157,57 @@ class AcmeClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _connect(self, parts: urllib.parse.SplitResult) -> None:
+        raw = socket.create_connection((parts.hostname, parts.port or 443), REQUEST_TIMEOUT)
+        try:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = self._ctx.wrap_socket(raw, server_hostname=parts.hostname)
+        except BaseException:
+            raw.close()
+            raise
+        self._rfile = self._sock.makefile("rb")
+
     def _http(self, method: str, url: str, body: bytes | None = None):
+        """One request and its answer as (status, headers, payload), over
+        the kept connection. The head and body go out in one write, and
+        exactly Content-Length bytes of answer are read (none for HEAD)."""
         parts = urllib.parse.urlsplit(url)
-        target = parts.path + (f"?{parts.query}" if parts.query else "")
-        headers = {"Content-Type": "application/jose+json"} if body is not None else {}
-        if parts.netloc != self._origin or _closed_by_peer(self._conn):
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if _NOT_URL_TEXT.search(target + parts.netloc):
+            raise CaUnreachable(f"{method} {url}: not a request target")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/jose+json\r\nContent-Length: {len(body)}\r\n"
+        if parts.netloc != self._origin or _closed_by_peer(self._sock):
             self.close()
             self._origin = parts.netloc
-        if self._conn is None:
-            self._conn = http.client.HTTPSConnection(
-                self._origin, timeout=REQUEST_TIMEOUT, context=self._ctx
-            )
         # Sent once: the CA may have acted on a request it never answered.
         try:
-            self._conn.request(method, target, body=body, headers=headers)
-            resp = self._conn.getresponse()
-            payload = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
+            if self._sock is None:
+                self._connect(parts)
+            self._sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+            version, status = _status_line(read_line(self._rfile))
+            headers = read_headers(self._rfile)
+            payload = b"" if method == "HEAD" else self._read_body(headers)
+        except (OSError, BadHead) as exc:
             self.close()
             raise CaUnreachable(f"{method} {url}: {exc}") from exc
-        if resp.will_close:
+        if version == "HTTP/1.0" or headers.get("connection", "").lower() == "close":
             self.close()
-        return resp.status, dict(resp.getheaders()), payload
+        return status, headers, payload
+
+    def _read_body(self, headers: Headers) -> bytes:
+        declared = headers.get("content-length", "")
+        if not (declared.isascii() and declared.isdigit()):
+            raise BadHead(f"bad Content-Length {declared!r}")
+        length = int(declared)
+        payload = self._rfile.read(length)
+        if len(payload) < length:
+            raise BadHead(f"body truncated at {len(payload)} of {length} bytes")
+        return payload
 
     def _remember_nonce(self, headers: dict) -> None:
-        nonce = headers.get("Replay-Nonce")
+        nonce = headers.get("replay-nonce")
         if nonce:
             self._nonce = nonce
 
@@ -229,7 +262,7 @@ class AcmeClient:
         _, headers, _ = self._post(self.directory()["newAccount"], {
             "termsOfServiceAgreed": True,
         }, use_jwk=True)
-        kid = headers.get("Location")
+        kid = headers.get("location")
         if not kid:
             raise CaUnreachable("newAccount response lacks a Location header")
         self.kid = kid
@@ -246,7 +279,7 @@ class AcmeClient:
             "identifiers": [{"type": "dns", "value": fqdn}],
         })
         authz_url, finalize_url = _read(raw, _order_urls)
-        order_url = headers.get("Location", "")
+        order_url = headers.get("location", "")
 
         _, _, raw = self._post(authz_url, None)
         chall = _read(raw, lambda authz: _challenge(authz, wire_type))
@@ -293,10 +326,18 @@ class AcmeClient:
         raise CaUnreachable(f"{url} still {status} after {MAX_POLLS} polls")
 
 
-def _closed_by_peer(conn: http.client.HTTPSConnection | None) -> bool:
+def _status_line(line: bytes) -> tuple[str, int]:
+    """(HTTP version, status code) of an answer's status line."""
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if version not in (b"HTTP/1.0", b"HTTP/1.1") or not code.isdigit() or rest[3:4].strip():
+        raise BadHead(f"bad status line {line[:40]!r}")
+    return version.decode(), int(code)
+
+
+def _closed_by_peer(sock: ssl.SSLSocket | None) -> bool:
     """No kept connection to reuse: none, its socket gone, or its socket
     readable with no answer due, so the CA closed it (its idle timeout)."""
-    sock = getattr(conn, "sock", None)
     if sock is None or sock.fileno() < 0:
         return True
     poller = select.poll()  # select.select fails for descriptors above 1023

@@ -1,5 +1,6 @@
 """One serve loop for the loopback servers (DNS responder, token shelf,
-ACME CA, mTLS echo), plus the TLS front end the CA and echo server share.
+ACME CA, mTLS echo), plus the TLS front end the CA and echo server share,
+and the HTTP/1.1 head reader both ends of the ACME hop share.
 
 A ``BackgroundServer`` runs its ``socketserver`` in one thread that
 waits on two sockets: the listening socket and one end of a socket
@@ -12,13 +13,14 @@ idle server never wakes.
 from __future__ import annotations
 
 import logging
+import re
 import selectors
 import socket
 import socketserver
 import ssl
 import threading
 
-from .errors import BindFailure
+from .errors import BindFailure, IotPkiError
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +29,66 @@ HANDSHAKE_TIMEOUT = 5.0
 # Seconds an HTTP keep-alive connection may sit idle (or stall
 # mid-request) before the server drops it.
 IDLE_TIMEOUT = 15.0
+# Longest head line and most header fields in one HTTP message: the
+# limits of the standard library's http.client and http.server.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+# A field name is an RFC 9110 token: no whitespace before the colon.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+
+class BadHead(IotPkiError):
+    """An HTTP message head that is malformed, too large, or framed in a
+    way the reader refuses. ``status`` is the answer a server gives it."""
+
+    def __init__(self, detail: str, status: int = 400) -> None:
+        super().__init__(detail)
+        self.status = status
+
+
+class Headers(dict):
+    """Header fields keyed by lower-cased name; lookups ignore case."""
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+    def __contains__(self, name) -> bool:
+        return super().__contains__(name.lower())
+
+
+def read_line(rfile) -> bytes:
+    """One head line, ending in a line feed; BadHead past ``MAX_LINE``
+    bytes or at end of stream."""
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise BadHead(f"head line longer than {MAX_LINE} bytes", 431)
+    if not line.endswith(b"\n"):
+        raise BadHead("message head truncated")
+    return line
+
+
+def read_headers(rfile) -> Headers:
+    """The header fields that follow a start line, up to the empty line
+    (RFC 9112 section 5). A repeated field keeps its last value. A field
+    line folded onto the one before, a name that is not a token, a
+    repeated Content-Length and any Transfer-Encoding are BadHead: the
+    body is then framed by Content-Length alone, or not at all."""
+    headers = Headers()
+    for _ in range(MAX_HEADERS + 1):
+        line = read_line(rfile)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise BadHead(f"bad header line {line[:40]!r}")
+        key = name.decode("ascii").lower()
+        if key == "transfer-encoding" or (key == "content-length" and key in headers):
+            raise BadHead(f"refused framing: {line[:40]!r}")
+        headers[key] = value.strip(b" \t\r\n").decode("latin-1")
+    raise BadHead(f"more than {MAX_HEADERS} header fields", 431)
 
 
 class BackgroundServer:

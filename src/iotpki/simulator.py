@@ -334,6 +334,10 @@ def summarize(latencies: Sequence[float]) -> Summary:
     mean = _exact_mean(xs)
     half = n // 2
     median = xs[half] if n % 2 else (xs[half - 1] + xs[half]) / 2
+    if median == math.inf:
+        # The middle pair's sum overflowed. Halving floats this large is
+        # exact, so the sum of the halves rounds like the true midpoint.
+        median = xs[half - 1] / 2 + xs[half] / 2
     p95 = xs[max(0, math.ceil(0.95 * n) - 1)]
     top = xs[-1]
     # A range too narrow to split (top / BINS underflows to 0) is binned like zeros.

@@ -3,10 +3,12 @@ client/CA issuance flow over HTTPS with live challenge probing."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import secrets
 import socket
+import socketserver
 import ssl
 import threading
 import time
@@ -36,10 +38,19 @@ from iotpki.acme.client import (
     RateLimited,
     _parse_problem,
 )
-from iotpki.certs import build_csr, csr_to_der, generate_key, san_dns_names, serial_hex, split_pem_chain
+from iotpki.certs import (
+    build_csr,
+    csr_to_der,
+    generate_key,
+    load_cert_chain_in_memory,
+    san_dns_names,
+    serial_hex,
+    split_pem_chain,
+)
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
 from iotpki.inventory import MAX_CERT_LIFETIME
+from iotpki.serving import BackgroundServer, TlsServer
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
 RFC7638_JWK = {
@@ -602,7 +613,99 @@ def raw_exchange(ca, request: bytes, read_reply: bool = True) -> bytes:
     return reply
 
 
+@pytest.fixture(scope="module")
+def stub_tls():
+    """(context, certificate PEM) for a TLS stub standing in for the CA."""
+    cert_pem, key_pem = ca_module._service_identity()
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    load_cert_chain_in_memory(ctx, cert_pem, key_pem)
+    return ctx, cert_pem
+
+
+def stub_ca(stub_tls, replies: list[tuple[bytes, bool]]):
+    """A TLS server that reads each request head and answers with the next
+    (raw bytes, close afterwards) of ``replies``. Returns the server, not
+    yet started, and the list of connections it accepts."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            accepted.append(self.client_address)
+            while replies:
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    pass
+                if not line:
+                    return
+                reply, close = replies.pop(0)
+                self.wfile.write(reply)
+                if close:
+                    return
+
+    accepted = []
+    return BackgroundServer("stub-ca", "stub ca", TlsServer, ("127.0.0.1", 0), Handler, stub_tls[0]), accepted
+
+
+GOOD_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
 class TestTransport:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            (b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\nok", False),
+            (b"ICY 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nok", True),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok", False),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2", True),
+        ],
+        ids=["no-status-code", "not-http", "short-body", "repeated-length", "chunked", "head-cut-off"],
+    )
+    def test_bad_answer_is_unreachable_and_next_request_reconnects(self, stub_tls, reply):
+        server, accepted = stub_ca(stub_tls, [reply, (GOOD_REPLY, False)])
+        with server:
+            host, port = server.address
+            with AcmeClient(f"https://{host}:{port}/directory", ca_bundle_pem=stub_tls[1]) as client:
+                with pytest.raises(CaUnreachable):
+                    client._http("GET", f"https://{host}:{port}/directory")
+                status, headers, payload = client._http("GET", f"https://{host}:{port}/directory")
+        assert (status, headers, payload) == (200, {"content-length": "2"}, b"ok")
+        assert len(accepted) == 2
+
+    def test_connection_close_answer_ends_the_connection(self, stub_tls):
+        replies = [(b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", False)]
+        server, accepted = stub_ca(stub_tls, replies + [(GOOD_REPLY, False)])
+        with server:
+            host, port = server.address
+            url = f"https://{host}:{port}/directory"
+            with AcmeClient(url, ca_bundle_pem=stub_tls[1]) as client:
+                assert client._http("GET", url)[0] == 200
+                assert client._sock is None
+                assert client._http("GET", url)[2] == b"ok"
+        assert len(accepted) == 2
+
+    @pytest.mark.parametrize("path", ["/a b", "/caf\u00e9", "/a\x00b"], ids=["space", "non-ascii", "nul"])
+    def test_url_that_is_no_request_target_is_unreachable(self, stack, path):
+        client = new_client(stack)
+        with pytest.raises(CaUnreachable, match="not a request target"):
+            client._http("GET", stack.ca.base_url + path)
+
+    def test_stock_http_client_head_gets_a_nonce(self, stack):
+        ctx = ssl.create_default_context(cadata=stack.ca.service_cert_pem)
+        ctx.check_hostname = False
+        conn = http.client.HTTPSConnection(*stack.ca.address, timeout=3, context=ctx)
+        try:
+            conn.request("HEAD", "/acme/new-nonce")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            assert resp.getheader("Replay-Nonce") in stack.ca.state.nonces
+            # The same connection then carries a GET with a body.
+            conn.request("GET", "/directory")
+            resp = conn.getresponse()
+            assert json.loads(resp.read()) == stack.ca.directory()
+        finally:
+            conn.close()
+
     def test_idle_peer_does_not_block_enrollment(self, stack, monkeypatch):
         monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 2)
         with socket.create_connection(stack.ca._server.server_address):
@@ -672,8 +775,9 @@ class TestRequestBodies:
             ("/acme/new-order", "Content-Length: 12abc", 400),
             ("/acme/new-order", "X-No-Length: 1", 400),
             ("/acme/nowhere", "Content-Length: 2", 404),
+            ("/acme/new-order", "content-length: 1048576", 413),
         ],
-        ids=["oversized", "garbage-length", "missing-length", "unknown-route"],
+        ids=["oversized", "garbage-length", "missing-length", "unknown-route", "lower-case-length"],
     )
     def test_unread_body_fails_fast_and_ca_keeps_serving(self, stack, path, header, status):
         reply = raw_exchange(stack.ca, post_request(header, b"{}", path))
@@ -682,6 +786,25 @@ class TestRequestBodies:
         assert b"Connection: close" in head
         assert json.loads(payload)["type"].endswith("malformed")
         enroll(new_client(stack), stack, f"after-{status}-{len(header)}.camera.vendor.com")
+
+    # post_request sends Host and Content-Type, so 99 more make 101 fields.
+    @pytest.mark.parametrize(
+        "header, status",
+        [
+            ("Content-Length: 2\r\nContent-Length: 2", 400),
+            ("Content-Length: 2\r\nTransfer-Encoding: chunked", 400),
+            ("\r\n".join(f"X-Field-{i}: {i}" for i in range(99)), 431),
+            ("X-Long: " + "a" * (65537 - len("X-Long: \r\n")), 431),
+            ("Content-Length : 2", 400),
+        ],
+        ids=["repeated-length", "chunked", "101-fields", "65537-byte-line", "space-before-colon"],
+    )
+    def test_refused_head_is_answered_and_ca_keeps_serving(self, stack, header, status):
+        reply = raw_exchange(stack.ca, post_request(header, b"{}"))
+        head = reply.partition(b"\r\n\r\n")[0]
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert b"Connection: close" in head
+        enroll(new_client(stack), stack, f"after-refused-{status}-{len(header)}.camera.vendor.com")
 
     def test_truncated_body_fails_fast_and_ca_keeps_serving(self, stack, caplog):
         caplog.set_level(logging.DEBUG, logger=ca_module.__name__)

@@ -3,6 +3,7 @@ leaves no serving thread behind, and drops peers that never speak."""
 
 from __future__ import annotations
 
+import io
 import socket
 import threading
 import time
@@ -10,6 +11,8 @@ from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iotpki.acme.ca import TestCa, TestCaState
 from iotpki.acme.challenges import TokenShelf, _ShelfHandler
@@ -17,7 +20,7 @@ from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.dnsauth import DnsUdpServer, Zone
 from iotpki.errors import BindFailure
 from iotpki.peer_auth import EchoServer, TrustContext
-from iotpki.serving import BackgroundServer
+from iotpki.serving import MAX_HEADERS, MAX_LINE, BackgroundServer, BadHead, read_headers
 
 SERVE_THREADS = {"dns-udp", "token-shelf", "acme-ca", "mtls-echo"}
 
@@ -82,3 +85,68 @@ def test_tls_server_on_busy_port_is_bind_failure(echo_args, make):
         holder.listen()
         with pytest.raises(BindFailure, match="cannot bind"):
             make(holder.getsockname(), echo_args)
+
+
+FIELD_NAMES = st.sampled_from(
+    [b"Host", b"content-length", b"Content-Length", b"Transfer-Encoding", b"X-A", b"x-a", b"Bad Name", b""]
+)
+FIELD_LINES = st.builds(
+    lambda name, value, end: name + b":" + value + end,
+    FIELD_NAMES,
+    st.binary(max_size=12),
+    st.sampled_from([b"\r\n", b"\n"]),
+)
+# Field lines, stray bytes among them, then a head's end or a cut-off.
+HEADS = st.builds(
+    lambda lines, tail: b"".join(lines) + tail,
+    st.lists(st.one_of(FIELD_LINES, st.binary(max_size=20)), max_size=8),
+    st.sampled_from([b"\r\n", b"\n", b"", b"\r\n{}"]),
+)
+
+
+class TestHeadReader:
+    @given(st.one_of(st.binary(), HEADS))
+    @example(b"Content-Length: 2\r\ncontent-length: 2\r\n\r\n")
+    @example(b"Transfer-Encoding: chunked\r\n\r\n")
+    @example(b" folded\r\n\r\n")
+    @example(b"X-A: 1\r\n")
+    def test_any_bytes_give_headers_or_bad_head(self, data):
+        rfile = io.BytesIO(data)
+        try:
+            headers = read_headers(rfile)
+        except BadHead as exc:
+            assert exc.status in (400, 431)
+            return
+        # The reader stops at the empty line: before it, the field lines.
+        head = data[: rfile.tell()]
+        lines = head.split(b"\n")[:-2]
+        assert head.endswith(b"\n") and len(lines) <= MAX_HEADERS
+        assert all(name == name.lower() for name in headers)
+        assert "transfer-encoding" not in headers
+        assert sum(line.lower().startswith(b"content-length:") for line in lines) <= 1
+
+    def test_names_lower_cased_and_looked_up_in_any_case(self):
+        headers = read_headers(io.BytesIO(b"Replay-Nonce:  abc \r\nX-A: 1\r\nx-a: 2\r\n\r\nbody"))
+        assert headers == {"replay-nonce": "abc", "x-a": "2"}
+        assert headers["REPLAY-NONCE"] == headers.get("Replay-Nonce") == "abc"
+        assert "X-A" in headers
+
+    @pytest.mark.parametrize("fields, status", [(MAX_HEADERS, None), (MAX_HEADERS + 1, 431)])
+    def test_header_count_limit(self, fields, status):
+        head = b"".join(b"X-%d: 1\r\n" % i for i in range(fields)) + b"\r\n"
+        self.assert_reads(head, status)
+
+    @pytest.mark.parametrize("size, status", [(MAX_LINE, None), (MAX_LINE + 1, 431)])
+    def test_line_length_limit(self, size, status):
+        line = b"X-Long: " + b"a" * (size - len(b"X-Long: \r\n")) + b"\r\n"
+        assert len(line) == size
+        self.assert_reads(line + b"\r\n", status)
+
+    @staticmethod
+    def assert_reads(head: bytes, status):
+        if status is None:
+            read_headers(io.BytesIO(head))
+        else:
+            with pytest.raises(BadHead) as excinfo:
+                read_headers(io.BytesIO(head))
+            assert excinfo.value.status == status

@@ -9,6 +9,7 @@ import math
 import random
 import statistics
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,6 +332,19 @@ class TestSummarize:
         with pytest.raises(EmptyInput):
             summarize([])
 
+    @pytest.mark.parametrize(
+        "xs, median",
+        [
+            ([1.7e308, 1.7e308], 1.7e308),
+            ([1.0, 1.7976931348623157e308, 1.7976931348623157e308], 1.7976931348623157e308),
+            ([1.0, 1.7976931348623157e308] * 2, 1.7976931348623157e308 / 2 + 0.5),
+            ([2.0**1023, 1.5 * 2.0**1023], 1.25 * 2.0**1023),
+        ],
+        ids=["equal-pair", "odd-count", "small-and-largest", "unequal-pair"],
+    )
+    def test_median_of_pair_past_float_range_is_finite(self, xs, median):
+        assert summarize(xs).median == median
+
     def test_weibull_sample_moments(self):
         xs = draws(100_000)
         s = summarize(xs)
@@ -399,11 +413,21 @@ def _old_summarize(latencies):
     return Summary(
         count=n,
         mean=statistics.mean(xs),
-        median=statistics.median(xs),
+        median=_old_median(xs),
         p95=p95,
         max=top,
         histogram_csv="\n".join(lines) + "\n",
     )
+
+
+def _old_median(xs):
+    """``statistics.median``, except where the middle pair's float sum
+    overflows: there the exact midpoint, rounded once."""
+    median = statistics.median(xs)
+    if median == math.inf:
+        a, b = xs[len(xs) // 2 - 1], xs[len(xs) // 2]
+        median = float((Fraction(a) + Fraction(b)) / 2)
+    return median
 
 
 def _old_to_csv(report):
