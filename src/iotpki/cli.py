@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -308,12 +309,13 @@ def _serial_spelling(text: str) -> str:
 
 
 def _serve_until(duration: float) -> None:
+    """Return after ``duration`` seconds, or on an interrupt. A duration of
+    0 waits for the interrupt; so does one too long to reach, whether
+    infinite or past what ``time.sleep`` takes at once."""
+    deadline = time.monotonic() + (duration or math.inf)
     try:
-        if duration > 0:
-            time.sleep(duration)
-        else:
-            while True:
-                time.sleep(3600)
+        while (left := deadline - time.monotonic()) > 0:
+            time.sleep(min(left, 3600.0))
     except KeyboardInterrupt:
         pass
 
@@ -459,6 +461,18 @@ def _int_in(low: int, high: int):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """An argparse type for a duration in seconds: a number >= 0, inf included."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # NaN fails the comparison too.
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number of seconds >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
@@ -504,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", parents=[common], help="run the DNS authority or the embedded CA")
     p.add_argument("service", choices=["dns", "ca"])
     p.add_argument("--port", type=_int_in(0, 65535), default=0, help="bind port (0 = ephemeral)")
-    p.add_argument("--duration", type=float, default=0.0, help="seconds to serve (0 = until interrupt)")
+    p.add_argument("--duration", type=_seconds, default=0.0, help="seconds to serve (0 = until interrupt)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("demo", parents=[common], help="two-vendor mutual-TLS echo scenario")

@@ -1,5 +1,5 @@
 """Vendor-side device lifecycle: enrollment, scheduled renewal with key
-reuse, gateway-delegated proxy renewal, and revocation entry.
+reuse, and revocation entry.
 
 The FleetManager drives the whole flow against an authoritative zone and
 an ACME endpoint. Device private keys live only in returned bundles and
@@ -9,22 +9,16 @@ writes key material into the inventory or any persisted artifact.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import concurrent.futures
 import contextlib
 import logging
 import statistics
-import struct
 import threading
 import time
 import uuid as uuidlib
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from typing import Callable, Iterator
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from .acme import AcmeClient, DnsTxtFulfiller, HttpShelfFulfiller
 from .certs import (
@@ -42,21 +36,11 @@ from .revocation import AlreadyRevoked, RevocationLog
 
 log = logging.getLogger(__name__)
 
-DELEGATION_MAGIC = b"ATLSDLG1"
 DEFAULT_PARALLELISM = 4
-DELEGATION_LIFETIME = timedelta(days=7)
 
 
 class EnrollmentAborted(IotPkiError):
     """Issuance failed mid-flight; pending challenge records were cleaned up."""
-
-
-class BadDelegation(IotPkiError):
-    """Delegation record failed signature or expiry verification."""
-
-
-class KeyMismatch(IotPkiError):
-    """CSR public key differs from the device's recorded fingerprint."""
 
 
 class RenewalBusy(IotPkiError):
@@ -81,79 +65,6 @@ class ProvisionedDevice:
     private_key: object
     certificate_chain: str
     issued_at: datetime
-
-
-@dataclass(frozen=True)
-class DelegationRecord:
-    """Vendor-signed authorization for a gateway to renew on behalf of one
-    device. Compact binary blob, base64 for transport."""
-
-    gateway_id: str
-    device_uuid: uuidlib.UUID
-    expires_at: datetime
-    signature: bytes
-
-    def payload(self) -> bytes:
-        return _delegation_payload(self.gateway_id, self.device_uuid, self.expires_at)
-
-    def to_blob(self) -> str:
-        return base64.b64encode(self.payload() + self.signature).decode("ascii")
-
-    @classmethod
-    def from_blob(cls, blob: str) -> "DelegationRecord":
-        try:
-            raw = base64.b64decode(blob.encode("ascii"), validate=True)
-        except (binascii.Error, UnicodeEncodeError, ValueError) as exc:
-            raise BadDelegation(f"undecodable delegation blob: {exc}") from exc
-        if len(raw) < len(DELEGATION_MAGIC) + 2 + 16 + 8 + 64:
-            raise BadDelegation("delegation blob too short")
-        if not raw.startswith(DELEGATION_MAGIC):
-            raise BadDelegation("bad delegation magic")
-        try:
-            (gw_len,) = struct.unpack_from("!H", raw, len(DELEGATION_MAGIC))
-            offset = len(DELEGATION_MAGIC) + 2
-            gateway_id = raw[offset : offset + gw_len].decode("utf-8")
-            offset += gw_len
-            device_uuid = uuidlib.UUID(bytes=raw[offset : offset + 16])
-            offset += 16
-            (ts,) = struct.unpack_from("!q", raw, offset)
-            # OverflowError and OSError: an expiry far outside datetime's range.
-            expires_at = datetime.fromtimestamp(ts, tz=timezone.utc)
-            signature = raw[offset + 8 :]
-        except (struct.error, UnicodeDecodeError, ValueError, OverflowError, OSError) as exc:
-            raise BadDelegation(f"malformed delegation blob: {exc}") from exc
-        if len(signature) != 64:
-            raise BadDelegation(f"signature is {len(signature)} bytes, expected 64")
-        return cls(gateway_id, device_uuid, expires_at, signature)
-
-
-def _delegation_payload(gateway_id: str, device_uuid: uuidlib.UUID, expires_at: datetime) -> bytes:
-    gw = gateway_id.encode("utf-8")
-    ts = int(expires_at.timestamp())
-    return DELEGATION_MAGIC + struct.pack("!H", len(gw)) + gw + device_uuid.bytes + struct.pack("!q", ts)
-
-
-def sign_delegation(
-    signing_key: ed25519.Ed25519PrivateKey,
-    gateway_id: str,
-    device_uuid: uuidlib.UUID,
-    expires_at: datetime,
-) -> DelegationRecord:
-    payload = _delegation_payload(gateway_id, device_uuid, expires_at)
-    return DelegationRecord(gateway_id, device_uuid, expires_at, signing_key.sign(payload))
-
-
-def verify_delegation(
-    public_key: ed25519.Ed25519PublicKey,
-    record: DelegationRecord,
-    now: datetime,
-) -> None:
-    try:
-        public_key.verify(record.signature, record.payload())
-    except InvalidSignature as exc:
-        raise BadDelegation("delegation signature does not verify") from exc
-    if record.expires_at <= now:
-        raise BadDelegation(f"delegation expired at {record.expires_at.isoformat()}")
 
 
 @dataclass(frozen=True)
@@ -212,9 +123,9 @@ class RenewalOutcome:
 
 
 def require_certificate(record: DeviceRecord) -> CertificateMeta:
-    """The current certificate of a device that can still be revoked or
-    renewed: raises AlreadyRevoked for a revoked device and UnknownDevice
-    for one with no certificate on file."""
+    """The current certificate of a device that can still be revoked:
+    raises AlreadyRevoked for a revoked device and UnknownDevice for one
+    with no certificate on file."""
     if record.renewal_state is RenewalState.REVOKED:
         raise AlreadyRevoked(f"device {record.uuid} already revoked")
     if record.current_cert is None:
@@ -251,7 +162,6 @@ class FleetManager:
         self.clock = clock
         self.http_shelf = http_shelf
         self._account_key = generate_key()
-        self._delegation_key = ed25519.Ed25519PrivateKey.generate()
         self._device_keys: dict[uuidlib.UUID, tuple[object, str]] = {}
         self._keys_lock = threading.Lock()
         self._tick_lock = threading.Lock()
@@ -291,10 +201,6 @@ class FleetManager:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def delegation_public_key(self) -> ed25519.Ed25519PublicKey:
-        return self._delegation_key.public_key()
-
     # -- issuance ------------------------------------------------------------
 
     def _issue(self, urn: DeviceUrn, csr, challenge: str) -> CertificateMeta:
@@ -320,16 +226,6 @@ class FleetManager:
         )
         self.inventory.attach_certificate(urn.uuid, meta)
         return meta
-
-    def _reissue(self, record: DeviceRecord, csr, challenge: str) -> CertificateMeta:
-        """Renew ``record`` under ``csr``: IN_PROGRESS while the order runs,
-        back to DUE (and the error re-raised) if it fails."""
-        self.inventory.set_state(record.uuid, RenewalState.IN_PROGRESS)
-        try:
-            return self._issue(record.urn, csr, challenge)
-        except IotPkiError:
-            self.inventory.set_state(record.uuid, RenewalState.DUE)
-            raise
 
     # -- enrollment ----------------------------------------------------------
 
@@ -402,42 +298,22 @@ class FleetManager:
             self._tick_lock.release()
 
     def _renew_record(self, record: DeviceRecord) -> RenewalOutcome:
+        """Renew ``record`` under its held key: IN_PROGRESS while the order
+        runs, back to DUE with its old certificate if the order fails."""
         with self._keys_lock:
             key, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
         old_fp = record.current_cert.public_key_fingerprint if record.current_cert else None
         if key is None:
             return RenewalOutcome(record.uuid, "deferred", "no device key held", None, old_fp)
+        csr = build_csr(key, str(record.urn))
+        self.inventory.set_state(record.uuid, RenewalState.IN_PROGRESS)
         try:
-            meta = self._reissue(record, build_csr(key, str(record.urn)), challenge)
+            meta = self._issue(record.urn, csr, challenge)
         except IotPkiError as exc:
+            self.inventory.set_state(record.uuid, RenewalState.DUE)
             log.warning("renewal deferred for %s: %s", record.uuid, exc)
             return RenewalOutcome(record.uuid, "deferred", type(exc).__name__, None, old_fp)
         return RenewalOutcome(record.uuid, "renewed", "", meta.serial, meta.public_key_fingerprint)
-
-    # -- proxy renewal -------------------------------------------------------
-
-    def make_delegation(self, gateway_id: str, device_uuid: uuidlib.UUID) -> DelegationRecord:
-        return sign_delegation(
-            self._delegation_key, gateway_id, device_uuid, self.clock() + DELEGATION_LIFETIME
-        )
-
-    def proxy_renew(self, delegation: DelegationRecord, csr) -> str:
-        """Renew on behalf of an intermittent device: the gateway presents a
-        vendor-signed delegation plus a CSR the device produced. Only the CSR
-        transits; the device key never leaves the device."""
-        verify_delegation(self.delegation_public_key, delegation, self.clock())
-        record = self.inventory.get(delegation.device_uuid)
-        cert = require_certificate(record)
-        if spki_fingerprint(csr.public_key()) != cert.public_key_fingerprint:
-            raise KeyMismatch(
-                "csr public key does not match the recorded device fingerprint; "
-                "key replacement requires full re-enrollment"
-            )
-        with self._keys_lock:
-            _, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
-        meta = self._reissue(record, csr, challenge)
-        self.inventory.set_delegation(record.uuid, delegation.to_blob())
-        return meta.pem_chain
 
     # -- revocation ----------------------------------------------------------
 

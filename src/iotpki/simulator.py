@@ -12,9 +12,8 @@ plain tick loop (tick-major, node-minor) rather than an event queue.
 Send times accumulate by repeated addition of the poll interval, as a
 per-node timer would; k * poll_interval rounds differently and would
 change the CSV. A report keeps its samples in columns (arrays of
-contacts and of latencies); ``SimReport.samples`` builds
-``LatencySample`` objects only when iterated, and the CSV is rendered
-straight from the columns (see Report).
+contacts and of latencies), and the CSV is rendered straight from the
+columns (see Report).
 
 Gateway lookup: a poll measures only the gateways listed for its grid
 cell (side gateway_range / 2) in an index built once per run. The index
@@ -34,7 +33,9 @@ as the in-flight heap decides how many a burst takes.
 Configs: a NaN or infinite float field raises ``InvalidConfig``; with
 one, a run could never end or would write non-finite latencies. So do
 more than ``MAX_POLL_TICKS`` polls, or a node walk of more than
-``MAX_GRID_LENGTHS`` grid lengths, which finite fields can still ask for.
+``MAX_GRID_LENGTHS`` grid lengths, which finite fields can still ask for,
+and Weibull parameters whose largest draw (at the largest float below 1),
+alone or plus the link latency, overflows.
 
 Report: the CSV is one string per contact, from one renderer that
 ``to_csv`` joins and ``write_csv`` writes as it goes. The send time is
@@ -76,6 +77,7 @@ MAX_GATEWAYS = 5
 GATEWAY_ARM_FRACTION = 0.3  # arm length 150 m on the 500 m reference grid
 HISTOGRAM_BINS = 20
 _DRAW_CHUNK = 4096  # cloud latencies drawn at a time
+_LARGEST_U = 1.0 - 2.0**-53  # the largest float below 1, and of random()
 # Bounds on the work one run may ask for, so that every accepted config
 # ends. A run steps once per poll, and past about 2**52 polls `t +=
 # poll_interval` stops advancing t; a node walks about one waypoint leg (three
@@ -115,6 +117,17 @@ class WeibullParams:
         _require_finite(self)
         if not (self.beta > 0 and self.lam > 0):
             raise InvalidConfig(f"weibull shape/scale must be positive: {self}")
+        if _largest_draw(self) == math.inf:
+            raise InvalidConfig(f"weibull draws overflow: {self}")
+
+
+def _largest_draw(params: WeibullParams) -> float:
+    """The largest sample, lam * (53 ln 2)^(1/beta) at the largest float
+    below 1, or inf where it overflows; draws increase with u."""
+    try:
+        return _weibull(params, 0.0, (_LARGEST_U,))[0]
+    except OverflowError:
+        return math.inf
 
 
 def sample_weibull(params: WeibullParams, u: float) -> float:
@@ -204,50 +217,10 @@ class SimConfig:
             )
         if self.d2d_link_latency_ms < 0 or self.handshake_cost_ms < 0:
             raise InvalidConfig("latency constants must be non-negative")
+        if self.d2d_link_latency_ms / 1000.0 + _largest_draw(self.cloud) == math.inf:
+            raise InvalidConfig("link latency plus the largest cloud draw overflows")
         if self.cloud_connection_cap < 0:
             raise InvalidConfig("cloud_connection_cap must be >= 0 (0 = unlimited)")
-
-
-@dataclass(frozen=True, slots=True)
-class LatencySample:
-    node_id: int
-    gateway_id: int
-    send_time: float
-    latency_seconds: float
-    mode: str
-
-    def __post_init__(self) -> None:
-        # NaN fails every comparison, so it is rejected with the infinities.
-        if not 0 <= self.latency_seconds < math.inf:
-            raise ValueError(f"latency {self.latency_seconds} is not finite and non-negative")
-
-
-class _Samples:
-    """Read-only view of a report's samples that builds each LatencySample
-    only when it is iterated."""
-
-    __slots__ = ("_report",)
-
-    def __init__(self, report: "SimReport") -> None:
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.latency)
-
-    def __iter__(self) -> Iterator[LatencySample]:
-        r = self._report
-        mode = r.config.mode
-        latencies = iter(r.latency)
-        for node, gateway, t, sent in zip(r.node, r.gateway, r.send_time, r.sent):
-            for _ in range(sent):
-                yield LatencySample(node, gateway, t, next(latencies), mode)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Samples):
-            other = tuple(other)
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == other
 
 
 @dataclass(frozen=True)
@@ -256,8 +229,8 @@ class SimReport:
 
     ``node``, ``gateway``, ``send_time`` and ``sent`` hold one row per
     contact (a poll in gateway range) with the number of messages it
-    completed; ``latency`` holds one value per completed message, in send
-    order, so contact i owns the next ``sent[i]`` latencies.
+    completed; ``samples`` holds one latency in seconds per completed
+    message, in send order, so contact i owns the next ``sent[i]`` of them.
     """
 
     config: SimConfig
@@ -266,14 +239,10 @@ class SimReport:
     gateway: array
     send_time: array
     sent: array
-    latency: array
-
-    @property
-    def samples(self) -> _Samples:
-        return _Samples(self)
+    samples: array
 
     def latencies(self) -> list[float]:
-        return self.latency.tolist()
+        return self.samples.tolist()
 
     def to_csv(self) -> str:
         return "".join(self._csv_rows())
@@ -286,7 +255,7 @@ class SimReport:
         """The CSV header, then one string per contact holding its rows."""
         yield "mode,node,gateway,t_send,latency_s\n"
         mode = self.config.mode
-        latency = self.latency
+        latency = self.samples
         start = 0
         last_t = math.nan
         for node, gateway, t, sent in zip(self.node, self.gateway, self.send_time, self.sent):
@@ -542,5 +511,5 @@ def run_smart_city(cfg: SimConfig) -> SimReport:
         gateway=contact_gateway,
         send_time=contact_time,
         sent=contact_sent,
-        latency=latency,
+        samples=latency,
     )

@@ -67,11 +67,13 @@ class TestUsageErrors:
             (["filter", "build", "--epoch", "-1"], {}, 2, "--epoch"),
             (["filter", "build", "--epoch", "4294967296"], {}, 2, "--epoch"),
             (["serve", "dns", "--port", "70000"], {}, 2, "--port"),
+            (["serve", "dns", "--duration", "-1"], {}, 2, "--duration"),
+            (["serve", "dns", "--duration", "nan"], {}, 2, "--duration"),
             (["enroll-batch", "--count", "2", "--parallelism", "0"], {}, 1, "parallelism"),
             (["enroll-batch", "--count", "2"], {"IOTPKI_PARALLELISM": "0"}, 1, "parallelism"),
         ],
         ids=["renew-count-0", "renew-month-13", "epoch-neg", "epoch-2^32", "port-70000",
-             "parallelism-flag-0", "parallelism-env-0"],
+             "serve-duration-neg", "serve-duration-nan", "parallelism-flag-0", "parallelism-env-0"],
     )
     def test_value_out_of_range_keeps_exit_contract(
         self, small_filter_dir, capsys, monkeypatch, argv, env, code, diagnostic
@@ -431,8 +433,63 @@ class TestSimulate:
         assert code == 1
         assert "duration must be finite" in stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--weibull-beta", "0.001"], ["--weibull-lambda", "1e308"]],
+        ids=["beta-0.001", "lambda-1e308"],
+    )
+    def test_overflowing_weibull_is_rejected(self, tmp_path, capsys, flags):
+        code, _, stderr = run(
+            ["simulate", "--mode", "cloud", *flags, "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert stderr.startswith("error:") and "overflow" in stderr
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "sim_cloud.csv").exists()
+
+
+class FakeTime:
+    """Stands in for the time module in cli: sleep advances monotonic by
+    what it was asked, refuses waits over an hour, and raises
+    KeyboardInterrupt on sleep number ``interrupt_at``."""
+
+    def __init__(self, interrupt_at: int = 0) -> None:
+        self.now = 1000.0
+        self.sleeps: list[float] = []
+        self.interrupt_at = interrupt_at
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        assert 0 < seconds <= 3600
+        self.sleeps.append(seconds)
+        self.now += seconds
+        if len(self.sleeps) == self.interrupt_at:
+            raise KeyboardInterrupt
+
 
 class TestServe:
+    def test_serve_until_waits_out_a_finite_duration(self, monkeypatch):
+        fake = FakeTime()
+        monkeypatch.setattr(cli, "time", fake)
+        cli._serve_until(7200.5)
+        assert fake.sleeps == [3600.0, 3600.0, 0.5]
+
+    @pytest.mark.parametrize("duration", ["0", "inf", "1e10"])
+    def test_serve_dns_waits_for_interrupt_in_bounded_sleeps(
+        self, tmp_path, capsys, monkeypatch, duration
+    ):
+        fake = FakeTime(interrupt_at=3)
+        monkeypatch.setattr(cli, "time", fake)
+        code, stdout, stderr = run(
+            ["serve", "dns", "--duration", duration, "--out", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert "listening on" in stdout
+        assert stderr == ""
+        assert fake.sleeps == [3600.0] * 3
+
     def test_serve_dns_answers_while_up(self, tmp_path, capsys):
         result = {}
 

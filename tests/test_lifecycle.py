@@ -1,9 +1,7 @@
-"""Fleet lifecycle: enrollment, key-reuse renewal, delegation, revocation."""
+"""Fleet lifecycle: enrollment, key-reuse renewal, revocation."""
 
 from __future__ import annotations
 
-import base64
-import struct
 import sys
 import threading
 import time
@@ -12,32 +10,21 @@ from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ed25519
-from hypothesis import given
-from hypothesis import strategies as st
 
 from iotpki.acme import DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
-from iotpki.acme.client import CaUnreachable, CsrMismatch
 from iotpki.certs import build_csr, generate_key, san_dns_names, spki_fingerprint, split_pem_chain
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
 from iotpki.dnsauth.server import ResolutionFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
 from iotpki.inventory import Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
-    DELEGATION_LIFETIME,
-    DELEGATION_MAGIC,
-    BadDelegation,
-    DelegationRecord,
     EmptyBatch,
     EnrollmentAborted,
     EnrollmentRequest,
     FleetManager,
-    KeyMismatch,
     ProvisionedDevice,
     RenewalBusy,
-    sign_delegation,
-    verify_delegation,
 )
 from iotpki.revocation import AlreadyRevoked, RevocationLog, query
 
@@ -188,19 +175,6 @@ class TestForeignKeyCertificate:
         assert record.renewal_state is RenewalState.DUE
         assert record.current_cert.serial == before.serial
         assert record.current_cert.public_key_fingerprint == before.public_key_fingerprint
-
-    def test_proxy_renewal_reraises_and_leaves_device_due(self, manager, monkeypatch):
-        bundle = manager.enroll_device(NS, secret("f3"))
-        before = manager.inventory.get(bundle.urn.uuid).current_cert
-        delegation = manager.make_delegation("gw", bundle.urn.uuid)
-        csr = build_csr(bundle.private_key, str(bundle.urn))
-        certify_fresh_keys(monkeypatch)
-        with pytest.raises(CsrMismatch):
-            manager.proxy_renew(delegation, csr)
-        record = manager.inventory.get(bundle.urn.uuid)
-        assert record.renewal_state is RenewalState.DUE
-        assert record.current_cert == before
-        assert record.gateway_delegation is None
 
 
 class TestMisshapenCaAnswer:
@@ -392,118 +366,6 @@ class TestRenewalTick:
         finally:
             manager._tick_lock.release()
         assert manager.renewal_tick() == []
-
-
-class TestDelegation:
-    def test_blob_round_trip(self, manager):
-        device_uuid = uuidlib.uuid4()
-        record = manager.make_delegation("gateway-7", device_uuid)
-        restored = DelegationRecord.from_blob(record.to_blob())
-        assert restored == record
-        verify_delegation(manager.delegation_public_key, restored, NOW)
-
-    def test_expired_delegation_rejected(self, manager):
-        record = manager.make_delegation("gw", uuidlib.uuid4())
-        with pytest.raises(BadDelegation):
-            verify_delegation(manager.delegation_public_key, record, NOW + DELEGATION_LIFETIME)
-
-    def test_foreign_signature_rejected(self, manager):
-        stranger = ed25519.Ed25519PrivateKey.generate()
-        record = sign_delegation(stranger, "gw", uuidlib.uuid4(), NOW + timedelta(days=1))
-        with pytest.raises(BadDelegation):
-            verify_delegation(manager.delegation_public_key, record, NOW)
-
-    def test_garbage_blobs_rejected(self):
-        for blob in ["", "not base64 at all!!", "QUJD", "QVRMU0RMRzE" + "A" * 40]:
-            with pytest.raises(BadDelegation):
-                DelegationRecord.from_blob(blob)
-
-    @given(st.text())
-    def test_any_text_parses_and_round_trips_or_is_bad_delegation(self, blob):
-        assert_round_trips_or_rejected(blob)
-
-    @given(st.binary())
-    def test_any_bytes_after_magic_parse_and_round_trip_or_are_bad_delegation(self, tail):
-        assert_round_trips_or_rejected(base64.b64encode(DELEGATION_MAGIC + tail).decode())
-
-    @given(
-        st.text(max_size=40),
-        st.uuids(),
-        st.integers(-(2**63), 2**63 - 1),
-        st.binary(min_size=64, max_size=64),
-    )
-    def test_well_framed_fields_parse_and_round_trip_or_are_bad_delegation(
-        self, gateway_id, device_uuid, expiry, signature
-    ):
-        gw = gateway_id.encode("utf-8")
-        raw = DELEGATION_MAGIC + struct.pack("!H", len(gw)) + gw + device_uuid.bytes
-        raw += struct.pack("!q", expiry) + signature
-        assert_round_trips_or_rejected(base64.b64encode(raw).decode())
-
-
-def assert_round_trips_or_rejected(blob: str) -> None:
-    """A delegation blob either parses into a record whose own blob parses
-    back to it (and is ``blob`` itself when ``blob`` is canonical base64),
-    or is refused with BadDelegation and nothing else."""
-    try:
-        record = DelegationRecord.from_blob(blob)
-    except BadDelegation:
-        return
-    assert DelegationRecord.from_blob(record.to_blob()) == record
-    if base64.b64encode(base64.b64decode(blob)).decode() == blob:
-        assert record.to_blob() == blob
-
-
-class TestProxyRenew:
-    def test_gateway_renews_with_device_csr(self, stack, manager):
-        bundle = manager.enroll_device(NS, secret("p1"))
-        meta = manager.inventory.get(bundle.urn.uuid).current_cert
-        delegation = manager.make_delegation("gateway-1", bundle.urn.uuid)
-        csr = build_csr(bundle.private_key, str(bundle.urn))
-        chain = manager.proxy_renew(delegation, csr)
-        leaf = split_pem_chain(chain)[0]
-        assert spki_fingerprint(leaf.public_key()) == meta.public_key_fingerprint
-        assert format(leaf.serial_number, "x") != meta.serial
-        record = manager.inventory.get(bundle.urn.uuid)
-        assert record.gateway_delegation == delegation.to_blob()
-        assert record.renewal_state is RenewalState.CURRENT
-
-    def test_fresh_keypair_csr_rejected(self, stack, manager):
-        bundle = manager.enroll_device(NS, secret("p2"))
-        delegation = manager.make_delegation("gateway-1", bundle.urn.uuid)
-        csr = build_csr(generate_key(), str(bundle.urn))
-        with pytest.raises(KeyMismatch):
-            manager.proxy_renew(delegation, csr)
-        assert (
-            manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.CURRENT
-        )
-
-    def test_unknown_device_rejected(self, manager):
-        ghost = uuidlib.uuid4()
-        delegation = manager.make_delegation("gw", ghost)
-        csr = build_csr(generate_key(), "ghost.camera.vendor.com")
-        with pytest.raises(UnknownDevice):
-            manager.proxy_renew(delegation, csr)
-
-    def test_revoked_device_rejected(self, stack, manager):
-        bundle = manager.enroll_device(NS, secret("p3"))
-        manager.revoke_device(bundle.urn.uuid)
-        delegation = manager.make_delegation("gw", bundle.urn.uuid)
-        csr = build_csr(bundle.private_key, str(bundle.urn))
-        with pytest.raises(AlreadyRevoked):
-            manager.proxy_renew(delegation, csr)
-
-    def test_ca_unreachable_reraises_and_leaves_device_due(self, stack, manager):
-        bundle = manager.enroll_device(NS, secret("p4"))
-        delegation = manager.make_delegation("gw", bundle.urn.uuid)
-        csr = build_csr(bundle.private_key, str(bundle.urn))
-        manager.directory_url = "https://127.0.0.1:1/directory"
-        manager.close()
-        with pytest.raises(CaUnreachable):
-            manager.proxy_renew(delegation, csr)
-        record = manager.inventory.get(bundle.urn.uuid)
-        assert record.renewal_state is RenewalState.DUE
-        assert record.gateway_delegation is None
 
 
 class TestRevocation:

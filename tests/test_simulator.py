@@ -21,7 +21,6 @@ from iotpki.simulator import (
     DomainError,
     EmptyInput,
     InvalidConfig,
-    LatencySample,
     SimConfig,
     SimReport,
     Summary,
@@ -95,6 +94,23 @@ class TestWeibull:
         with pytest.raises(InvalidConfig, match=name):
             WeibullParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"beta": 0.001}, {"beta": 1e-300}, {"lam": 1e308}],
+        ids=["beta-0.001", "beta-1e-300", "lam-1e308"],
+    )
+    def test_overflowing_draws_rejected(self, kwargs):
+        # Finite parameters whose largest draw overflows: in the power
+        # (OverflowError) for a small beta, in the product (inf) for a large lam.
+        with pytest.raises(InvalidConfig, match="overflow"):
+            WeibullParams(**kwargs)
+
+    def test_largest_draw_at_the_largest_u(self):
+        # The defaults' largest draw is lam * (53 ln 2)^2, about 8597 s; a
+        # draw near the float range is still accepted.
+        assert sample_weibull(P, 1.0 - 2.0**-53) == pytest.approx(6.37 * (53 * math.log(2)) ** 2)
+        assert sample_weibull(WeibullParams(beta=1.0, lam=4.893e306), 1.0 - 2.0**-53) < math.inf
+
 
 def statistics_mean(xs):
     return sum(xs) / len(xs)
@@ -120,6 +136,8 @@ class TestConfigValidation:
             {"grid_size": 0.0},
             {"d2d_link_latency_ms": -1.0},
             {"cloud_connection_cap": -1},
+            # Each finite, but the link latency plus the largest draw is inf.
+            {"d2d_link_latency_ms": 1e308, "cloud": WeibullParams(beta=1.0, lam=4.893e306)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -170,12 +188,6 @@ class TestConfigValidation:
         floats = {name for name, f in SimConfig.__dataclass_fields__.items() if f.type == "float"}
         assert floats == set(self.FLOAT_FIELDS)
 
-    def test_negative_latency_sample_rejected(self):
-        for latency in (-0.5, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError):
-                LatencySample(0, 0, 1.0, latency, "d2d")
-        assert LatencySample(0, 0, 1.0, 0.0, "d2d").latency_seconds == 0.0
-
     def test_star_layout(self):
         cfg = SimConfig()
         assert gateway_positions(cfg) == [
@@ -206,13 +218,13 @@ class TestSmartCity:
     def test_mobility_identical_across_modes(self):
         d2d = run_smart_city(SimConfig(mode="d2d", **SMALL))
         cloud = run_smart_city(SimConfig(mode="cloud", **SMALL))
-        key = lambda r: [(s.node_id, s.gateway_id, s.send_time) for s in r.samples]
+        key = lambda r: (r.node, r.gateway, r.send_time, r.sent)
         assert key(d2d) == key(cloud)
 
     def test_d2d_latencies_are_two_constants(self):
         report = run_smart_city(SimConfig(mode="d2d", **SMALL))
         assert report.samples
-        values = {round(s.latency_seconds, 9) for s in report.samples}
+        values = {round(x, 9) for x in report.samples}
         assert values <= {0.017, round(0.017 + 0.05 / 10, 9)}
 
     def test_cloud_vs_d2d_latency_gap(self):
@@ -226,18 +238,19 @@ class TestSmartCity:
             num_mobile_nodes=10, duration=30.0, gateway_range=1e-6, seed=3
         )
         report = run_smart_city(cfg)
-        assert report.samples == ()
+        assert report.samples == array("d") and report.node == array("l")
 
     def test_sample_fields_sane(self):
         cfg = SimConfig(mode="cloud", **SMALL)
         report = run_smart_city(cfg)
         assert report.samples
-        for s in report.samples:
-            assert 0 <= s.node_id < cfg.num_mobile_nodes
-            assert 0 <= s.gateway_id < cfg.num_gateways
-            assert 0.0 <= s.send_time <= cfg.duration
-            assert s.latency_seconds >= 0.017
-            assert s.mode == "cloud"
+        for node, gateway, t, sent in zip(report.node, report.gateway, report.send_time, report.sent):
+            assert 0 <= node < cfg.num_mobile_nodes
+            assert 0 <= gateway < cfg.num_gateways
+            assert 0.0 <= t <= cfg.duration
+            assert sent == cfg.burst_size
+        assert len(report.samples) == sum(report.sent)
+        assert all(0.017 <= x < math.inf for x in report.samples)
 
     def test_connection_cap_drops(self):
         capped = run_smart_city(
@@ -313,7 +326,7 @@ class TestGoldenOutput:
         kwargs = GOLDEN["cloud-cap1-poll0.3"][0]
         report = run_smart_city(SimConfig(**kwargs))
         rows = report.to_csv().count("\n") - 1
-        assert len(report.samples) == rows == len(list(report.samples)) == 5
+        assert len(report.samples) == rows == sum(report.sent) == 5
 
 
 class TestSummarize:
@@ -438,7 +451,7 @@ def _old_to_csv(report):
     for node, gateway, t, sent in zip(report.node, report.gateway, report.send_time, report.sent):
         end = start + sent
         row = f"{mode},{node},{gateway},{t:.3f},{{:.6f}}\n"
-        rows.append((row * sent).format(*report.latency[start:end]))
+        rows.append((row * sent).format(*report.samples[start:end]))
         start = end
     return "".join(rows)
 
@@ -552,7 +565,7 @@ class TestReportOracle:
             gateway=array("l", [i % 5 for i in range(len(contacts))]),
             send_time=array("d", [t for t, _ in contacts]),
             sent=array("l", [len(burst) for _, burst in contacts]),
-            latency=array("d", [x for _, burst in contacts for x in burst]),
+            samples=array("d", [x for _, burst in contacts for x in burst]),
         )
         fp = io.StringIO()
         report.write_csv(fp)
@@ -629,7 +642,9 @@ def _old_run_smart_city(cfg):
 
 
 def _columns(report):
-    return {name: getattr(report, name).tolist() for name in ("node", "gateway", "send_time", "sent", "latency")}
+    """The report's columns under the oracle's names."""
+    columns = {name: getattr(report, name).tolist() for name in ("node", "gateway", "send_time", "sent")}
+    return columns | {"latency": report.samples.tolist()}
 
 
 GATEWAY_RANGES = st.one_of(
@@ -802,7 +817,7 @@ class TestCloudDomain:
         # Draws are made a chunk ahead; a 0.0 past the last draw a run
         # takes must not raise, and the last draw taken must.
         cfg = SimConfig(cloud_connection_cap=cap, **self.CFG)
-        taken = len(run_smart_city(cfg).latency)
+        taken = len(run_smart_city(cfg).samples)
         assert 0 < taken < simulator._DRAW_CHUNK - 1
         self._zero_at(monkeypatch, taken)
         report = run_smart_city(cfg)
