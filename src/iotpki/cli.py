@@ -41,8 +41,6 @@ from .simulator import WEIBULL_BETA, WEIBULL_LAMBDA, SimConfig, WeibullParams, r
 BASE_TIME = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 SNAPSHOT_FILE = "inventory.snapshot"
-ISSUED_FILE = "issued_serials.txt"
-REVOKED_FILE = "revoked_serials.txt"
 FILTER_FILE = "revocations.filter"
 
 
@@ -151,15 +149,17 @@ def _device_secret(seed: int, index: int) -> bytes:
     return f"{seed}:device:{index:06d}:secret".encode()
 
 
-def _persist_fleet(out: Path, manager: FleetManager, ca: TestCa) -> None:
-    """Write the fleet of a scenario's fresh CA. The revocation artifacts
-    left by an earlier scenario name serials of a CA that is gone, so they
-    go too."""
+def _persist_fleet(out: Path, manager: FleetManager) -> None:
+    """Write the fleet's snapshot and drop any filter of an earlier scenario's CA."""
     manager.inventory.snapshot(out / SNAPSHOT_FILE)
-    serials = sorted(ca.state.issued_serials())
-    (out / ISSUED_FILE).write_text("\n".join(serials) + "\n")
-    for stale in (REVOKED_FILE, FILTER_FILE):
-        (out / stale).unlink(missing_ok=True)
+    (out / FILTER_FILE).unlink(missing_ok=True)
+
+
+def _restore_fleet(out: Path) -> Inventory:
+    snapshot_path = out / SNAPSHOT_FILE
+    if not snapshot_path.exists():
+        raise IotPkiError(f"no inventory snapshot at {snapshot_path}; enroll first")
+    return Inventory.restore(snapshot_path)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -173,7 +173,7 @@ def cmd_enroll(args: argparse.Namespace, settings: Settings) -> int:
     )
     with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         bundle = manager.enroll_device(ns, DeviceSecret(secret), settings.challenge)
-        _persist_fleet(out, manager, stack.ca)
+        _persist_fleet(out, manager)
         cert_path = out / f"{bundle.urn.uuid}.pem"
         cert_path.write_text(bundle.certificate_chain)
         meta = manager.inventory.get(bundle.urn.uuid).current_cert
@@ -196,7 +196,7 @@ def cmd_enroll_batch(args: argparse.Namespace, settings: Settings) -> int:
     ]
     with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
         report = manager.enroll_batch(requests, parallelism=settings.parallelism)
-        _persist_fleet(out, manager, stack.ca)
+        _persist_fleet(out, manager)
     report_path = out / "enrollment_report.csv"
     report_path.write_text(report.to_csv())
     summary = report.summary()
@@ -242,7 +242,7 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
                     renewed += 1
                 else:
                     deferred += 1
-        _persist_fleet(out, manager, stack.ca)
+        _persist_fleet(out, manager)
     report_path = out / "renewal_report.csv"
     report_path.write_text("\n".join(rows) + "\n")
     print(
@@ -254,17 +254,10 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
 
 def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
     out = _out_dir(settings)
-    snapshot_path = out / SNAPSHOT_FILE
-    if not snapshot_path.exists():
-        raise IotPkiError(f"no inventory snapshot at {snapshot_path}; enroll first")
-    inventory = Inventory.restore(snapshot_path)
+    inventory = _restore_fleet(out)
     serial = require_certificate(inventory.get(args.uuid)).serial
     inventory.set_state(args.uuid, RenewalState.REVOKED)
-    inventory.snapshot(snapshot_path)
-    revoked_path = out / REVOKED_FILE
-    existing = set(revoked_path.read_text().split()) if revoked_path.exists() else set()
-    existing.add(serial)
-    revoked_path.write_text("\n".join(sorted(existing)) + "\n")
+    inventory.snapshot(out / SNAPSHOT_FILE)
     print(f"revoked {args.uuid} serial {serial}")
     return 0
 
@@ -273,12 +266,7 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
     out = _out_dir(settings)
     filter_path = out / FILTER_FILE
     if args.action == "build":
-        issued_path = out / ISSUED_FILE
-        if not issued_path.exists():
-            raise IotPkiError(f"no issued-serial universe at {issued_path}; enroll first")
-        universe = set(issued_path.read_text().split())
-        revoked_path = out / REVOKED_FILE
-        revoked = set(revoked_path.read_text().split()) if revoked_path.exists() else set()
+        universe, revoked = _restore_fleet(out).serials()
         filt = build_filter(revoked, universe, settings.root_domain, args.epoch)
         payload = serialize(filt)
         filter_path.write_bytes(payload)
@@ -369,12 +357,11 @@ def cmd_demo(args: argparse.Namespace, settings: Settings) -> int:
             manager_a.revoke_device(server.urn.uuid)
         elif args.revoke == "client":
             manager_b.revoke_device(client.urn.uuid)
-        universe = stack.ca.state.issued_serials()
         trust = TrustContext(
             roots=(stack.ca.state.root_cert,),
             filters={
-                vendor_a: manager_a.revocation_log.publish(universe),
-                vendor_b: manager_b.revocation_log.publish(universe),
+                vendor_a: manager_a.revocation_log.publish(manager_a.inventory),
+                vendor_b: manager_b.revocation_log.publish(manager_b.inventory),
             },
             clock=stack.clock,
         )

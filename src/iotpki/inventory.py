@@ -6,13 +6,16 @@ writer refuses to persist anything that looks like a key block.
 
 Snapshot format (external interface): a header line ``ATLASINV v1``, one
 compact JSON object per record line, and a ``sha256 <hex>`` trailer over
-all preceding bytes. Timestamps are RFC 3339 UTC.
+all preceding bytes. Timestamps are RFC 3339 UTC. ``"superseded"`` lists
+the serials a record's certificate replaced; older lines lack it and read
+as none. Each snapshot is a synced temporary file renamed into place.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import uuid as uuidlib
 from dataclasses import dataclass, replace
@@ -107,6 +110,12 @@ class DeviceRecord:
     renewal_state: RenewalState
     gateway_delegation: str | None
     created_at: datetime
+    superseded: tuple[str, ...] = ()
+
+    @property
+    def serials(self) -> tuple[str, ...]:
+        """Every serial the device has held: superseded ones, then the current one."""
+        return self.superseded + ((self.current_cert.serial,) if self.current_cert else ())
 
 
 class Inventory:
@@ -140,21 +149,26 @@ class Inventory:
             return record
 
     def attach_certificate(self, device_uuid: uuidlib.UUID, meta: CertificateMeta) -> DeviceRecord:
+        """Make ``meta`` current; the certificate it replaces is superseded."""
         with self._lock:
-            record = self._require(device_uuid)
-            record = replace(record, current_cert=meta, renewal_state=RenewalState.CURRENT)
-            self._records[device_uuid] = record
-            return record
+            held = self._require(device_uuid).serials
+            return self._update(
+                device_uuid, current_cert=meta, superseded=held, renewal_state=RenewalState.CURRENT
+            )
 
     def set_state(self, device_uuid: uuidlib.UUID, state: RenewalState) -> DeviceRecord:
-        with self._lock:
-            record = replace(self._require(device_uuid), renewal_state=state)
-            self._records[device_uuid] = record
-            return record
+        return self._update(device_uuid, renewal_state=state)
 
     def set_delegation(self, device_uuid: uuidlib.UUID, delegation_b64: str | None) -> DeviceRecord:
+        return self._update(device_uuid, gateway_delegation=delegation_b64)
+
+    def _update(self, device_uuid: uuidlib.UUID, **changes) -> DeviceRecord:
+        """Revocation is final: a REVOKED record keeps its state, so every serial it gets stays revoked."""
         with self._lock:
-            record = replace(self._require(device_uuid), gateway_delegation=delegation_b64)
+            record = self._require(device_uuid)
+            if record.renewal_state is RenewalState.REVOKED:
+                changes.pop("renewal_state", None)
+            record = replace(record, **changes)
             self._records[device_uuid] = record
             return record
 
@@ -185,6 +199,13 @@ class Inventory:
                     out.append(record)
         return sorted(out, key=lambda r: str(r.uuid))
 
+    def serials(self) -> tuple[set[str], set[str]]:
+        """(issued, revoked): every serial the records hold, and those of REVOKED records."""
+        records = self.records()
+        issued = {s for r in records for s in r.serials}
+        revoked = {s for r in records if r.renewal_state is RenewalState.REVOKED for s in r.serials}
+        return issued, revoked
+
     def _require(self, device_uuid: uuidlib.UUID) -> DeviceRecord:
         record = self._records.get(device_uuid)
         if record is None:
@@ -194,18 +215,24 @@ class Inventory:
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self, path: str | Path) -> None:
-        with self._lock:
-            lines = [SNAPSHOT_HEADER]
-            for record in self.records():
-                lines.append(json.dumps(_record_to_obj(record), separators=(",", ":")))
-        body = "\n".join(lines) + "\n"
+        lines = [json.dumps(_record_to_obj(record), separators=(",", ":")) for record in self.records()]
+        body = "\n".join([SNAPSHOT_HEADER, *lines]) + "\n"
         if _KEY_BLOCK_MARKER in body:
             raise StorageFailure("refusing to persist key material")
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        data = body.encode("utf-8")
+        data += f"sha256 {hashlib.sha256(data).hexdigest()}\n".encode()
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            Path(path).write_text(body + f"sha256 {digest}\n", encoding="utf-8")
+            with open(tmp, "wb") as fp:
+                fp.write(data)
+                fp.flush()
+                os.fsync(fp.fileno())
+            os.replace(tmp, path)
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def restore(cls, path: str | Path) -> "Inventory":
@@ -253,6 +280,7 @@ def _record_to_obj(record: DeviceRecord) -> dict:
         "state": record.renewal_state.value,
         "created_at": to_rfc3339(record.created_at),
         "delegation": record.gateway_delegation,
+        "superseded": list(record.superseded),
         "cert": None
         if cert is None
         else {
@@ -266,9 +294,9 @@ def _record_to_obj(record: DeviceRecord) -> dict:
     }
 
 
-def _text(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{name} is not a string: {value!r:.40}")
+def _typed(value, name: str, kind: type = str):
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} is not a {kind.__name__}: {value!r:.40}")
     return value
 
 
@@ -277,22 +305,24 @@ def _record_from_obj(obj: dict) -> DeviceRecord:
     cert = None
     if cert_obj is not None:
         cert = CertificateMeta(
-            serial=_text(cert_obj["serial"], "serial"),
+            serial=_typed(cert_obj["serial"], "serial"),
             not_before=from_rfc3339(cert_obj["not_before"]),
             not_after=from_rfc3339(cert_obj["not_after"]),
-            public_key_fingerprint=_text(cert_obj["fingerprint"], "fingerprint"),
+            public_key_fingerprint=_typed(cert_obj["fingerprint"], "fingerprint"),
             issuance_time=from_rfc3339(cert_obj["issued_at"]),
-            pem_chain=_text(cert_obj["pem"], "pem"),
+            pem_chain=_typed(cert_obj["pem"], "pem"),
         )
     urn = parse_urn(obj["urn"])
-    if uuidlib.UUID(_text(obj["uuid"], "uuid")) != urn.uuid:
+    if uuidlib.UUID(_typed(obj["uuid"], "uuid")) != urn.uuid:
         raise ValueError(f"uuid {obj['uuid']} is not the uuid of {urn}")
     delegation = obj.get("delegation")
+    superseded = _typed(obj.get("superseded", []), "superseded", list)
     return DeviceRecord(
         urn=urn,
         uuid=urn.uuid,
         current_cert=cert,
         renewal_state=RenewalState(obj["state"]),
-        gateway_delegation=None if delegation is None else _text(delegation, "delegation"),
+        gateway_delegation=None if delegation is None else _typed(delegation, "delegation"),
         created_at=from_rfc3339(obj["created_at"]),
+        superseded=tuple(_typed(serial, "superseded serial") for serial in superseded),
     )

@@ -318,7 +318,6 @@ class FleetManager:
     # -- revocation ----------------------------------------------------------
 
     def revoke_device(self, device_uuid: uuidlib.UUID) -> None:
-        cert = require_certificate(self.inventory.get(device_uuid))
-        self.revocation_log.add(cert.serial)
+        require_certificate(self.inventory.get(device_uuid))
         self.inventory.set_state(device_uuid, RenewalState.REVOKED)
         log.info("revoked device %s", device_uuid)

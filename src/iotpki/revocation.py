@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import IotPkiError
+from .inventory import Inventory
 
 MAGIC = b"ATLSCRL1"
 MAGIC_PREFIX = b"ATLSCRL"
@@ -275,32 +276,15 @@ def deserialize(data: bytes) -> RevocationFilter:
 
 
 class RevocationLog:
-    """Vendor-side revocation set with a strictly increasing publish epoch."""
+    """A vendor's publish epoch; each filter covers its inventory's serials."""
 
     def __init__(self, vendor_id: str) -> None:
         self.vendor_id = vendor_id
-        self._revoked: set[str] = set()
         self._epoch = 0
         self._lock = threading.Lock()
 
-    def add(self, serial: str) -> None:
-        with self._lock:
-            if serial in self._revoked:
-                raise AlreadyRevoked(serial)
-            self._revoked.add(serial)
-
-    def __contains__(self, serial: str) -> bool:
-        with self._lock:
-            return serial in self._revoked
-
-    @property
-    def epoch(self) -> int:
-        with self._lock:
-            return self._epoch
-
-    def publish(self, issued_universe: set[str]) -> RevocationFilter:
+    def publish(self, inventory: Inventory) -> RevocationFilter:
         with self._lock:
             self._epoch += 1
-            epoch = self._epoch
-            revoked = set(self._revoked)
-        return build_filter(revoked, issued_universe, self.vendor_id, epoch)
+            issued, revoked = inventory.serials()
+            return build_filter(revoked, issued, self.vendor_id, self._epoch)

@@ -9,7 +9,9 @@ import socket
 import ssl
 import threading
 import time
-from datetime import datetime, timezone
+from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,8 @@ from iotpki import cli
 from iotpki.certs import split_pem_chain
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
-from iotpki.inventory import Inventory
+from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from iotpki.inventory import CertificateMeta, Inventory, RenewalState
 from iotpki.peer_auth import TrustContext, validate_peer
 from iotpki.revocation import deserialize, query
 
@@ -30,11 +33,24 @@ def run(argv, capsys):
 
 @pytest.fixture()
 def small_filter_dir(tmp_path, capsys):
-    """A filter over a written universe, with serial abc005 revoked."""
-    (tmp_path / "issued_serials.txt").write_text("abc005\nabc006\n1f\n")
-    (tmp_path / "revoked_serials.txt").write_text("abc005\n")
-    code, _, _ = run(["filter", "build", "--out", str(tmp_path)], capsys)
+    """A filter over a written snapshot: a revoked device holding abc005,
+    and a device holding abc006 that superseded 1f."""
+    ns = VendorNamespace("vendor.example", "sensor")
+    inventory = Inventory()
+    for tag, serials in (("revoked", ["abc005"]), ("renewed", ["1f", "abc006"])):
+        urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"small-filter-{tag}".encode())), ns)
+        inventory.upsert_device(urn, now=cli.BASE_TIME)
+        for serial in serials:
+            meta = CertificateMeta(
+                serial, cli.BASE_TIME, cli.BASE_TIME + timedelta(days=1), "ab" * 32, cli.BASE_TIME, "chain"
+            )
+            inventory.attach_certificate(urn.uuid, meta)
+        if tag == "revoked":
+            inventory.set_state(urn.uuid, RenewalState.REVOKED)
+    inventory.snapshot(tmp_path / cli.SNAPSHOT_FILE)
+    code, stdout, _ = run(["filter", "build", "--out", str(tmp_path)], capsys)
     assert code == 0
+    assert stdout.startswith("filter epoch 1: 1 revoked of 3 issued")
     return str(tmp_path)
 
 
@@ -111,8 +127,8 @@ class TestEnrollmentCommands:
         text = pems[0].read_text()
         assert "BEGIN CERTIFICATE" in text
         assert "PRIVATE KEY" not in text
-        assert (tmp_path / "a" / "inventory.snapshot").exists()
-        assert (tmp_path / "a" / "issued_serials.txt").exists()
+        # The snapshot is the one record of the fleet's serials.
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [pems[0].name, "inventory.snapshot"]
 
     def test_batch_report_row_count(self, tmp_path, capsys):
         out = str(tmp_path / "b")
@@ -190,7 +206,7 @@ class TestRevokeAndFilter:
         assert code == 0
         assert "revoked" in stdout and "not revoked" not in stdout
 
-        issued = Path(fleet_dir, "issued_serials.txt").read_text().split()
+        issued, _ = Inventory.restore(Path(fleet_dir, "inventory.snapshot")).serials()
         clean = next(s for s in issued if s != serial)
         code, stdout, _ = run(
             ["filter", "check", "--serial", clean, "--out", fleet_dir], capsys
@@ -274,11 +290,61 @@ class TestRevokeAndFilter:
             capsys,
         )
         assert code == 0
-        assert not Path(fleet_dir, "revoked_serials.txt").exists()
-        assert not Path(fleet_dir, "revocations.filter").exists()
+        assert sorted(p.name for p in Path(fleet_dir).iterdir()) == [
+            "enrollment_report.csv", "inventory.snapshot"
+        ]
         code, stdout, stderr = run(build, capsys)
         assert (code, stderr) == (0, "")
         assert stdout.startswith("filter epoch 1: 0 revoked of 3 issued")
+
+    def test_revoke_covers_the_serial_a_renewal_superseded(self, tmp_path, capsys):
+        out = str(tmp_path / "renewed")
+        code, _, _ = run(
+            ["renew", "--count", "1", "--cycles", "1", "--out", out, "--root-domain", "vendor.test"],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in Path(out).iterdir()) == ["inventory.snapshot", "renewal_report.csv"]
+        (record,) = Inventory.restore(Path(out, "inventory.snapshot")).records()
+        (old_serial,) = record.superseded
+        assert run(["revoke", "--uuid", str(record.uuid), "--out", out], capsys)[0] == 0
+        code, stdout, _ = run(["filter", "build", "--out", out, "--root-domain", "vendor.test"], capsys)
+        assert code == 0
+        assert stdout.startswith("filter epoch 1: 2 revoked of 2 issued")
+        code, stdout, _ = run(["filter", "check", "--serial", old_serial, "--out", out], capsys)
+        assert code == 0
+        assert stdout.startswith(f"{old_serial}: revoked (")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enroll-batch", "--count", "3"], ["renew", "--count", "2", "--cycles", "3"]],
+        ids=["enroll-batch", "renew-3-cycles"],
+    )
+    def test_snapshot_holds_every_serial_the_scenario_ca_issued(self, tmp_path, capsys, monkeypatch, argv):
+        stacks = []
+        real_stack = cli.scenario_stack
+
+        @contextmanager
+        def recording_stack(apex):
+            with real_stack(apex) as stack:
+                stacks.append(stack)
+                yield stack
+
+        seen = []
+        real_persist = cli._persist_fleet
+
+        def recording_persist(out, manager):
+            seen.append((manager.inventory.serials()[0], stacks[-1].ca.state.issued_serials()))
+            real_persist(out, manager)
+
+        monkeypatch.setattr(cli, "scenario_stack", recording_stack)
+        monkeypatch.setattr(cli, "_persist_fleet", recording_persist)
+        code, _, _ = run([*argv, "--out", str(tmp_path), "--root-domain", "vendor.test"], capsys)
+        assert code == 0
+        ((held, issued),) = seen
+        assert held == issued and held
+        restored, _ = Inventory.restore(tmp_path / "inventory.snapshot").serials()
+        assert restored == issued
 
 
 class TestRenew:
@@ -469,6 +535,14 @@ class FakeTime:
             raise KeyboardInterrupt
 
 
+def hold_serving_until_set(monkeypatch) -> threading.Event:
+    """Make ``serve`` run until the returned event is set (at most 10 s),
+    not for its --duration, so a live check ends the server at once."""
+    checked = threading.Event()
+    monkeypatch.setattr(cli, "_serve_until", lambda duration: checked.wait(timeout=10))
+    return checked
+
+
 class TestServe:
     def test_serve_until_waits_out_a_finite_duration(self, monkeypatch):
         fake = FakeTime()
@@ -490,8 +564,9 @@ class TestServe:
         assert stderr == ""
         assert fake.sleeps == [3600.0] * 3
 
-    def test_serve_dns_answers_while_up(self, tmp_path, capsys):
+    def test_serve_dns_answers_while_up(self, tmp_path, capsys, monkeypatch):
         result = {}
+        checked = hold_serving_until_set(monkeypatch)
 
         def target():
             result["code"] = cli.main(
@@ -516,11 +591,13 @@ class TestServe:
             assert rcode is Rcode.NOERROR
             assert any(rec.value == "127.0.0.1" for rec in answers)
         finally:
+            checked.set()
             thread.join(timeout=10)
         assert result["code"] == 0
 
-    def test_serve_ca_publishes_directory_while_up(self, tmp_path, capsys):
+    def test_serve_ca_publishes_directory_while_up(self, tmp_path, capsys, monkeypatch):
         result = {}
+        checked = hold_serving_until_set(monkeypatch)
 
         def target():
             result["code"] = cli.main(
@@ -553,6 +630,7 @@ class TestServe:
                 conn.close()
             assert {"newNonce", "newAccount", "newOrder"} <= directory.keys()
         finally:
+            checked.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert result["code"] == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import uuid as uuidlib
@@ -17,6 +18,7 @@ from iotpki.identity import (
     VendorNamespace,
     derive_device_uuid,
 )
+from iotpki import inventory
 from iotpki.errors import IoFailure
 from iotpki.inventory import (
     CertificateMeta,
@@ -105,6 +107,41 @@ class TestStateMachine:
         with pytest.raises(UnknownDevice):
             inv.attach_certificate(uuidlib.uuid4(), make_meta())
 
+    def test_attach_certificate_supersedes_the_old_serial(self):
+        inv = Inventory()
+        urn = make_urn(1)
+        inv.upsert_device(urn, now=T0)
+        inv.attach_certificate(urn.uuid, make_meta(serial="01"))
+        inv.attach_certificate(urn.uuid, make_meta(serial="02"))
+        rec = inv.attach_certificate(urn.uuid, make_meta(serial="03"))
+        assert (rec.current_cert.serial, rec.superseded) == ("03", ("01", "02"))
+        assert rec.serials == ("01", "02", "03")
+
+    def test_revoked_record_stays_revoked(self):
+        # Neither re-enrolling a revoked device nor a renewal that fails
+        # after it was revoked may take its serials out of the revoked set.
+        inv = Inventory()
+        urn = make_urn(1)
+        inv.upsert_device(urn, now=T0)
+        inv.attach_certificate(urn.uuid, make_meta(serial="01"))
+        inv.set_state(urn.uuid, RenewalState.REVOKED)
+        rec = inv.attach_certificate(urn.uuid, make_meta(serial="02"))
+        assert rec.renewal_state is RenewalState.REVOKED
+        assert inv.set_state(urn.uuid, RenewalState.DUE).renewal_state is RenewalState.REVOKED
+        assert inv.serials() == ({"01", "02"}, {"01", "02"})
+
+    def test_serials_are_issued_and_revoked_sets(self):
+        inv = Inventory()
+        a, b, c = make_urn(1), make_urn(2), make_urn(3)
+        for urn in (a, b, c):
+            inv.upsert_device(urn, now=T0)
+        inv.attach_certificate(a.uuid, make_meta(serial="a1"))
+        inv.attach_certificate(a.uuid, make_meta(serial="a2"))
+        inv.attach_certificate(b.uuid, make_meta(serial="b1"))
+        inv.attach_certificate(b.uuid, make_meta(serial="b2"))
+        inv.set_state(b.uuid, RenewalState.REVOKED)
+        assert inv.serials() == ({"a1", "a2", "b1", "b2"}, {"b1", "b2"})
+
     def test_revoked_is_reachable_from_any_state(self):
         inv = Inventory()
         urn = make_urn(1)
@@ -163,9 +200,9 @@ TEXT_FIELDS = ("serial", "fingerprint", "pem", "delegation")
 
 
 def retyped(field: str, value) -> dict:
-    """GOOD_RECORD with one text field set to ``value``."""
-    if field == "delegation":
-        return {**GOOD_RECORD, "delegation": value}
+    """GOOD_RECORD with one text field, or its superseded list, set to ``value``."""
+    if field in ("delegation", "superseded"):
+        return {**GOOD_RECORD, field: value}
     return {**GOOD_RECORD, "cert": {**GOOD_CERT, field: value}}
 
 
@@ -186,6 +223,7 @@ RECORD_LINES = st.one_of(
             "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
             "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
             "delegation": JSON_VALUES,
+            "superseded": st.one_of(JSON_VALUES, st.lists(st.text(max_size=8), max_size=3)),
             "cert": st.one_of(JSON_VALUES, st.fixed_dictionaries(dict.fromkeys(GOOD_CERT, JSON_VALUES))),
         }
     ),
@@ -212,6 +250,8 @@ def assert_restores_or_is_corrupt(path, raw: bytes) -> None:
         return
     for record in inv.records():
         texts = [] if record.gateway_delegation is None else [record.gateway_delegation]
+        assert isinstance(record.superseded, tuple), record
+        texts += record.superseded
         cert = record.current_cert
         if cert is not None:
             texts += [cert.serial, cert.public_key_fingerprint, cert.pem_chain]
@@ -226,6 +266,7 @@ class TestSnapshot:
             inv.upsert_device(urn, now=T0)
             if i % 2 == 0:
                 inv.attach_certificate(urn.uuid, make_meta(serial=f"{i:02x}"))
+        inv.attach_certificate(make_urn(0).uuid, make_meta(serial="a0"))
         # No flow sets "expired" any more, but a snapshot holding it restores.
         inv.set_state(make_urn(4).uuid, RenewalState.EXPIRED)
         return inv
@@ -287,12 +328,16 @@ class TestSnapshot:
             json.dumps(retyped("fingerprint", 6)),
             json.dumps(retyped("pem", 8)),
             json.dumps(retyped("delegation", 7)),
+            json.dumps(retyped("superseded", "0a")),
+            json.dumps(retyped("superseded", [5])),
+            json.dumps(retyped("superseded", None)),
             json.dumps({**GOOD_RECORD, "uuid": "00000000-0000-0000-0000-000000000000"}),
             json.dumps({**GOOD_RECORD, "uuid": 5}),
         ],
         ids=[
             "list", "int", "urn-int", "created-int", "cert-list", "bad-urn", "date-range", "deep",
-            "serial-int", "fingerprint-int", "pem-int", "delegation-int", "uuid-mismatch", "uuid-int",
+            "serial-int", "fingerprint-int", "pem-int", "delegation-int",
+            "superseded-str", "superseded-int-item", "superseded-null", "uuid-mismatch", "uuid-int",
         ],
     )
     def test_checksummed_line_of_wrong_shape_is_corrupt(self, tmp_path, line):
@@ -308,6 +353,46 @@ class TestSnapshot:
         path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
         (record,) = Inventory.restore(path).records()
         assert (record.current_cert.serial, record.gateway_delegation) == ("0a", delegation)
+        # A line without the superseded member, as older snapshots wrote it.
+        assert record.superseded == ()
+
+    def test_superseded_serials_restore(self, tmp_path):
+        path = tmp_path / "inv.snap"
+        line = json.dumps(retyped("superseded", ["01", "02"]))
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
+        (record,) = Inventory.restore(path).records()
+        assert record.serials == ("01", "02", "0a")
+
+    def test_failed_write_keeps_the_old_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "inv.snap"
+        self._populated().snapshot(path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """Writes half of what it is given, then fails as a full disk would."""
+
+            def __init__(self, fp):
+                self.fp = fp
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fp.close()
+
+            def write(self, data):
+                self.fp.write(data[: len(data) // 2])
+                self.fp.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(inventory, "open", lambda *a, **k: HalfWrite(real_open(*a, **k)), raising=False)
+        grown = self._populated()
+        grown.upsert_device(make_urn(9), now=T0)
+        with pytest.raises(IoFailure, match="No space left"):
+            grown.snapshot(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["inv.snap"]
 
     def test_snapshot_that_is_not_utf8_is_corrupt(self, tmp_path):
         path = tmp_path / "inv.snap"

@@ -26,6 +26,7 @@ from iotpki.lifecycle import (
     ProvisionedDevice,
     RenewalBusy,
 )
+from iotpki.peer_auth import RejectReason, TrustContext, check_leaf
 from iotpki.revocation import AlreadyRevoked, RevocationLog, query
 
 NOW = datetime(2026, 3, 1, 12, 0, tzinfo=timezone.utc)
@@ -373,10 +374,38 @@ class TestRevocation:
         bundle = manager.enroll_device(NS, secret("v1"))
         serial = manager.inventory.get(bundle.urn.uuid).current_cert.serial
         manager.revoke_device(bundle.urn.uuid)
-        assert serial in manager.revocation_log
         assert manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.REVOKED
-        filt = manager.revocation_log.publish(stack.ca.state.issued_serials())
+        filt = manager.revocation_log.publish(manager.inventory)
         assert query(filt, serial) is True
+
+    def test_revoke_covers_the_superseded_leaf(self, stack, manager):
+        # Renewal reuses the key, so the leaf it replaced would still
+        # authenticate the revoked device until that leaf expires.
+        bundle = manager.enroll_device(NS, secret("v4"))
+        old_leaf = split_pem_chain(bundle.certificate_chain)[0]
+        stack.clock.now = old_leaf.not_valid_after_utc - timedelta(days=15)
+        assert [o.status for o in manager.renewal_tick()] == ["renewed"]
+        manager.revoke_device(bundle.urn.uuid)
+        trust = TrustContext(
+            roots=(stack.ca.state.root_cert,),
+            filters={NS.root_domain: manager.revocation_log.publish(manager.inventory)},
+            clock=stack.clock,
+        )
+        assert check_leaf(old_leaf, trust).reject_reason is RejectReason.REVOKED
+
+    def test_revoke_during_a_failing_renewal_stays_revoked(self, stack, manager, monkeypatch):
+        bundle = manager.enroll_device(NS, secret("v5"))
+        serial = manager.inventory.get(bundle.urn.uuid).current_cert.serial
+        stack.clock.now = NOW + timedelta(days=80)
+
+        def revoked_mid_order(urn, csr, challenge):
+            manager.revoke_device(urn.uuid)
+            raise EnrollmentAborted("CA unreachable")
+
+        monkeypatch.setattr(manager, "_issue", revoked_mid_order)
+        assert [o.status for o in manager.renewal_tick()] == ["deferred"]
+        assert manager.inventory.get(bundle.urn.uuid).renewal_state is RenewalState.REVOKED
+        assert query(manager.revocation_log.publish(manager.inventory), serial) is True
 
     def test_revoke_twice_rejected(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("v2"))

@@ -6,13 +6,15 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from iotpki.inventory import CertificateMeta, Inventory, RenewalState
 from iotpki.revocation import (
-    AlreadyRevoked,
     BloomLevel,
     CorruptFilter,
     DIGEST_CHUNK,
@@ -368,33 +370,32 @@ class TestBloomLevel:
         assert not level.contains("anything")
 
 
+def fleet_inventory(serials: list[str], revoked: set[str]) -> Inventory:
+    """One device per serial, REVOKED where its serial is in ``revoked``."""
+    t0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
+    ns = VendorNamespace("vendor.com", "sensor")
+    inventory = Inventory()
+    for serial in serials:
+        urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"revocation-log-{serial}".encode())), ns)
+        inventory.upsert_device(urn, now=t0)
+        meta = CertificateMeta(serial, t0, t0 + timedelta(days=1), "ab" * 32, t0, "public chain")
+        inventory.attach_certificate(urn.uuid, meta)
+        if serial in revoked:
+            inventory.set_state(urn.uuid, RenewalState.REVOKED)
+    return inventory
+
+
 class TestRevocationLog:
-    def test_add_and_membership(self):
-        log = RevocationLog("vendor.com")
-        log.add("aa01")
-        assert "aa01" in log
-        assert "aa02" not in log
-
-    def test_double_revoke_rejected(self):
-        log = RevocationLog("vendor.com")
-        log.add("aa01")
-        with pytest.raises(AlreadyRevoked):
-            log.add("aa01")
-
     def test_publish_epoch_strictly_increases(self):
         log = RevocationLog("vendor.com")
-        universe = {"aa01", "aa02", "aa03"}
-        log.add("aa01")
-        first = log.publish(universe)
-        second = log.publish(universe)
+        inventory = fleet_inventory(["aa01", "aa02", "aa03"], {"aa01"})
+        first = log.publish(inventory)
+        second = log.publish(inventory)
         assert (first.epoch, second.epoch) == (1, 2)
-        assert log.epoch == 2
 
     def test_published_filter_reflects_log(self):
         log = RevocationLog("vendor.com")
-        universe = {f"{i:04x}" for i in range(64)}
-        log.add("0001")
-        log.add("0002")
-        filt = log.publish(universe)
+        inventory = fleet_inventory([f"{i:04x}" for i in range(64)], {"0001", "0002"})
+        filt = log.publish(inventory)
         assert query(filt, "0001") and query(filt, "0002")
         assert not query(filt, "0003")
