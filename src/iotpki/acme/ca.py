@@ -14,12 +14,11 @@ for the lifetime of the instance; nothing is written to disk.
 from __future__ import annotations
 
 import datetime as dt
-import http.client
-import http.server
 import ipaddress
 import json
 import logging
 import secrets
+import socket
 import ssl
 import threading
 from collections import OrderedDict
@@ -38,15 +37,15 @@ from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
-from ..serving import IDLE_TIMEOUT, BackgroundServer, BadHead, TlsServer, read_headers
+from ..serving import (
+    BackgroundServer, BadHead, HttpHandler, TlsServer, read_body, read_headers, read_line, status_line,
+)
 from . import jws
 from .challenges import WELL_KNOWN_PREFIX
 
 log = logging.getLogger(__name__)
 
 ERROR_NS = "urn:ietf:params:acme:error:"
-# Largest request body the CA reads; a JWS carrying a CSR is a few KiB.
-MAX_BODY_BYTES = 64 * 1024
 # Outstanding nonces the CA remembers. Past this the oldest is forgotten;
 # its holder gets badNonce and retries with the fresh nonce that reply
 # carries (RFC 8555 section 6.5).
@@ -359,63 +358,50 @@ def _service_identity() -> tuple[str, str]:
     return cert_to_pem(cert), key_to_pem(key)
 
 
-class _AcmeHandler(http.server.BaseHTTPRequestHandler):
-    server_version = "iotpki-ca/0.1"
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    timeout = IDLE_TIMEOUT
+class _AcmeHandler(HttpHandler):
+    """Every answer, a refusal included, goes through ``_reply`` and so
+    carries a fresh nonce; every error is an RFC 8555 problem document."""
+
+    log = log
 
     @property
     def ca(self) -> "TestCa":
         return self.server.ca
 
-    def log_message(self, fmt, *args) -> None:
-        log.debug("ca http: " + fmt, *args)
-
-    # -- plumbing --------------------------------------------------------
-
-    def parse_request(self) -> bool:
-        """Read the request line and head with the shared bounded reader.
-        A head the reader refuses is answered, and ends the connection."""
-        self.command = None
-        self.request_version = self.protocol_version
-        self.close_connection = True
-        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if not words:
-            return False
-        if len(words) != 3:
-            self.send_error(400, explain=f"bad request line {self.requestline[:40]!r}")
-            return False
-        if words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            self.send_error(505, explain=f"unsupported version {words[2][:40]!r}")
-            return False
-        self.command, self.path, self.request_version = words
+    def answer(self) -> None:
+        routes = self._ROUTES.get(self.command)
+        head, _, ident = self.path.rpartition("/")
         try:
-            self.headers = read_headers(self.rfile)
-        except BadHead as exc:
-            self.send_error(exc.status, explain=str(exc))
-            return False
-        self.close_connection = (
-            self.request_version == "HTTP/1.0"
-            or self.headers.get("connection", "").lower() == "close"
-        )
-        return True
+            if routes is None:
+                raise _Problem(405, "malformed", f"method {self.command[:40]!r} not allowed", close=True)
+            endpoint = routes.get(self.path) or routes.get(head + "/")
+            if endpoint is None:
+                raise _Problem(404, "malformed", f"no such resource {self.path}", close=True)
+            if self.command == "POST":
+                protected, payload = self._read_jws(require_jwk=self.path == "/acme/new-account")
+                endpoint(self, ident, protected, payload)
+            else:
+                endpoint(self)
+        except _Problem as problem:
+            self._problem(problem)
+
+    def refuse(self, exc: BadHead) -> None:
+        self._problem(_Problem(exc.status, "malformed", str(exc)))
+
+    def _problem(self, problem: _Problem) -> None:
+        if problem.close:
+            self.close_connection = True
+        body = {"type": ERROR_NS + problem.type, "detail": problem.detail, "status": problem.status}
+        self._reply(problem.status, json.dumps(body).encode(), "application/problem+json")
 
     def _reply(self, status: int, body: bytes, ctype: str, location: str | None = None) -> None:
-        """Answer with head and body in one write, so one TLS record."""
-        self.log_request(status)
-        head = (
-            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
-            f"Content-Type: {ctype}\r\nContent-Length: {len(body)}\r\n"
-            f"Replay-Nonce: {self.ca.state.fresh_nonce()}\r\nCache-Control: no-store\r\n"
-        )
+        nonce = self.ca.state.fresh_nonce()
+        fields = {"Content-Type": ctype, "Replay-Nonce": nonce, "Cache-Control": "no-store"}
         if location:
-            head += f"Location: {location}\r\n"
-        if self.close_connection:
-            head += "Connection: close\r\n"
-        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+            fields["Location"] = location
+        if status == 405:
+            fields["Allow"] = ", ".join(self._ROUTES)
+        self.reply(status, body, fields)
 
     def _json(self, status: int, obj: dict, location: str | None = None) -> None:
         self._reply(status, json.dumps(obj).encode(), "application/json", location)
@@ -426,21 +412,7 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         New-account requests carry their key as an embedded JWK; every
         other request's ``kid`` must name a known account.
         """
-        # On a keep-alive connection a body left unread would be parsed as
-        # the next request, so any reply that skips it closes the connection.
-        declared = self.headers.get("content-length", "")
-        if not (declared.isascii() and declared.isdigit()):
-            raise _Problem(400, "malformed", f"bad Content-Length {declared!r}", close=True)
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            raise _Problem(
-                413, "malformed", f"body of {length} bytes exceeds {MAX_BODY_BYTES}", close=True
-            )
-        raw = self.rfile.read(length)
-        if len(raw) < length:
-            raise _Problem(
-                400, "malformed", f"body truncated at {len(raw)} of {length} bytes", close=True
-            )
+        raw = read_body(self.rfile, self.headers)
         try:
             envelope = _json_object(raw)
             protected = _json_object(jws.b64url_decode(envelope["protected"]))
@@ -473,42 +445,17 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
             raise _Problem(401, "unauthorized", str(exc)) from None
         return protected, payload
 
-    # -- verbs ----------------------------------------------------------
+    def _get_directory(self) -> None:
+        self._json(200, self.ca.directory())
 
-    def do_HEAD(self) -> None:
-        if self.path == "/acme/new-nonce":
-            self.send_response(200)
-            self.send_header("Replay-Nonce", self.ca.state.fresh_nonce())
-            self.send_header("Cache-Control", "no-store")
-            self.end_headers()
-        else:
-            self.send_error(404)
+    def _get_new_nonce(self) -> None:
+        # RFC 8555 section 7.2: 200 to HEAD, 204 to GET.
+        self._reply(200 if self.command == "HEAD" else 204, b"", "application/octet-stream")
 
-    def do_GET(self) -> None:
-        if self.path == "/directory":
-            self._json(200, self.ca.directory())
-        elif self.path == "/acme/new-nonce":
-            self._reply(204, b"", "application/octet-stream")
-        elif self.path == "/root":
-            self._reply(200, self.ca.root_cert_pem.encode(), "application/pem-certificate-chain")
-        else:
-            self.send_error(404)
+    def _get_root(self) -> None:
+        self._reply(200, self.ca.root_cert_pem.encode(), "application/pem-certificate-chain")
 
-    def do_POST(self) -> None:
-        head, _, ident = self.path.rpartition("/")
-        endpoint = self._POST_ROUTES.get(self.path) or self._POST_ROUTES.get(head + "/")
-        try:
-            if endpoint is None:
-                raise _Problem(404, "malformed", f"no such resource {self.path}", close=True)
-            protected, payload = self._read_jws(require_jwk=self.path == "/acme/new-account")
-            endpoint(self, ident, protected, payload)
-        except _Problem as problem:
-            if problem.close:
-                self.close_connection = True
-            body = {"type": ERROR_NS + problem.type, "detail": problem.detail, "status": problem.status}
-            self._reply(problem.status, json.dumps(body).encode(), "application/problem+json")
-
-    # -- endpoints, each called as (ident, protected, payload) ------------
+    # -- POST endpoints, each called as (ident, protected, payload) -------
 
     def _post_new_account(self, _, protected: dict, __) -> None:
         accounts_url = f"{self.ca.base_url}/acme/acct"
@@ -574,6 +521,9 @@ class _AcmeHandler(http.server.BaseHTTPRequestHandler):
         "/acme/finalize/": _post_finalize,
         "/acme/cert/": _post_cert,
     }
+    _GET_ROUTES = {"/directory": _get_directory, "/acme/new-nonce": _get_new_nonce, "/root": _get_root}
+    # HEAD answers GET's head alone.
+    _ROUTES = {"GET": _GET_ROUTES, "HEAD": _GET_ROUTES, "POST": _POST_ROUTES}
 
 
 def _json_object(data) -> dict:
@@ -695,19 +645,20 @@ class TestCa(BackgroundServer):
             except ResolutionFailure as exc:
                 return False, f"address resolution failed: {exc}"
             # A direct connection to the resolved address: the probe must
-            # never go through a proxy named in the environment.
-            conn = http.client.HTTPConnection(ip, self.http01_port, timeout=3)
+            # never go through a proxy named in the environment. Host names
+            # the identifier (RFC 8555 section 8.3).
+            request = f"GET {WELL_KNOWN_PREFIX}{chall.token} HTTP/1.1\r\nHost: {fqdn}\r\nConnection: close\r\n\r\n"
             try:
-                conn.request("GET", WELL_KNOWN_PREFIX + chall.token)
-                resp = conn.getresponse()
-                body = resp.read().decode("ascii", "replace")
-            except (OSError, http.client.HTTPException) as exc:
+                with socket.create_connection((ip, self.http01_port), timeout=3) as sock:
+                    sock.sendall(request.encode("ascii"))
+                    with sock.makefile("rb") as rfile:
+                        _, status = status_line(read_line(rfile))
+                        body = read_body(rfile, read_headers(rfile))
+            except (OSError, BadHead) as exc:
                 return False, f"http probe failed: {exc}"
-            finally:
-                conn.close()
-            if resp.status != 200:
-                return False, f"http probe returned {resp.status}"
-            if body == expected_key_auth:
+            if status != 200:
+                return False, f"http probe returned {status}"
+            if body == expected_key_auth.encode():
                 return True, ""
             return False, "key authorization mismatch"
         return False, f"unsupported challenge type {chall.type}"

@@ -8,12 +8,11 @@ device-facing web endpoint.
 
 from __future__ import annotations
 
-import http.server
 import logging
 import threading
 
 from ..dnsauth.zone import Zone
-from ..serving import IDLE_TIMEOUT, BackgroundServer
+from ..serving import BackgroundServer, HttpHandler, ThreadingServer
 from .jws import dns01_txt_value
 
 log = logging.getLogger(__name__)
@@ -36,27 +35,20 @@ class DnsTxtFulfiller:
         self._zone.clear_acme_txt(fqdn)
 
 
-class _ShelfHandler(http.server.BaseHTTPRequestHandler):
-    timeout = IDLE_TIMEOUT
+class _ShelfHandler(HttpHandler):
+    log = log
 
-    def do_GET(self) -> None:
+    def answer(self) -> None:
         key_auth = None
-        if self.path.startswith(WELL_KNOWN_PREFIX):
+        if self.command == "GET" and self.path.startswith(WELL_KNOWN_PREFIX):
             shelf = self.server.shelf
             with shelf._lock:
                 key_auth = shelf._tokens.get(self.path[len(WELL_KNOWN_PREFIX):])
         if key_auth is None:
-            self.send_error(404)
+            self.close_connection = True
+            self.reply(404, b"", {})
             return
-        body = key_auth.encode("ascii")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args) -> None:
-        log.debug("token shelf: " + fmt, *args)
+        self.reply(200, key_auth.encode("ascii"), {"Content-Type": "application/octet-stream"})
 
 
 class TokenShelf(BackgroundServer):
@@ -69,9 +61,7 @@ class TokenShelf(BackgroundServer):
     def __init__(self, bind_addr: tuple[str, int] = ("127.0.0.1", 0)) -> None:
         self._tokens: dict[str, str] = {}
         self._lock = threading.Lock()
-        super().__init__(
-            "token-shelf", "token shelf", http.server.ThreadingHTTPServer, bind_addr, _ShelfHandler
-        )
+        super().__init__("token-shelf", "token shelf", ThreadingServer, bind_addr, _ShelfHandler)
         self._server.shelf = self
         self.port: int = self.address[1]
 

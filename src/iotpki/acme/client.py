@@ -17,7 +17,7 @@ from typing import Any, Callable, TypeVar
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
 from ..errors import IotPkiError
-from ..serving import BadHead, Headers, read_headers, read_line
+from ..serving import BadHead, read_body, read_headers, read_line, status_line
 from . import jws
 
 log = logging.getLogger(__name__)
@@ -186,25 +186,15 @@ class AcmeClient:
             if self._sock is None:
                 self._connect(parts)
             self._sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
-            version, status = _status_line(read_line(self._rfile))
+            version, status = status_line(read_line(self._rfile))
             headers = read_headers(self._rfile)
-            payload = b"" if method == "HEAD" else self._read_body(headers)
+            payload = b"" if method == "HEAD" else read_body(self._rfile, headers)
         except (OSError, BadHead) as exc:
             self.close()
             raise CaUnreachable(f"{method} {url}: {exc}") from exc
         if version == "HTTP/1.0" or headers.get("connection", "").lower() == "close":
             self.close()
         return status, headers, payload
-
-    def _read_body(self, headers: Headers) -> bytes:
-        declared = headers.get("content-length", "")
-        if not (declared.isascii() and declared.isdigit()):
-            raise BadHead(f"bad Content-Length {declared!r}")
-        length = int(declared)
-        payload = self._rfile.read(length)
-        if len(payload) < length:
-            raise BadHead(f"body truncated at {len(payload)} of {length} bytes")
-        return payload
 
     def _remember_nonce(self, headers: dict) -> None:
         nonce = headers.get("replay-nonce")
@@ -324,15 +314,6 @@ class AcmeClient:
             if status in ("valid", "invalid"):
                 return status, cert_url
         raise CaUnreachable(f"{url} still {status} after {MAX_POLLS} polls")
-
-
-def _status_line(line: bytes) -> tuple[str, int]:
-    """(HTTP version, status code) of an answer's status line."""
-    version, _, rest = line.partition(b" ")
-    code = rest[:3]
-    if version not in (b"HTTP/1.0", b"HTTP/1.1") or not code.isdigit() or rest[3:4].strip():
-        raise BadHead(f"bad status line {line[:40]!r}")
-    return version.decode(), int(code)
 
 
 def _closed_by_peer(sock: ssl.SSLSocket | None) -> bool:

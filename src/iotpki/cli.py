@@ -150,9 +150,10 @@ def _device_secret(seed: int, index: int) -> bytes:
 
 
 def _persist_fleet(out: Path, manager: FleetManager) -> None:
-    """Write the fleet's snapshot and drop any filter of an earlier scenario's CA."""
+    """Write the fleet's snapshot; drop an earlier CA's filter and older versions' serial lists."""
     manager.inventory.snapshot(out / SNAPSHOT_FILE)
-    (out / FILTER_FILE).unlink(missing_ok=True)
+    for name in (FILTER_FILE, "issued_serials.txt", "revoked_serials.txt"):
+        (out / name).unlink(missing_ok=True)
 
 
 def _restore_fleet(out: Path) -> Inventory:
@@ -266,8 +267,12 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
     out = _out_dir(settings)
     filter_path = out / FILTER_FILE
     if args.action == "build":
-        universe, revoked = _restore_fleet(out).serials()
-        filt = build_filter(revoked, universe, settings.root_domain, args.epoch)
+        inventory = _restore_fleet(out)
+        vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {settings.root_domain}
+        if len(vendors) > 1:
+            raise IotPkiError(f"snapshot names vendors {', '.join(sorted(vendors))}; a filter covers one")
+        universe, revoked = inventory.serials()
+        filt = build_filter(revoked, universe, vendors.pop(), args.epoch)
         payload = serialize(filt)
         filter_path.write_bytes(payload)
         print(

@@ -1,6 +1,9 @@
 """One serve loop for the loopback servers (DNS responder, token shelf,
-ACME CA, mTLS echo), plus the TLS front end the CA and echo server share,
-and the HTTP/1.1 head reader both ends of the ACME hop share.
+ACME CA, mTLS echo), the TLS front end the CA and echo server share, and
+the package's one HTTP/1.1 implementation: every hop (ACME client and CA,
+HTTP-01 probe and token shelf) reads messages with ``read_line``,
+``read_headers`` and ``read_body`` (``Content-Length`` framing, 64 KiB
+at most), and both servers answer in ``HttpHandler``'s keep-alive loop.
 
 A ``BackgroundServer`` runs its ``socketserver`` in one thread that
 waits on two sockets: the listening socket and one end of a socket
@@ -19,6 +22,7 @@ import socket
 import socketserver
 import ssl
 import threading
+from http import HTTPStatus
 
 from .errors import BindFailure, IotPkiError
 
@@ -30,33 +34,22 @@ HANDSHAKE_TIMEOUT = 5.0
 # mid-request) before the server drops it.
 IDLE_TIMEOUT = 15.0
 # Longest head line and most header fields in one HTTP message: the
-# limits of the standard library's http.client and http.server.
+# limits of Python's own HTTP modules.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+# Largest body read on any hop; a JWS carrying a CSR is a few KiB.
+MAX_BODY_BYTES = 64 * 1024
 # A field name is an RFC 9110 token: no whitespace before the colon.
 _FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 
 class BadHead(IotPkiError):
-    """An HTTP message head that is malformed, too large, or framed in a
-    way the reader refuses. ``status`` is the answer a server gives it."""
+    """An HTTP message that is malformed, too large, or framed in a way
+    the readers refuse. ``status`` is the answer a server gives it."""
 
     def __init__(self, detail: str, status: int = 400) -> None:
         super().__init__(detail)
         self.status = status
-
-
-class Headers(dict):
-    """Header fields keyed by lower-cased name; lookups ignore case."""
-
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
-
-    def __contains__(self, name) -> bool:
-        return super().__contains__(name.lower())
 
 
 def read_line(rfile) -> bytes:
@@ -70,13 +63,23 @@ def read_line(rfile) -> bytes:
     return line
 
 
-def read_headers(rfile) -> Headers:
+def status_line(line: bytes) -> tuple[str, int]:
+    """(HTTP version, status code) of an answer's status line."""
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if version not in (b"HTTP/1.0", b"HTTP/1.1") or not code.isdigit() or rest[3:4].strip():
+        raise BadHead(f"bad status line {line[:40]!r}")
+    return version.decode(), int(code)
+
+
+def read_headers(rfile) -> dict[str, str]:
     """The header fields that follow a start line, up to the empty line
     (RFC 9112 section 5). A repeated field keeps its last value. A field
     line folded onto the one before, a name that is not a token, a
     repeated Content-Length and any Transfer-Encoding are BadHead: the
-    body is then framed by Content-Length alone, or not at all."""
-    headers = Headers()
+    body is then framed by Content-Length alone, or not at all. Names
+    are lower-cased."""
+    headers = {}
     for _ in range(MAX_HEADERS + 1):
         line = read_line(rfile)
         if line in (b"\r\n", b"\n"):
@@ -89,6 +92,71 @@ def read_headers(rfile) -> Headers:
             raise BadHead(f"refused framing: {line[:40]!r}")
         headers[key] = value.strip(b" \t\r\n").decode("latin-1")
     raise BadHead(f"more than {MAX_HEADERS} header fields", 431)
+
+
+def read_body(rfile, headers: dict[str, str]) -> bytes:
+    """Exactly the ``Content-Length`` bytes of body that follow a head.
+    A missing or malformed length and a body cut short are BadHead (400),
+    and so is a length past ``MAX_BODY_BYTES`` (413), before any of it
+    is read."""
+    declared = headers.get("content-length", "")
+    if not (declared.isascii() and declared.isdigit()):
+        raise BadHead(f"bad Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise BadHead(f"body of {length} bytes exceeds {MAX_BODY_BYTES}", 413)
+    body = rfile.read(length)
+    if len(body) < length:
+        raise BadHead(f"body truncated at {len(body)} of {length} bytes")
+    return body
+
+
+class HttpHandler(socketserver.StreamRequestHandler):
+    """An HTTP/1.1 connection: a subclass's ``answer()`` replies once to each
+    request until the peer closes or asks to, or idles past ``timeout``. A
+    message the readers refuse gets ``refuse()`` and ends the connection, as
+    its unread rest would otherwise be read as the next request."""
+
+    timeout = IDLE_TIMEOUT
+    disable_nagle_algorithm = True
+    log = log  # the request log: one '"<request line>" <status>' line per answer
+
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection and self.rfile.peek(1):
+                self.requestline = self.command = ""
+                try:
+                    self.requestline = read_line(self.rfile).decode("latin-1").rstrip("\r\n")
+                    words = self.requestline.split()
+                    if len(words) != 3:
+                        raise BadHead(f"bad request line {self.requestline[:40]!r}")
+                    if words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                        raise BadHead(f"unsupported version {words[2][:40]!r}", 505)
+                    self.command, self.path, version = words
+                    self.headers = read_headers(self.rfile)
+                    connection = self.headers.get("connection", "").lower()
+                    self.close_connection = version == "HTTP/1.0" or connection == "close"
+                    self.answer()
+                except BadHead as exc:
+                    self.close_connection = True
+                    self.refuse(exc)
+        except OSError as exc:  # the idle timeout, or a peer gone mid-message
+            self.log.debug("connection from %s ended: %s", self.client_address, exc)
+
+    def refuse(self, exc: BadHead) -> None:
+        self.reply(exc.status, b"", {})
+
+    def reply(self, status: int, body: bytes, fields: dict[str, str]) -> None:
+        """Send one answer, head and body in one write (so one TLS record);
+        to HEAD, the head alone."""
+        self.log.debug('"%s" %d', self.requestline, status)
+        head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        head += "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+        head += f"Content-Length: {len(body)}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + (b"" if self.command == "HEAD" else body))
 
 
 class BackgroundServer:
@@ -138,13 +206,18 @@ class BackgroundServer:
         self.close()
 
 
-class TlsServer(socketserver.ThreadingTCPServer):
-    """Accepts plain TCP and runs each TLS handshake, under a deadline, in
-    the connection's own thread, so a slow or idle peer holds only that
-    thread. Tracks live connections so ``server_close`` can end them."""
+class ThreadingServer(socketserver.ThreadingTCPServer):
+    """One thread per connection; an idle peer's thread never holds up
+    ``server_close``."""
 
     daemon_threads = True
     allow_reuse_address = True
+
+
+class TlsServer(ThreadingServer):
+    """Accepts plain TCP and runs each TLS handshake, under a deadline, in
+    the connection's own thread, so a slow or idle peer holds only that
+    thread. Tracks live connections so ``server_close`` can end them."""
 
     def __init__(self, bind_addr, handler, tls: ssl.SSLContext) -> None:
         # Set first: the base initializer calls server_close() when bind fails.

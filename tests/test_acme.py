@@ -50,7 +50,7 @@ from iotpki.certs import (
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
 from iotpki.inventory import MAX_CERT_LIFETIME
-from iotpki.serving import BackgroundServer, TlsServer
+from iotpki.serving import IDLE_TIMEOUT, MAX_BODY_BYTES, BackgroundServer, TlsServer
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
 RFC7638_JWK = {
@@ -755,7 +755,7 @@ class TestTransport:
         client.ensure_account()
         started = time.perf_counter()
         ca.close()
-        assert time.perf_counter() - started < ca_module.IDLE_TIMEOUT / 3
+        assert time.perf_counter() - started < IDLE_TIMEOUT / 3
         with pytest.raises(CaUnreachable):
             client._http("GET", ca.directory_url)
 
@@ -819,6 +819,85 @@ class TestRequestBodies:
             time.sleep(0.01)
         enroll(new_client(stack), stack, "after-truncated.camera.vendor.com")
 
+    @pytest.mark.parametrize(
+        "request_line, status",
+        [("GET /nowhere", 404), ("HEAD /nowhere", 404), ("GET /acme/new-order", 404), ("PUT /directory", 405)],
+    )
+    def test_unknown_resource_or_method_is_a_problem_document(self, stack, request_line, status):
+        reply = raw_exchange(stack.ca, f"{request_line} HTTP/1.1\r\nHost: ca\r\n\r\n".encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == str(status).encode()
+        assert b"Content-Type: application/problem+json" in lines and b"Connection: close" in lines
+        assert any(line.startswith(b"Replay-Nonce: ") for line in lines)
+        if request_line.startswith("HEAD"):
+            assert body == b""
+        else:
+            assert json.loads(body)["type"] == ca_module.ERROR_NS + "malformed"
+
+
+def http01_stub(answer):
+    """A device's HTTP-01 endpoint, stubbed: for each connection it reads
+    the request head, records its Host, and sends ``answer(proof)``, where
+    ``proof`` is the right key authorization for the requested token under
+    the account thumbprint ``thumb``. Returns the server, not yet started,
+    and the list of Host values it saw."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            head = []
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head.append(line.decode("latin-1").rstrip("\r\n"))
+            hosts.extend(line[len("Host: "):] for line in head if line.startswith("Host: "))
+            token = head[0].split()[1].rpartition("/")[2]
+            try:
+                self.wfile.write(answer(jws.key_authorization(token, "thumb").encode()))
+            except OSError:
+                pass  # the probe may hang up before the whole answer is sent
+
+    hosts = []
+    server = BackgroundServer("stub-http01", "stub http-01", socketserver.TCPServer, ("127.0.0.1", 0), Handler)
+    return server, hosts
+
+
+def framed(status_line: bytes):
+    """An answer with ``status_line`` and the proof as its body."""
+    return lambda proof: status_line + b"\r\nContent-Length: %d\r\n\r\n%s" % (len(proof), proof)
+
+
+# Answers of a stubbed HTTP-01 endpoint, and the challenge status each leaves.
+PROBE_ANSWERS = {
+    "proof": (framed(b"HTTP/1.1 200 OK"), "valid"),
+    "chunked": (
+        lambda proof: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+        % (len(proof), proof),
+        "invalid",
+    ),
+    "oversized": (
+        lambda proof: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+        + proof.ljust(MAX_BODY_BYTES + 1),
+        "invalid",
+    ),
+    "bad-status-line": (framed(b"HTTP/1.1 OK"), "invalid"),
+    "not-found": (lambda proof: b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", "invalid"),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_ANSWERS)
+def test_http01_probe_reads_with_the_shared_readers(stack, case):
+    answer, outcome = PROBE_ANSWERS[case]
+    stub, hosts = http01_stub(answer)
+    fqdn = f"probe-{case}.camera.vendor.com"
+    stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
+    kid = "https://ca.test/acme/acct/thumb"
+    with stub, TestCa(dns_addr=stack.dns.address, http01_port=stub.address[1]) as ca:
+        order = ca.state.create_order(kid, [fqdn])
+        chall = next(c for c in order.authzs[0].challenges if c.type == "http-01")
+        ca.validate_challenge(chall, kid)
+    assert (chall.status, hosts) == (outcome, [fqdn])
+    if outcome == "invalid":
+        assert "http probe" in order.problem["detail"]
+
 
 def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, bytes]:
     """POST one JWS built by hand from the client's account; ``protected``
@@ -851,7 +930,7 @@ def place_order(client, fqdn: str) -> tuple[dict, dict]:
     _, headers, raw = client._post(
         client.directory()["newOrder"], {"identifiers": [{"type": "dns", "value": fqdn}]}
     )
-    order = dict(json.loads(raw), url=headers["Location"])
+    order = dict(json.loads(raw), url=headers["location"])
     _, _, raw = client._post(order["authorizations"][0], None)
     chall = next(c for c in json.loads(raw)["challenges"] if c["type"] == "dns-01")
     return order, chall
@@ -1039,7 +1118,7 @@ def test_reject_path(stack, build, status, ptype, close):
     url, payload, protected = build(stack, client)
     got, headers, body = signed_post(client, url, payload, protected)
     assert (got, json.loads(body)["type"]) == (status, ca_module.ERROR_NS + ptype)
-    assert (headers.get("Connection") == "close") is close
+    assert (headers.get("connection") == "close") is close
 
 
 @pytest.mark.parametrize("fqdn", BAD_IDENTIFIERS.values(), ids=BAD_IDENTIFIERS.keys())
@@ -1250,7 +1329,7 @@ class TestRoundTrips:
         status, headers, _ = again._post(
             again.directory()["newAccount"], {"termsOfServiceAgreed": True}, use_jwk=True
         )
-        assert (status, headers["Location"]) == (200, first.kid)
+        assert (status, headers["location"]) == (200, first.kid)
         assert first.kid.endswith("/" + first.jwk_thumbprint)
         assert len(stack.ca.state.accounts) == accounts
 
@@ -1266,7 +1345,7 @@ def place_two_name_order(client, names: list[str]) -> tuple[dict, list[dict]]:
     the DNS-01 challenge of each authz, in the order's authz order."""
     identifiers = [{"type": "dns", "value": n} for n in names]
     _, headers, raw = client._post(client.directory()["newOrder"], {"identifiers": identifiers})
-    order = dict(json.loads(raw), url=headers["Location"])
+    order = dict(json.loads(raw), url=headers["location"])
     challs = []
     for url in order["authorizations"]:
         authz = json.loads(client._post(url, None)[2])

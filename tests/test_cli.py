@@ -297,6 +297,40 @@ class TestRevokeAndFilter:
         assert (code, stderr) == (0, "")
         assert stdout.startswith("filter epoch 1: 0 revoked of 3 issued")
 
+    def test_new_scenario_deletes_the_serial_lists_of_older_versions(self, tmp_path, capsys):
+        for name in ("issued_serials.txt", "revoked_serials.txt"):
+            (tmp_path / name).write_text("abc005\n")
+        assert run(["enroll-batch", "--count", "1", "--out", str(tmp_path)], capsys)[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enrollment_report.csv", "inventory.snapshot"]
+
+    @pytest.mark.parametrize(
+        "enroll, flags, vendor",
+        [(True, [], "vendor.test"), (False, ["--root-domain", "vendor.flag"], "vendor.flag")],
+        ids=["vendor-of-the-snapshot", "empty-snapshot-takes-the-flag"],
+    )
+    def test_filter_is_built_for_the_snapshot_vendor(self, tmp_path, capsys, enroll, flags, vendor):
+        out = str(tmp_path)
+        if enroll:
+            assert run(["enroll", "--root-domain", "vendor.test", "--out", out], capsys)[0] == 0
+        else:
+            Inventory().snapshot(tmp_path / cli.SNAPSHOT_FILE)
+        assert run(["filter", "build", "--out", out, *flags], capsys)[0] == 0
+        code, stdout, _ = run(["filter", "check", "--serial", "abc", "--out", out], capsys)
+        assert code == 0
+        assert stdout.endswith(f"(vendor {vendor}, epoch 1)\n")
+
+    def test_filter_build_refuses_a_snapshot_of_two_vendors(self, tmp_path, capsys):
+        inventory = Inventory()
+        for apex in ("vendor.test", "other.test"):
+            ns = VendorNamespace(apex, "sensor")
+            urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(b"two-vendors-secret")), ns)
+            inventory.upsert_device(urn, cli.BASE_TIME)
+        inventory.snapshot(tmp_path / cli.SNAPSHOT_FILE)
+        code, stdout, stderr = run(["filter", "build", "--out", str(tmp_path)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: snapshot names vendors other.test, vendor.test; a filter covers one\n"
+        assert not (tmp_path / cli.FILTER_FILE).exists()
+
     def test_revoke_covers_the_serial_a_renewal_superseded(self, tmp_path, capsys):
         out = str(tmp_path / "renewed")
         code, _, _ = run(
