@@ -38,7 +38,7 @@ from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_na
 from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
 from ..serving import (
-    BackgroundServer, BadHead, HttpHandler, TlsServer, read_body, read_headers, read_line, status_line,
+    BackgroundServer, BadHead, ConnectionServer, HttpHandler, read_body, read_headers, read_line, status_line,
 )
 from . import jws
 from .challenges import WELL_KNOWN_PREFIX
@@ -563,7 +563,7 @@ class TestCa(BackgroundServer):
         self.service_cert_pem, service_key_pem = _service_identity()
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         load_cert_chain_in_memory(ctx, self.service_cert_pem, service_key_pem)
-        super().__init__("acme-ca", "ca", TlsServer, bind_addr, _AcmeHandler, ctx)
+        super().__init__("acme-ca", "ca", ConnectionServer, bind_addr, _AcmeHandler, ctx)
         self._server.ca = self
         host, port = self.address
         self.base_url = f"https://{host}:{port}"

@@ -12,7 +12,7 @@ import logging
 import threading
 
 from ..dnsauth.zone import Zone
-from ..serving import BackgroundServer, HttpHandler, ThreadingServer
+from ..serving import BackgroundServer, ConnectionServer, HttpHandler
 from .jws import dns01_txt_value
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,7 @@ class TokenShelf(BackgroundServer):
     def __init__(self, bind_addr: tuple[str, int] = ("127.0.0.1", 0)) -> None:
         self._tokens: dict[str, str] = {}
         self._lock = threading.Lock()
-        super().__init__("token-shelf", "token shelf", ThreadingServer, bind_addr, _ShelfHandler)
+        super().__init__("token-shelf", "token shelf", ConnectionServer, bind_addr, _ShelfHandler)
         self._server.shelf = self
         self.port: int = self.address[1]
 

@@ -121,15 +121,12 @@ def scenario_stack(apex: str):
     clock = ManualClock(BASE_TIME)
     zone = Zone(apex)
     zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
-    dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
-    shelf = TokenShelf().start()
-    ca = TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock).start()
-    try:
+    # Closed in reverse, so a CA that cannot bind leaves nothing running.
+    with ExitStack() as services:
+        dns = services.enter_context(DnsUdpServer(zone, ("127.0.0.1", 0)))
+        shelf = services.enter_context(TokenShelf())
+        ca = services.enter_context(TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock))
         yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
-    finally:
-        ca.close()
-        shelf.close()
-        dns.close()
 
 
 def _new_manager(stack, settings: Settings, root_domain: str | None = None) -> FleetManager:

@@ -36,7 +36,7 @@ from .errors import IotPkiError
 from .identity import DeviceUrn, MalformedUrn, parse_urn
 from .inventory import utcnow
 from .revocation import RevocationFilter, query
-from .serving import BackgroundServer, TlsServer
+from .serving import BackgroundServer, ConnectionServer
 
 log = logging.getLogger(__name__)
 
@@ -309,7 +309,7 @@ class EchoServer(BackgroundServer):
         bind_addr: tuple[str, int] = ("127.0.0.1", 0),
     ) -> None:
         ssl_ctx = _tls13_context(ssl.Purpose.CLIENT_AUTH, bundle, trust.roots)
-        super().__init__("mtls-echo", "echo server", TlsServer, bind_addr, _EchoHandler, ssl_ctx)
+        super().__init__("mtls-echo", "echo server", ConnectionServer, bind_addr, _EchoHandler, ssl_ctx)
         self._server.trust = trust
         self._server.expected_vendor = expected_vendor
 

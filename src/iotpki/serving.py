@@ -1,6 +1,7 @@
 """One serve loop for the loopback servers (DNS responder, token shelf,
-ACME CA, mTLS echo), the TLS front end the CA and echo server share, and
-the package's one HTTP/1.1 implementation: every hop (ACME client and CA,
+ACME CA, mTLS echo), one connection server for the three TCP services
+(plain for the shelf, TLS for the CA and echo server), and the
+package's one HTTP/1.1 implementation: every hop (ACME client and CA,
 HTTP-01 probe and token shelf) reads messages with ``read_line``,
 ``read_headers`` and ``read_body`` (``Content-Length`` framing, 64 KiB
 at most), and both servers answer in ``HttpHandler``'s keep-alive loop.
@@ -8,9 +9,9 @@ at most), and both servers answer in ``HttpHandler``'s keep-alive loop.
 A ``BackgroundServer`` runs its ``socketserver`` in one thread that
 waits on two sockets: the listening socket and one end of a socket
 pair. A readable listening socket means one ``handle_request()``; a
-byte on the pair means stop. ``close()`` therefore returns as soon as
-the thread sees that byte, with no poll interval to wait out, and an
-idle server never wakes.
+byte on the pair means stop, with no poll interval to wait out, and an
+idle server never wakes. ``close()`` then ends every live connection of
+a TCP server and returns once their threads have exited.
 """
 
 from __future__ import annotations
@@ -149,11 +150,13 @@ class HttpHandler(socketserver.StreamRequestHandler):
 
     def reply(self, status: int, body: bytes, fields: dict[str, str]) -> None:
         """Send one answer, head and body in one write (so one TLS record);
-        to HEAD, the head alone."""
+        to HEAD, the head alone. A 204 has no body and so no
+        ``Content-Length`` (RFC 9110 section 8.6)."""
         self.log.debug('"%s" %d', self.requestline, status)
         head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         head += "".join(f"{name}: {value}\r\n" for name, value in fields.items())
-        head += f"Content-Length: {len(body)}\r\n"
+        if status != 204:
+            head += f"Content-Length: {len(body)}\r\n"
         if self.close_connection:
             head += "Connection: close\r\n"
         self.wfile.write(head.encode("latin-1") + b"\r\n" + (b"" if self.command == "HEAD" else body))
@@ -206,20 +209,17 @@ class BackgroundServer:
         self.close()
 
 
-class ThreadingServer(socketserver.ThreadingTCPServer):
-    """One thread per connection; an idle peer's thread never holds up
-    ``server_close``."""
+class ConnectionServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, plain or, given ``tls``, TLS: the
+    handshake then runs in the connection's own thread under a deadline,
+    so a slow or idle peer holds only that thread. Every connection is
+    tracked from its accept, handshake included, so ``server_close``
+    ends them all, and it returns once their threads have exited
+    (``ThreadingMixIn`` joins its non-daemon threads)."""
 
-    daemon_threads = True
     allow_reuse_address = True
 
-
-class TlsServer(ThreadingServer):
-    """Accepts plain TCP and runs each TLS handshake, under a deadline, in
-    the connection's own thread, so a slow or idle peer holds only that
-    thread. Tracks live connections so ``server_close`` can end them."""
-
-    def __init__(self, bind_addr, handler, tls: ssl.SSLContext) -> None:
+    def __init__(self, bind_addr, handler, tls: ssl.SSLContext | None = None) -> None:
         # Set first: the base initializer calls server_close() when bind fails.
         self._tls = tls
         self._live: set[socket.socket] = set()
@@ -227,38 +227,35 @@ class TlsServer(ThreadingServer):
         self._closing = False
         super().__init__(bind_addr, handler)
 
-    def _swap_live(self, old: socket.socket | None, new: socket.socket | None) -> bool:
-        """Replace ``old`` by ``new`` in the live set. Once the server is
-        closing nothing is added, and False tells the caller to stop."""
-        with self._live_lock:
-            self._live.discard(old)
-            if new is None or self._closing:
-                return False
-            self._live.add(new)
-            return True
-
     def finish_request(self, request, client_address) -> None:
-        if not self._swap_live(None, request):
-            return
-        conn = None
+        conn = request
         try:
-            request.settimeout(HANDSHAKE_TIMEOUT)
-            conn = self._tls.wrap_socket(request, server_side=True)
-            if self._swap_live(request, conn):
-                self.RequestHandlerClass(conn, client_address, self)
+            if self._tls is not None:
+                request.settimeout(HANDSHAKE_TIMEOUT)
+                conn = self._tls.wrap_socket(request, server_side=True, do_handshake_on_connect=False)
+            with self._live_lock:
+                if self._closing:
+                    return
+                self._live.add(conn)
+            if conn is not request:
+                conn.do_handshake()
+            self.RequestHandlerClass(conn, client_address, self)
         except OSError as exc:
             log.debug("connection from %s ended: %s", client_address, exc)
         finally:
-            self._swap_live(conn or request, None)
-            if conn is not None:
+            with self._live_lock:
+                self._live.discard(conn)
+            if conn is not request:
                 conn.close()
 
     def server_close(self) -> None:
         with self._live_lock:
             self._closing = True
-            for sock in self._live:
+            for conn in self._live:
                 try:
-                    sock.shutdown(socket.SHUT_RDWR)
+                    # The socket's own shutdown: SSLSocket's drops the TLS
+                    # state of a connection whose thread may still use it.
+                    socket.socket.shutdown(conn, socket.SHUT_RDWR)
                 except OSError:
                     pass
         super().server_close()

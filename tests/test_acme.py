@@ -50,7 +50,7 @@ from iotpki.certs import (
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
 from iotpki.inventory import MAX_CERT_LIFETIME
-from iotpki.serving import IDLE_TIMEOUT, MAX_BODY_BYTES, BackgroundServer, TlsServer
+from iotpki.serving import IDLE_TIMEOUT, MAX_BODY_BYTES, BackgroundServer, ConnectionServer
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
 RFC7638_JWK = {
@@ -641,7 +641,7 @@ def stub_ca(stub_tls, replies: list[tuple[bytes, bool]]):
                     return
 
     accepted = []
-    return BackgroundServer("stub-ca", "stub ca", TlsServer, ("127.0.0.1", 0), Handler, stub_tls[0]), accepted
+    return BackgroundServer("stub-ca", "stub ca", ConnectionServer, ("127.0.0.1", 0), Handler, stub_tls[0]), accepted
 
 
 GOOD_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"

@@ -19,6 +19,7 @@ from iotpki import cli
 from iotpki.certs import split_pem_chain
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
+from iotpki.errors import BindFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
 from iotpki.inventory import CertificateMeta, Inventory, RenewalState
 from iotpki.peer_auth import TrustContext, validate_peer
@@ -684,6 +685,16 @@ class TestServe:
             )
         assert code == 1
         assert err.startswith(f"error: cannot bind {label} ") and err.count("\n") == 1
+
+    def test_scenario_stack_whose_ca_cannot_bind_leaves_no_server(self, monkeypatch):
+        def busy_ca(**_):
+            raise BindFailure("cannot bind ca: address in use")
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(cli, "TestCa", busy_ca)
+        with pytest.raises(BindFailure), cli.scenario_stack("vendor.test"):
+            pass
+        assert {t.name for t in set(threading.enumerate()) - before} & {"dns-udp", "token-shelf"} == set()
 
 
 class TestSettingsPrecedence:

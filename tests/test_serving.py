@@ -1,14 +1,17 @@
 """The shared serve loop: every loopback server starts and closes fast,
-leaves no serving thread behind, and drops peers that never speak."""
+leaves no serving or connection thread behind, and drops peers that
+never speak."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import socket
 import ssl
 import threading
 import time
+import weakref
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
@@ -16,12 +19,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from iotpki import peer_auth
 from iotpki.acme.ca import ERROR_NS, TestCa, TestCaState
 from iotpki.acme.challenges import TokenShelf, _ShelfHandler
 from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.dnsauth import DnsUdpServer, Zone
 from iotpki.errors import BindFailure
-from iotpki.peer_auth import EchoServer, TrustContext
+from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from iotpki.peer_auth import EchoServer, TrustContext, _EchoHandler, echo_once
 from iotpki.serving import (
     MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE, BackgroundServer, BadHead, read_body, read_headers,
 )
@@ -30,14 +35,21 @@ SERVE_THREADS = {"dns-udp", "token-shelf", "acme-ca", "mtls-echo"}
 
 
 @pytest.fixture(scope="module")
-def echo_args():
-    ca = TestCaState(clock=lambda: datetime.now(timezone.utc))
+def echo_ca() -> TestCaState:
+    return TestCaState(clock=lambda: datetime.now(timezone.utc))
+
+
+def device_bundle(ca: TestCaState, tag: str) -> SimpleNamespace:
+    ns = VendorNamespace("vendor.test", "camera")
+    urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"serving-test-secret-{tag}".encode())), ns)
     key = generate_key()
-    _, cert = ca.issue(build_csr(key, "serving.camera.vendor.test"))
-    bundle = SimpleNamespace(
-        private_key=key, certificate_chain=cert_to_pem(cert) + cert_to_pem(ca.root_cert)
-    )
-    return bundle, TrustContext(roots=(ca.root_cert,), filters={})
+    _, cert = ca.issue(build_csr(key, str(urn)))
+    return SimpleNamespace(private_key=key, certificate_chain=cert_to_pem(cert) + cert_to_pem(ca.root_cert))
+
+
+@pytest.fixture(scope="module")
+def echo_args(echo_ca):
+    return device_bundle(echo_ca, "serving"), TrustContext(roots=(echo_ca.root_cert,), filters={})
 
 
 def serve_threads() -> set[threading.Thread]:
@@ -68,6 +80,49 @@ def test_start_close_cycles_are_fast_and_leave_no_thread(echo_args):
             assert not server._thread.is_alive()
     assert spent < 0.5
     assert serve_threads() <= before
+
+
+TCP_SERVERS = {
+    "ca": lambda echo_args: TestCa(),
+    "shelf": lambda echo_args: TokenShelf(),
+    "echo": lambda echo_args: EchoServer(*echo_args),
+}
+
+
+@pytest.mark.parametrize("kind", TCP_SERVERS)
+def test_close_ends_an_idle_peer_and_joins_its_thread(echo_args, kind):
+    before = set(threading.enumerate())
+    with socket.socket() as idle:
+        idle.settimeout(3)
+        with TCP_SERVERS[kind](echo_args) as server:
+            idle.connect(server.address)
+            deadline = time.monotonic() + 3
+            while not server._server._live:  # until its connection thread runs
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        assert idle.recv(1) == b""
+    assert set(threading.enumerate()) <= before
+
+
+def test_close_waits_for_a_lingering_echo_handler(echo_ca, monkeypatch):
+    handle, lingered = _EchoHandler.handle, threading.Event()
+
+    def handle_then_linger(self):
+        handle(self)
+        time.sleep(0.3)
+        lingered.set()
+
+    monkeypatch.setattr(_EchoHandler, "handle", handle_then_linger)
+    client = device_bundle(echo_ca, "linger-client")
+    trust = TrustContext(roots=(echo_ca.root_cert,), filters={})
+    with EchoServer(device_bundle(echo_ca, "linger-server"), trust) as echo:
+        assert echo_once(echo.address, client, trust, b"x").payload_echoed == b"x"
+    assert lingered.is_set()
+    # No handler thread is left to hold the trust, so its client context goes with it.
+    context = weakref.ref(peer_auth._client_side(client, trust).ctx)
+    del trust, echo
+    gc.collect()
+    assert context() is None
 
 
 def test_token_shelf_drops_idle_peer(monkeypatch):
@@ -120,6 +175,20 @@ def test_refused_head_gets_one_answer_from_every_http_server(http_servers, serve
         assert json.loads(body)["type"] == ERROR_NS + "malformed"
     else:
         assert body == b""
+
+
+def test_nonce_204_has_no_length_and_keeps_the_connection(http_servers):
+    ca = http_servers["ca"]
+    ctx = ssl.create_default_context(cadata=ca.service_cert_pem)
+    ctx.check_hostname = False
+    with ctx.wrap_socket(socket.create_connection(ca.address, timeout=3)) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"GET /acme/new-nonce HTTP/1.1\r\nHost: ca\r\n\r\n")
+        assert rfile.readline() == b"HTTP/1.1 204 No Content\r\n"
+        assert "content-length" not in read_headers(rfile)
+        # The connection stays open, and the next request on it is answered.
+        sock.sendall(b"GET /directory HTTP/1.1\r\nHost: ca\r\nConnection: close\r\n\r\n")
+        assert rfile.readline() == b"HTTP/1.1 200 OK\r\n"
+        assert json.loads(read_body(rfile, read_headers(rfile))) == ca.directory()
 
 
 @pytest.mark.parametrize(
