@@ -27,12 +27,13 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 from .acme import TestCa, TokenShelf
 from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
-from .inventory import Inventory, RenewalState, from_rfc3339
+from .inventory import Inventory, RenewalState, from_rfc3339, utcnow
 from .lifecycle import DEFAULT_PARALLELISM, EnrollmentRequest, FleetManager, require_certificate
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
@@ -115,18 +116,32 @@ def _out_dir(settings: Settings) -> Path:
     return path
 
 
-@contextmanager
-def scenario_stack(apex: str):
-    """Embedded DNS authority + token shelf + ACME CA on loopback."""
-    clock = ManualClock(BASE_TIME)
+def _vendor_zone(apex: str) -> Zone:
+    """The vendor's zone, with its cloud endpoint on loopback."""
     zone = Zone(apex)
     zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
+    return zone
+
+
+@contextmanager
+def _services(zone: Zone, clock: Callable[[], datetime], ca_port: int):
+    """DNS authority + token shelf + ACME CA on loopback; only the CA's port is chosen."""
     # Closed in reverse, so a CA that cannot bind leaves nothing running.
     with ExitStack() as services:
         dns = services.enter_context(DnsUdpServer(zone, ("127.0.0.1", 0)))
         shelf = services.enter_context(TokenShelf())
-        ca = services.enter_context(TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock))
+        ca = services.enter_context(
+            TestCa(
+                bind_addr=("127.0.0.1", ca_port), dns_addr=dns.address, http01_port=shelf.port, clock=clock
+            )
+        )
         yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
+
+
+def scenario_stack(apex: str):
+    """Embedded DNS authority + token shelf + ACME CA on loopback, on a
+    ManualClock at BASE_TIME."""
+    return _services(_vendor_zone(apex), ManualClock(BASE_TIME), 0)
 
 
 def _new_manager(stack, settings: Settings, root_domain: str | None = None) -> FleetManager:
@@ -312,8 +327,7 @@ def _serve_until(duration: float) -> None:
 
 def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
     apex = settings.root_domain
-    zone = Zone(apex)
-    zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
+    zone = _vendor_zone(apex)
     snapshot_path = Path(settings.out) / SNAPSHOT_FILE
     if snapshot_path.exists():
         inventory = Inventory.restore(snapshot_path)
@@ -324,15 +338,9 @@ def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
             print(f"dns authority for {apex} listening on {dns.address[0]}:{dns.address[1]}", flush=True)
             _serve_until(args.duration)
         return 0
-    # Closed in reverse, so a CA that cannot bind leaves nothing running.
-    with ExitStack() as services:
-        dns = services.enter_context(DnsUdpServer(zone, ("127.0.0.1", 0)))
-        shelf = services.enter_context(TokenShelf())
-        ca = services.enter_context(
-            TestCa(bind_addr=("127.0.0.1", args.port), dns_addr=dns.address, http01_port=shelf.port)
-        )
-        print(f"acme ca listening at {ca.directory_url}", flush=True)
-        print(f"challenge dns authority on {dns.address[0]}:{dns.address[1]}", flush=True)
+    with _services(zone, utcnow, args.port) as stack:
+        print(f"acme ca listening at {stack.ca.directory_url}", flush=True)
+        print(f"challenge dns authority on {stack.dns.address[0]}:{stack.dns.address[1]}", flush=True)
         _serve_until(args.duration)
     return 0
 
@@ -412,11 +420,8 @@ def cmd_simulate(args: argparse.Namespace, settings: Settings) -> int:
                 "max_s": summary.max,
                 "drops": report.drops,
             }
-        print(
-            f"{mode}: {stats[mode].get('count', 0)} samples, "
-            f"mean {stats[mode].get('mean_s', float('nan')):.4f}s, "
-            f"drops {report.drops}"
-        )
+        mean = f"mean {summary.mean:.4f}s, " if summary is not None else ""
+        print(f"{mode}: {stats[mode]['count']} samples, {mean}drops {report.drops}")
     if len(modes) == 2 and stats["d2d"].get("mean_s"):
         stats["ratio_cloud_over_d2d"] = stats["cloud"]["mean_s"] / stats["d2d"]["mean_s"]
         print(f"cloud/d2d mean latency ratio: {stats['ratio_cloud_over_d2d']:.1f}x")
@@ -435,8 +440,8 @@ def _rfc3339_arg(text: str) -> datetime:
         raise argparse.ArgumentTypeError(f"not an RFC 3339 time: {text!r}") from None
 
 
-def _int_in(low: int, high: int):
-    """An argparse type for an integer in low..high."""
+def _int_in(low: int, high: float):
+    """An argparse type for an integer in low..high (high may be inf)."""
 
     def parse(text: str) -> int:
         try:
@@ -488,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("renew", parents=[common], help="enroll a fleet, then run renewal cycles")
     p.add_argument("--count", type=int, default=5, help="devices to enroll")
-    p.add_argument("--cycles", type=int, default=1, help="renewal ticks to run")
+    p.add_argument("--cycles", type=_int_in(1, math.inf), default=1, help="renewal ticks to run")
     p.add_argument(
         "--now", type=_rfc3339_arg, help="RFC 3339 time for the tick (defaults to auto-advance)"
     )

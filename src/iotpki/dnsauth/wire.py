@@ -156,7 +156,8 @@ def is_truncated(packet: bytes) -> bool:
 
 def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
     """Decode a response into (txn_id, rcode, aa, answers). Unknown rdata
-    types are skipped rather than rejected."""
+    types are skipped rather than rejected; a known record must fill its
+    rdata exactly, or the packet is a WireFormatError."""
     if len(packet) < _HEADER.size:
         raise WireFormatError("short header")
     txn_id, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(packet)
@@ -180,21 +181,28 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
         offset += 10
         if offset + rdlength > len(packet):
             raise WireFormatError("truncated rdata")
-        rdata = packet[offset : offset + rdlength]
-        if rtype == RType.A and rdlength == 4:
+        end = offset + rdlength
+        rdata = packet[offset:end]
+        if rtype == RType.A:
+            if rdlength != 4:
+                raise WireFormatError(f"A rdata of {rdlength} bytes")
             value = ".".join(str(b) for b in rdata)
         elif rtype == RType.CNAME:
-            value, _ = decode_name(packet, offset)
+            value, name_end = decode_name(packet, offset)
+            if name_end != end:
+                raise WireFormatError("CNAME name does not end with its rdata")
         elif rtype == RType.TXT:
             parts, pos = [], 0
-            while pos < len(rdata):
+            while pos < rdlength:
                 n = rdata[pos]
+                if pos + 1 + n > rdlength:
+                    raise WireFormatError("TXT string runs past its rdata")
                 parts.append(rdata[pos + 1 : pos + 1 + n])
                 pos += 1 + n
             value = b"".join(parts).decode("utf-8", "replace")
         else:
-            offset += rdlength
+            offset = end
             continue
-        offset += rdlength
+        offset = end
         answers.append(ZoneRecord(name, RType(rtype), value, ttl))
     return txn_id, rcode, aa, answers

@@ -30,12 +30,15 @@ Uncapped, a tick's messages take their latencies in contact order, so
 they are taken in one batch after the node loop; capped, one at a time,
 as the in-flight heap decides how many a burst takes.
 
-Configs: a NaN or infinite float field raises ``InvalidConfig``; with
-one, a run could never end or would write non-finite latencies. So do
-more than ``MAX_POLL_TICKS`` polls, or a node walk of more than
-``MAX_GRID_LENGTHS`` grid lengths, which finite fields can still ask for,
-and Weibull parameters whose largest draw (at the largest float below 1),
-alone or plus the link latency, overflows.
+Configs: the scenario's geometry is fixed (``GRID_SIZE``, ``SPEED_MIN``
+and ``SPEED_MAX``, and the star of ``GATEWAYS``); ``SimConfig`` holds the
+rest. A NaN or infinite float field raises ``InvalidConfig``; with one,
+a run could never end or would write non-finite latencies. So do more
+than ``MAX_POLL_TICKS`` polls, or a node walk of more than
+``MAX_GRID_LENGTHS`` grid lengths (``SPEED_MAX * duration / GRID_SIZE``),
+which a finite duration can still ask for, and Weibull parameters whose
+largest draw (at the largest float below 1), alone or plus the link
+latency, overflows.
 
 Report: the CSV is one string per contact, from one renderer that
 ``to_csv`` joins and ``write_csv`` writes as it goes. The send time is
@@ -73,8 +76,12 @@ from .errors import IotPkiError
 
 WEIBULL_BETA = 0.5
 WEIBULL_LAMBDA = 6.37
-MAX_GATEWAYS = 5
-GATEWAY_ARM_FRACTION = 0.3  # arm length 150 m on the 500 m reference grid
+# The smart-city scenario: a 500 m square grid, walkers at 5-25 m/s, and
+# five gateways in a star, one at the center and one 150 m out on each
+# cardinal arm.
+GRID_SIZE = 500.0
+SPEED_MIN, SPEED_MAX = 5.0, 25.0
+GATEWAYS = ((250.0, 250.0), (400.0, 250.0), (100.0, 250.0), (250.0, 400.0), (250.0, 100.0))
 HISTOGRAM_BINS = 20
 _DRAW_CHUNK = 4096  # cloud latencies drawn at a time
 _LARGEST_U = 1.0 - 2.0**-53  # the largest float below 1, and of random()
@@ -168,10 +175,6 @@ def _weibull_stream(
 @dataclass(frozen=True)
 class SimConfig:
     num_mobile_nodes: int = 500
-    num_gateways: int = 5
-    grid_size: float = 500.0
-    speed_min: float = 5.0
-    speed_max: float = 25.0
     gateway_range: float = 100.0
     poll_interval: float = 2.0
     burst_size: int = 10
@@ -189,16 +192,7 @@ class SimConfig:
             raise InvalidConfig(f"mode must be d2d or cloud, got {self.mode!r}")
         if self.num_mobile_nodes < 1:
             raise InvalidConfig("need at least one mobile node")
-        if not 1 <= self.num_gateways <= MAX_GATEWAYS:
-            raise InvalidConfig(
-                f"star topology defines 1..{MAX_GATEWAYS} gateways, got {self.num_gateways}"
-            )
-        if not (0 < self.speed_min <= self.speed_max):
-            raise InvalidConfig(
-                f"need 0 < speed_min <= speed_max, got {self.speed_min}..{self.speed_max}"
-            )
         positives = {
-            "grid_size": self.grid_size,
             "gateway_range": self.gateway_range,
             "poll_interval": self.poll_interval,
             "burst_size": self.burst_size,
@@ -210,10 +204,10 @@ class SimConfig:
         ticks = self.duration / self.poll_interval
         if ticks > MAX_POLL_TICKS:
             raise InvalidConfig(f"duration / poll_interval is {ticks} polls, over {MAX_POLL_TICKS}")
-        walk = self.speed_max * self.duration / self.grid_size
+        walk = SPEED_MAX * self.duration / GRID_SIZE
         if walk > MAX_GRID_LENGTHS:
             raise InvalidConfig(
-                f"speed_max * duration / grid_size is {walk} grid lengths, over {MAX_GRID_LENGTHS}"
+                f"SPEED_MAX * duration / GRID_SIZE is {walk} grid lengths, over {MAX_GRID_LENGTHS}"
             )
         if self.d2d_link_latency_ms < 0 or self.handshake_cost_ms < 0:
             raise InvalidConfig("latency constants must be non-negative")
@@ -349,20 +343,6 @@ def _exact_mean(xs: list[float]) -> float:
     return float(sum(map(Fraction, terms)) / len(xs))
 
 
-def gateway_positions(cfg: SimConfig) -> list[tuple[float, float]]:
-    """Star topology: one gateway at grid center, four on the cardinal arms."""
-    center = cfg.grid_size / 2.0
-    arm = cfg.grid_size * GATEWAY_ARM_FRACTION
-    star = [
-        (center, center),
-        (center + arm, center),
-        (center - arm, center),
-        (center, center + arm),
-        (center, center - arm),
-    ]
-    return star[: cfg.num_gateways]
-
-
 def _stream(seed: int, purpose: str) -> random.Random:
     """Named RNG stream; string seeding is deterministic across processes."""
     return random.Random(f"{seed}|{purpose}")
@@ -372,23 +352,19 @@ class _Node:
     """RandomWaypoint walker with zero pause time. Position is evaluated
     lazily at monotonically increasing query times."""
 
-    __slots__ = ("rng", "grid", "speed_min", "speed_max", "pos", "waypoint",
-                 "speed", "leg_start_t", "leg_duration", "contact_gateway")
+    __slots__ = ("rng", "pos", "waypoint", "speed", "leg_start_t", "leg_duration", "contact_gateway")
 
-    def __init__(self, rng: random.Random, cfg: SimConfig) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self.rng = rng
-        self.grid = cfg.grid_size
-        self.speed_min = cfg.speed_min
-        self.speed_max = cfg.speed_max
-        self.pos = (rng.uniform(0.0, self.grid), rng.uniform(0.0, self.grid))
+        self.pos = (rng.uniform(0.0, GRID_SIZE), rng.uniform(0.0, GRID_SIZE))
         self.contact_gateway: int | None = None
         self._pick_leg(0.0)
 
     def _pick_leg(self, t: float) -> None:
         self.leg_start_t = t
         while True:
-            self.waypoint = (self.rng.uniform(0.0, self.grid), self.rng.uniform(0.0, self.grid))
-            self.speed = self.rng.uniform(self.speed_min, self.speed_max)
+            self.waypoint = (self.rng.uniform(0.0, GRID_SIZE), self.rng.uniform(0.0, GRID_SIZE))
+            self.speed = self.rng.uniform(SPEED_MIN, SPEED_MAX)
             distance = math.dist(self.pos, self.waypoint)
             if distance > 0.0:
                 self.leg_duration = distance / self.speed
@@ -410,7 +386,7 @@ _MAX_CELLS = 2.0**40
 
 
 def _gateway_cells(
-    gateways: list[tuple[float, float]], reach: float, grid: float
+    gateways: Sequence[tuple[float, float]], reach: float, grid: float
 ) -> tuple[float, dict[tuple[int, int], list[tuple[int, tuple[float, float]]]]]:
     """Index the gateways by grid cell of side reach / 2: returns (scale, cells).
 
@@ -439,10 +415,9 @@ def _gateway_cells(
 def run_smart_city(cfg: SimConfig) -> SimReport:
     """Tick loop: every node polls at t = 0, p, p + p, ... up to the
     duration, in node order within a tick."""
-    gateways = gateway_positions(cfg)
     reach = cfg.gateway_range
-    scale, cells = _gateway_cells(gateways, reach, cfg.grid_size)
-    nodes = [_Node(_stream(cfg.seed, f"mobility|{i}"), cfg) for i in range(cfg.num_mobile_nodes)]
+    scale, cells = _gateway_cells(GATEWAYS, reach, GRID_SIZE)
+    nodes = [_Node(_stream(cfg.seed, f"mobility|{i}")) for i in range(cfg.num_mobile_nodes)]
     link_s = cfg.d2d_link_latency_ms / 1000.0
     cloud_latency = _weibull_stream(_stream(cfg.seed, "cloud").random, cfg.cloud, link_s)
     handshake_s = cfg.handshake_cost_ms / 1000.0

@@ -424,7 +424,6 @@ class TestLatencySeparation:
         for mode in ("d2d", "cloud"):
             cfg = SimConfig(
                 num_mobile_nodes=500,
-                num_gateways=5,
                 mode=mode,
                 d2d_link_latency_ms=17.0,
                 seed=2026,

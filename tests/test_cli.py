@@ -81,6 +81,7 @@ class TestUsageErrors:
         [
             (["renew", "--count", "0"], {}, 1, "at least one device"),
             (["renew", "--now", "2026-13-01"], {}, 2, "--now"),
+            (["renew", "--count", "1", "--cycles", "-1"], {}, 2, "--cycles"),
             (["filter", "build", "--epoch", "-1"], {}, 2, "--epoch"),
             (["filter", "build", "--epoch", "4294967296"], {}, 2, "--epoch"),
             (["serve", "dns", "--port", "70000"], {}, 2, "--port"),
@@ -89,8 +90,9 @@ class TestUsageErrors:
             (["enroll-batch", "--count", "2", "--parallelism", "0"], {}, 1, "parallelism"),
             (["enroll-batch", "--count", "2"], {"IOTPKI_PARALLELISM": "0"}, 1, "parallelism"),
         ],
-        ids=["renew-count-0", "renew-month-13", "epoch-neg", "epoch-2^32", "port-70000",
-             "serve-duration-neg", "serve-duration-nan", "parallelism-flag-0", "parallelism-env-0"],
+        ids=["renew-count-0", "renew-month-13", "renew-cycles-neg", "epoch-neg", "epoch-2^32",
+             "port-70000", "serve-duration-neg", "serve-duration-nan", "parallelism-flag-0",
+             "parallelism-env-0"],
     )
     def test_value_out_of_range_keeps_exit_contract(
         self, small_filter_dir, capsys, monkeypatch, argv, env, code, diagnostic
@@ -516,6 +518,18 @@ class TestSimulate:
         assert stats["ratio_cloud_over_d2d"] >= 100.0
         assert stats["d2d"]["drops"] == 0
         assert "ratio" in stdout
+
+    def test_mode_without_contacts_prints_no_mean(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            [
+                "simulate", "--mode", "d2d", "--gateway-range", "1", "--nodes", "5",
+                "--duration", "2", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert stdout == "d2d: 0 samples, drops 0\n"
+        assert json.loads((tmp_path / "sim_summary.json").read_text()) == {"d2d": {"count": 0, "drops": 0}}
 
     def test_invalid_sim_config_is_domain_error(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -8,7 +8,7 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotpki.dnsauth import wire
@@ -222,6 +222,41 @@ class TestWireCodec:
             with pytest.raises(wire.WireFormatError):
                 wire.parse_response(struct.pack("!HHHHHH", 1, 0x8000 | rcode, 0, 0, 0, 0))
 
+    @staticmethod
+    def _answer(rtype: RType, rdlength: int, rdata: bytes) -> bytes:
+        """A response whose one answer has the given rdlength and rdata."""
+        return (
+            header(0x8400, 0, 1)
+            + wire.encode_name("t.vendor.com")
+            + struct.pack("!HHIH", int(rtype), wire.CLASS_IN, 60, rdlength)
+            + rdata
+        )
+
+    @pytest.mark.parametrize(
+        "rtype, rdlength, rdata",
+        [
+            # The string's length byte says 200 over 5 bytes of rdata.
+            (RType.TXT, 6, b"\xc8hello"),
+            # The name's labels and terminator run past rdlength 1.
+            (RType.CNAME, 1, wire.encode_name("cloud.vendor.com")),
+            # The name ends two bytes before the rdata does.
+            (RType.CNAME, 8, wire.encode_name("cloud") + b"\x00\x00"),
+            # An address of three bytes.
+            (RType.A, 3, b"\x7f\x00\x01"),
+        ],
+        ids=["txt-string-overrun", "cname-past-rdata", "cname-short-of-rdata", "a-three-bytes"],
+    )
+    def test_record_not_filling_its_rdata_raises(self, rtype, rdlength, rdata):
+        with pytest.raises(wire.WireFormatError):
+            wire.parse_response(self._answer(rtype, rdlength, rdata))
+
+    def test_compressed_cname_ending_its_rdata_decodes(self):
+        # A label then a pointer back to the answer's owner name (offset 12).
+        packet = self._answer(RType.CNAME, 6, b"\x03www\xc0\x0c")
+        assert wire.parse_response(packet)[3] == [
+            ZoneRecord("t.vendor.com", RType.CNAME, "www.t.vendor.com", 60)
+        ]
+
     def test_mixed_case_question_normalized(self):
         packet = wire.build_query(1, "ClOuD.Vendor.COM".lower(), RType.A)
         raw = bytearray(packet)
@@ -291,6 +326,8 @@ class TestWireProperties:
             pass
 
     @given(RESPONSES)
+    # A TXT string whose length byte says 200 over 5 bytes of rdata.
+    @example(header(0x8400, 0, 1) + b"\x01t\x00" + struct.pack("!HHIH", 16, 1, 60, 6) + b"\xc8hello")
     def test_parse_response_returns_or_raises_wire_format_error(self, packet):
         try:
             wire.parse_response(packet)

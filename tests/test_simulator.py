@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from iotpki import simulator
 from iotpki.simulator import (
+    GATEWAYS,
+    GRID_SIZE,
     HISTOGRAM_BINS,
     DomainError,
     EmptyInput,
@@ -25,7 +27,6 @@ from iotpki.simulator import (
     SimReport,
     Summary,
     WeibullParams,
-    gateway_positions,
     run_smart_city,
     sample_weibull,
     summarize,
@@ -119,22 +120,30 @@ def statistics_mean(xs):
 class TestConfigValidation:
     def test_default_config_valid(self):
         cfg = SimConfig()
-        assert cfg.num_gateways == 5
+        assert cfg.num_mobile_nodes == 500
+
+    def test_settable_fields(self):
+        # The scenario's geometry is fixed; these are what a caller sets.
+        assert list(SimConfig.__dataclass_fields__) == [
+            "num_mobile_nodes", "gateway_range", "poll_interval", "burst_size", "mode",
+            "d2d_link_latency_ms", "handshake_cost_ms", "cloud", "cloud_connection_cap",
+            "seed", "duration",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mode": "carrier-pigeon"},
+            {"mode": "both"},  # the CLI runs "both" as one config per mode
             {"num_mobile_nodes": 0},
-            {"num_gateways": 6},
-            {"num_gateways": 0},
-            {"speed_min": 30.0, "speed_max": 25.0},
-            {"speed_min": 0.0},
+            {"gateway_range": 0.0},
+            {"gateway_range": -100.0},
             {"poll_interval": 0.0},
             {"burst_size": 0},
             {"duration": -5.0},
-            {"grid_size": 0.0},
+            {"duration": 0.0},
             {"d2d_link_latency_ms": -1.0},
+            {"handshake_cost_ms": -1.0},
             {"cloud_connection_cap": -1},
             # Each finite, but the link latency plus the largest draw is inf.
             {"d2d_link_latency_ms": 1e308, "cloud": WeibullParams(beta=1.0, lam=4.893e306)},
@@ -147,40 +156,39 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            # A walk linear in speed: days of waypoint legs on a unit grid.
-            ({"grid_size": 1.0, "speed_min": 1e9, "speed_max": 1e9}, "grid lengths"),
-            # The subnormal grid: finite, yet 3e12 grid lengths per node.
-            ({"grid_size": 1e-310, "speed_min": 1e-300, "speed_max": 1e-300}, "grid lengths"),
-            # speed_max * duration overflows to inf.
-            ({"speed_max": 1e300, "duration": 1e300, "poll_interval": 1e300}, "grid lengths"),
+            # One poll, but SPEED_MAX * duration overflows to inf.
+            ({"duration": 1e308, "poll_interval": 1e308}, "grid lengths"),
             # t += poll_interval stops advancing long before 1e17 polls.
             ({"num_mobile_nodes": 1, "poll_interval": 1e-3, "duration": 1e14}, "polls"),
             ({"poll_interval": 1e-300, "duration": 1e10}, "polls"),
         ],
-        ids=["fast-walk", "subnormal-grid", "walk-overflow", "stalled-clock", "ticks-overflow"],
+        ids=["walk-overflow", "stalled-clock", "ticks-overflow"],
     )
     def test_runs_that_cannot_end_rejected(self, kwargs, match):
         with pytest.raises(InvalidConfig, match=match):
             SimConfig(**kwargs)
 
     def test_configs_at_the_work_bounds_accepted(self):
-        # The defaults (151 polls, 15 grid lengths), and the bounds themselves.
+        # The defaults (151 polls, 15 grid lengths), and both bounds at once:
+        # 2**32 polls and 25 * 20 * 2**20 / 500 = 2**20 grid lengths.
         SimConfig()
-        SimConfig(
-            duration=2.0**32, poll_interval=1.0, speed_min=1.0, speed_max=1.0, grid_size=2.0**12
-        )
-        SimConfig(duration=2.0**20, grid_size=1.0, speed_min=1.0, speed_max=1.0)
+        at_bounds = dict(duration=20.0 * 2**20, poll_interval=20.0 / 2**12)
+        SimConfig(**at_bounds)
+        # One step past either bound is rejected.
+        with pytest.raises(InvalidConfig, match="grid lengths"):
+            SimConfig(duration=math.nextafter(20.0 * 2**20, math.inf), poll_interval=1.0)
+        with pytest.raises(InvalidConfig, match="polls"):
+            SimConfig(**at_bounds | {"poll_interval": math.nextafter(20.0 / 2**12, 0.0)})
 
     FLOAT_FIELDS = [
-        "grid_size", "speed_min", "speed_max", "gateway_range", "poll_interval",
-        "d2d_link_latency_ms", "handshake_cost_ms", "duration",
+        "gateway_range", "poll_interval", "d2d_link_latency_ms", "handshake_cost_ms", "duration",
     ]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_fields_rejected(self, name, value):
-        # speed_max=inf or grid_size=inf would never end a run; a NaN
-        # gateway_range would count every poll as a contact.
+        # duration=inf would never end a run; a NaN gateway_range would
+        # count every poll as a contact.
         with pytest.raises(InvalidConfig, match=name):
             SimConfig(**{name: value})
 
@@ -189,15 +197,13 @@ class TestConfigValidation:
         assert floats == set(self.FLOAT_FIELDS)
 
     def test_star_layout(self):
-        cfg = SimConfig()
-        assert gateway_positions(cfg) == [
+        assert GATEWAYS == (
             (250.0, 250.0),
             (400.0, 250.0),
             (100.0, 250.0),
             (250.0, 400.0),
             (250.0, 100.0),
-        ]
-        assert gateway_positions(SimConfig(num_gateways=1)) == [(250.0, 250.0)]
+        )
 
 
 SMALL = dict(num_mobile_nodes=40, duration=60.0, seed=7)
@@ -246,7 +252,7 @@ class TestSmartCity:
         assert report.samples
         for node, gateway, t, sent in zip(report.node, report.gateway, report.send_time, report.sent):
             assert 0 <= node < cfg.num_mobile_nodes
-            assert 0 <= gateway < cfg.num_gateways
+            assert 0 <= gateway < len(GATEWAYS)
             assert 0.0 <= t <= cfg.duration
             assert sent == cfg.burst_size
         assert len(report.samples) == sum(report.sent)
@@ -272,7 +278,8 @@ class TestSmartCity:
 
 
 # sha256 of to_csv(), drops, and sha256 of the summarize fields, pinned from
-# the event-queue simulator that the tick loop replaced.
+# the event-queue simulator that the tick loop replaced; d2d-burst1-poll1.7
+# from the tick loop with the star's five gateways.
 GOLDEN = {
     "d2d": (
         dict(mode="d2d", num_mobile_nodes=40, duration=60.0, seed=7),
@@ -295,14 +302,14 @@ GOLDEN = {
         13875,
         "428e8eb0958e56cd8c318cb40eb22acea44e890922f04b7968ff19295b366ffc",
     ),
-    "d2d-burst1-gw1-poll1.7": (
+    "d2d-burst1-poll1.7": (
         dict(
             mode="d2d", num_mobile_nodes=15, duration=40.0, seed=3, burst_size=1,
-            num_gateways=1, poll_interval=1.7, gateway_range=150.0,
+            poll_interval=1.7, gateway_range=150.0,
         ),
-        "d0fabb9e7fd06a66bc7066387db18121f12b07b8c81cba625a39b145431cb58a",
+        "8c5e8afd199c7285e3641b63b19dee595e47c2386ca8993561202d8d64b18c59",
         0,
-        "22719b4b4d6ea25aed4ed9cc1f237e49184246cfd1b771569c93071f5f92a688",
+        "b8432ece1305eb114f85c1ac94f9dc83ec9697a3eb791fff027a221fec7687d2",
     ),
 }
 
@@ -592,8 +599,7 @@ def _old_run_smart_city(cfg):
     """The tick loop that the batched draws and the gateway cell index
     replaced, kept as an oracle: one math.dist call per gateway per poll
     and one Weibull sample per cloud message. Returns the report columns."""
-    gateways = gateway_positions(cfg)
-    nodes = [simulator._Node(simulator._stream(cfg.seed, f"mobility|{i}"), cfg)
+    nodes = [simulator._Node(simulator._stream(cfg.seed, f"mobility|{i}"))
              for i in range(cfg.num_mobile_nodes)]
     draw = simulator._stream(cfg.seed, "cloud").random
     link_s = cfg.d2d_link_latency_ms / 1000.0
@@ -607,7 +613,7 @@ def _old_run_smart_city(cfg):
     while t <= cfg.duration:
         for node_id, node in enumerate(nodes):
             pos = node.position(t)
-            ds = [math.dist(pos, g) for g in gateways]
+            ds = [math.dist(pos, g) for g in GATEWAYS]
             d = min(ds)
             if d > cfg.gateway_range:
                 node.contact_gateway = None
@@ -650,7 +656,7 @@ def _columns(report):
 GATEWAY_RANGES = st.one_of(
     st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-9, 0.5]),
     st.floats(0.5, 1000.0),
-    st.floats(1000.0, 1e6),  # larger than every grid drawn here
+    st.floats(1000.0, 1e6),  # larger than the grid
 )
 
 
@@ -661,8 +667,6 @@ class TestRunOracle:
     @given(
         mode=st.sampled_from(["d2d", "cloud"]),
         nodes=st.integers(1, 12),
-        gateways=st.integers(1, 5),
-        grid=st.one_of(st.sampled_from([1.0, 500.0, 3000.0]), st.floats(1.0, 3000.0)),
         reach=GATEWAY_RANGES,
         duration=st.floats(0.5, 30.0),
         poll=st.floats(0.1, 5.0),
@@ -670,21 +674,14 @@ class TestRunOracle:
         cap=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
-    @example(mode="cloud", nodes=12, gateways=5, grid=500.0, reach=100.0, duration=30.0,
-             poll=0.3, burst=8, cap=0, seed=1)
-    @example(mode="cloud", nodes=12, gateways=5, grid=500.0, reach=100.0, duration=30.0,
-             poll=0.3, burst=8, cap=2, seed=1)
-    @example(mode="d2d", nodes=12, gateways=5, grid=500.0, reach=5e-324, duration=30.0,
-             poll=0.3, burst=1, cap=0, seed=1)
-    @example(mode="d2d", nodes=12, gateways=3, grid=1.0, reach=1e6, duration=30.0,
-             poll=0.3, burst=1, cap=0, seed=1)
-    def test_matches_per_poll_oracle(
-        self, mode, nodes, gateways, grid, reach, duration, poll, burst, cap, seed
-    ):
+    @example(mode="cloud", nodes=12, reach=100.0, duration=30.0, poll=0.3, burst=8, cap=0, seed=1)
+    @example(mode="cloud", nodes=12, reach=100.0, duration=30.0, poll=0.3, burst=8, cap=2, seed=1)
+    @example(mode="d2d", nodes=12, reach=5e-324, duration=30.0, poll=0.3, burst=1, cap=0, seed=1)
+    @example(mode="d2d", nodes=12, reach=1e6, duration=30.0, poll=0.3, burst=1, cap=0, seed=1)
+    def test_matches_per_poll_oracle(self, mode, nodes, reach, duration, poll, burst, cap, seed):
         cfg = SimConfig(
-            mode=mode, num_mobile_nodes=nodes, num_gateways=gateways, grid_size=grid,
-            gateway_range=reach, duration=duration, poll_interval=poll, burst_size=burst,
-            cloud_connection_cap=cap, seed=seed, speed_min=1.0, speed_max=50.0,
+            mode=mode, num_mobile_nodes=nodes, gateway_range=reach, duration=duration,
+            poll_interval=poll, burst_size=burst, cloud_connection_cap=cap, seed=seed,
         )
         report = run_smart_city(cfg)
         columns, drops = _old_run_smart_city(cfg)
@@ -703,7 +700,7 @@ def _pin_nodes(monkeypatch, points):
     parked = iter(points)
 
     class Parked:
-        def __init__(self, rng, cfg):
+        def __init__(self, rng):
             self.pos = next(parked)
             self.contact_gateway = None
 
@@ -734,11 +731,9 @@ class TestGatewayLookup:
 
     @pytest.mark.parametrize("reach", [100.0, 150.0, 37.5, 0.1, 1e-9, 5e-324, 1e6])
     def test_cell_edges_and_range_boundary(self, monkeypatch, reach):
-        cfg = SimConfig(gateway_range=reach)
-        gateways = gateway_positions(cfg)
         size = reach / 2.0
         points = []
-        for gx, gy in gateways:
+        for gx, gy in GATEWAYS:
             # Exactly at the range, along the axes and on a 3-4-5 diagonal.
             for dx, dy in [(reach, 0.0), (-reach, 0.0), (0.0, reach), (0.0, -reach),
                            (0.6 * reach, 0.8 * reach), (-0.8 * reach, 0.6 * reach)]:
@@ -748,17 +743,19 @@ class TestGatewayLookup:
                 edge = (math.floor(gx / size) + k) * size if size else gx
                 points += [(edge, gy), (gx, edge), (edge, edge)]
             points += [(gx, gy), (math.nextafter(gx + reach, math.inf), gy)]
-        points = [(x, y) for x, y in points if 0.0 <= x <= cfg.grid_size and 0.0 <= y <= cfg.grid_size]
-        expected = [_brute_force(p, gateways, reach) for p in points]
+        points = [(x, y) for x, y in points if 0.0 <= x <= GRID_SIZE and 0.0 <= y <= GRID_SIZE]
+        expected = [_brute_force(p, GATEWAYS, reach) for p in points]
         assert _lookup(monkeypatch, points, gateway_range=reach) == expected
         if reach <= 150.0:
             assert None in expected and any(e is not None for e in expected)
 
     def test_exactly_at_range_is_a_contact(self, monkeypatch):
-        points = [(250.0 + 60.0, 250.0 + 80.0), (250.0, 250.0 - 100.0), (350.0, 250.0),
-                  (math.nextafter(350.0, math.inf), 250.0)]
-        found = _lookup(monkeypatch, points, gateway_range=100.0, num_gateways=1)
-        assert found == [0, 0, 0, None]
+        # Exactly 100 m from the west (2), north (3) and east (1) gateways,
+        # and farther from every other; then just past the east one's range.
+        points = [(100.0 - 60.0, 250.0 + 80.0), (250.0, 400.0 + 100.0), (500.0, 250.0),
+                  (math.nextafter(500.0, math.inf), 250.0)]
+        found = _lookup(monkeypatch, points, gateway_range=100.0)
+        assert found == [2, 3, 1, None]
 
     def test_tie_goes_to_lowest_index(self, monkeypatch):
         # Halfway between the center (0) and the east gateway (1); as far
@@ -766,17 +763,15 @@ class TestGatewayLookup:
         # as from the east and north.
         points = [(325.0, 250.0), (400.0, 400.0), (325.0, 325.0)]
         found = _lookup(monkeypatch, points, gateway_range=150.0)
-        assert found == [_brute_force(p, gateway_positions(SimConfig()), 150.0) for p in points]
+        assert found == [_brute_force(p, GATEWAYS, 150.0) for p in points]
         assert found == [0, 1, 0]
 
     def test_gateway_index_is_small(self):
         for reach in (100.0, 0.5, 1e6):
-            scale, cells = simulator._gateway_cells(
-                gateway_positions(SimConfig()), reach, 500.0
-            )
+            scale, cells = simulator._gateway_cells(GATEWAYS, reach, GRID_SIZE)
             assert 0 < len(cells) <= 5 * 49
         # A subnormal range has no finite cell size: one cell holds every gateway.
-        scale, cells = simulator._gateway_cells(gateway_positions(SimConfig()), 5e-324, 500.0)
+        scale, cells = simulator._gateway_cells(GATEWAYS, 5e-324, GRID_SIZE)
         assert scale == 0.0 and list(cells) == [(0, 0)] and len(cells[0, 0]) == 5
 
 
