@@ -294,11 +294,12 @@ class AcmeClient:
         try:
             pem = chain.decode("ascii")
             leaf = split_pem_chain(pem)[0]
+            names, key = san_dns_names(leaf), leaf.public_key()
         except ValueError as exc:
             raise CsrMismatch(f"unreadable chain issued for {fqdn}: {exc}") from exc
-        if san_dns_names(leaf) != [fqdn]:
-            raise CsrMismatch(f"issued SAN {san_dns_names(leaf)} != requested {fqdn}")
-        if leaf.public_key() != csr.public_key():
+        if names != [fqdn]:
+            raise CsrMismatch(f"issued SAN {names} != requested {fqdn}")
+        if key != csr.public_key():
             raise CsrMismatch(f"certificate issued for {fqdn} certifies a key other than the csr's")
         return pem
 

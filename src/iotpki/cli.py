@@ -34,7 +34,7 @@ from .dnsauth import DnsUdpServer, RType, Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, VendorNamespace
 from .inventory import Inventory, RenewalState, from_rfc3339, utcnow
-from .lifecycle import DEFAULT_PARALLELISM, EnrollmentRequest, FleetManager, require_certificate
+from .lifecycle import DEFAULT_PARALLELISM, EnrollmentRequest, FleetManager
 from .peer_auth import TrustContext, mtls_echo
 from .revocation import RevocationLog, build_filter, deserialize, query, serialize
 from .simulator import WEIBULL_BETA, WEIBULL_LAMBDA, SimConfig, WeibullParams, run_smart_city, summarize
@@ -268,8 +268,7 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
 def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
     out = _out_dir(settings)
     inventory = _restore_fleet(out)
-    serial = require_certificate(inventory.get(args.uuid)).serial
-    inventory.set_state(args.uuid, RenewalState.REVOKED)
+    serial = inventory.revoke(args.uuid).serial
     inventory.snapshot(out / SNAPSHOT_FILE)
     print(f"revoked {args.uuid} serial {serial}")
     return 0

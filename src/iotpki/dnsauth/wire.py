@@ -155,9 +155,9 @@ def is_truncated(packet: bytes) -> bool:
 
 
 def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
-    """Decode a response into (txn_id, rcode, aa, answers). Unknown rdata
-    types are skipped rather than rejected; a known record must fill its
-    rdata exactly, or the packet is a WireFormatError."""
+    """Decode a response into (txn_id, rcode, aa, answers). Records of an
+    unknown type or of a class other than IN are skipped; a question must hold
+    its type and class, and a known record fill its rdata, or WireFormatError."""
     if len(packet) < _HEADER.size:
         raise WireFormatError("short header")
     txn_id, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(packet)
@@ -171,6 +171,8 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
     offset = _HEADER.size
     for _ in range(qdcount):
         _, offset = decode_name(packet, offset)
+        if offset + 4 > len(packet):
+            raise WireFormatError("truncated question")
         offset += 4
     answers: list[ZoneRecord] = []
     for _ in range(ancount):
@@ -178,17 +180,18 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
         if offset + 10 > len(packet):
             raise WireFormatError("truncated answer")
         rtype, rclass, ttl, rdlength = struct.unpack_from("!HHIH", packet, offset)
-        offset += 10
-        if offset + rdlength > len(packet):
+        start, end = offset + 10, offset + 10 + rdlength
+        if end > len(packet):
             raise WireFormatError("truncated rdata")
-        end = offset + rdlength
-        rdata = packet[offset:end]
+        rdata, offset = packet[start:end], end
+        if rclass != CLASS_IN:
+            continue
         if rtype == RType.A:
             if rdlength != 4:
                 raise WireFormatError(f"A rdata of {rdlength} bytes")
             value = ".".join(str(b) for b in rdata)
         elif rtype == RType.CNAME:
-            value, name_end = decode_name(packet, offset)
+            value, name_end = decode_name(packet, start)
             if name_end != end:
                 raise WireFormatError("CNAME name does not end with its rdata")
         elif rtype == RType.TXT:
@@ -201,8 +204,6 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
                 pos += 1 + n
             value = b"".join(parts).decode("utf-8", "replace")
         else:
-            offset = end
             continue
-        offset = end
         answers.append(ZoneRecord(name, RType(rtype), value, ttl))
     return txn_id, rcode, aa, answers

@@ -41,6 +41,10 @@ class UnknownDevice(IotPkiError):
     pass
 
 
+class AlreadyRevoked(IotPkiError):
+    pass
+
+
 class InvalidMeta(IotPkiError):
     pass
 
@@ -52,7 +56,7 @@ class CorruptSnapshot(IotPkiError):
 class RenewalState(str, Enum):
     CURRENT = "current"
     DUE = "due"
-    IN_PROGRESS = "in_progress"
+    IN_PROGRESS = "in_progress"  # this and EXPIRED are never written; old snapshots hold them
     EXPIRED = "expired"
     REVOKED = "revoked"
 
@@ -121,8 +125,8 @@ class DeviceRecord:
 class Inventory:
     """In-memory registry with checksummed single-file snapshots.
 
-    Concurrency: single writer, many readers. All mutations take the
-    internal lock; reads hand out frozen copies.
+    Concurrency: single writer, many readers; no state marks a renewal in
+    flight. All mutations take the internal lock; reads hand out frozen copies.
     """
 
     def __init__(self) -> None:
@@ -159,6 +163,18 @@ class Inventory:
     def set_state(self, device_uuid: uuidlib.UUID, state: RenewalState) -> DeviceRecord:
         return self._update(device_uuid, renewal_state=state)
 
+    def revoke(self, device_uuid: uuidlib.UUID) -> CertificateMeta:
+        """Check and mark a device REVOKED under one lock; returns its current certificate.
+        AlreadyRevoked if it is revoked, UnknownDevice if it has no record or certificate."""
+        with self._lock:
+            record = self._require(device_uuid)
+            if record.renewal_state is RenewalState.REVOKED:
+                raise AlreadyRevoked(f"device {device_uuid} already revoked")
+            if record.current_cert is None:
+                raise UnknownDevice(f"device {device_uuid} has no certificate on file")
+            self._update(device_uuid, renewal_state=RenewalState.REVOKED)
+            return record.current_cert
+
     def set_delegation(self, device_uuid: uuidlib.UUID, delegation_b64: str | None) -> DeviceRecord:
         return self._update(device_uuid, gateway_delegation=delegation_b64)
 
@@ -187,13 +203,12 @@ class Inventory:
 
     def due_for_renewal(self, now: datetime) -> list[DeviceRecord]:
         """Records whose cert expires within RENEWAL_WINDOW and that are not
-        revoked or already being renewed. Marks nothing."""
+        revoked. Marks nothing: a record an older version left in_progress
+        is due like any other."""
         out = []
         with self._lock:
             for record in self._records.values():
-                if record.current_cert is None:
-                    continue
-                if record.renewal_state in (RenewalState.REVOKED, RenewalState.IN_PROGRESS):
+                if record.current_cert is None or record.renewal_state is RenewalState.REVOKED:
                     continue
                 if record.current_cert.not_after - now <= RENEWAL_WINDOW:
                     out.append(record)

@@ -31,8 +31,8 @@ from .certs import (
 from .dnsauth import Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
-from .inventory import CertificateMeta, DeviceRecord, Inventory, RenewalState, UnknownDevice, utcnow
-from .revocation import AlreadyRevoked, RevocationLog
+from .inventory import CertificateMeta, DeviceRecord, Inventory, RenewalState, utcnow
+from .revocation import RevocationLog
 
 log = logging.getLogger(__name__)
 
@@ -120,17 +120,6 @@ class RenewalOutcome:
     detail: str
     serial: str | None
     public_key_fingerprint: str | None
-
-
-def require_certificate(record: DeviceRecord) -> CertificateMeta:
-    """The current certificate of a device that can still be revoked:
-    raises AlreadyRevoked for a revoked device and UnknownDevice for one
-    with no certificate on file."""
-    if record.renewal_state is RenewalState.REVOKED:
-        raise AlreadyRevoked(f"device {record.uuid} already revoked")
-    if record.current_cert is None:
-        raise UnknownDevice(f"device {record.uuid} has no certificate on file")
-    return record.current_cert
 
 
 class FleetManager:
@@ -298,15 +287,14 @@ class FleetManager:
             self._tick_lock.release()
 
     def _renew_record(self, record: DeviceRecord) -> RenewalOutcome:
-        """Renew ``record`` under its held key: IN_PROGRESS while the order
-        runs, back to DUE with its old certificate if the order fails."""
+        """Renew ``record`` under its held key, writing no state while the order
+        runs (the tick lock is the one guard); a failed order leaves it DUE."""
         with self._keys_lock:
             key, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
         old_fp = record.current_cert.public_key_fingerprint if record.current_cert else None
         if key is None:
             return RenewalOutcome(record.uuid, "deferred", "no device key held", None, old_fp)
         csr = build_csr(key, str(record.urn))
-        self.inventory.set_state(record.uuid, RenewalState.IN_PROGRESS)
         try:
             meta = self._issue(record.urn, csr, challenge)
         except IotPkiError as exc:
@@ -318,6 +306,5 @@ class FleetManager:
     # -- revocation ----------------------------------------------------------
 
     def revoke_device(self, device_uuid: uuidlib.UUID) -> None:
-        require_certificate(self.inventory.get(device_uuid))
-        self.inventory.set_state(device_uuid, RenewalState.REVOKED)
+        self.inventory.revoke(device_uuid)
         log.info("revoked device %s", device_uuid)

@@ -61,10 +61,6 @@ class BuildFailed(IotPkiError):
     pass
 
 
-class AlreadyRevoked(IotPkiError):
-    pass
-
-
 SEED_BYTES = 8
 
 

@@ -257,6 +257,16 @@ class TestWireCodec:
             ZoneRecord("t.vendor.com", RType.CNAME, "www.t.vendor.com", 60)
         ]
 
+    def test_question_without_type_and_class_raises(self):
+        with pytest.raises(wire.WireFormatError):
+            wire.parse_response(header(0x8400, 1, 0) + b"\x01t\x00")
+
+    def test_record_of_another_class_skipped(self):
+        # A CHAOS-class address, then an IN one: only the IN record is an answer.
+        chaos = b"\x01t\x00" + struct.pack("!HHIH", int(RType.A), 3, 60, 4) + b"\x7f\x00\x00\x02"
+        packet = header(0x8400, 0, 2) + chaos + self._answer(RType.A, 4, b"\x7f\x00\x00\x01")[12:]
+        assert wire.parse_response(packet)[3] == [ZoneRecord("t.vendor.com", RType.A, "127.0.0.1", 60)]
+
     def test_mixed_case_question_normalized(self):
         packet = wire.build_query(1, "ClOuD.Vendor.COM".lower(), RType.A)
         raw = bytearray(packet)

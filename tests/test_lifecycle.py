@@ -10,14 +10,24 @@ from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
+from cryptography.x509.oid import ExtensionOID
 
 from iotpki.acme import DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
-from iotpki.certs import build_csr, generate_key, san_dns_names, spki_fingerprint, split_pem_chain
+from iotpki.certs import (
+    build_csr,
+    generate_key,
+    san_dns_names,
+    serial_hex,
+    spki_fingerprint,
+    split_pem_chain,
+)
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
 from iotpki.dnsauth.server import ResolutionFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
-from iotpki.inventory import Inventory, RenewalState, UnknownDevice
+from iotpki.inventory import AlreadyRevoked, Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
     EmptyBatch,
     EnrollmentAborted,
@@ -27,7 +37,7 @@ from iotpki.lifecycle import (
     RenewalBusy,
 )
 from iotpki.peer_auth import RejectReason, TrustContext, check_leaf
-from iotpki.revocation import AlreadyRevoked, RevocationLog, query
+from iotpki.revocation import RevocationLog, query
 
 NOW = datetime(2026, 3, 1, 12, 0, tzinfo=timezone.utc)
 NS = VendorNamespace("vendor.com", "camera")
@@ -176,6 +186,55 @@ class TestForeignKeyCertificate:
         assert record.renewal_state is RenewalState.DUE
         assert record.current_cert.serial == before.serial
         assert record.current_cert.public_key_fingerprint == before.public_key_fingerprint
+
+
+def certify_unreadable_names(monkeypatch) -> None:
+    """From now on the CA signs every order's leaf with a SAN extension
+    whose bytes do not parse: a CA answer the client must refuse, as it
+    refuses a leaf for a foreign key."""
+
+    def issue_unreadable(state, csr):
+        not_before = state.clock() - timedelta(minutes=1)
+        cert = (
+            x509.CertificateBuilder()
+            .subject_name(csr.subject)
+            .issuer_name(state.root_cert.subject)
+            .public_key(csr.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(not_before)
+            .not_valid_after(not_before + timedelta(days=30))
+            .add_extension(
+                x509.UnrecognizedExtension(ExtensionOID.SUBJECT_ALTERNATIVE_NAME, b"\x30\x03junk"),
+                critical=False,
+            )
+            .sign(state.root_key, hashes.SHA256())
+        )
+        return serial_hex(cert), cert
+
+    monkeypatch.setattr(ca_module.TestCaState, "issue", issue_unreadable)
+
+
+class TestUnreadableLeaf:
+    def test_enrollment_aborts_and_files_no_certificate(self, manager, monkeypatch):
+        certify_unreadable_names(monkeypatch)
+        with pytest.raises(EnrollmentAborted, match="unreadable chain"):
+            manager.enroll_device(NS, secret("u1"))
+        assert manager.inventory.get(derive_device_uuid(NS, secret("u1"))).current_cert is None
+
+    def test_tick_defers_every_device_and_strands_none(self, stack, manager, monkeypatch):
+        # One refused leaf must neither end the tick before the devices
+        # after it nor leave its device out of the next tick.
+        uuids = [manager.enroll_device(NS, secret(f"u{i}")).urn.uuid for i in (2, 3, 4)]
+        before = {uuid: manager.inventory.get(uuid).current_cert for uuid in uuids}
+        stack.clock.now = min(meta.not_after for meta in before.values()) - timedelta(days=5)
+        certify_unreadable_names(monkeypatch)
+        outcomes = manager.renewal_tick()
+        assert [(o.status, o.detail) for o in outcomes] == [("deferred", "CsrMismatch")] * 3
+        for uuid, meta in before.items():
+            record = manager.inventory.get(uuid)
+            assert (record.renewal_state, record.current_cert) == (RenewalState.DUE, meta)
+        monkeypatch.undo()
+        assert [o.status for o in manager.renewal_tick()] == ["renewed"] * 3
 
 
 class TestMisshapenCaAnswer:
@@ -412,6 +471,37 @@ class TestRevocation:
         manager.revoke_device(bundle.urn.uuid)
         with pytest.raises(AlreadyRevoked):
             manager.revoke_device(bundle.urn.uuid)
+
+    def test_concurrent_revokes_give_one_already_revoked(self, stack, manager, monkeypatch):
+        # Each revocation that reads the record before it writes is held
+        # until both have read: a check made outside the write's lock then
+        # passes twice. Only one of the two may revoke.
+        uuid = manager.enroll_device(NS, secret("v6")).urn.uuid
+        both_read = threading.Barrier(2, timeout=5)
+        get = manager.inventory.get
+
+        def get_then_wait(device_uuid):
+            record = get(device_uuid)
+            both_read.wait()
+            return record
+
+        monkeypatch.setattr(manager.inventory, "get", get_then_wait)
+        outcomes = []
+
+        def revoke():
+            try:
+                manager.revoke_device(uuid)
+                outcomes.append("revoked")
+            except AlreadyRevoked:
+                outcomes.append("AlreadyRevoked")
+
+        threads = [threading.Thread(target=revoke) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(outcomes) == ["AlreadyRevoked", "revoked"]
+        assert get(uuid).renewal_state is RenewalState.REVOKED
 
     def test_revoke_unknown_rejected(self, manager):
         with pytest.raises(UnknownDevice):
