@@ -37,9 +37,7 @@ from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
 from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
-from ..serving import (
-    BackgroundServer, BadHead, ConnectionServer, HttpHandler, read_body, read_headers, read_line, status_line,
-)
+from ..serving import BackgroundServer, BadHead, ConnectionServer, HttpHandler, read_answer, read_body
 from . import jws
 from .challenges import WELL_KNOWN_PREFIX
 
@@ -652,8 +650,7 @@ class TestCa(BackgroundServer):
                 with socket.create_connection((ip, self.http01_port), timeout=3) as sock:
                     sock.sendall(request.encode("ascii"))
                     with sock.makefile("rb") as rfile:
-                        _, status = status_line(read_line(rfile))
-                        body = read_body(rfile, read_headers(rfile))
+                        _, status, _, body = read_answer(rfile, "GET")
             except (OSError, BadHead) as exc:
                 return False, f"http probe failed: {exc}"
             if status != 200:

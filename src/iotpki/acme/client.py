@@ -17,7 +17,7 @@ from typing import Any, Callable, TypeVar
 
 from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
 from ..errors import IotPkiError
-from ..serving import BadHead, read_body, read_headers, read_line, status_line
+from ..serving import BadHead, read_answer
 from . import jws
 
 log = logging.getLogger(__name__)
@@ -170,7 +170,7 @@ class AcmeClient:
     def _http(self, method: str, url: str, body: bytes | None = None):
         """One request and its answer as (status, headers, payload), over
         the kept connection. The head and body go out in one write, and
-        exactly Content-Length bytes of answer are read (none for HEAD)."""
+        the answer is read as ``read_answer`` frames it."""
         parts = urllib.parse.urlsplit(url)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if _NOT_URL_TEXT.search(target + parts.netloc):
@@ -186,9 +186,7 @@ class AcmeClient:
             if self._sock is None:
                 self._connect(parts)
             self._sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
-            version, status = status_line(read_line(self._rfile))
-            headers = read_headers(self._rfile)
-            payload = b"" if method == "HEAD" else read_body(self._rfile, headers)
+            version, status, headers, payload = read_answer(self._rfile, method)
         except (OSError, BadHead) as exc:
             self.close()
             raise CaUnreachable(f"{method} {url}: {exc}") from exc

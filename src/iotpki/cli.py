@@ -8,8 +8,9 @@ writes only public artifacts (reports, snapshots, certificates, filter
 bytes) under the --out directory. Device private keys never leave
 process memory.
 
-Configuration precedence: command-line flags > IOTPKI_* environment
-variables > --config file (plain ``key = value`` lines) > defaults.
+Every setting is a flag, with its default declared beside it, and each
+subcommand takes only the flags it reads: any other flag is a usage
+error, exit 2.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
+import re
 import sys
 import time
 import uuid as uuidlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,60 +58,8 @@ class ManualClock:
         return self.now
 
 
-@dataclass
-class Settings:
-    root_domain: str = "vendor.example"
-    device_class: str = "sensor"
-    challenge: str = "dns01"
-    parallelism: int = DEFAULT_PARALLELISM
-    seed: int = 0
-    out: str = "out"
-
-
-def _parse_config_file(path: str) -> dict:
-    """Plain ``key = value`` lines; blank lines and # comments ignored."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IotPkiError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise IotPkiError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def load_settings(args: argparse.Namespace) -> Settings:
-    """Merge config file, then environment, then flags over the defaults.
-    A value of the wrong type is an IotPkiError naming where it came from."""
-    settings = Settings()
-    config_path = getattr(args, "config", None)
-    config = _parse_config_file(config_path) if config_path else {}
-    for field_ in fields(Settings):
-        kind = type(field_.default)
-        env_key = f"IOTPKI_{field_.name.upper()}"
-        layers = (
-            (f"{config_path}: {field_.name}", config.get(field_.name)),
-            (f"environment variable {env_key}", os.environ.get(env_key)),
-            (f"flag --{field_.name.replace('_', '-')}", getattr(args, field_.name, None)),
-        )
-        for source, value in layers:
-            if value is None:
-                continue
-            try:
-                setattr(settings, field_.name, kind(value))
-            except ValueError:
-                raise IotPkiError(f"{source}: {value!r} is not a valid {kind.__name__}") from None
-    return settings
-
-
-def _out_dir(settings: Settings) -> Path:
-    path = Path(settings.out)
+def _out_dir(out: str) -> Path:
+    path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -144,11 +92,11 @@ def scenario_stack(apex: str):
     return _services(_vendor_zone(apex), ManualClock(BASE_TIME), 0)
 
 
-def _new_manager(stack, settings: Settings, root_domain: str | None = None) -> FleetManager:
+def _new_manager(stack, root_domain: str) -> FleetManager:
     return FleetManager(
         inventory=Inventory(),
         zone=stack.zone,
-        revocation_log=RevocationLog(root_domain or settings.root_domain),
+        revocation_log=RevocationLog(root_domain),
         directory_url=stack.ca.directory_url,
         ca_bundle_pem=stack.ca.service_cert_pem,
         cloud_target=f"cloud.{stack.zone.apex}",
@@ -178,14 +126,12 @@ def _restore_fleet(out: Path) -> Inventory:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_enroll(args: argparse.Namespace, settings: Settings) -> int:
-    out = _out_dir(settings)
-    ns = VendorNamespace(settings.root_domain, settings.device_class)
-    secret = (
-        args.secret.encode() if args.secret else _device_secret(settings.seed, 0)
-    )
-    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
-        bundle = manager.enroll_device(ns, DeviceSecret(secret), settings.challenge)
+def cmd_enroll(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
+    ns = VendorNamespace(args.root_domain, args.device_class)
+    secret = args.secret.encode() if args.secret else _device_secret(args.seed, 0)
+    with scenario_stack(args.root_domain) as stack, _new_manager(stack, args.root_domain) as manager:
+        bundle = manager.enroll_device(ns, DeviceSecret(secret), args.challenge)
         _persist_fleet(out, manager)
         cert_path = out / f"{bundle.urn.uuid}.pem"
         cert_path.write_text(bundle.certificate_chain)
@@ -196,19 +142,19 @@ def cmd_enroll(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_enroll_batch(args: argparse.Namespace, settings: Settings) -> int:
-    out = _out_dir(settings)
+def cmd_enroll_batch(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     requests = [
         EnrollmentRequest(
-            settings.root_domain,
-            settings.device_class,
-            _device_secret(settings.seed, i),
-            settings.challenge,
+            args.root_domain,
+            args.device_class,
+            _device_secret(args.seed, i),
+            args.challenge,
         )
         for i in range(args.count)
     ]
-    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
-        report = manager.enroll_batch(requests, parallelism=settings.parallelism)
+    with scenario_stack(args.root_domain) as stack, _new_manager(stack, args.root_domain) as manager:
+        report = manager.enroll_batch(requests, parallelism=args.parallelism)
         _persist_fleet(out, manager)
     report_path = out / "enrollment_report.csv"
     report_path.write_text(report.to_csv())
@@ -223,18 +169,18 @@ def cmd_enroll_batch(args: argparse.Namespace, settings: Settings) -> int:
     return 0 if summary["failed"] == 0 else 1
 
 
-def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_renew(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise IotPkiError(f"renew needs at least one device, got --count {args.count}")
-    out = _out_dir(settings)
-    ns = VendorNamespace(settings.root_domain, settings.device_class)
+    out = _out_dir(args.out)
+    ns = VendorNamespace(args.root_domain, args.device_class)
     rows = ["cycle,uuid,status,serial,fingerprint"]
     renewed = deferred = 0
-    with scenario_stack(settings.root_domain) as stack, _new_manager(stack, settings) as manager:
+    with scenario_stack(args.root_domain) as stack, _new_manager(stack, args.root_domain) as manager:
         for i in range(args.count):
             stack.clock.now = BASE_TIME + timedelta(hours=12) * i
             manager.enroll_device(
-                ns, DeviceSecret(_device_secret(settings.seed, i)), settings.challenge
+                ns, DeviceSecret(_device_secret(args.seed, i)), args.challenge
             )
         for cycle in range(1, args.cycles + 1):
             if args.now is not None:
@@ -265,8 +211,8 @@ def cmd_renew(args: argparse.Namespace, settings: Settings) -> int:
     return 0 if deferred == 0 else 1
 
 
-def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
-    out = _out_dir(settings)
+def cmd_revoke(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     inventory = _restore_fleet(out)
     serial = inventory.revoke(args.uuid).serial
     inventory.snapshot(out / SNAPSHOT_FILE)
@@ -274,23 +220,26 @@ def cmd_revoke(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
-    out = _out_dir(settings)
+def cmd_filter_build(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
+    inventory = _restore_fleet(out)
+    vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {args.root_domain}
+    if len(vendors) > 1:
+        raise IotPkiError(f"snapshot names vendors {', '.join(sorted(vendors))}; a filter covers one")
+    universe, revoked = inventory.serials()
+    filt = build_filter(revoked, universe, vendors.pop(), args.epoch)
+    payload = serialize(filt)
     filter_path = out / FILTER_FILE
-    if args.action == "build":
-        inventory = _restore_fleet(out)
-        vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {settings.root_domain}
-        if len(vendors) > 1:
-            raise IotPkiError(f"snapshot names vendors {', '.join(sorted(vendors))}; a filter covers one")
-        universe, revoked = inventory.serials()
-        filt = build_filter(revoked, universe, vendors.pop(), args.epoch)
-        payload = serialize(filt)
-        filter_path.write_bytes(payload)
-        print(
-            f"filter epoch {filt.epoch}: {len(revoked)} revoked of {len(universe)} issued, "
-            f"{len(filt.levels)} level(s), {len(payload)} bytes -> {filter_path}"
-        )
-        return 0
+    filter_path.write_bytes(payload)
+    print(
+        f"filter epoch {filt.epoch}: {len(revoked)} revoked of {len(universe)} issued, "
+        f"{len(filt.levels)} level(s), {len(payload)} bytes -> {filter_path}"
+    )
+    return 0
+
+
+def cmd_filter_check(args: argparse.Namespace) -> int:
+    filter_path = _out_dir(args.out) / FILTER_FILE
     serial = _serial_spelling(args.serial)
     if not filter_path.exists():
         raise IotPkiError(f"no revocation filter at {filter_path}; run filter build first")
@@ -300,16 +249,17 @@ def cmd_filter(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
+_HEX_SERIAL = re.compile(r"(?:0[xX])?([0-9A-Fa-f]+)")
+
+
 def _serial_spelling(text: str) -> str:
-    """A typed hex serial (any case, leading zeros, an optional 0x) in
-    the one spelling filters are built over, ``certs.serial_hex``'s."""
-    try:
-        number = int(text, 16)
-    except ValueError:
-        number = -1
-    if number < 0 or not text.isascii():
+    """A typed hex serial (hex digits in any case, leading zeros, an
+    optional 0x) in the one spelling filters are built over,
+    ``certs.serial_hex``'s."""
+    match = _HEX_SERIAL.fullmatch(text)
+    if match is None:
         raise IotPkiError(f"serial {text!r} is not a hex number")
-    return format(number, "x")
+    return format(int(match[1], 16), "x")
 
 
 def _serve_until(duration: float) -> None:
@@ -324,10 +274,10 @@ def _serve_until(duration: float) -> None:
         pass
 
 
-def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
-    apex = settings.root_domain
+def cmd_serve(args: argparse.Namespace) -> int:
+    apex = args.root_domain
     zone = _vendor_zone(apex)
-    snapshot_path = Path(settings.out) / SNAPSHOT_FILE
+    snapshot_path = Path(args.out) / SNAPSHOT_FILE
     if snapshot_path.exists():
         inventory = Inventory.restore(snapshot_path)
         for record in inventory.records():
@@ -344,23 +294,23 @@ def cmd_serve(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_demo(args: argparse.Namespace, settings: Settings) -> int:
-    apex = settings.root_domain
+def cmd_demo(args: argparse.Namespace) -> int:
+    apex = args.root_domain
     vendor_a, vendor_b = f"a.{apex}", f"b.{apex}"
     with (
         scenario_stack(apex) as stack,
-        _new_manager(stack, settings, vendor_a) as manager_a,
-        _new_manager(stack, settings, vendor_b) as manager_b,
+        _new_manager(stack, vendor_a) as manager_a,
+        _new_manager(stack, vendor_b) as manager_b,
     ):
         server = manager_a.enroll_device(
             VendorNamespace(vendor_a, "gateway"),
-            DeviceSecret(_device_secret(settings.seed, 1)),
-            settings.challenge,
+            DeviceSecret(_device_secret(args.seed, 1)),
+            args.challenge,
         )
         client = manager_b.enroll_device(
-            VendorNamespace(vendor_b, settings.device_class),
-            DeviceSecret(_device_secret(settings.seed, 2)),
-            settings.challenge,
+            VendorNamespace(vendor_b, args.device_class),
+            DeviceSecret(_device_secret(args.seed, 2)),
+            args.challenge,
         )
         if args.revoke == "server":
             manager_a.revoke_device(server.urn.uuid)
@@ -374,7 +324,7 @@ def cmd_demo(args: argparse.Namespace, settings: Settings) -> int:
             },
             clock=stack.clock,
         )
-        payload = random.Random(f"{settings.seed}|demo").randbytes(256)
+        payload = random.Random(f"{args.seed}|demo").randbytes(256)
         result = mtls_echo(server, client, trust, payload)
     if result.payload_echoed != payload:
         raise IotPkiError("echoed payload does not match what was sent")
@@ -385,8 +335,8 @@ def cmd_demo(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, settings: Settings) -> int:
-    out = _out_dir(settings)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     modes = ["d2d", "cloud"] if args.mode == "both" else [args.mode]
     stats: dict[str, dict] = {}
     for mode in modes:
@@ -401,7 +351,7 @@ def cmd_simulate(args: argparse.Namespace, settings: Settings) -> int:
             handshake_cost_ms=args.handshake_ms,
             cloud=WeibullParams(beta=args.weibull_beta, lam=args.weibull_lambda),
             cloud_connection_cap=args.cloud_cap,
-            seed=settings.seed,
+            seed=args.seed,
         )
         report = run_smart_city(cfg)
         with (out / f"sim_{mode}.csv").open("w") as fp:
@@ -466,60 +416,76 @@ def _seconds(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value settings file")
-    common.add_argument("--out", help="output directory (default ./out)")
-    common.add_argument("--seed", type=int, help="seed for all stochastic components")
-    common.add_argument("--root-domain", dest="root_domain", help="vendor root domain")
-    common.add_argument("--device-class", dest="device_class", help="device class label")
-    common.add_argument("--challenge", choices=["dns01", "http01"], help="ACME challenge type")
-    common.add_argument("--parallelism", type=int, help="concurrent enrollments")
+# The flags several subcommands share; each declares the ones it reads.
+_SHARED_FLAGS = {
+    "out": dict(default="out", help="output directory (default ./out)"),
+    "seed": dict(type=int, default=0, help="seed for all stochastic components"),
+    "root-domain": dict(default="vendor.example", help="vendor root domain"),
+    "device-class": dict(default="sensor", help="device class label"),
+    "challenge": dict(choices=["dns01", "http01"], default="dns01", help="ACME challenge type"),
+    "parallelism": dict(type=int, default=DEFAULT_PARALLELISM, help="concurrent enrollments"),
+}
+_ENROLLMENT_FLAGS = ("out", "seed", "root-domain", "device-class", "challenge")
 
+
+def _subcommand(sub, name: str, func, shared: tuple[str, ...], summary: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``func``, with the shared flags it reads."""
+    p = sub.add_parser(name, help=summary)
+    for flag in shared:
+        p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iotpki",
         description="DNS-rooted IoT identity, ACME lifecycle, and latency simulation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enroll", parents=[common], help="enroll one device against the embedded CA")
+    p = _subcommand(sub, "enroll", cmd_enroll, _ENROLLMENT_FLAGS, "enroll one device against the embedded CA")
     p.add_argument("--secret", help="device secret (>=16 chars); derived from seed if omitted")
-    p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("enroll-batch", parents=[common], help="enroll N devices concurrently")
+    p = _subcommand(
+        sub, "enroll-batch", cmd_enroll_batch, (*_ENROLLMENT_FLAGS, "parallelism"), "enroll N devices concurrently"
+    )
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_enroll_batch)
 
-    p = sub.add_parser("renew", parents=[common], help="enroll a fleet, then run renewal cycles")
+    p = _subcommand(sub, "renew", cmd_renew, _ENROLLMENT_FLAGS, "enroll a fleet, then run renewal cycles")
     p.add_argument("--count", type=int, default=5, help="devices to enroll")
     p.add_argument("--cycles", type=_int_in(1, math.inf), default=1, help="renewal ticks to run")
     p.add_argument(
         "--now", type=_rfc3339_arg, help="RFC 3339 time for the tick (defaults to auto-advance)"
     )
-    p.set_defaults(func=cmd_renew)
 
-    p = sub.add_parser("revoke", parents=[common], help="revoke a device from the saved snapshot")
+    p = _subcommand(sub, "revoke", cmd_revoke, ("out",), "revoke a device from the saved snapshot")
     p.add_argument("--uuid", type=uuidlib.UUID, required=True)
-    p.set_defaults(func=cmd_revoke)
 
-    p = sub.add_parser("filter", parents=[common], help="build or query the revocation filter")
-    p.add_argument("action", choices=["build", "check"])
+    actions = sub.add_parser("filter", help="build or query the revocation filter").add_subparsers(
+        dest="action", required=True
+    )
+    p = _subcommand(
+        actions, "build", cmd_filter_build, ("out", "root-domain"),
+        "build the filter over the snapshot (--root-domain names the vendor of an empty one)",
+    )
     p.add_argument("--epoch", type=_int_in(0, 2**32 - 1), default=1)
-    p.add_argument("--serial", help="serial to check (hex)")
-    p.set_defaults(func=cmd_filter)
+    p = _subcommand(actions, "check", cmd_filter_check, ("out",), "look a serial up in the built filter")
+    p.add_argument("--serial", required=True, help="serial to check (hex)")
 
-    p = sub.add_parser("serve", parents=[common], help="run the DNS authority or the embedded CA")
+    p = _subcommand(sub, "serve", cmd_serve, ("out", "root-domain"), "run the DNS authority or the embedded CA")
     p.add_argument("service", choices=["dns", "ca"])
     p.add_argument("--port", type=_int_in(0, 65535), default=0, help="bind port (0 = ephemeral)")
     p.add_argument("--duration", type=_seconds, default=0.0, help="seconds to serve (0 = until interrupt)")
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("demo", parents=[common], help="two-vendor mutual-TLS echo scenario")
+    p = _subcommand(
+        sub, "demo", cmd_demo, ("seed", "root-domain", "device-class", "challenge"),
+        "two-vendor mutual-TLS echo scenario",
+    )
     p.add_argument("scenario", choices=["d2d"])
     p.add_argument("--revoke", choices=["client", "server"], help="revoke one side first")
-    p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("simulate", parents=[common], help="smart-city latency simulation")
+    p = _subcommand(sub, "simulate", cmd_simulate, ("out", "seed"), "smart-city latency simulation")
     p.add_argument("--mode", choices=["d2d", "cloud", "both"], default="both")
     p.add_argument("--nodes", type=int, default=SimConfig.num_mobile_nodes)
     p.add_argument("--duration", type=float, default=SimConfig.duration, help="simulated seconds")
@@ -533,18 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weibull-beta", dest="weibull_beta", type=float, default=WEIBULL_BETA)
     p.add_argument("--weibull-lambda", dest="weibull_lambda", type=float, default=WEIBULL_LAMBDA)
     p.add_argument("--cloud-cap", dest="cloud_cap", type=int, default=SimConfig.cloud_connection_cap)
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "filter" and args.action == "check" and not args.serial:
-        parser.error("filter check requires --serial")
+    args = build_parser().parse_args(argv)
     try:
-        settings = load_settings(args)
-        return args.func(args, settings)
+        return args.func(args)
     except IotPkiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

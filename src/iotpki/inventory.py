@@ -125,8 +125,9 @@ class DeviceRecord:
 class Inventory:
     """In-memory registry with checksummed single-file snapshots.
 
-    Concurrency: single writer, many readers; no state marks a renewal in
-    flight. All mutations take the internal lock; reads hand out frozen copies.
+    Concurrency: many threads write at once (``enroll_batch``'s pool
+    does), and every mutation takes the one internal lock; reads hand out
+    frozen copies. No state marks a renewal in flight.
     """
 
     def __init__(self) -> None:

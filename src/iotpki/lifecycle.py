@@ -31,7 +31,7 @@ from .certs import (
 from .dnsauth import Zone
 from .errors import IotPkiError
 from .identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
-from .inventory import CertificateMeta, DeviceRecord, Inventory, RenewalState, utcnow
+from .inventory import AlreadyRevoked, CertificateMeta, DeviceRecord, Inventory, RenewalState, utcnow
 from .revocation import RevocationLog
 
 log = logging.getLogger(__name__)
@@ -229,7 +229,10 @@ class FleetManager:
 
     def _enroll_timed(self, urn: DeviceUrn, challenge: str) -> tuple[ProvisionedDevice, float, float]:
         t0 = time.perf_counter()
-        self.inventory.upsert_device(urn, now=self.clock())
+        # Revocation is final: an order for a revoked device would buy a
+        # certificate that every relying party refuses.
+        if self.inventory.upsert_device(urn, now=self.clock()).renewal_state is RenewalState.REVOKED:
+            raise AlreadyRevoked(f"device {urn.uuid} already revoked")
         self.zone.bind_device(str(urn), self.cloud_target)
         binding_ms = (time.perf_counter() - t0) * 1000.0
 

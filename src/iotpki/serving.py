@@ -4,7 +4,8 @@ ACME CA, mTLS echo), one connection server for the three TCP services
 package's one HTTP/1.1 implementation: every hop (ACME client and CA,
 HTTP-01 probe and token shelf) reads messages with ``read_line``,
 ``read_headers`` and ``read_body`` (``Content-Length`` framing, 64 KiB
-at most), and both servers answer in ``HttpHandler``'s keep-alive loop.
+at most), both clients read answers with ``read_answer``, and both
+servers answer in ``HttpHandler``'s keep-alive loop.
 
 A ``BackgroundServer`` runs its ``socketserver`` in one thread that
 waits on two sockets: the listening socket and one end of a socket
@@ -110,6 +111,16 @@ def read_body(rfile, headers: dict[str, str]) -> bytes:
     if len(body) < length:
         raise BadHead(f"body truncated at {len(body)} of {length} bytes")
     return body
+
+
+def read_answer(rfile, method: str) -> tuple[str, int, dict[str, str], bytes]:
+    """One answer to a ``method`` request: (HTTP version, status, headers,
+    body). An answer to HEAD, a 204 and a 304 end at their head (RFC 9112
+    section 6.3); any other answer's body is ``read_body``'s."""
+    version, status = status_line(read_line(rfile))
+    headers = read_headers(rfile)
+    body = b"" if method == "HEAD" or status in (204, 304) else read_body(rfile, headers)
+    return version, status, headers, body
 
 
 class HttpHandler(socketserver.StreamRequestHandler):

@@ -689,6 +689,17 @@ class TestTransport:
         with pytest.raises(CaUnreachable, match="not a request target"):
             client._http("GET", stack.ca.base_url + path)
 
+    def test_get_new_nonce_reads_a_204_without_a_body(self, stack):
+        client = new_client(stack)
+        url = client.directory()["newNonce"]
+        sock = client._sock
+        status, headers, payload = client._http("GET", url)
+        assert (status, payload) == (204, b"")
+        assert headers["replay-nonce"] in stack.ca.state.nonces
+        # The answer ended at its head, so the connection carries the next request.
+        assert client._http("GET", stack.ca.directory_url)[0] == 200
+        assert client._sock is sock
+
     def test_stock_http_client_head_gets_a_nonce(self, stack):
         ctx = ssl.create_default_context(cadata=stack.ca.service_cert_pem)
         ctx.check_hostname = False
@@ -865,27 +876,34 @@ def framed(status_line: bytes):
     return lambda proof: status_line + b"\r\nContent-Length: %d\r\n\r\n%s" % (len(proof), proof)
 
 
-# Answers of a stubbed HTTP-01 endpoint, and the challenge status each leaves.
+# Answers of a stubbed HTTP-01 endpoint, the challenge status each leaves,
+# and how the problem detail of an invalid one starts.
 PROBE_ANSWERS = {
-    "proof": (framed(b"HTTP/1.1 200 OK"), "valid"),
+    "proof": (framed(b"HTTP/1.1 200 OK"), "valid", None),
     "chunked": (
         lambda proof: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
         % (len(proof), proof),
         "invalid",
+        "http probe failed",
     ),
     "oversized": (
         lambda proof: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
         + proof.ljust(MAX_BODY_BYTES + 1),
         "invalid",
+        "http probe failed",
     ),
-    "bad-status-line": (framed(b"HTTP/1.1 OK"), "invalid"),
-    "not-found": (lambda proof: b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", "invalid"),
+    "bad-status-line": (framed(b"HTTP/1.1 OK"), "invalid", "http probe failed"),
+    "not-found": (
+        lambda proof: b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", "invalid", "http probe returned 404"
+    ),
+    # A 204 has no body, so no Content-Length either (RFC 9112 section 6.3).
+    "no-content": (lambda proof: b"HTTP/1.1 204 No Content\r\n\r\n", "invalid", "http probe returned 204"),
 }
 
 
 @pytest.mark.parametrize("case", PROBE_ANSWERS)
 def test_http01_probe_reads_with_the_shared_readers(stack, case):
-    answer, outcome = PROBE_ANSWERS[case]
+    answer, outcome, detail = PROBE_ANSWERS[case]
     stub, hosts = http01_stub(answer)
     fqdn = f"probe-{case}.camera.vendor.com"
     stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
@@ -896,7 +914,7 @@ def test_http01_probe_reads_with_the_shared_readers(stack, case):
         ca.validate_challenge(chall, kid)
     assert (chall.status, hosts) == (outcome, [fqdn])
     if outcome == "invalid":
-        assert "http probe" in order.problem["detail"]
+        assert order.problem["detail"].startswith(detail)
 
 
 def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, bytes]:

@@ -1,10 +1,11 @@
-"""Command-line behavior: exit codes, artifacts, precedence, determinism."""
+"""Command-line behavior: exit codes, flags per subcommand, artifacts, determinism."""
 
 from __future__ import annotations
 
 import hashlib
 import http.client
 import json
+import shlex
 import socket
 import ssl
 import threading
@@ -77,31 +78,53 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv, env, code, diagnostic",
+        "argv",
         [
-            (["renew", "--count", "0"], {}, 1, "at least one device"),
-            (["renew", "--now", "2026-13-01"], {}, 2, "--now"),
-            (["renew", "--count", "1", "--cycles", "-1"], {}, 2, "--cycles"),
-            (["filter", "build", "--epoch", "-1"], {}, 2, "--epoch"),
-            (["filter", "build", "--epoch", "4294967296"], {}, 2, "--epoch"),
-            (["serve", "dns", "--port", "70000"], {}, 2, "--port"),
-            (["serve", "dns", "--duration", "-1"], {}, 2, "--duration"),
-            (["serve", "dns", "--duration", "nan"], {}, 2, "--duration"),
-            (["enroll-batch", "--count", "2", "--parallelism", "0"], {}, 1, "parallelism"),
-            (["enroll-batch", "--count", "2"], {"IOTPKI_PARALLELISM": "0"}, 1, "parallelism"),
+            ["enroll", "--parallelism", "2"],
+            ["renew", "--parallelism", "2"],
+            ["revoke", "--uuid", "00000000-0000-4000-8000-000000000000", "--seed", "1"],
+            ["filter", "build", "--serial", "ab"],
+            ["filter", "check", "--serial", "ab", "--epoch", "2"],
+            ["serve", "dns", "--challenge", "http01"],
+            ["demo", "d2d", "--out", "d"],
+            ["simulate", "--root-domain", "a.test"],
+            ["enroll", "--config", "f"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a[0].isdigit()),
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_iotpki_variables_are_not_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IOTPKI_SEED", "abc")
+        monkeypatch.setenv("IOTPKI_ROOT_DOMAIN", "envy.test")
+        code, stdout, _ = run(["enroll", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert ".vendor.example" in stdout and "envy.test" not in stdout
+
+    @pytest.mark.parametrize(
+        "argv, code, diagnostic",
+        [
+            (["renew", "--count", "0"], 1, "at least one device"),
+            (["renew", "--now", "2026-13-01"], 2, "--now"),
+            (["renew", "--count", "1", "--cycles", "-1"], 2, "--cycles"),
+            (["filter", "build", "--epoch", "-1"], 2, "--epoch"),
+            (["filter", "build", "--epoch", "4294967296"], 2, "--epoch"),
+            (["serve", "dns", "--port", "70000"], 2, "--port"),
+            (["serve", "dns", "--duration", "-1"], 2, "--duration"),
+            (["serve", "dns", "--duration", "nan"], 2, "--duration"),
+            (["enroll-batch", "--count", "2", "--parallelism", "0"], 1, "parallelism"),
         ],
         ids=["renew-count-0", "renew-month-13", "renew-cycles-neg", "epoch-neg", "epoch-2^32",
-             "port-70000", "serve-duration-neg", "serve-duration-nan", "parallelism-flag-0",
-             "parallelism-env-0"],
+             "port-70000", "serve-duration-neg", "serve-duration-nan", "parallelism-flag-0"],
     )
-    def test_value_out_of_range_keeps_exit_contract(
-        self, small_filter_dir, capsys, monkeypatch, argv, env, code, diagnostic
-    ):
+    def test_value_out_of_range_keeps_exit_contract(self, small_filter_dir, capsys, argv, code, diagnostic):
         """1 with one error line for a domain error, 2 for a flag argparse
         rejects; never a traceback. The filter rows run over a built
         universe, so they reach the epoch."""
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         argv = [*argv, "--out", small_filter_dir]
         if code == 2:
             with pytest.raises(SystemExit) as excinfo:
@@ -114,6 +137,31 @@ class TestUsageErrors:
         assert stdout == ""
         assert stderr.startswith("error:") and diagnostic in stderr
         assert stderr.count("\n") == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_PLACEHOLDERS = {"<device-uuid>": "00000000-0000-4000-8000-000000000000", "<hex-serial>": "abc005"}
+
+
+def readme_command_lines() -> list[str]:
+    """Every ``iotpki ...`` line of README's sh blocks, placeholders filled in."""
+    lines, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("iotpki "):
+            for placeholder, value in README_PLACEHOLDERS.items():
+                line = line.replace(placeholder, value)
+            lines.append(line)
+    return lines
+
+
+def test_readme_command_lines_parse():
+    """The documented command lines use only the flags each subcommand
+    takes, and between them run every subcommand."""
+    parser = cli.build_parser()
+    run_by = {parser.parse_args(shlex.split(line, comments=True)[1:]).func for line in readme_command_lines()}
+    assert run_by == {getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}
 
 
 class TestEnrollmentCommands:
@@ -254,7 +302,9 @@ class TestRevokeAndFilter:
         assert code == 0
         assert stdout.startswith(f"{spelled}: {verdict} (")
 
-    @pytest.mark.parametrize("typed", ["xyz", "abc-005", "-abc005", "0x", "\u0661\u0662"])
+    @pytest.mark.parametrize(
+        "typed", ["xyz", "abc-005", "-abc005", "0x", "\u0661\u0662", "ab_cd", "+ab", "0x_ab", " ab "]
+    )
     def test_filter_check_rejects_text_that_is_not_hex(self, small_filter_dir, capsys, typed):
         code, stdout, stderr = run(
             ["filter", "check", f"--serial={typed}", "--out", small_filter_dir], capsys
@@ -432,19 +482,19 @@ class TestRenew:
 
 
 class TestDemo:
-    def test_demo_succeeds(self, tmp_path, capsys):
+    def test_demo_succeeds(self, capsys):
         code, stdout, _ = run(
-            ["demo", "d2d", "--out", str(tmp_path), "--root-domain", "demo.test", "--seed", "4"],
+            ["demo", "d2d", "--root-domain", "demo.test", "--seed", "4"],
             capsys,
         )
         assert code == 0
         assert "echoed 256 bytes" in stdout
         assert "server accepted client" in stdout
 
-    def test_demo_with_revoked_client_fails_with_diagnostic(self, tmp_path, capsys):
+    def test_demo_with_revoked_client_fails_with_diagnostic(self, capsys):
         code, _, stderr = run(
             [
-                "demo", "d2d", "--out", str(tmp_path), "--root-domain", "demo.test",
+                "demo", "d2d", "--root-domain", "demo.test",
                 "--seed", "4", "--revoke", "client",
             ],
             capsys,
@@ -453,10 +503,10 @@ class TestDemo:
         assert "revoked" in stderr
         assert stderr.count("\n") == 1
 
-    def test_demo_with_revoked_server_fails(self, tmp_path, capsys):
+    def test_demo_with_revoked_server_fails(self, capsys):
         code, _, stderr = run(
             [
-                "demo", "d2d", "--out", str(tmp_path), "--root-domain", "demo.test",
+                "demo", "d2d", "--root-domain", "demo.test",
                 "--seed", "4", "--revoke", "server",
             ],
             capsys,
@@ -709,65 +759,3 @@ class TestServe:
         with pytest.raises(BindFailure), cli.scenario_stack("vendor.test"):
             pass
         assert {t.name for t in set(threading.enumerate()) - before} & {"dns-udp", "token-shelf"} == set()
-
-
-class TestSettingsPrecedence:
-    def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
-        config = tmp_path / "iotpki.conf"
-        config.write_text("# fleet defaults\nseed = 1\nroot_domain = config.test\n")
-
-        import argparse
-
-        args = argparse.Namespace(config=str(config), seed=None, root_domain=None)
-        settings = cli.load_settings(args)
-        assert settings.seed == 1
-        assert settings.root_domain == "config.test"
-
-        monkeypatch.setenv("IOTPKI_SEED", "2")
-        settings = cli.load_settings(args)
-        assert settings.seed == 2
-
-        args.seed = 3
-        settings = cli.load_settings(args)
-        assert settings.seed == 3
-        assert settings.root_domain == "config.test"
-
-    def test_malformed_config_line_rejected(self, tmp_path, capsys):
-        config = tmp_path / "bad.conf"
-        config.write_text("this line has no equals sign\n")
-        code, _, stderr = run(
-            ["enroll", "--config", str(config), "--out", str(tmp_path)], capsys
-        )
-        assert code == 1
-        assert "expected key = value" in stderr
-
-    def test_bad_env_value_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("IOTPKI_SEED", "abc")
-        code, _, stderr = run(["enroll", "--out", str(tmp_path)], capsys)
-        assert code == 1
-        assert stderr == "error: environment variable IOTPKI_SEED: 'abc' is not a valid int\n"
-
-    @pytest.mark.parametrize(
-        "content, diagnostic",
-        [
-            ("parallelism = many\n", "{config}: parallelism: 'many' is not a valid int"),
-            (None, "cannot read config file {config}: "),
-        ],
-        ids=["bad-value", "missing-file"],
-    )
-    def test_bad_config_file_is_a_one_line_error(self, tmp_path, capsys, content, diagnostic):
-        config = tmp_path / "iotpki.conf"
-        if content is not None:
-            config.write_text(content)
-        code, _, stderr = run(["enroll", "--config", str(config), "--out", str(tmp_path)], capsys)
-        assert code == 1
-        assert stderr.startswith("error: " + diagnostic.format(config=config))
-        assert stderr.count("\n") == 1
-
-    def test_env_override_applies_to_command(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("IOTPKI_OUT", str(tmp_path / "env-out"))
-        monkeypatch.setenv("IOTPKI_ROOT_DOMAIN", "envy.test")
-        code, stdout, _ = run(["enroll", "--seed", "8"], capsys)
-        assert code == 0
-        assert "envy.test" in stdout
-        assert (tmp_path / "env-out" / "inventory.snapshot").exists()

@@ -503,6 +503,26 @@ class TestRevocation:
         assert sorted(outcomes) == ["AlreadyRevoked", "revoked"]
         assert get(uuid).renewal_state is RenewalState.REVOKED
 
+    def test_revoked_device_is_not_enrolled_again(self, stack, manager):
+        bundle = manager.enroll_device(NS, secret("v7"))
+        manager.revoke_device(bundle.urn.uuid)
+        issued = stack.ca.state.issued_serials()
+        with pytest.raises(AlreadyRevoked):
+            manager.enroll_device(NS, secret("v7"))
+        assert stack.ca.state.issued_serials() == issued
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert record.serials == (serial_hex(split_pem_chain(bundle.certificate_chain)[0]),)
+
+    def test_batch_reports_a_revoked_device_and_orders_nothing(self, stack, manager):
+        request = EnrollmentRequest(NS.root_domain, NS.device_class, b"lifecycle-test-secret-v8")
+        manager.enroll_batch([request])
+        (record,) = manager.inventory.records()
+        manager.revoke_device(record.uuid)
+        issued = stack.ca.state.issued_serials()
+        report = manager.enroll_batch([request])
+        assert [(row.uuid, row.outcome) for row in report.rows] == [(str(record.uuid), "AlreadyRevoked")]
+        assert stack.ca.state.issued_serials() == issued
+
     def test_revoke_unknown_rejected(self, manager):
         with pytest.raises(UnknownDevice):
             manager.revoke_device(uuidlib.uuid4())
