@@ -59,6 +59,9 @@ class ManualClock:
 
 
 def _out_dir(out: str) -> Path:
+    """The --out directory of a command that writes there, created if
+    missing. Commands that read a snapshot or filter from it take
+    ``Path(out)`` and create nothing."""
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -212,7 +215,7 @@ def cmd_renew(args: argparse.Namespace) -> int:
 
 
 def cmd_revoke(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out)
+    out = Path(args.out)
     inventory = _restore_fleet(out)
     serial = inventory.revoke(args.uuid).serial
     inventory.snapshot(out / SNAPSHOT_FILE)
@@ -221,7 +224,7 @@ def cmd_revoke(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_build(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out)
+    out = Path(args.out)
     inventory = _restore_fleet(out)
     vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {args.root_domain}
     if len(vendors) > 1:
@@ -239,7 +242,7 @@ def cmd_filter_build(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_check(args: argparse.Namespace) -> int:
-    filter_path = _out_dir(args.out) / FILTER_FILE
+    filter_path = Path(args.out) / FILTER_FILE
     serial = _serial_spelling(args.serial)
     if not filter_path.exists():
         raise IotPkiError(f"no revocation filter at {filter_path}; run filter build first")

@@ -13,11 +13,18 @@ overhead is counted.
 Probe: each level hashes its 8-byte seed and the serial's UTF-8 bytes
 with one SHA-256, reads h1 and h2 as the first two big-endian 64-bit
 words, and tests k bit positions of its m-bit array by double hashing,
-(h1 + i*(h2 | 1)) mod m for i = 0..k-1. The loop starts at h1 mod m and
-adds the step (h2 | 1) mod m, subtracting m once when the sum reaches m:
+(h1 + i*(h2 | 1)) mod m for i = 0..k-1. The probe tests h1 mod m first
+and, only if that bit is set, computes the step (h2 | 1) mod m and walks
+the other k - 1 positions, subtracting m once when the sum reaches m:
 both terms are below m, so their sum is below 2m, and each position is
-the previous one plus h2 | 1, taken mod m. A query stops at the first
-clear bit.
+the previous one plus h2 | 1, taken mod m. It stops at the first clear
+bit. Bits are tested in each level's lookup view, one byte per bit
+(``lookup[i]`` is bit i of the packed array, least significant bit of
+each byte first), built once from a 256-entry table when the level is
+made. The view costs m bytes per level, 8x the level's packed bytes: a
+filter that ``deserialize`` accepts holds at most 8x its blob's length
+in views. The packed array stays what is built, compared and
+serialized.
 
 Serials outside the build-time universe may return either value; relying
 parties reject unknown issuers during chain validation before ever
@@ -32,7 +39,7 @@ import hashlib
 import math
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IotPkiError
 from .inventory import Inventory
@@ -70,16 +77,28 @@ def _level_seed(vendor_id: str, epoch: int, level: int) -> bytes:
 
 _H1_H2 = struct.Struct("!QQ").unpack_from
 _sha256 = hashlib.sha256
+# Byte value -> its eight bits, least significant first, one byte each.
+_BYTE_BITS = tuple(bytes((value >> i) & 1 for i in range(8)) for value in range(256))
 
 
 @dataclass(frozen=True)
 class BloomLevel:
-    """One filter level: bit array, hash count, and hashing seed."""
+    """One filter level: bit array, hash count, and hashing seed, plus the
+    bits' one-byte-per-bit lookup view that probes read."""
 
     bits: bytes
     num_bits: int
     num_hashes: int
     seed: bytes
+    lookup: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.num_bits < 1 or self.num_hashes < 1:
+            raise CorruptFilter(f"empty level: {self.num_bits} bits, {self.num_hashes} hashes")
+        if len(self.bits) != (self.num_bits + 7) // 8:
+            raise CorruptFilter(f"level of {self.num_bits} bits stored in {len(self.bits)} bytes")
+        lookup = b"".join(map(_BYTE_BITS.__getitem__, self.bits))[: self.num_bits]
+        object.__setattr__(self, "lookup", lookup)
 
     @classmethod
     def build(cls, members: list[str], fp_rate: float, seed: bytes) -> "BloomLevel":
@@ -106,18 +125,20 @@ class BloomLevel:
 
     def hits(self, serials: list[str]) -> list[str]:
         """The serials whose every probed bit is set, in order."""
-        bits, m, k, seed = self.bits, self.num_bits, self.num_hashes, self.seed
+        lookup, m, rest, seed = self.lookup, self.num_bits, range(self.num_hashes - 1), self.seed
         found = []
         for serial in serials:
             h1, h2 = _H1_H2(_sha256(seed + serial.encode("utf-8")).digest())
             index = h1 % m
+            if not lookup[index]:
+                continue
             step = (h2 | 1) % m
-            for _ in range(k):
-                if not bits[index >> 3] & (1 << (index & 7)):
-                    break
+            for _ in rest:
                 index += step
                 if index >= m:
                     index -= m
+                if not lookup[index]:
+                    break
             else:
                 found.append(serial)
         return found
@@ -180,21 +201,26 @@ def _universe_digest(issued_universe: set[str]) -> bytes:
 def query(filter_: RevocationFilter, serial: str) -> bool:
     """Cascade walk. A miss at level i decides by parity (miss at an odd
     level means not revoked); surviving every level decides by the parity
-    of the level count. The level probe is inlined: it is the relying
+    of the level count. ``revoked`` is that answer, flipped at each level
+    the serial survives. The level probe is inlined: it is the relying
     party's hot loop."""
     data = serial.encode("utf-8")
-    for level_number, level in enumerate(filter_.levels, start=1):
-        bits, m = level.bits, level.num_bits
+    revoked = False
+    for level in filter_.levels:
+        lookup, m = level.lookup, level.num_bits
         h1, h2 = _H1_H2(_sha256(level.seed + data).digest())
         index = h1 % m
+        if not lookup[index]:
+            return revoked
         step = (h2 | 1) % m
-        for _ in range(level.num_hashes):
-            if not bits[index >> 3] & (1 << (index & 7)):
-                return level_number % 2 == 0
+        for _ in range(level.num_hashes - 1):
             index += step
             if index >= m:
                 index -= m
-    return len(filter_.levels) % 2 == 1
+            if not lookup[index]:
+                return revoked
+        revoked = not revoked
+    return revoked
 
 
 # -- serialization -----------------------------------------------------------
@@ -219,9 +245,10 @@ def serialize(filter_: RevocationFilter) -> bytes:
 
 def deserialize(data: bytes) -> RevocationFilter:
     """Parse a serialized filter. The SHA-256 trailer is a checksum, not a
-    signature, so every field is checked as well: a blob either yields a
-    filter that answers any query, or raises CorruptFilter (VersionMismatch
-    for another format version)."""
+    signature, so every field is checked as well (each level's shape by
+    BloomLevel itself): a blob either yields a filter that answers any
+    query, or raises CorruptFilter (VersionMismatch for another format
+    version)."""
     if len(data) < len(MAGIC) + 32:
         raise CorruptFilter("too short")
     if data[: len(MAGIC_PREFIX)] != MAGIC_PREFIX:
@@ -253,10 +280,6 @@ def deserialize(data: bytes) -> RevocationFilter:
             offset += SEED_BYTES
             (bits_len,) = struct.unpack_from("!I", body, offset)
             offset += 4
-            if num_bits == 0 or num_hashes == 0:
-                raise CorruptFilter(f"empty level: {num_bits} bits, {num_hashes} hashes")
-            if bits_len != (num_bits + 7) // 8:
-                raise CorruptFilter(f"level of {num_bits} bits stored in {bits_len} bytes")
             bits = body[offset : offset + bits_len]
             if len(bits) != bits_len:
                 raise CorruptFilter("truncated level bits")

@@ -328,6 +328,22 @@ class TestRevokeAndFilter:
         assert stderr.startswith("error:") and str(out / "revocations.filter") in stderr
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["revoke", "--uuid", "00000000-0000-4000-8000-000000000000"],
+            ["filter", "check", "--serial", "ab"],
+            ["filter", "build"],
+        ],
+        ids=["revoke", "filter-check", "filter-build"],
+    )
+    def test_reading_a_missing_out_directory_does_not_create_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "typo"
+        code, stdout, stderr = run([*argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_new_scenario_drops_revocations_of_the_replaced_ca(self, fleet_dir, capsys):
         from pathlib import Path
 

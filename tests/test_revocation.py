@@ -9,7 +9,7 @@ import struct
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
@@ -211,6 +211,8 @@ def single_level_filter(level: BloomLevel) -> RevocationFilter:
 
 
 serials = st.text(max_size=24)
+# Outside serials past ASCII: two-, three- and four-byte UTF-8 and a NUL.
+NON_ASCII_SERIALS = ["vendör-ab01", "\u0661\u0662", "\U0001f512", "\xff\x00"]
 seeds = st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES)
 
 
@@ -274,11 +276,21 @@ class TestProbeMatchesOldCode:
     )
     def test_built_cascades_answer_alike(self, universe, data, outside, epoch):
         revoked = data.draw(st.sets(st.sampled_from(sorted(universe))))
-        filt = build_filter(revoked, universe, "vendör", epoch)
-        for serial in sorted(universe) + outside:
-            assert query(filt, serial) == old_query(filt, serial)
-        for serial in universe:
-            assert query(filt, serial) == (serial in revoked)
+        built = build_filter(revoked, universe, "vendör", epoch)
+        loaded = deserialize(serialize(built))
+        for filt in (built, loaded):
+            for serial in sorted(universe) + outside + NON_ASCII_SERIALS:
+                assert query(filt, serial) == old_query(filt, serial)
+            for serial in universe:
+                assert query(filt, serial) == (serial in revoked)
+
+    @given(levels())
+    @example(BloomLevel(bits=b"\xa5\x03", num_bits=10, num_hashes=1, seed=bytes(SEED_BYTES)))
+    @example(BloomLevel(bits=b"\x80", num_bits=1, num_hashes=1, seed=bytes(SEED_BYTES)))
+    def test_lookup_holds_each_bit_in_one_byte(self, level):
+        assert len(level.lookup) == level.num_bits
+        for i in range(level.num_bits):
+            assert level.lookup[i] == (level.bits[i >> 3] >> (i & 7)) & 1
 
 
 def reseal(body: bytes) -> bytes:
@@ -364,6 +376,20 @@ class TestBloomLevel:
         probes = [f"probe-{i}" for i in range(20_000)]
         fp = sum(level.contains(p) for p in probes) / len(probes)
         assert fp < 0.03
+
+    @pytest.mark.parametrize(
+        "num_bits, num_hashes, bits, message",
+        [
+            (8, 0, b"\x01", "empty level: 8 bits, 0 hashes"),
+            (0, 1, b"", "empty level: 0 bits, 1 hashes"),
+            (9, 1, b"\x01", "level of 9 bits stored in 1 bytes"),
+            (8, 1, b"\x01\x02", "level of 8 bits stored in 2 bytes"),
+        ],
+        ids=["zero-hashes", "zero-bits", "short-bits", "long-bits"],
+    )
+    def test_misshapen_level_is_corrupt(self, num_bits, num_hashes, bits, message):
+        with pytest.raises(CorruptFilter, match=f"^{message}$"):
+            BloomLevel(bits=bits, num_bits=num_bits, num_hashes=num_hashes, seed=b"seedseed")
 
     def test_empty_level_contains_nothing(self):
         level = BloomLevel.build([], 0.5, b"seedseed")
