@@ -279,16 +279,18 @@ class TestCaState:
             self._next_serial += 1
             serial_int = self._next_serial
         names = san_dns_names(csr)
+        # The SAN is a leaf's one name: the CSR's unchecked subject is not
+        # copied, and RFC 5280 makes the SAN critical under an empty subject.
         builder = (
             x509.CertificateBuilder()
-            .subject_name(csr.subject)
+            .subject_name(x509.Name([]))
             .issuer_name(self.root_cert.subject)
             .public_key(csr.public_key())
             .serial_number(serial_int)
             .not_valid_before(not_before)
             .not_valid_after(not_after)
             .add_extension(x509.BasicConstraints(ca=False, path_length=None), critical=True)
-            .add_extension(x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), critical=False)
+            .add_extension(x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), critical=True)
             .add_extension(
                 x509.KeyUsage(
                     digital_signature=True, content_commitment=False, key_encipherment=True,

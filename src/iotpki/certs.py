@@ -15,7 +15,6 @@ import ssl
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.x509.oid import NameOID
 
 
 def generate_key() -> ec.EllipticCurvePrivateKey:
@@ -24,11 +23,13 @@ def generate_key() -> ec.EllipticCurvePrivateKey:
 
 
 def build_csr(private_key, fqdn: str) -> x509.CertificateSigningRequest:
-    """CSR with CN and a single dNSName SAN, both the device FQDN."""
+    """CSR with an empty subject and one dNSName SAN, the device FQDN: the
+    SAN is the only carrier of a device's name (RFC 9525), so the name is
+    free of the 64-character cap X.509 puts on a CN."""
     return (
         x509.CertificateSigningRequestBuilder()
-        .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, fqdn)]))
-        .add_extension(x509.SubjectAlternativeName([x509.DNSName(fqdn)]), critical=False)
+        .subject_name(x509.Name([]))
+        .add_extension(x509.SubjectAlternativeName([x509.DNSName(fqdn)]), critical=True)
         .sign(private_key, hashes.SHA256())
     )
 

@@ -78,12 +78,12 @@ def resolve(name: str, rtype: RType, server_addr: tuple[str, int]) -> tuple[Rcod
             sock.settimeout(RESOLVE_TIMEOUT)
             sock.sendto(query, server_addr)
             packet, _ = sock.recvfrom(4096)
-        got_id, rcode, _, answers = wire.parse_response(packet)
+        got_id, rcode, truncated, answers = wire.parse_response(packet)
     except (OSError, wire.WireFormatError) as exc:
         raise ResolutionFailure(f"query for {name!r} to {server_addr} failed: {exc}") from exc
     if got_id != txn_id:
         raise ResolutionFailure("transaction id mismatch")
-    if wire.is_truncated(packet):
+    if truncated:
         raise ResolutionFailure(f"{name}: answer truncated (over {MAX_UDP} bytes)")
     return rcode, answers
 

@@ -147,17 +147,11 @@ def build_error_response(txn_id: int, rcode: Rcode) -> bytes:
     return _HEADER.pack(txn_id, _FLAG_QR | _FLAG_AA | int(rcode), 0, 0, 0, 0)
 
 
-def is_truncated(packet: bytes) -> bool:
-    """True when a response's TC bit is set."""
-    if len(packet) < _HEADER.size:
-        raise WireFormatError("short header")
-    return bool(_HEADER.unpack_from(packet)[1] & _FLAG_TC)
-
-
 def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
-    """Decode a response into (txn_id, rcode, aa, answers). Records of an
-    unknown type or of a class other than IN are skipped; a question must hold
-    its type and class, and a known record fill its rdata, or WireFormatError."""
+    """Decode a response into (txn_id, rcode, truncated, answers), where
+    truncated is the TC bit. Records of an unknown type or of a class other
+    than IN are skipped; a question must hold its type and class, and a
+    known record fill its rdata, or WireFormatError."""
     if len(packet) < _HEADER.size:
         raise WireFormatError("short header")
     txn_id, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(packet)
@@ -167,7 +161,7 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
         rcode = Rcode(flags & 0xF)
     except ValueError:
         raise WireFormatError(f"unknown rcode {flags & 0xF}") from None
-    aa = bool(flags & _FLAG_AA)
+    truncated = bool(flags & _FLAG_TC)
     offset = _HEADER.size
     for _ in range(qdcount):
         _, offset = decode_name(packet, offset)
@@ -206,4 +200,4 @@ def parse_response(packet: bytes) -> tuple[int, Rcode, bool, list[ZoneRecord]]:
         else:
             continue
         answers.append(ZoneRecord(name, RType(rtype), value, ttl))
-    return txn_id, rcode, aa, answers
+    return txn_id, rcode, truncated, answers

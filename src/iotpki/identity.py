@@ -3,7 +3,9 @@
 A device identity is a deterministic version 5 UUID computed from the
 vendor's root domain and a device-bound secret. The UUID is embedded in
 a resolvable FQDN of the form ``<uuid>.<device-class>.<root-domain>``
-(the device URN), which is what ends up in certificate SAN fields.
+(the device URN). A URN is checked against the 253-octet FQDN limit once,
+when a ``DeviceUrn`` is made; its one place in a certificate or CSR is the
+dNSName SAN.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ MIN_SECRET_BYTES = 16
 
 # RFC 1035 label: letters/digits/hyphen, no leading or trailing hyphen,
 # at most 63 octets. Lowercase only (canonical form).
-_LABEL_RE = re.compile(r"^[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?$")
-_UUID_RE = re.compile(
-    r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$"
-)
+_LABEL_RE = re.compile(r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?")
+_UUID_RE = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 _MAC_SEP_RE = re.compile(r"[:\-\.\s]")
 
 
@@ -39,7 +39,7 @@ class WeakSecret(IotPkiError):
 
 
 class FqdnTooLong(IotPkiError):
-    """Formatted URN exceeds the 253-octet FQDN limit."""
+    """URN would exceed the 253-octet FQDN limit."""
 
 
 class MalformedUrn(IotPkiError):
@@ -47,7 +47,7 @@ class MalformedUrn(IotPkiError):
 
 
 def _valid_label(label: str) -> bool:
-    return bool(_LABEL_RE.match(label))
+    return bool(_LABEL_RE.fullmatch(label))
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,19 @@ class DeviceSecret:
 
 @dataclass(frozen=True)
 class DeviceUrn:
-    """Parsed device URN: a UUID plus the vendor namespace it lives in."""
+    """A UUID plus the vendor namespace it lives in, whose FQDN
+    ``<uuid>.<device-class>.<root-domain>`` fits in 253 octets."""
 
     uuid: uuid.UUID
     namespace: VendorNamespace
 
+    def __post_init__(self) -> None:
+        octets = len(str(self))
+        if octets > MAX_FQDN_OCTETS:
+            raise FqdnTooLong(f"URN is {octets} octets, limit {MAX_FQDN_OCTETS}")
+
     def __str__(self) -> str:
-        return format_urn(self.uuid, self.namespace)
+        return f"{self.uuid}.{self.namespace}"
 
 
 def derive_device_uuid(ns: VendorNamespace, secret: DeviceSecret) -> uuid.UUID:
@@ -142,11 +148,9 @@ def derive_device_uuid(ns: VendorNamespace, secret: DeviceSecret) -> uuid.UUID:
 
 
 def format_urn(device_uuid: uuid.UUID, ns: VendorNamespace) -> str:
-    """Render the URN FQDN ``<uuid>.<device-class>.<root-domain>``."""
-    urn = f"{device_uuid}.{ns.device_class}.{ns.root_domain}"
-    if len(urn) > MAX_FQDN_OCTETS:
-        raise FqdnTooLong(f"URN is {len(urn)} octets, limit {MAX_FQDN_OCTETS}")
-    return urn
+    """Render the URN FQDN ``<uuid>.<device-class>.<root-domain>``, or
+    FqdnTooLong."""
+    return str(DeviceUrn(device_uuid, ns))
 
 
 def parse_urn(s: str) -> DeviceUrn:
@@ -154,16 +158,17 @@ def parse_urn(s: str) -> DeviceUrn:
 
     The leftmost label must be a hyphenated UUID, the next label is the
     device class, and everything after that is the root domain (which
-    needs at least two labels of its own).
+    needs at least two labels of its own). A URN over 253 octets is
+    malformed too.
     """
     labels = s.strip().rstrip(".").lower().split(".")
     if len(labels) < 4:
         raise MalformedUrn(f"too few labels in {s!r}")
     uuid_label, class_label = labels[0], labels[1]
-    if not _UUID_RE.match(uuid_label):
+    if not _UUID_RE.fullmatch(uuid_label):
         raise MalformedUrn(f"leftmost label is not a UUID: {uuid_label!r}")
     try:
         ns = VendorNamespace(root_domain=".".join(labels[2:]), device_class=class_label)
-    except InvalidNamespace as exc:
+        return DeviceUrn(uuid=uuid.UUID(uuid_label), namespace=ns)
+    except (InvalidNamespace, FqdnTooLong) as exc:
         raise MalformedUrn(str(exc)) from exc
-    return DeviceUrn(uuid=uuid.UUID(uuid_label), namespace=ns)

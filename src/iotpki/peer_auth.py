@@ -1,7 +1,7 @@
 """Relying-party validation for device-to-device mTLS.
 
 The policy lives in pure functions: RFC 5280 path validation to a
-trusted root, validity window, URN extraction from SAN/CN, vendor
+trusted root, validity window, the URN from the first DNS SAN, vendor
 matching, and a revocation-filter lookup, applied in that fixed order so
 the reject reason is deterministic. The echo harness wires the same
 policy into a real TLS 1.3 session over loopback with mandatory client
@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
 from cryptography import x509
-from cryptography.x509.oid import NameOID
 from cryptography.x509.verification import PolicyBuilder, Store, VerificationError
 
 from .certs import (
@@ -57,10 +56,6 @@ MAX_PEERS_PER_CONTEXT = 16
 # is logged once per vendor per process, not on every handshake.
 _unfiltered_vendors: set[str] = set()
 _unfiltered_lock = threading.Lock()
-
-
-class NoIdentity(IotPkiError):
-    pass
 
 
 class HandshakeRejected(IotPkiError):
@@ -115,14 +110,11 @@ class PeerVerdict:
 
 
 def extract_urn(cert: x509.Certificate) -> DeviceUrn:
-    """Device URN from the first DNS SAN, falling back to CN only when the
-    certificate has no SAN entries."""
+    """Device URN from the first DNS SAN, the one place a leaf names its
+    device; the subject is never read. No DNS SAN is MalformedUrn."""
     names = san_dns_names(cert)
     if not names:
-        cn = cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)
-        if not cn:
-            raise NoIdentity("certificate carries neither SAN nor CN")
-        names = [str(cn[0].value)]
+        raise MalformedUrn("certificate has no DNS SAN")
     return parse_urn(names[0])
 
 
@@ -154,7 +146,7 @@ def _path_time(leaf: x509.Certificate, ctx: TrustContext) -> datetime:
     return min(max(ctx.clock(), leaf.not_valid_before_utc), leaf.not_valid_after_utc)
 
 
-def _live_verdict(tls, ctx: TrustContext, expected_vendor: str | None) -> PeerVerdict:
+def _live_verdict(tls, ctx: TrustContext) -> PeerVerdict:
     """Verdict on a live session's peer, whose chain OpenSSL checked with no
     time check: ``chain`` if its leaf names a trust root and no root of that
     name is valid at the path time (as in ``validate_peer``), else ``check_leaf``."""
@@ -163,7 +155,7 @@ def _live_verdict(tls, ctx: TrustContext, expected_vendor: str | None) -> PeerVe
     issuers = [root for root in ctx.roots if root.subject == leaf.issuer]
     if issuers and not any(r.not_valid_before_utc <= at <= r.not_valid_after_utc for r in issuers):
         return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
-    return check_leaf(leaf, ctx, expected_vendor)
+    return check_leaf(leaf, ctx)
 
 
 def check_leaf(
@@ -183,7 +175,7 @@ def check_leaf(
         return PeerVerdict(accepted=False, reject_reason=RejectReason.EXPIRED)
     try:
         urn = extract_urn(leaf)
-    except (MalformedUrn, NoIdentity):
+    except MalformedUrn:
         return PeerVerdict(accepted=False, reject_reason=RejectReason.MALFORMED)
     if expected_vendor is not None and urn.namespace.root_domain != expected_vendor.lower():
         return PeerVerdict(accepted=False, reject_reason=RejectReason.SAN_MISMATCH)
@@ -230,7 +222,9 @@ def _tls13_context(purpose: ssl.Purpose, bundle, roots: tuple[x509.Certificate, 
 class _ClientSide(NamedTuple):
     chain_pem: str
     ctx: ssl.SSLContext
-    leaf: x509.Certificate
+    # The device's own URN; None if its SAN names none, which any echo
+    # server refuses as malformed.
+    urn: DeviceUrn | None
     # Server address -> the session kept for it, or None after the first
     # full handshake; oldest first contact first out. Changed under lock.
     peers: dict[tuple[str, int], ssl.SSLSession | None]
@@ -238,7 +232,7 @@ class _ClientSide(NamedTuple):
 
 
 def _client_side(bundle, trust: TrustContext) -> _ClientSide:
-    """The device's client TLS context under ``trust``, its own leaf, and
+    """The device's client TLS context under ``trust``, its own URN, and
     the sessions kept on that context. Concurrent first contacts share one
     entry; a renewed chain replaces it, so it never picks up the old
     chain's context or sessions."""
@@ -246,7 +240,11 @@ def _client_side(bundle, trust: TrustContext) -> _ClientSide:
     side = trust._clients.get(key)
     if side is None or side.chain_pem != chain_pem:
         ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, bundle, trust.roots)
-        fresh = _ClientSide(chain_pem, ctx, split_pem_chain(chain_pem)[0], {}, threading.Lock())
+        try:
+            urn = extract_urn(split_pem_chain(chain_pem)[0])
+        except MalformedUrn:
+            urn = None
+        fresh = _ClientSide(chain_pem, ctx, urn, {}, threading.Lock())
         side = trust._clients.setdefault(key, fresh)
         if side.chain_pem != chain_pem:
             trust._clients[key] = side = fresh
@@ -285,7 +283,7 @@ class _EchoHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         tls = self.request
-        verdict = _live_verdict(tls, self.server.trust, self.server.expected_vendor)
+        verdict = _live_verdict(tls, self.server.trust)
         (length,) = struct.unpack("!I", _recv_exact(tls, 4))
         if length > MAX_FRAME:
             return
@@ -305,13 +303,11 @@ class EchoServer(BackgroundServer):
         self,
         bundle,
         trust: TrustContext,
-        expected_vendor: str | None = None,
         bind_addr: tuple[str, int] = ("127.0.0.1", 0),
     ) -> None:
         ssl_ctx = _tls13_context(ssl.Purpose.CLIENT_AUTH, bundle, trust.roots)
         super().__init__("mtls-echo", "echo server", ConnectionServer, bind_addr, _EchoHandler, ssl_ctx)
         self._server.trust = trust
-        self._server.expected_vendor = expected_vendor
 
 
 def echo_once(
@@ -319,7 +315,6 @@ def echo_once(
     client_bundle,
     trust: TrustContext,
     payload: bytes,
-    expected_vendor: str | None = None,
 ) -> EchoResult:
     """Connect to a running EchoServer, mutually authenticate, validate the
     server's certificate, and exchange the payload.
@@ -344,7 +339,7 @@ def echo_once(
     handshake_ms = (time.perf_counter() - start) * 1000.0
     with tls:
         resumed = tls.session_reused
-        client_verdict = _live_verdict(tls, trust, expected_vendor)
+        client_verdict = _live_verdict(tls, trust)
         if not client_verdict.accepted:
             raise HandshakeRejected("client", client_verdict)
         try:
@@ -372,7 +367,7 @@ def echo_once(
     return EchoResult(
         payload_echoed=body,
         client_verdict=client_verdict,
-        server_verdict=PeerVerdict(accepted=True, urn=extract_urn(side.leaf)),
+        server_verdict=PeerVerdict(accepted=True, urn=side.urn),
         handshake_ms=handshake_ms,
         resumed=resumed,
     )
@@ -383,9 +378,8 @@ def mtls_echo(
     client_bundle,
     trust: TrustContext,
     payload: bytes,
-    expected_vendor: str | None = None,
 ) -> EchoResult:
     """One-shot harness: start an echo server for ``server_bundle``, run a
     single authenticated exchange from ``client_bundle``, tear down."""
-    with EchoServer(server_bundle, trust, expected_vendor) as server:
-        return echo_once(server.address, client_bundle, trust, payload, expected_vendor)
+    with EchoServer(server_bundle, trust) as server:
+        return echo_once(server.address, client_bundle, trust, payload)

@@ -20,6 +20,7 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa, utils
+from cryptography.x509.oid import NameOID
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -232,13 +233,16 @@ def new_client(stack, ca=None) -> AcmeClient:
 
 
 def verify_chain(pem: str, fqdn: str, root: x509.Certificate) -> x509.Certificate:
-    """Independent chain check: structural verify plus SAN equality."""
+    """Independent chain check: structural verify, an empty subject and a
+    critical SAN equal to [fqdn]."""
     certs = split_pem_chain(pem)
     assert len(certs) == 2
     leaf, shipped_root = certs
     assert shipped_root == root
     leaf.verify_directly_issued_by(root)
+    assert leaf.subject == x509.Name([])
     san = leaf.extensions.get_extension_for_class(x509.SubjectAlternativeName)
+    assert san.critical
     assert san.value.get_values_for_type(x509.DNSName) == [fqdn]
     assert leaf.not_valid_after_utc - leaf.not_valid_before_utc <= timedelta(days=90)
     return leaf
@@ -1167,6 +1171,24 @@ class TestOrderStates:
         assert final["status"] == "valid"
         _, _, chain = client._post(final["certificate"], None)
         verify_chain(chain.decode("ascii"), fqdn, stack.ca.state.root_cert)
+
+    def test_csr_subject_is_not_copied_into_the_leaf(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "subject.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn)
+        cn = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "not-the-device.vendor.com")])
+        csr = (
+            x509.CertificateSigningRequestBuilder()
+            .subject_name(cn)
+            .add_extension(x509.SubjectAlternativeName([x509.DNSName(fqdn)]), critical=False)
+            .sign(generate_key(), hashes.SHA256())
+        )
+        final = json.loads(client._post(order["finalize"], {"csr": jws.b64url(csr_to_der(csr))})[2])
+        assert final["status"] == "valid"
+        _, _, chain = client._post(final["certificate"], None)
+        leaf = verify_chain(chain.decode("ascii"), fqdn, stack.ca.state.root_cert)
+        assert leaf.subject.get_attributes_for_oid(NameOID.COMMON_NAME) == []
 
     def test_failed_order_stays_invalid(self, stack):
         client = new_client(stack)

@@ -507,6 +507,18 @@ class TestDemo:
         assert "echoed 256 bytes" in stdout
         assert "server accepted client" in stdout
 
+    def test_a_root_past_the_cn_cap_enrolls_and_echoes(self, tmp_path, capsys):
+        # Its URNs are 71 octets, past the 64 characters a CN may hold.
+        root = "acme-devices.example.com"
+        code, stdout, _ = run(["demo", "d2d", "--root-domain", root], capsys)
+        assert code == 0
+        assert "echoed 256 bytes" in stdout
+        code, stdout, _ = run(
+            ["enroll", "--root-domain", root, "--device-class", "camera", "--out", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert stdout.startswith("enrolled ") and f".camera.{root}\n" in stdout
+
     def test_demo_with_revoked_client_fails_with_diagnostic(self, capsys):
         code, _, stderr = run(
             [

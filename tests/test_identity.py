@@ -12,8 +12,12 @@ import random
 import uuid
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from iotpki.certs import build_csr, generate_key
 from iotpki.identity import (
+    MAX_FQDN_OCTETS,
     NS_DNS,
     DeviceSecret,
     DeviceUrn,
@@ -177,6 +181,16 @@ class TestUrnFormatParse:
             long_domain = ".".join(["x" * 60] * 4 + ["com"])
             format_urn(uuid.uuid4(), VendorNamespace(long_domain, "camera"))
 
+    def test_urn_is_checked_when_made(self):
+        # 36 + 1 + 63 + 1 + 152 = 253 octets; one more is too long.
+        u = uuid.UUID("c69f00ac-532c-11ee-87f2-079e7eb2f068")
+        root = ".".join(["a" * 63, "b" * 63, "c" * 24])
+        assert len(str(DeviceUrn(u, VendorNamespace(root, "d" * 63)))) == MAX_FQDN_OCTETS
+        with pytest.raises(FqdnTooLong):
+            DeviceUrn(u, VendorNamespace(root + "c", "d" * 63))
+        with pytest.raises(MalformedUrn):
+            parse_urn(f"{u}.{'d' * 63}.{root}c")
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -185,8 +199,58 @@ class TestUrnFormatParse:
             "c69f00ac-532c-11ee-87f2-079e7eb2f068.camera.com",  # 1-label root
             "c69f00ac-532c-11ee-87f2-079e7eb2f068.camera",
             "",
+            "c69f00ac-532c-11ee-87f2-079e7eb2f068\n.camera.vendor.com",  # newline after the UUID
+            "c69f00ac-532c-11ee-87f2-079e7eb2f068.camera.vendor\n.com",  # newline in a root label
         ],
     )
     def test_malformed(self, bad):
         with pytest.raises(MalformedUrn):
             parse_urn(bad)
+
+
+ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
+# RFC 1035 labels of every length from 1 to 63, some with inner hyphens.
+LABELS = st.integers(1, 63).flatmap(lambda n: st.text(ALNUM, min_size=n, max_size=n)) | st.from_regex(
+    r"[a-z0-9][a-z0-9-]{0,61}[a-z0-9]", fullmatch=True
+)
+ROOTS = st.lists(LABELS, min_size=2, max_size=6).map(".".join)
+# URN-shaped text, some of it with a case, space, dot or newline a URN lacks.
+URN_LIKE = st.builds(
+    lambda u, cls, root, junk: f"{u}.{cls}.{root}{junk}",
+    st.uuids().map(str) | st.uuids().map(lambda u: str(u).upper()), LABELS, ROOTS,
+    st.sampled_from(["", ".", " ", "\n", "\n.x", ".."]),
+)
+KEY = generate_key()
+U = uuid.UUID("c69f00ac-532c-11ee-87f2-079e7eb2f068")
+
+
+class TestUrnLength:
+    """A URN's length is checked once, when it is made: every URN that
+    exists prints within 253 octets, parses back and goes into a CSR."""
+
+    @given(st.uuids(), LABELS, ROOTS)
+    @example(U, "d" * 63, ".".join(["a" * 63, "b" * 63, "c" * 24]))  # 253 octets
+    @example(U, "d" * 63, ".".join(["a" * 63, "b" * 63, "c" * 25]))  # 254 octets
+    def test_urn_is_refused_or_prints_parses_and_signs(self, u, device_class, root):
+        ns = VendorNamespace(root, device_class)
+        try:
+            urn = DeviceUrn(u, ns)
+        except FqdnTooLong:
+            assert 38 + len(device_class) + len(root) > MAX_FQDN_OCTETS
+            return
+        text = str(urn)
+        assert len(text.encode("ascii")) <= MAX_FQDN_OCTETS
+        assert format_urn(u, ns) == text
+        assert parse_urn(text) == urn
+        build_csr(KEY, text)
+
+    @given(st.text() | URN_LIKE)
+    @example(f"{U}\n.camera.vendor.com")
+    @example(f"{U}.{'d' * 63}.{'a' * 63}.{'b' * 63}.{'c' * 25}")
+    def test_any_text_is_malformed_or_a_printable_urn(self, text):
+        try:
+            urn = parse_urn(text)
+        except MalformedUrn:
+            return
+        assert len(str(urn)) <= MAX_FQDN_OCTETS
+        assert parse_urn(str(urn)) == urn

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import time
@@ -36,7 +37,15 @@ from iotpki.lifecycle import (
     ProvisionedDevice,
     RenewalBusy,
 )
-from iotpki.peer_auth import RejectReason, TrustContext, check_leaf
+from iotpki.peer_auth import (
+    EchoServer,
+    PeerVerdict,
+    RejectReason,
+    TrustContext,
+    check_leaf,
+    echo_once,
+    validate_peer,
+)
 from iotpki.revocation import RevocationLog, query
 
 NOW = datetime(2026, 3, 1, 12, 0, tzinfo=timezone.utc)
@@ -55,33 +64,46 @@ def secret(tag: str) -> DeviceSecret:
     return DeviceSecret(f"lifecycle-test-secret-{tag}".encode())
 
 
-@pytest.fixture(scope="module")
-def stack():
+@contextlib.contextmanager
+def running_stack(apex: str):
+    """The DNS authority for ``apex``, a token shelf and a CA on one clock."""
     clock = MutableClock(NOW)
-    zone = Zone("vendor.com")
-    zone.set_record("cloud.vendor.com", RType.A, "127.0.0.1")
+    zone = Zone(apex)
+    zone.set_record(f"cloud.{apex}", RType.A, "127.0.0.1")
     dns = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
     shelf = TokenShelf().start()
     ca = TestCa(dns_addr=dns.address, http01_port=shelf.port, clock=clock).start()
-    yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
-    ca.close()
-    shelf.close()
-    dns.close()
+    try:
+        yield SimpleNamespace(zone=zone, dns=dns, shelf=shelf, ca=ca, clock=clock)
+    finally:
+        ca.close()
+        shelf.close()
+        dns.close()
+
+
+def fleet(stack, apex: str) -> FleetManager:
+    return FleetManager(
+        inventory=Inventory(),
+        zone=stack.zone,
+        revocation_log=RevocationLog(apex),
+        directory_url=stack.ca.directory_url,
+        ca_bundle_pem=stack.ca.service_cert_pem,
+        cloud_target=f"cloud.{apex}",
+        clock=stack.clock,
+        http_shelf=stack.shelf,
+    )
+
+
+@pytest.fixture(scope="module")
+def stack():
+    with running_stack("vendor.com") as stack:
+        yield stack
 
 
 @pytest.fixture()
 def manager(stack):
     stack.clock.now = NOW
-    with FleetManager(
-        inventory=Inventory(),
-        zone=stack.zone,
-        revocation_log=RevocationLog("vendor.com"),
-        directory_url=stack.ca.directory_url,
-        ca_bundle_pem=stack.ca.service_cert_pem,
-        cloud_target="cloud.vendor.com",
-        clock=stack.clock,
-        http_shelf=stack.shelf,
-    ) as manager:
+    with fleet(stack, "vendor.com") as manager:
         yield manager
 
 
@@ -351,9 +373,59 @@ class TestEnrollBatch:
         assert report.rows[1].uuid == ""
         assert report.summary()["failed"] == 2
 
+    def test_overlong_urn_is_refused_before_the_inventory(self, manager, tmp_path):
+        # 36 + 1 + 63 + 1 + 157 = 258 octets, past the 253 of an FQDN.
+        long_root = ".".join(["a" * 63, "b" * 63, "c" * 18, "vendor.com"])
+        requests = [
+            EnrollmentRequest("vendor.com", "camera", b"overlong-batch-secret-001"),
+            EnrollmentRequest(long_root, "d" * 63, b"overlong-batch-secret-002"),
+        ]
+        report = manager.enroll_batch(requests, parallelism=1)
+        assert [(r.uuid != "", r.outcome) for r in report.rows] == [(True, "ok"), (False, "FqdnTooLong")]
+        path = tmp_path / "inventory.snapshot"
+        manager.inventory.snapshot(path)
+        restored = Inventory.restore(path)
+        assert [str(r.uuid) for r in restored.records()] == [report.rows[0].uuid]
+
     def test_empty_batch_rejected(self, manager):
         with pytest.raises(EmptyBatch):
             manager.enroll_batch([])
+
+
+LONG_ROOT = "acme-devices.example.com"
+
+
+class TestLongUrns:
+    """URNs past the 64 characters a CN may hold enroll over either
+    challenge into leaves named by a critical SAN alone, which validate."""
+
+    @pytest.fixture(scope="class")
+    def long_fleet(self):
+        with running_stack(LONG_ROOT) as stack, fleet(stack, LONG_ROOT) as manager:
+            trust = TrustContext(roots=(stack.ca.state.root_cert,), filters={}, clock=stack.clock)
+            yield SimpleNamespace(manager=manager, trust=trust)
+
+    def enroll(self, long_fleet, device_class: str, challenge: str) -> ProvisionedDevice:
+        ns = VendorNamespace(LONG_ROOT, device_class)
+        return long_fleet.manager.enroll_device(ns, secret(f"long-{device_class}-{challenge}"), challenge)
+
+    @pytest.mark.parametrize("challenge", ["dns01", "http01"])
+    @pytest.mark.parametrize("device_class, octets", [("camera", 68), ("c" * 63, 125)])
+    def test_long_urn_enrolls_into_a_san_only_leaf(self, long_fleet, device_class, octets, challenge):
+        bundle = self.enroll(long_fleet, device_class, challenge)
+        assert len(str(bundle.urn)) == octets
+        leaf = split_pem_chain(bundle.certificate_chain)[0]
+        san = leaf.extensions.get_extension_for_class(x509.SubjectAlternativeName)
+        assert leaf.subject == x509.Name([])
+        assert (san.critical, san.value.get_values_for_type(x509.DNSName)) == (True, [str(bundle.urn)])
+        assert validate_peer([leaf], long_fleet.trust) == PeerVerdict(accepted=True, urn=bundle.urn)
+
+    def test_long_urn_devices_echo_both_ways(self, long_fleet):
+        short, long = self.enroll(long_fleet, "camera", "dns01"), self.enroll(long_fleet, "c" * 63, "http01")
+        for server, client in ((short, long), (long, short)):
+            with EchoServer(server, long_fleet.trust) as echo:
+                result = echo_once(echo.address, client, long_fleet.trust, b"long names")
+            assert (result.client_verdict.urn, result.server_verdict.urn) == (server.urn, client.urn)
 
 
 class TestRenewalTick:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import ipaddress
 import logging
 import socket
 import ssl
@@ -17,23 +18,22 @@ from types import SimpleNamespace
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 from iotpki import peer_auth, serving
 from iotpki.acme.ca import TestCaState
 from iotpki.certs import build_csr, cert_to_pem, generate_key
 from iotpki.cli import ManualClock
-from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid, format_urn
+from iotpki.identity import DeviceSecret, DeviceUrn, MalformedUrn, VendorNamespace, derive_device_uuid
 from iotpki.peer_auth import (
     X509_V_FLAG_NO_CHECK_TIME,
     EchoServer,
     HandshakeRejected,
-    NoIdentity,
     PeerVerdict,
     RejectReason,
     TrustContext,
     echo_once,
+    check_leaf,
     extract_urn,
     mtls_echo,
     validate_peer,
@@ -68,6 +68,10 @@ def make_bundle(ca: TestCaState, ns: VendorNamespace, tag: str, san: str | None 
     )
 
 
+def root_cn(ca: TestCaState) -> str:
+    return ca.root_cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)[0].value
+
+
 def trust_for(ca: TestCaState, filters=None, at: datetime = NOW) -> TrustContext:
     return TrustContext(roots=(ca.root_cert,), filters=filters or {}, clock=fixed_clock(at))
 
@@ -83,29 +87,25 @@ class TestExtractUrn:
         bundle = make_bundle(ca_state, VENDOR_A, "x2", san=name)
         assert str(extract_urn(bundle.leaf)) == name
 
-    def test_cn_fallback_when_no_san(self, ca_state):
-        key = generate_key()
-        urn_str = format_urn(
-            derive_device_uuid(VENDOR_A, DeviceSecret(b"cn-fallback-secret")), VENDOR_A
-        )
-        csr = (
-            x509.CertificateSigningRequestBuilder()
-            .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, urn_str)]))
-            .sign(key, hashes.SHA256())
-        )
-        _, cert = ca_state.issue(csr)
-        assert str(extract_urn(cert)) == urn_str
+    def test_leaf_is_named_by_its_critical_san_alone(self, ca_state):
+        bundle = make_bundle(ca_state, VENDOR_A, "x3")
+        san = bundle.leaf.extensions.get_extension_for_class(x509.SubjectAlternativeName)
+        assert bundle.leaf.subject == x509.Name([])
+        assert (san.critical, san.value.get_values_for_type(x509.DNSName)) == (True, [str(bundle.urn)])
 
-    def test_no_identity_at_all(self, ca_state):
-        key = ec.generate_private_key(ec.SECP256R1())
-        csr = (
-            x509.CertificateSigningRequestBuilder()
-            .subject_name(x509.Name([x509.NameAttribute(NameOID.ORGANIZATION_NAME, "acme")]))
-            .sign(key, hashes.SHA256())
+    def test_leaf_without_dns_san_is_malformed(self, ca_state):
+        # A CN that names a device is not read: only a DNS SAN names one.
+        key = generate_key()
+        urn = DeviceUrn(derive_device_uuid(VENDOR_A, DeviceSecret(b"no-dns-san-secret")), VENDOR_A)
+        leaf = sign_cert(
+            key, str(urn), ca_state.root_key, root_cn(ca_state), NOW - timedelta(minutes=1),
+            NOW + timedelta(days=30), ca=False, san=x509.IPAddress(ipaddress.ip_address("127.0.0.1")),
         )
-        _, cert = ca_state.issue(csr)
-        with pytest.raises(NoIdentity):
-            extract_urn(cert)
+        with pytest.raises(MalformedUrn):
+            extract_urn(leaf)
+        malformed = PeerVerdict(accepted=False, reject_reason=RejectReason.MALFORMED)
+        assert check_leaf(leaf, trust_for(ca_state)) == malformed
+        assert validate_peer([leaf], trust_for(ca_state)) == malformed
 
 
 class TestValidatePeerMatrix:
@@ -201,10 +201,10 @@ class TestCheckOrdering:
 
 
 def sign_cert(subject_key, subject: str, issuer_key, issuer: str, start: datetime, end: datetime,
-              *, ca: bool, eku=(ExtendedKeyUsageOID.CLIENT_AUTH,)) -> x509.Certificate:
+              *, ca: bool, eku=(ExtendedKeyUsageOID.CLIENT_AUTH,), san=None) -> x509.Certificate:
     """A certificate with the extensions a path validator looks for: SKI,
-    AKI, basicConstraints and keyUsage, plus EKU (``eku``) and SAN =
-    subject on leaves."""
+    AKI, basicConstraints and keyUsage, plus EKU (``eku``) and one SAN
+    (``san``, by default the DNS name ``subject``) on leaves."""
     usage = dict(
         content_commitment=False, key_encipherment=False, data_encipherment=False,
         key_agreement=False, encipher_only=False, decipher_only=False,
@@ -231,7 +231,7 @@ def sign_cert(subject_key, subject: str, issuer_key, issuer: str, start: datetim
     if not ca:
         builder = builder.add_extension(
             x509.ExtendedKeyUsage(list(eku)), critical=False
-        ).add_extension(x509.SubjectAlternativeName([x509.DNSName(subject)]), critical=False)
+        ).add_extension(x509.SubjectAlternativeName([san or x509.DNSName(subject)]), critical=False)
     return builder.sign(issuer_key, hashes.SHA256())
 
 
@@ -239,16 +239,20 @@ class TestPathValidation:
     """Path validation follows RFC 5280, not just signatures and names."""
 
     def test_leaf_signed_by_end_entity_key_is_chain(self, ca_state):
-        device_a = make_bundle(ca_state, VENDOR_A, "v1")
+        key_a = generate_key()
+        urn_a = DeviceUrn(derive_device_uuid(VENDOR_A, DeviceSecret(b"path-validation-device-a")), VENDOR_A)
+        leaf_a = sign_cert(key_a, str(urn_a), ca_state.root_key, root_cn(ca_state),
+                           NOW - timedelta(minutes=1), NOW + timedelta(days=30), ca=False)
+        assert validate_peer([leaf_a], trust_for(ca_state)) == PeerVerdict(accepted=True, urn=urn_a)
         victim = DeviceUrn(derive_device_uuid(VENDOR_B, DeviceSecret(b"path-validation-victim")), VENDOR_B)
-        # Device A's own leaf carries AKI, SKI and ca=False; it signs a leaf
-        # naming device B, so the only fault is the non-CA issuer.
+        # Device A's own leaf carries a subject, AKI, SKI and ca=False; it
+        # signs a leaf naming device B, so the only fault is the non-CA issuer.
         forged = sign_cert(
-            generate_key(), str(victim), device_a.private_key, str(device_a.urn),
+            generate_key(), str(victim), key_a, str(urn_a),
             NOW - timedelta(minutes=1), NOW + timedelta(days=30), ca=False,
         )
-        assert forged.issuer == device_a.leaf.subject
-        verdict = validate_peer([forged, device_a.leaf], trust_for(ca_state))
+        assert forged.issuer == leaf_a.subject
+        verdict = validate_peer([forged, leaf_a], trust_for(ca_state))
         assert verdict == PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
 
     def test_leaf_outliving_its_root_is_chain_once_root_expires(self):
@@ -529,9 +533,9 @@ class TestResumedSessions:
         verdicts = []
         live_verdict = peer_auth._live_verdict
 
-        def spy(tls, ctx, expected_vendor):
+        def spy(tls, ctx):
             verdicts.append(("server" if tls.server_side else "client", tls.session_reused))
-            return live_verdict(tls, ctx, expected_vendor)
+            return live_verdict(tls, ctx)
 
         monkeypatch.setattr(peer_auth, "_live_verdict", spy)
         with EchoServer(server, trust) as echo:
