@@ -2,13 +2,14 @@
 enrollment flow needs: directory, newNonce, newAccount, newOrder, authz,
 challenge, finalize, and certificate download, over HTTPS.
 
+The handler reads each request once: the JWS, the payload and the CSR.
+``TestCaState`` takes only typed values (a verified key, normalized
+identifiers, a CSR whose signature holds) and parses nothing.
+
 Challenge validation is active: the CA probes the configured DNS
 responder (DNS-01) or fetches the token from the device-facing HTTP
-endpoint it resolves via that responder (HTTP-01). It never trusts the
-client's word that a proof is in place.
-
-All key material (ACME root, HTTPS service key) lives in process memory
-for the lifetime of the instance; nothing is written to disk.
+endpoint it resolves via that responder (HTTP-01). Key material lives in
+process memory only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import secrets
 import socket
 import ssl
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Callable
@@ -35,7 +36,6 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 from ..certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
-from ..errors import IotPkiError
 from ..inventory import MAX_CERT_LIFETIME, utcnow
 from ..serving import BackgroundServer, BadHead, ConnectionServer, HttpHandler, read_answer, read_body
 from . import jws
@@ -52,10 +52,6 @@ MAX_NONCES = 4096
 WEEKLY_ORDER_QUOTA = 30000
 
 
-class QuotaExceeded(IotPkiError):
-    pass
-
-
 @dataclass(eq=False)
 class _Problem(Exception):
     """An RFC 8555 problem document the CA answers with. ``close`` marks a
@@ -65,6 +61,10 @@ class _Problem(Exception):
     type: str
     detail: str
     close: bool = False
+
+
+class QuotaExceeded(_Problem):
+    """429 rateLimited: an order past a domain's weekly quota."""
 
 
 # An order owns its authzs and an authz its challenges (RFC 8555 section 7.1).
@@ -126,14 +126,7 @@ class TestCaState:
             now - MAX_CERT_LIFETIME - timedelta(minutes=1),
             now + timedelta(days=3650),
             (x509.BasicConstraints(ca=True, path_length=1), True),
-            (
-                x509.KeyUsage(
-                    digital_signature=False, content_commitment=False, key_encipherment=False,
-                    data_encipherment=False, key_agreement=False, key_cert_sign=True,
-                    crl_sign=True, encipher_only=False, decipher_only=False,
-                ),
-                True,
-            ),
+            (_key_usage("key_cert_sign", "crl_sign"), True),
         )
         self.issued: set[str] = set()  # serials; each certificate stays on its order
         self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
@@ -141,7 +134,7 @@ class TestCaState:
         self.orders: dict[str, _Order] = {}
         self.authzs: dict[str, _Authz] = {}
         self.challenges: dict[str, _Challenge] = {}
-        self._order_counts: dict[tuple[str, int], int] = {}
+        self._order_counts: Counter[tuple[str, int]] = Counter()  # (domain, week) -> orders
         self._next_serial = secrets.randbits(40) << 24
         self._lock = threading.RLock()
 
@@ -161,24 +154,22 @@ class TestCaState:
 
     # -- accounts and orders ------------------------------------------------
 
-    def register_account(self, jwk_obj: dict, accounts_url: str) -> tuple[str, bool]:
-        """Return (kid, created) for the account holding this key,
-        creating it under ``accounts_url`` on first sight. The kid ends
-        in the key's thumbprint, and the CA keeps the key itself."""
-        kid = f"{accounts_url}/{jws.jwk_thumbprint(jwk_obj)}"
-        key = jws.jwk_to_public_key(jwk_obj)
+    def register_account(self, key: PublicKeyTypes, thumbprint: str, accounts_url: str) -> tuple[str, bool]:
+        """Return (kid, created) for the account holding ``key``, whose JWK
+        has this thumbprint, creating it under ``accounts_url`` on first
+        sight. The kid ends in the thumbprint; the CA keeps the key."""
+        kid = f"{accounts_url}/{thumbprint}"
         with self._lock:
             created = kid not in self.accounts
             self.accounts.setdefault(kid, key)
         return kid, created
 
     def create_order(self, kid: str, identifiers: list[str]) -> _Order:
-        """Count the order against each identifier's quota, then record it
-        with one authz per identifier and a DNS-01 and an HTTP-01
-        challenge per authz."""
+        """Count the order against its domains' quota, then record it with
+        one authz per identifier (distinct, normalized names) and a DNS-01
+        and an HTTP-01 challenge per authz."""
         with self._lock:
-            for fqdn in identifiers:
-                self.check_quota(fqdn)
+            self.check_quota(identifiers)
             order = _Order(jws.b64url(secrets.token_bytes(9)), kid, identifiers)
             self.orders[order.id] = order
             for fqdn in identifiers:
@@ -224,25 +215,22 @@ class TestCaState:
             if order.status == "pending" and all(a.status == "valid" for a in order.authzs):
                 order.status = "ready"
 
-    def finalize(self, order: _Order, payload: bytes) -> None:
-        """Issue for a ready order: ready -> processing -> valid. A CSR
-        naming anything but the order's identifiers makes it invalid, and
-        so does a leaf that cannot be issued at the CA's clock."""
+    def finalize(self, order: _Order, csr: x509.CertificateSigningRequest) -> None:
+        """Issue for a ready order: ready -> processing -> valid. A CSR whose
+        normalized SAN names are not the order's identifiers, or whose SAN
+        does not parse or normalize, makes the order invalid, and so does a
+        leaf that cannot be issued at the CA's clock."""
+        try:
+            names = {normalize_name(n) for n in san_dns_names(csr)}
+            mismatch = f"csr names {sorted(names)} != order identifiers {order.identifiers}"
+        except (ValueError, InvalidRecord) as exc:
+            names, mismatch = None, f"unreadable csr names: {exc}"
         with self._lock:
             if order.status != "ready":
                 raise _Problem(403, "orderNotReady", f"order status is {order.status}")
-            try:
-                csr = x509.load_der_x509_csr(jws.b64url_decode(_json_object(payload)["csr"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise _Problem(400, "badCSR", f"unparseable csr: {exc}") from None
-            if not csr.is_signature_valid:
-                raise _Problem(400, "badCSR", "csr signature invalid")
-            names = san_dns_names(csr)
-            if set(names) != set(order.identifiers):
+            if names != set(order.identifiers):
                 order.status = "invalid"
-                raise _Problem(
-                    400, "badCSR", f"csr names {names} != order identifiers {order.identifiers}"
-                )
+                raise _Problem(400, "badCSR", mismatch)
             order.status = "processing"
         try:
             _, cert = self.issue(csr)
@@ -258,16 +246,18 @@ class TestCaState:
 
     # -- quota ------------------------------------------------------------
 
-    def check_quota(self, fqdn: str) -> None:
-        """Count this order against the identifier's registrable domain for
-        the current week; raise once the weekly quota would be exceeded."""
-        domain = ".".join(fqdn.rstrip(".").split(".")[-2:])
+    def check_quota(self, identifiers: list[str]) -> None:
+        """Count one order once against each registrable domain among its
+        normalized identifiers for the current week. When any domain's
+        weekly quota would be exceeded, raise and count nothing."""
         week = int(self.clock().timestamp()) // (7 * 86400)
+        domains = {".".join(fqdn.split(".")[-2:]) for fqdn in identifiers}
         with self._lock:
-            count = self._order_counts.get((domain, week), 0) + 1
-            if count > WEEKLY_ORDER_QUOTA:
-                raise QuotaExceeded(f"{domain}: {count} orders this week exceeds {WEEKLY_ORDER_QUOTA}")
-            self._order_counts[(domain, week)] = count
+            full = sorted(d for d in domains if self._order_counts[d, week] >= WEEKLY_ORDER_QUOTA)
+            if full:
+                detail = f"{', '.join(full)}: one more order this week exceeds {WEEKLY_ORDER_QUOTA}"
+                raise QuotaExceeded(429, "rateLimited", detail)
+            self._order_counts.update((d, week) for d in domains)
 
     # -- issuance -----------------------------------------------------------
 
@@ -291,14 +281,7 @@ class TestCaState:
             .not_valid_after(not_after)
             .add_extension(x509.BasicConstraints(ca=False, path_length=None), critical=True)
             .add_extension(x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), critical=True)
-            .add_extension(
-                x509.KeyUsage(
-                    digital_signature=True, content_commitment=False, key_encipherment=True,
-                    data_encipherment=False, key_agreement=False, key_cert_sign=False,
-                    crl_sign=False, encipher_only=False, decipher_only=False,
-                ),
-                critical=True,
-            )
+            .add_extension(_key_usage("digital_signature", "key_encipherment"), critical=True)
             .add_extension(
                 x509.ExtendedKeyUsage(
                     [ExtendedKeyUsageOID.CLIENT_AUTH, ExtendedKeyUsageOID.SERVER_AUTH]
@@ -320,6 +303,15 @@ class TestCaState:
     def issued_serials(self) -> set[str]:
         with self._lock:
             return set(self.issued)
+
+
+def _key_usage(*bits: str) -> x509.KeyUsage:
+    """A KeyUsage with the named bits set and every other bit clear."""
+    names = (
+        "digital_signature", "content_commitment", "key_encipherment", "data_encipherment",
+        "key_agreement", "key_cert_sign", "crl_sign", "encipher_only", "decipher_only",
+    )
+    return x509.KeyUsage(**{name: name in bits for name in names})
 
 
 def _self_signed(
@@ -378,8 +370,7 @@ class _AcmeHandler(HttpHandler):
             if endpoint is None:
                 raise _Problem(404, "malformed", f"no such resource {self.path}", close=True)
             if self.command == "POST":
-                protected, payload = self._read_jws(require_jwk=self.path == "/acme/new-account")
-                endpoint(self, ident, protected, payload)
+                endpoint(self, ident, *self._read_jws(require_jwk=self.path == "/acme/new-account"))
             else:
                 endpoint(self)
         except _Problem as problem:
@@ -406,18 +397,16 @@ class _AcmeHandler(HttpHandler):
     def _json(self, status: int, obj: dict, location: str | None = None) -> None:
         self._reply(status, json.dumps(obj).encode(), "application/json", location)
 
-    def _read_jws(self, require_jwk: bool) -> tuple[dict, bytes]:
-        """Verify the enclosing JWS and return (protected, payload).
-
-        New-account requests carry their key as an embedded JWK; every
-        other request's ``kid`` must name a known account.
-        """
-        raw = read_body(self.rfile, self.headers)
+    def _read_jws(self, require_jwk: bool) -> tuple[dict, bytes, PublicKeyTypes]:
+        """Parse the request's JWS, verify it, and return (protected,
+        payload, key). New-account requests carry their key as an embedded
+        JWK; every other request's ``kid`` must name a known account. No
+        header may carry both (RFC 8555 section 6.2)."""
         try:
-            envelope = _json_object(raw)
-            protected = _json_object(jws.b64url_decode(envelope["protected"]))
-        except (ValueError, KeyError, TypeError) as exc:
+            message = jws.parse_jws(read_body(self.rfile, self.headers))
+        except jws.MalformedJws as exc:
             raise _Problem(400, "malformed", f"bad request body: {exc}") from None
+        protected = message.protected
         if not all(isinstance(protected.get(m, ""), str) for m in ("nonce", "url", "kid")):
             raise _Problem(400, "malformed", "protected nonce, url and kid must be strings")
         if not self.ca.state.consume_nonce(protected.get("nonce", "")):
@@ -425,25 +414,23 @@ class _AcmeHandler(HttpHandler):
         expected_url = self.ca.base_url + self.path
         if protected.get("url") != expected_url:
             raise _Problem(400, "unauthorized", f"url {protected.get('url')!r} != {expected_url!r}")
-        if require_jwk:
-            jwk_obj = protected.get("jwk")
-            if not isinstance(jwk_obj, dict):
-                raise _Problem(400, "malformed", "newAccount requires an embedded jwk")
-        else:
-            kid = protected.get("kid")
-            key = self.ca.state.accounts.get(kid)
-            if key is None:
-                raise _Problem(400, "accountDoesNotExist", f"unknown account {kid!r}")
+        if "jwk" in protected and "kid" in protected:
+            raise _Problem(400, "malformed", "protected header carries both jwk and kid")
         try:
             if require_jwk:
-                key = jws.jwk_to_public_key(jwk_obj)
-            _, payload = jws.verify_jws(envelope, key)
-        except (jws.MalformedJws, ValueError, KeyError, TypeError) as exc:
-            # A malformed envelope, or a jwk of a wrong shape.
-            raise _Problem(400, "malformed", f"bad jws: {exc}") from None
+                if not isinstance(protected.get("jwk"), dict):
+                    raise _Problem(400, "malformed", "newAccount requires an embedded jwk")
+                key = jws.jwk_to_public_key(protected["jwk"])
+            else:
+                key = self.ca.state.accounts.get(protected.get("kid"))
+                if key is None:
+                    raise _Problem(400, "accountDoesNotExist", f"unknown account {protected.get('kid')!r}")
+            jws.verify_jws(message, key)
+        except (ValueError, KeyError, TypeError) as exc:  # a jwk of a wrong shape
+            raise _Problem(400, "malformed", f"bad jwk: {exc}") from None
         except jws.JwsError as exc:
             raise _Problem(401, "unauthorized", str(exc)) from None
-        return protected, payload
+        return protected, message.payload, key
 
     def _get_directory(self) -> None:
         self._json(200, self.ca.directory())
@@ -455,35 +442,31 @@ class _AcmeHandler(HttpHandler):
     def _get_root(self) -> None:
         self._reply(200, self.ca.root_cert_pem.encode(), "application/pem-certificate-chain")
 
-    # -- POST endpoints, each called as (ident, protected, payload) -------
+    # -- POST endpoints, each called as (ident, protected, payload, key) --
 
-    def _post_new_account(self, _, protected: dict, __) -> None:
+    def _post_new_account(self, _, protected: dict, __, key: PublicKeyTypes) -> None:
         accounts_url = f"{self.ca.base_url}/acme/acct"
-        kid, created = self.ca.state.register_account(protected["jwk"], accounts_url)
+        thumbprint = jws.jwk_thumbprint(protected["jwk"])
+        kid, created = self.ca.state.register_account(key, thumbprint, accounts_url)
         self._json(201 if created else 200, {"status": "valid", "orders": ""}, location=kid)
 
-    def _post_new_order(self, _, protected: dict, payload: bytes) -> None:
+    def _post_new_order(self, _, protected: dict, payload: bytes, __) -> None:
         ca = self.ca
         try:
-            idents = _json_object(payload)["identifiers"]
+            idents = jws.json_object(payload)["identifiers"]
             if not isinstance(idents, list) or not all(
                 isinstance(i, dict) and isinstance(i.get("value"), str) for i in idents
             ):
                 raise ValueError("identifiers must be objects with string values, in a list")
         except (ValueError, KeyError) as exc:
             raise _Problem(400, "malformed", f"bad order payload: {exc}") from None
-        identifiers = [i["value"] for i in idents if i.get("type") == "dns"]
+        try:
+            identifiers = list(dict.fromkeys(normalize_name(i["value"]) for i in idents if i.get("type") == "dns"))
+        except InvalidRecord as exc:
+            raise _Problem(400, "rejectedIdentifier", str(exc)) from None
         if not identifiers:
             raise _Problem(400, "malformed", "order carries no dns identifiers")
-        for fqdn in identifiers:
-            try:
-                normalize_name(fqdn)
-            except InvalidRecord as exc:
-                raise _Problem(400, "rejectedIdentifier", str(exc)) from None
-        try:
-            order = ca.state.create_order(protected["kid"], identifiers)
-        except QuotaExceeded as exc:
-            raise _Problem(429, "rateLimited", str(exc)) from None
+        order = ca.state.create_order(protected["kid"], identifiers)
         self._json(201, ca.order_json(order), location=f"{ca.base_url}/acme/order/{order.id}")
 
     def _post_order(self, order_id: str, *_) -> None:
@@ -492,15 +475,21 @@ class _AcmeHandler(HttpHandler):
     def _post_authz(self, authz_id: str, *_) -> None:
         self._json(200, self.ca.authz_json(_find(self.ca.state.authzs, authz_id, "authz")))
 
-    def _post_challenge(self, chall_id: str, protected: dict, payload: bytes) -> None:
+    def _post_challenge(self, chall_id: str, protected: dict, payload: bytes, _) -> None:
         chall = _find(self.ca.state.challenges, chall_id, "challenge")
         if payload:  # a POST-as-GET only reads the challenge (RFC 8555 section 7.5.1)
             self.ca.validate_challenge(chall, protected["kid"])
         self._json(200, self.ca.challenge_json(chall))
 
-    def _post_finalize(self, order_id: str, _, payload: bytes) -> None:
+    def _post_finalize(self, order_id: str, _, payload: bytes, __) -> None:
         order = _find(self.ca.state.orders, order_id, "order")
-        self.ca.state.finalize(order, payload)
+        try:
+            csr = x509.load_der_x509_csr(jws.b64url_decode(jws.json_object(payload)["csr"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _Problem(400, "badCSR", f"unparseable csr: {exc}") from None
+        if not csr.is_signature_valid:
+            raise _Problem(400, "badCSR", "csr signature invalid")
+        self.ca.state.finalize(order, csr)
         self._json(200, self.ca.order_json(order))
 
     def _post_cert(self, order_id: str, *_) -> None:
@@ -524,18 +513,6 @@ class _AcmeHandler(HttpHandler):
     _GET_ROUTES = {"/directory": _get_directory, "/acme/new-nonce": _get_new_nonce, "/root": _get_root}
     # HEAD answers GET's head alone.
     _ROUTES = {"GET": _GET_ROUTES, "HEAD": _GET_ROUTES, "POST": _POST_ROUTES}
-
-
-def _json_object(data) -> dict:
-    """Parse JSON that must be an object; any other value, or nesting too
-    deep to parse, is a ValueError."""
-    try:
-        obj = json.loads(data)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    return obj
 
 
 def _find(table: dict, ident: str, what: str):
@@ -620,9 +597,10 @@ class TestCa(BackgroundServer):
         """Probe a pending challenge once; any other challenge stands."""
         key_auth = self.state.start_challenge(chall, kid)
         if key_auth is not None:
-            self.state.finish_challenge(chall, *self._probe(chall, chall.authz.fqdn, key_auth))
+            self.state.finish_challenge(chall, *self._probe(chall, key_auth))
 
-    def _probe(self, chall: _Challenge, fqdn: str, expected_key_auth: str) -> tuple[bool, str]:
+    def _probe(self, chall: _Challenge, expected_key_auth: str) -> tuple[bool, str]:
+        fqdn = chall.authz.fqdn
         if self.dns_addr is None:
             return False, "ca has no dns responder configured"
         if chall.type == "dns-01":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -32,6 +33,18 @@ def b64url(data: bytes) -> str:
 
 def b64url_decode(s: str) -> bytes:
     return base64.urlsafe_b64decode(s + "=" * (-len(s) % 4))
+
+
+def json_object(data) -> dict:
+    """Parse JSON that must be an object; any other value, or nesting too
+    deep to parse, is a ValueError."""
+    try:
+        obj = json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def alg_for_key(private_key) -> str:
@@ -90,48 +103,56 @@ def sign_jws(private_key, protected: dict, payload: bytes | None) -> dict:
     protected_b64 = b64url(json.dumps(protected, separators=(",", ":")).encode())
     payload_b64 = "" if payload is None else b64url(payload)
     signing_input = f"{protected_b64}.{payload_b64}".encode("ascii")
-    if isinstance(private_key, rsa.RSAPrivateKey):
+    if alg_for_key(private_key) == "RS256":
         signature = private_key.sign(signing_input, padding.PKCS1v15(), hashes.SHA256())
-    elif isinstance(private_key, ec.EllipticCurvePrivateKey):
-        der = private_key.sign(signing_input, ec.ECDSA(hashes.SHA256()))
-        r, s = utils.decode_dss_signature(der)
-        signature = r.to_bytes(32, "big") + s.to_bytes(32, "big")
     else:
-        raise JwsError(f"unsupported key type {type(private_key).__name__}")
+        r, s = utils.decode_dss_signature(private_key.sign(signing_input, ec.ECDSA(hashes.SHA256())))
+        signature = r.to_bytes(32, "big") + s.to_bytes(32, "big")
     return {"protected": protected_b64, "payload": payload_b64, "signature": b64url(signature)}
 
 
-def verify_jws(jws: dict, public_key) -> tuple[dict, bytes]:
-    """Check the signature and return (protected_header, payload_bytes).
-    An envelope of any other shape raises MalformedJws."""
+class JwsMessage(NamedTuple):
+    """A flattened JWS, decoded but not yet verified."""
+
+    protected: dict
+    payload: bytes
+    signing_input: bytes
+    signature: bytes
+
+
+def parse_jws(body: bytes) -> JwsMessage:
+    """Decode a flattened JWS of base64url members whose protected header is
+    a JSON object; any other body (JSON nested too deep too) is MalformedJws."""
     try:
-        protected_b64, payload_b64 = jws["protected"], jws["payload"]
-        if not (isinstance(protected_b64, str) and isinstance(payload_b64, str)):
-            raise TypeError("protected and payload must be strings")
+        envelope = json_object(body)
+        protected_b64, payload_b64 = envelope["protected"], envelope["payload"]
+        # Decoding refuses a member that is not a string (TypeError), so
+        # the signing input is only ever formed from two strings.
+        protected, payload = json_object(b64url_decode(protected_b64)), b64url_decode(payload_b64)
+        signature = b64url_decode(envelope["signature"])
         signing_input = f"{protected_b64}.{payload_b64}".encode("ascii")
-        signature = b64url_decode(jws["signature"])
-        protected = json.loads(b64url_decode(protected_b64))
-        if not isinstance(protected, dict):
-            raise TypeError("protected header is not a JSON object")
-        payload = b64url_decode(payload_b64)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        return JwsMessage(protected, payload, signing_input, signature)
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJws(f"malformed jws: {exc}") from exc
-    alg = protected.get("alg")
+
+
+def verify_jws(message: JwsMessage, public_key) -> None:
+    """Raise JwsError unless the header's ``alg`` fits the key and the signature verifies."""
+    alg, signature = message.protected.get("alg"), message.signature
     try:
         if alg == "RS256" and isinstance(public_key, rsa.RSAPublicKey):
-            public_key.verify(signature, signing_input, padding.PKCS1v15(), hashes.SHA256())
+            public_key.verify(signature, message.signing_input, padding.PKCS1v15(), hashes.SHA256())
         elif alg == "ES256" and isinstance(public_key, ec.EllipticCurvePublicKey):
             if len(signature) != 64:
                 raise JwsError("ES256 signature must be 64 raw bytes")
             der = utils.encode_dss_signature(
                 int.from_bytes(signature[:32], "big"), int.from_bytes(signature[32:], "big")
             )
-            public_key.verify(der, signing_input, ec.ECDSA(hashes.SHA256()))
+            public_key.verify(der, message.signing_input, ec.ECDSA(hashes.SHA256()))
         else:
             raise JwsError(f"alg {alg!r} does not match key {type(public_key).__name__}")
     except InvalidSignature as exc:
         raise JwsError("signature verification failed") from exc
-    return protected, payload
 
 
 def key_authorization(token: str, thumbprint: str) -> str:

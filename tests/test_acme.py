@@ -20,7 +20,7 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa, utils
-from cryptography.x509.oid import NameOID
+from cryptography.x509.oid import ExtensionOID, NameOID
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,7 +50,7 @@ from iotpki.certs import (
 )
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
-from iotpki.inventory import MAX_CERT_LIFETIME
+from iotpki.inventory import MAX_CERT_LIFETIME, utcnow
 from iotpki.serving import IDLE_TIMEOUT, MAX_BODY_BYTES, BackgroundServer, ConnectionServer
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
@@ -81,6 +81,11 @@ def rsa_key() -> rsa.RSAPrivateKey:
 KEYGEN = {"rsa2048": rsa_key, "p256": generate_key}
 
 
+def as_body(value) -> bytes:
+    """``value`` as a JSON request body."""
+    return json.dumps(value).encode()
+
+
 class TestJwsPrimitives:
     def test_b64url_no_padding_round_trip(self):
         for raw in (b"", b"\x00", b"fo", b"\xff" * 17):
@@ -106,9 +111,10 @@ class TestJwsPrimitives:
         key = KEYGEN[alg]()
         protected = {"alg": jws.alg_for_key(key), "nonce": "n", "url": "https://x/y"}
         envelope = jws.sign_jws(key, protected, b'{"a":1}')
-        got_protected, payload = jws.verify_jws(envelope, key.public_key())
-        assert got_protected == protected
-        assert payload == b'{"a":1}'
+        message = jws.parse_jws(as_body(envelope))
+        jws.verify_jws(message, key.public_key())
+        assert message.protected == protected
+        assert message.payload == b'{"a":1}'
 
     @pytest.mark.parametrize("alg", ["rsa2048", "p256"])
     def test_tampered_payload_rejected(self, alg):
@@ -116,8 +122,9 @@ class TestJwsPrimitives:
         protected = {"alg": jws.alg_for_key(key), "nonce": "n", "url": "https://x/y"}
         envelope = jws.sign_jws(key, protected, b'{"a":1}')
         envelope["payload"] = jws.b64url(b'{"a":2}')
+        message = jws.parse_jws(as_body(envelope))
         with pytest.raises(jws.JwsError):
-            jws.verify_jws(envelope, key.public_key())
+            jws.verify_jws(message, key.public_key())
 
     def test_es256_signature_is_raw_64_bytes(self):
         key = generate_key()
@@ -188,8 +195,9 @@ class TestJwsEnvelopeShapes:
         ids=["non-string-protected", "protected-array", "protected-not-utf8", "signed-numeric-payload"],
     )
     def test_malformed_member_is_jws_error(self, protected, payload):
+        body = as_body(envelope_of(protected, payload, True))
         with pytest.raises(jws.MalformedJws):
-            jws.verify_jws(envelope_of(protected, payload, True), ENVELOPE_KEY.public_key())
+            jws.verify_jws(jws.parse_jws(body), ENVELOPE_KEY.public_key())
 
     @given(
         protected=ENVELOPE_MEMBERS | st.just(ES256_HEADER),
@@ -201,11 +209,58 @@ class TestJwsEnvelopeShapes:
         envelope = envelope_of(protected, payload, signed)
         envelope.pop(dropped, None)
         try:
-            header, body = jws.verify_jws(envelope, ENVELOPE_KEY.public_key())
+            message = jws.parse_jws(as_body(envelope))
+            jws.verify_jws(message, ENVELOPE_KEY.public_key())
         except jws.JwsError:
             return
-        assert header == json.loads(jws.b64url_decode(protected))
-        assert body == jws.b64url_decode(payload)
+        assert message.protected == json.loads(jws.b64url_decode(protected))
+        assert message.payload == jws.b64url_decode(payload)
+
+
+# Request bodies: any bytes, any JSON document, an object with any subset
+# of the envelope's members holding anything, and JSON nested past the
+# parser's depth, as the body or as the protected header.
+ENVELOPE_SHAPES = st.fixed_dictionaries(
+    {}, optional=dict.fromkeys(["protected", "payload", "signature"], ENVELOPE_MEMBERS)
+)
+NESTED = st.integers(1, 5000).map(lambda depth: b"[" * depth)
+BODIES = st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(as_body),
+    ENVELOPE_SHAPES.map(as_body),
+    NESTED,
+    NESTED.map(lambda nested: as_body({"protected": jws.b64url(nested), "payload": "", "signature": ""})),
+)
+
+
+class TestJwsParse:
+    @given(body=BODIES)
+    def test_any_body_parses_or_is_malformed(self, body):
+        try:
+            message = jws.parse_jws(body)
+        except jws.MalformedJws:
+            return
+        assert isinstance(message.protected, dict)
+        assert all(isinstance(part, bytes) for part in message[1:])
+
+    @given(
+        header=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3),
+        alg=st.sampled_from(["ES256", "RS256", "none"]) | JSON_VALUES,
+        payload=st.binary(max_size=32),
+        signature=st.none() | st.binary(max_size=80) | st.sampled_from([bytes(64), b"\xff" * 64]),
+    )
+    def test_any_parsed_message_verifies_or_is_jws_error(self, header, alg, payload, signature):
+        """A signature of None is ENVELOPE_KEY's own over the message."""
+        protected = jws.b64url(as_body({**header, "alg": alg}))
+        envelope = envelope_of(protected, jws.b64url(payload), signature is None)
+        if signature is not None:
+            envelope["signature"] = jws.b64url(signature)
+        message = jws.parse_jws(as_body(envelope))
+        try:
+            jws.verify_jws(message, ENVELOPE_KEY.public_key())
+        except jws.JwsError:
+            return
+        assert (alg, signature) == ("ES256", None)
 
 
 @pytest.fixture(scope="module")
@@ -502,9 +557,9 @@ class TestQuota:
         ca = TestCa()
         try:
             for _ in range(30000):
-                ca.state.check_quota("x.camera.vendor.com")
+                ca.state.check_quota(["x.camera.vendor.com"])
             with pytest.raises(QuotaExceeded):
-                ca.state.check_quota("x.camera.vendor.com")
+                ca.state.check_quota(["x.camera.vendor.com"])
         finally:
             ca.close()
 
@@ -531,10 +586,42 @@ class TestQuota:
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
         ca = TestCa()
         try:
-            ca.state.check_quota("a.camera.vendor.com")
-            ca.state.check_quota("b.camera.other.org")  # different registrable domain
+            ca.state.check_quota(["a.camera.vendor.com"])
+            ca.state.check_quota(["b.camera.other.org"])  # different registrable domain
             with pytest.raises(QuotaExceeded):
-                ca.state.check_quota("c.camera.vendor.com")
+                ca.state.check_quota(["c.camera.vendor.com"])
+        finally:
+            ca.close()
+
+    KID = "https://ca.test/acme/acct/thumb"
+
+    def test_one_order_counts_once_per_domain(self, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
+        state = ca_module.TestCaState(utcnow)
+        state.create_order(self.KID, ["a.vendor.example", "b.vendor.example"])
+        with pytest.raises(QuotaExceeded):
+            state.create_order(self.KID, ["c.vendor.example"])
+
+    def test_refused_order_counts_nothing(self, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
+        state = ca_module.TestCaState(utcnow)
+        state.create_order(self.KID, ["x.one.example"])
+        with pytest.raises(QuotaExceeded):
+            state.create_order(self.KID, ["a.two.example", "b.one.example"])
+        state.create_order(self.KID, ["c.two.example"])
+        assert len(state.orders) == 2
+
+    def test_case_does_not_start_a_new_count(self, stack, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
+        ca = TestCa(dns_addr=stack.dns.address).start()
+        try:
+            client = new_client(stack, ca)
+            client.ensure_account()
+            order = {"identifiers": [{"type": "dns", "value": "e.VENDOR.example"}]}
+            client._post(ca.directory()["newOrder"], order)
+            with pytest.raises(RateLimited):
+                order = {"identifiers": [{"type": "dns", "value": "f.vendor.EXAMPLE"}]}
+                client._post(ca.directory()["newOrder"], order)
         finally:
             ca.close()
 
@@ -747,13 +834,14 @@ class TestTransport:
         finalize = ca_module.TestCaState.finalize
         finalized = []
 
-        def counting(state, order, payload):
+        def counting(state, order, csr):
             finalized.append(order.id)
-            return finalize(state, order, payload)
+            return finalize(state, order, csr)
 
-        def finalize_then_hang_up(handler, order_id, _, payload):
+        def finalize_then_hang_up(handler, order_id, _, payload, __):
             order = ca_module._find(handler.ca.state.orders, order_id, "order")
-            handler.ca.state.finalize(order, payload)
+            csr = x509.load_der_x509_csr(jws.b64url_decode(json.loads(payload)["csr"]))
+            handler.ca.state.finalize(order, csr)
             handler.close_connection = True
 
         monkeypatch.setattr(ca_module.TestCaState, "finalize", counting)
@@ -923,15 +1011,16 @@ def test_http01_probe_reads_with_the_shared_readers(stack, case):
 
 def signed_post(client, url: str, payload, protected: dict) -> tuple[int, dict, bytes]:
     """POST one JWS built by hand from the client's account; ``protected``
-    overrides header members. A bytes ``payload`` is sent as the whole
-    request body instead, unsigned. Returns the raw (status, headers, body)."""
+    overrides header members, and the client's ``kid`` is left out when it
+    supplies a ``jwk``. A bytes ``payload`` is sent as the whole request
+    body instead, unsigned. Returns the raw (status, headers, body)."""
     if isinstance(payload, bytes):
         return client._http("POST", url, payload)
     header = {
         "alg": jws.alg_for_key(client.account_key),
         "nonce": client._take_nonce(),
         "url": url,
-        "kid": client.kid,
+        **({} if "jwk" in protected else {"kid": client.kid}),
         **protected,
     }
     body = json.dumps(payload).encode() if payload is not None else None
@@ -944,6 +1033,19 @@ def csr_b64(fqdn: str, tamper: bool = False) -> str:
     if tamper:
         der[-1] ^= 1  # last byte of the signature's s: still parses, no longer verifies
     return jws.b64url(bytes(der))
+
+
+def unreadable_san_csr_b64(_) -> str:
+    """A validly signed CSR whose SAN extension does not parse: a dNSName
+    that claims more bytes than follow."""
+    san = x509.UnrecognizedExtension(ExtensionOID.SUBJECT_ALTERNATIVE_NAME, b"\x30\x03\x82\x05a")
+    csr = (
+        x509.CertificateSigningRequestBuilder()
+        .subject_name(x509.Name([]))
+        .add_extension(san, critical=False)
+        .sign(generate_key(), hashes.SHA256())
+    )
+    return jws.b64url(csr_to_der(csr))
 
 
 def place_order(client, fqdn: str) -> tuple[dict, dict]:
@@ -1013,6 +1115,10 @@ BAD_IDENTIFIERS = {
     "newline-in-label": "x\n.camera.vendor.com",
 }
 PROTECTED_ARRAY = json.dumps({"protected": jws.b64url(b"[]"), "payload": "", "signature": ""})
+def account_jwk(client) -> dict:
+    return jws.public_jwk(client.account_key.public_key())
+
+
 OFF_CURVE_JWK = {
     "kty": "EC", "crv": "P-256", "x": jws.b64url(b"\x01" * 32), "y": jws.b64url(b"\x02" * 32)
 }
@@ -1107,6 +1213,14 @@ REJECTS = [
         False, id="jwk-off-curve",
     ),
     pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": account_jwk(c), "kid": c.kid}), 400,
+        "malformed", False, id="new-account-with-jwk-and-kid",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), NEW_ORDER, {"jwk": account_jwk(c), "kid": c.kid}), 400,
+        "malformed", False, id="new-order-with-jwk-and-kid",
+    ),
+    pytest.param(
         lambda s, c: (acme_url(s, "new-order"), {"identifiers": 5}, {}), 400, "malformed", False,
         id="identifiers-not-a-list",
     ),
@@ -1115,6 +1229,7 @@ REJECTS = [
         id="identifier-not-an-object",
     ),
     pytest.param(_finalize(True, lambda f: 5), 400, "badCSR", False, id="non-string-csr"),
+    pytest.param(_finalize(True, unreadable_san_csr_b64), 400, "badCSR", False, id="csr-san-unreadable"),
     pytest.param(
         lambda s, c: (acme_url(s, "new-order"), b"[" * 50000, {}), 400, "malformed", False,
         id="body-nested-too-deep",
@@ -1277,6 +1392,93 @@ class TestOrderStates:
             assert not racer.is_alive()
         assert sorted(outcomes, key=str) == [(403, ca_module.ERROR_NS + "orderNotReady"), 200]
         assert len(stack.ca.state.issued_serials()) == before + 1
+
+    def test_csr_parse_does_not_hold_the_lock(self, stack, monkeypatch):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "held-parse.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn)
+        parsing, release = threading.Event(), threading.Event()
+        load = x509.load_der_x509_csr
+
+        def held_load(der):
+            parsing.set()
+            release.wait(timeout=10)
+            return load(der)
+
+        monkeypatch.setattr(x509, "load_der_x509_csr", held_load)
+        outcome = []
+        finalizer = threading.Thread(
+            target=lambda: outcome.append(client._post(order["finalize"], {"csr": csr_b64(fqdn)})[0])
+        )
+        finalizer.start()
+        try:
+            assert parsing.wait(timeout=10)
+            nonce = threading.Thread(target=stack.ca.state.fresh_nonce)
+            nonce.start()
+            nonce.join(timeout=2)
+            assert not nonce.is_alive()
+        finally:
+            release.set()
+            finalizer.join(timeout=10)
+        assert outcome == [200]
+
+    def test_mixed_case_identifier_is_kept_in_lower_case(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "Mixed.Camera.Vendor.com"
+        order, chall = place_order(client, fqdn)
+        assert [i["value"] for i in order["identifiers"]] == [fqdn.lower()]
+        authz = json.loads(client._post(order["authorizations"][0], None)[2])
+        assert authz["identifier"] == {"type": "dns", "value": fqdn.lower()}
+        assert answer_challenge(stack, client, chall, fqdn)["status"] == "valid"
+        final = json.loads(client._post(order["finalize"], {"csr": csr_b64(fqdn.lower())})[2])
+        assert final["status"] == "valid"
+        _, _, chain = client._post(final["certificate"], None)
+        verify_chain(chain.decode("ascii"), fqdn.lower(), stack.ca.state.root_cert)
+
+
+class TestStateValues:
+    """``TestCaState`` driven with typed values alone: no socket, JSON or
+    base64 (RFC 8555 section 7.1.6)."""
+
+    FQDN = "typed.camera.vendor.com"
+
+    def ready_order(self, state):
+        key = generate_key()
+        thumbprint = jws.jwk_thumbprint(jws.public_jwk(key.public_key()))
+        kid, created = state.register_account(key.public_key(), thumbprint, "https://ca.test/acme/acct")
+        assert (kid, created) == (f"https://ca.test/acme/acct/{thumbprint}", True)
+        order = state.create_order(kid, [self.FQDN])
+        chall = order.authzs[0].challenges[0]
+        assert state.start_challenge(chall, kid) == jws.key_authorization(chall.token, thumbprint)
+        state.finish_challenge(chall, True, "")
+        assert order.status == "ready"
+        return order
+
+    def finalize_problem(self, state, order, csr) -> tuple[int, str]:
+        with pytest.raises(ca_module._Problem) as excinfo:
+            state.finalize(order, csr)
+        return excinfo.value.status, excinfo.value.type
+
+    def test_matching_csr_makes_the_order_valid(self):
+        state = ca_module.TestCaState(utcnow)
+        order = self.ready_order(state)
+        csr = build_csr(generate_key(), self.FQDN)
+        state.finalize(order, csr)
+        assert order.status == "valid"
+        assert san_dns_names(order.cert) == [self.FQDN]
+        assert state.issued_serials() == {serial_hex(order.cert)}
+        assert self.finalize_problem(state, order, csr) == (403, "orderNotReady")
+
+    def test_mismatching_csr_makes_the_order_invalid(self):
+        state = ca_module.TestCaState(utcnow)
+        order = self.ready_order(state)
+        other = build_csr(generate_key(), "other.camera.vendor.com")
+        assert self.finalize_problem(state, order, other) == (400, "badCSR")
+        assert (order.status, order.cert, state.issued_serials()) == ("invalid", None, set())
+        csr = build_csr(generate_key(), self.FQDN)
+        assert self.finalize_problem(state, order, csr) == (403, "orderNotReady")
 
 
 def count_replies(monkeypatch) -> list:
