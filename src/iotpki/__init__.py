@@ -15,7 +15,6 @@ from .identity import (
     DeviceUrn,
     VendorNamespace,
     derive_device_uuid,
-    format_urn,
     parse_urn,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "IotPkiError",
     "VendorNamespace",
     "derive_device_uuid",
-    "format_urn",
     "parse_urn",
     "__version__",
 ]

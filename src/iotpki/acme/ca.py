@@ -134,7 +134,8 @@ class TestCaState:
         self.orders: dict[str, _Order] = {}
         self.authzs: dict[str, _Authz] = {}
         self.challenges: dict[str, _Challenge] = {}
-        self._order_counts: Counter[tuple[str, int]] = Counter()  # (domain, week) -> orders
+        self._quota_week = -1  # the week that _order_counts counts
+        self._order_counts: Counter[str] = Counter()  # domain -> orders that week
         self._next_serial = secrets.randbits(40) << 24
         self._lock = threading.RLock()
 
@@ -249,15 +250,18 @@ class TestCaState:
     def check_quota(self, identifiers: list[str]) -> None:
         """Count one order once against each registrable domain among its
         normalized identifiers for the current week. When any domain's
-        weekly quota would be exceeded, raise and count nothing."""
+        weekly quota would be exceeded, raise and count nothing. Only the
+        current week is kept: a check in any other week starts afresh."""
         week = int(self.clock().timestamp()) // (7 * 86400)
         domains = {".".join(fqdn.split(".")[-2:]) for fqdn in identifiers}
         with self._lock:
-            full = sorted(d for d in domains if self._order_counts[d, week] >= WEEKLY_ORDER_QUOTA)
+            if week != self._quota_week:
+                self._quota_week, self._order_counts = week, Counter()
+            full = sorted(d for d in domains if self._order_counts[d] >= WEEKLY_ORDER_QUOTA)
             if full:
                 detail = f"{', '.join(full)}: one more order this week exceeds {WEEKLY_ORDER_QUOTA}"
                 raise QuotaExceeded(429, "rateLimited", detail)
-            self._order_counts.update((d, week) for d in domains)
+            self._order_counts.update(domains)
 
     # -- issuance -----------------------------------------------------------
 
@@ -428,6 +432,8 @@ class _AcmeHandler(HttpHandler):
             jws.verify_jws(message, key)
         except (ValueError, KeyError, TypeError) as exc:  # a jwk of a wrong shape
             raise _Problem(400, "malformed", f"bad jwk: {exc}") from None
+        except jws.UnsupportedKey as exc:
+            raise _Problem(400, "badPublicKey", str(exc)) from None
         except jws.JwsError as exc:
             raise _Problem(401, "unauthorized", str(exc)) from None
         return protected, message.payload, key

@@ -27,6 +27,10 @@ class MalformedJws(JwsError):
     """The envelope is not a flattened JWS of the expected member shapes."""
 
 
+class UnsupportedKey(JwsError):
+    """A JWK of a key type or curve other than RSA and EC P-256."""
+
+
 def b64url(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
 
@@ -84,7 +88,7 @@ def jwk_to_public_key(jwk: dict):
         x = int.from_bytes(b64url_decode(jwk["x"]), "big")
         y = int.from_bytes(b64url_decode(jwk["y"]), "big")
         return ec.EllipticCurvePublicNumbers(x, y, ec.SECP256R1()).public_key()
-    raise JwsError(f"unsupported jwk {jwk.get('kty')!r}")
+    raise UnsupportedKey(f"unsupported jwk kty {jwk.get('kty')!r} crv {jwk.get('crv')!r}")
 
 
 def jwk_thumbprint(jwk: dict) -> str:
@@ -92,7 +96,7 @@ def jwk_thumbprint(jwk: dict) -> str:
     required = {"RSA": ("e", "kty", "n"), "EC": ("crv", "kty", "x", "y")}
     kty = jwk.get("kty")
     if kty not in required:
-        raise JwsError(f"unsupported kty {kty!r}")
+        raise UnsupportedKey(f"unsupported kty {kty!r}")
     subset = {k: jwk[k] for k in required[kty]}
     canonical = json.dumps(subset, separators=(",", ":"), sort_keys=True)
     return b64url(hashlib.sha256(canonical.encode("utf-8")).digest())

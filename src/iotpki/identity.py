@@ -147,12 +147,6 @@ def derive_device_uuid(ns: VendorNamespace, secret: DeviceSecret) -> uuid.UUID:
     return uuid.uuid5(NS_DNS, name)
 
 
-def format_urn(device_uuid: uuid.UUID, ns: VendorNamespace) -> str:
-    """Render the URN FQDN ``<uuid>.<device-class>.<root-domain>``, or
-    FqdnTooLong."""
-    return str(DeviceUrn(device_uuid, ns))
-
-
 def parse_urn(s: str) -> DeviceUrn:
     """Parse a URN string back into its UUID and vendor namespace.
 

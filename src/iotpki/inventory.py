@@ -8,7 +8,9 @@ Snapshot format (external interface): a header line ``ATLASINV v1``, one
 compact JSON object per record line, and a ``sha256 <hex>`` trailer over
 all preceding bytes. Timestamps are RFC 3339 UTC. ``"superseded"`` lists
 the serials a record's certificate replaced; older lines lack it and read
-as none. Each snapshot is a synced temporary file renamed into place.
+as none. A ``"state"`` of ``in_progress`` or ``expired``, which older
+versions wrote, reads as ``due``. Each snapshot is a synced temporary file
+renamed into place.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ class CorruptSnapshot(IotPkiError):
 class RenewalState(str, Enum):
     CURRENT = "current"
     DUE = "due"
-    IN_PROGRESS = "in_progress"  # this and EXPIRED are never written; old snapshots hold them
-    EXPIRED = "expired"
     REVOKED = "revoked"
+
+
+# The states that older versions wrote, and what each reads as.
+_LEGACY_STATES = {"in_progress": "due", "expired": "due"}
 
 
 def to_rfc3339(dt: datetime) -> str:
@@ -204,8 +208,7 @@ class Inventory:
 
     def due_for_renewal(self, now: datetime) -> list[DeviceRecord]:
         """Records whose cert expires within RENEWAL_WINDOW and that are not
-        revoked. Marks nothing: a record an older version left in_progress
-        is due like any other."""
+        revoked. Marks nothing."""
         out = []
         with self._lock:
             for record in self._records.values():
@@ -337,7 +340,7 @@ def _record_from_obj(obj: dict) -> DeviceRecord:
         urn=urn,
         uuid=urn.uuid,
         current_cert=cert,
-        renewal_state=RenewalState(obj["state"]),
+        renewal_state=RenewalState(_LEGACY_STATES.get(obj["state"], obj["state"])),
         gateway_delegation=None if delegation is None else _typed(delegation, "delegation"),
         created_at=from_rfc3339(obj["created_at"]),
         superseded=tuple(_typed(serial, "superseded serial") for serial in superseded),

@@ -49,7 +49,6 @@ MAGIC_PREFIX = b"ATLSCRL"
 LEVEL1_RATE_FACTOR = 0.5
 INNER_FP_RATE = 0.25
 MAX_LEVELS = 100
-DIGEST_CHUNK = 4096  # serials joined per hash update
 
 
 class RevokedNotIssued(IotPkiError):
@@ -120,9 +119,6 @@ class BloomLevel:
                     index -= m
         return cls(bits=bytes(array), num_bits=m, num_hashes=k, seed=seed)
 
-    def contains(self, serial: str) -> bool:
-        return bool(self.hits([serial]))
-
     def hits(self, serials: list[str]) -> list[str]:
         """The serials whose every probed bit is set, in order."""
         lookup, m, rest, seed = self.lookup, self.num_bits, range(self.num_hashes - 1), self.seed
@@ -187,15 +183,8 @@ def build_filter(
 
 
 def _universe_digest(issued_universe: set[str]) -> bytes:
-    """sha256 of the sorted serials joined by newlines, hashed a chunk at a
-    time so the whole joined universe is never held at once."""
-    serials = sorted(issued_universe)
-    h = hashlib.sha256()
-    for start in range(0, len(serials), DIGEST_CHUNK):
-        if start:
-            h.update(b"\n")
-        h.update("\n".join(serials[start : start + DIGEST_CHUNK]).encode("utf-8"))
-    return h.digest()
+    """sha256 of the sorted serials joined by newlines."""
+    return hashlib.sha256("\n".join(sorted(issued_universe)).encode("utf-8")).digest()
 
 
 def query(filter_: RevocationFilter, serial: str) -> bool:

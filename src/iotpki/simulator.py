@@ -15,13 +15,6 @@ change the CSV. A report keeps its samples in columns (arrays of
 contacts and of latencies), and the CSV is rendered straight from the
 columns (see Report).
 
-Gateway lookup: a poll measures only the gateways listed for its grid
-cell (side gateway_range / 2) in an index built once per run. The index
-is exact: math.dist is at least max(|dx|, |dy|), so a gateway out of a
-cell's list is out of reach of every point in the cell (see
-``_gateway_cells``). Candidates are compared in gateway order with a
-strict ``<``, so a tie goes to the lowest index, as with a full scan.
-
 Latency draws: cloud latencies come from one iterator per run that
 draws the run's cloud stream a chunk at a time and maps each chunk with
 the inverse-CDF expression of ``sample_weibull`` (``_weibull``), so every
@@ -69,7 +62,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import IotPkiError
@@ -380,43 +373,10 @@ class _Node:
         return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
 
-# Cell coordinates stay below this, far inside float precision, so the
-# rounding error of a cell coordinate is much less than one cell.
-_MAX_CELLS = 2.0**40
-
-
-def _gateway_cells(
-    gateways: Sequence[tuple[float, float]], reach: float, grid: float
-) -> tuple[float, dict[tuple[int, int], list[tuple[int, tuple[float, float]]]]]:
-    """Index the gateways by grid cell of side reach / 2: returns (scale, cells).
-
-    A point (x, y) lies in cell (floor(x * scale), floor(y * scale)).
-    ``cells`` maps a cell to the (index, position) of each gateway that may
-    be within reach of a point in it, in gateway order; a cell missing from
-    it has none. math.dist is at least max(|dx|, |dy|), so a point within
-    reach of a gateway lies in the gateway's reach box, two cells to each
-    side of it. Each gateway is listed in every cell that box touches,
-    widened by one cell on each side for rounding, so a gateway left out of
-    a cell is out of reach of every point in it. When the cell arithmetic
-    is not finite (a subnormal reach) or too fine for the grid, scale is 0:
-    every point lies in one cell that holds every gateway.
-    """
-    scale = 2.0 / reach
-    if not grid * scale <= _MAX_CELLS:
-        return 0.0, {(0, 0): list(enumerate(gateways))}
-    cells: dict[tuple[int, int], list[tuple[int, tuple[float, float]]]] = {}
-    for gateway in enumerate(gateways):
-        gx, gy = (math.floor(c * scale) for c in gateway[1])
-        for cell in product(range(gx - 3, gx + 4), range(gy - 3, gy + 4)):
-            cells.setdefault(cell, []).append(gateway)
-    return scale, cells
-
-
 def run_smart_city(cfg: SimConfig) -> SimReport:
     """Tick loop: every node polls at t = 0, p, p + p, ... up to the
     duration, in node order within a tick."""
     reach = cfg.gateway_range
-    scale, cells = _gateway_cells(GATEWAYS, reach, GRID_SIZE)
     nodes = [_Node(_stream(cfg.seed, f"mobility|{i}")) for i in range(cfg.num_mobile_nodes)]
     link_s = cfg.d2d_link_latency_ms / 1000.0
     cloud_latency = _weibull_stream(_stream(cfg.seed, "cloud").random, cfg.cloud, link_s)
@@ -426,7 +386,7 @@ def run_smart_city(cfg: SimConfig) -> SimReport:
     d2d = cfg.mode == "d2d"
     uncapped_cloud = not d2d and not cap
     dist = math.dist
-    floor = math.floor
+    gateways = tuple(enumerate(GATEWAYS))  # (index, position)
     # A d2d burst is burst_size copies of one value; the handshake is
     # amortized over the first burst of a contact.
     fresh_burst = array("d", [link_s + handshake_s / burst]) * burst
@@ -445,10 +405,9 @@ def run_smart_city(cfg: SimConfig) -> SimReport:
         first_contact = len(contact_node)
         for node_id, node in enumerate(nodes):
             pos = node.position(t)
-            px, py = pos
-            # The nearest candidate, the lowest index on a tie.
+            # The nearest gateway, the lowest index on a tie.
             d = math.inf
-            for i, g in cells.get((floor(px * scale), floor(py * scale)), ()):
+            for i, g in gateways:
                 e = dist(pos, g)
                 if e < d:
                     d, nearest = e, i

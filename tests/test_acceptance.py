@@ -45,7 +45,6 @@ from iotpki.identity import (
     DeviceUrn,
     VendorNamespace,
     derive_device_uuid,
-    format_urn,
 )
 from iotpki.inventory import Inventory
 from iotpki.lifecycle import FleetManager
@@ -567,9 +566,7 @@ class TestDnsAuthorityConformance:
             assert reply.answers == []
 
             ns = VendorNamespace("conformance.test", "sensor")
-            urn = format_urn(
-                derive_device_uuid(ns, DeviceSecret(b"dns-conformance-secret")), ns
-            )
+            urn = str(DeviceUrn(derive_device_uuid(ns, DeviceSecret(b"dns-conformance-secret")), ns))
             stack.zone.bind_device(urn, "cloud.conformance.test")
             reply = stub_query(addr, urn, A_TYPE)
             assert reply.aa and reply.rcode == NOERROR_RCODE

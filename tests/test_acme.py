@@ -611,6 +611,20 @@ class TestQuota:
         state.create_order(self.KID, ["c.two.example"])
         assert len(state.orders) == 2
 
+    def test_only_the_current_week_is_kept(self, monkeypatch):
+        monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
+        now = [datetime(2026, 1, 1, tzinfo=timezone.utc)]
+        state = ca_module.TestCaState(lambda: now[0])
+        for i in range(5):
+            state.check_quota([f"x.domain{i}.example"])
+            now[0] += timedelta(weeks=1)
+        assert len(state._order_counts) == 1
+        # Winding the clock back starts a fresh count as well.
+        now[0] -= timedelta(weeks=3)
+        state.check_quota(["x.domain0.example"])
+        with pytest.raises(QuotaExceeded):
+            state.check_quota(["y.domain0.example"])
+
     def test_case_does_not_start_a_new_count(self, stack, monkeypatch):
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
         ca = TestCa(dns_addr=stack.dns.address).start()
@@ -1122,6 +1136,11 @@ def account_jwk(client) -> dict:
 OFF_CURVE_JWK = {
     "kty": "EC", "crv": "P-256", "x": jws.b64url(b"\x01" * 32), "y": jws.b64url(b"\x02" * 32)
 }
+_P384 = ec.generate_private_key(ec.SECP384R1()).public_key().public_numbers()
+P384_JWK = {
+    "kty": "EC", "crv": "P-384", "x": jws.b64url(_P384.x.to_bytes(48, "big")),
+    "y": jws.b64url(_P384.y.to_bytes(48, "big")),
+}
 
 # Each CA reject path: request builder (stack, client) -> (url, payload,
 # protected overrides), then the expected status, problem type, and
@@ -1211,6 +1230,14 @@ REJECTS = [
     pytest.param(
         lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": OFF_CURVE_JWK}), 400, "malformed",
         False, id="jwk-off-curve",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": {"kty": "oct", "k": "AAAA"}}), 400,
+        "badPublicKey", False, id="jwk-oct",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": P384_JWK}), 400, "badPublicKey",
+        False, id="jwk-ec-p384",
     ),
     pytest.param(
         lambda s, c: (acme_url(s, "new-account"), {}, {"jwk": account_jwk(c), "kid": c.kid}), 400,

@@ -9,6 +9,7 @@ import shutil
 import tempfile
 import uuid as uuidlib
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,7 +167,7 @@ class TestRenewalWindow:
         assert [r.uuid for r in due] == [urn.uuid]
 
     def test_revoked_excluded_in_progress_listed(self):
-        # No version writes IN_PROGRESS any more; a record an older one left
+        # No version writes in_progress any more; a record an older one left
         # in it is due like any other, or it would never be renewed.
         inv = Inventory()
         a, b, c = make_urn(1), make_urn(2), make_urn(3)
@@ -174,7 +175,7 @@ class TestRenewalWindow:
             inv.upsert_device(urn, now=T0)
             inv.attach_certificate(urn.uuid, make_meta(days=10))
         inv.set_state(a.uuid, RenewalState.REVOKED)
-        inv.set_state(b.uuid, RenewalState.IN_PROGRESS)
+        inv = with_legacy_state(inv, b, "in_progress")
         due = inv.due_for_renewal(now=T0 + timedelta(days=5))
         assert {r.uuid for r in due} == {b.uuid, c.uuid}
 
@@ -316,7 +317,9 @@ RECORD_LINES = st.one_of(
         {
             "uuid": st.one_of(JSON_VALUES, st.just(URN_UUID)),
             "urn": st.one_of(JSON_VALUES, st.just(f"{URN_UUID}.camera.vendor.com")),
-            "state": st.one_of(JSON_VALUES, st.sampled_from([s.value for s in RenewalState])),
+            "state": st.one_of(
+                JSON_VALUES, st.sampled_from([s.value for s in RenewalState] + ["in_progress", "expired"])
+            ),
             "created_at": st.one_of(JSON_VALUES, st.just("2026-01-01T00:00:00Z")),
             "delegation": JSON_VALUES,
             "superseded": st.one_of(JSON_VALUES, st.lists(st.text(max_size=8), max_size=3)),
@@ -329,6 +332,19 @@ RECORD_LINES = st.one_of(
 
 def checksummed(body: str) -> str:
     return body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def with_legacy_state(inv: Inventory, urn: DeviceUrn, state: str) -> Inventory:
+    """``inv`` written out with ``urn``'s record in a state that only older
+    versions wrote, then restored."""
+    objs = [inventory._record_to_obj(record) for record in inv.records()]
+    for obj in objs:
+        if obj["urn"] == str(urn):
+            obj["state"] = state
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "inv.snap")
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + "".join(json.dumps(o) + "\n" for o in objs)))
+        return Inventory.restore(path)
 
 
 @pytest.fixture(scope="module")
@@ -363,9 +379,8 @@ class TestSnapshot:
             if i % 2 == 0:
                 inv.attach_certificate(urn.uuid, make_meta(serial=f"{i:02x}"))
         inv.attach_certificate(make_urn(0).uuid, make_meta(serial="a0"))
-        # No flow sets "expired" any more, but a snapshot holding it restores.
-        inv.set_state(make_urn(4).uuid, RenewalState.EXPIRED)
-        return inv
+        # No version writes "expired" any more, but a snapshot holding it restores.
+        return with_legacy_state(inv, make_urn(4), "expired")
 
     def test_round_trip_preserves_records(self, tmp_path):
         inv = self._populated()
@@ -451,6 +466,14 @@ class TestSnapshot:
         assert (record.current_cert.serial, record.gateway_delegation) == ("0a", delegation)
         # A line without the superseded member, as older snapshots wrote it.
         assert record.superseded == ()
+
+    @pytest.mark.parametrize("state", ["in_progress", "expired"])
+    def test_legacy_state_restores_as_due(self, tmp_path, state):
+        path = tmp_path / "inv.snap"
+        line = json.dumps({**GOOD_RECORD, "state": state})
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + line + "\n"))
+        (record,) = Inventory.restore(path).records()
+        assert record.renewal_state is RenewalState.DUE
 
     def test_superseded_serials_restore(self, tmp_path):
         path = tmp_path / "inv.snap"

@@ -596,9 +596,9 @@ def _old_sample_weibull(params, u):
 
 
 def _old_run_smart_city(cfg):
-    """The tick loop that the batched draws and the gateway cell index
-    replaced, kept as an oracle: one math.dist call per gateway per poll
-    and one Weibull sample per cloud message. Returns the report columns."""
+    """The tick loop that the batched draws replaced, kept as an oracle:
+    a list of math.dist calls per poll, read with min and index, and one
+    Weibull sample per cloud message. Returns the report columns."""
     nodes = [simulator._Node(simulator._stream(cfg.seed, f"mobility|{i}"))
              for i in range(cfg.num_mobile_nodes)]
     draw = simulator._stream(cfg.seed, "cloud").random
@@ -726,8 +726,9 @@ def _lookup(monkeypatch, points, **kwargs):
 
 
 class TestGatewayLookup:
-    """The cell index against brute force at its edges: points on cell
-    boundaries, points exactly at gateway_range, and ties."""
+    """The nearest-gateway scan against brute force at its edges: points
+    exactly at gateway_range, on a grid of side gateway_range / 2 around
+    each gateway, and ties."""
 
     @pytest.mark.parametrize("reach", [100.0, 150.0, 37.5, 0.1, 1e-9, 5e-324, 1e6])
     def test_cell_edges_and_range_boundary(self, monkeypatch, reach):
@@ -738,7 +739,7 @@ class TestGatewayLookup:
             for dx, dy in [(reach, 0.0), (-reach, 0.0), (0.0, reach), (0.0, -reach),
                            (0.6 * reach, 0.8 * reach), (-0.8 * reach, 0.6 * reach)]:
                 points.append((gx + dx, gy + dy))
-            # On the cell boundaries in and around the gateway's reach box.
+            # On a grid of side reach / 2 in and around the gateway's reach box.
             for k in range(-4, 5):
                 edge = (math.floor(gx / size) + k) * size if size else gx
                 points += [(edge, gy), (gx, edge), (edge, edge)]
@@ -765,14 +766,6 @@ class TestGatewayLookup:
         found = _lookup(monkeypatch, points, gateway_range=150.0)
         assert found == [_brute_force(p, GATEWAYS, 150.0) for p in points]
         assert found == [0, 1, 0]
-
-    def test_gateway_index_is_small(self):
-        for reach in (100.0, 0.5, 1e6):
-            scale, cells = simulator._gateway_cells(GATEWAYS, reach, GRID_SIZE)
-            assert 0 < len(cells) <= 5 * 49
-        # A subnormal range has no finite cell size: one cell holds every gateway.
-        scale, cells = simulator._gateway_cells(GATEWAYS, 5e-324, GRID_SIZE)
-        assert scale == 0.0 and list(cells) == [(0, 0)] and len(cells[0, 0]) == 5
 
 
 class _ZeroAt:
