@@ -226,7 +226,10 @@ def cmd_revoke(args: argparse.Namespace) -> int:
 def cmd_filter_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     inventory = _restore_fleet(out)
-    vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {args.root_domain}
+    # An empty snapshot's vendor is the flag, spelled as its URNs would spell it.
+    vendors = {record.urn.namespace.root_domain for record in inventory.records()} or {
+        VendorNamespace(args.root_domain, "device").root_domain
+    }
     if len(vendors) > 1:
         raise IotPkiError(f"snapshot names vendors {', '.join(sorted(vendors))}; a filter covers one")
     universe, revoked = inventory.serials()
@@ -299,22 +302,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     apex = args.root_domain
-    vendor_a, vendor_b = f"a.{apex}", f"b.{apex}"
+    ns_a, ns_b = VendorNamespace(f"a.{apex}", "gateway"), VendorNamespace(f"b.{apex}", args.device_class)
+    # Filters are keyed by the vendor as its URNs spell it, lower case.
+    vendor_a, vendor_b = ns_a.root_domain, ns_b.root_domain
     with (
         scenario_stack(apex) as stack,
         _new_manager(stack, vendor_a) as manager_a,
         _new_manager(stack, vendor_b) as manager_b,
     ):
-        server = manager_a.enroll_device(
-            VendorNamespace(vendor_a, "gateway"),
-            DeviceSecret(_device_secret(args.seed, 1)),
-            args.challenge,
-        )
-        client = manager_b.enroll_device(
-            VendorNamespace(vendor_b, args.device_class),
-            DeviceSecret(_device_secret(args.seed, 2)),
-            args.challenge,
-        )
+        server = manager_a.enroll_device(ns_a, DeviceSecret(_device_secret(args.seed, 1)), args.challenge)
+        client = manager_b.enroll_device(ns_b, DeviceSecret(_device_secret(args.seed, 2)), args.challenge)
         if args.revoke == "server":
             manager_a.revoke_device(server.urn.uuid)
         elif args.revoke == "client":
@@ -333,7 +330,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         raise IotPkiError("echoed payload does not match what was sent")
     print(f"echoed {len(result.payload_echoed)} bytes over mutual TLS 1.3")
     print(f"handshake {result.handshake_ms:.1f} ms")
-    print(f"server accepted client {result.server_verdict.urn}")
+    print(f"server accepted client {client.urn}")
     print(f"client accepted server {result.client_verdict.urn}")
     return 0
 

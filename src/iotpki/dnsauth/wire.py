@@ -1,5 +1,6 @@
-"""RFC 1035 wire-format codec: single-question queries, uncompressed
-responses (compression pointers are accepted on decode, never emitted).
+"""RFC 1035 wire-format codec: single-question queries, and responses
+whose owner names and CNAME targets end in a pointer to the longest
+suffix already written (RFC 1035 section 4.1.4).
 
 Only class IN and the record types the zone stores (A, CNAME, TXT) are
 encoded; anything else surfaces as WireFormatError or NOTIMP upstream.
@@ -113,12 +114,31 @@ def parse_query(packet: bytes) -> tuple[int, str, int]:
 
 
 def encode_rdata(record: ZoneRecord) -> bytes:
+    """The rdata of an A or TXT record; a CNAME's is a name, see _put_name."""
     if record.rtype is RType.A:
         return bytes(int(o) for o in record.value.split("."))
-    if record.rtype is RType.CNAME:
-        return encode_name(record.value)
     raw = record.value.encode("utf-8")
     return bytes([len(raw)]) + raw
+
+
+def _put_name(out: bytearray, name: str, offsets: dict[bytes, int]) -> None:
+    """Append ``name``: its labels up to the longest suffix already in
+    ``out``, then a pointer to that suffix. ``offsets`` maps each encoded
+    suffix written so far to its offset, kept only where a pointer's 14
+    bits reach."""
+    encoded = encode_name(name)
+    pos = 0
+    while encoded[pos]:
+        suffix = encoded[pos:]
+        if suffix in offsets:
+            out += struct.pack("!H", 0xC000 | offsets[suffix])
+            return
+        if len(out) < 0x4000:
+            offsets[suffix] = len(out)
+        end = pos + 1 + encoded[pos]
+        out += encoded[pos:end]
+        pos = end
+    out.append(0)
 
 
 def build_response(
@@ -133,12 +153,18 @@ def build_response(
     if truncated:
         flags |= _FLAG_TC
     out = bytearray(_HEADER.pack(txn_id, flags, 1, len(answers), 0, 0))
-    out += encode_name(qname) + struct.pack("!HH", qtype, CLASS_IN)
+    offsets: dict[bytes, int] = {}
+    _put_name(out, qname, offsets)
+    out += struct.pack("!HH", qtype, CLASS_IN)
     for record in answers:
-        rdata = encode_rdata(record)
-        out += encode_name(record.name)
-        out += struct.pack("!HHIH", int(record.rtype), CLASS_IN, record.ttl, len(rdata))
-        out += rdata
+        _put_name(out, record.name, offsets)
+        out += struct.pack("!HHIH", int(record.rtype), CLASS_IN, record.ttl, 0)
+        start = len(out)
+        if record.rtype is RType.CNAME:
+            _put_name(out, record.value, offsets)
+        else:
+            out += encode_rdata(record)
+        struct.pack_into("!H", out, start - 2, len(out) - start)
     return bytes(out)
 
 

@@ -7,12 +7,12 @@ the reject reason is deterministic. The echo harness wires the same
 policy into a real TLS 1.3 session over loopback with mandatory client
 certificates: OpenSSL verifies the chain during the handshake, then each
 side checks the issuing root's window and runs ``check_leaf`` on the
-peer's leaf, so both layers must agree before any payload flows.
+peer's leaf, so both layers must agree before any payload flows. A
+server that refuses sends back only its reject reason's token.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
 import socketserver
@@ -28,9 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 from cryptography import x509
 from cryptography.x509.verification import PolicyBuilder, Store, VerificationError
 
-from .certs import (
-    cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex, split_pem_chain,
-)
+from .certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from .errors import IotPkiError
 from .identity import DeviceUrn, MalformedUrn, parse_urn
 from .inventory import utcnow
@@ -99,14 +97,10 @@ class PeerVerdict:
         if self.accepted and (self.urn is None or self.reject_reason is not None):
             raise IotPkiError("accepted verdict must carry a urn and no reject reason")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "accepted": self.accepted,
-                "urn": str(self.urn) if self.urn else None,
-                "reject_reason": self.reject_reason.value if self.reject_reason else None,
-            }
-        )
+
+_CHAIN = PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+# An RJ frame's body is the reason's token; the client reads it back here.
+_REASON_TOKENS = {reason.value.encode("ascii"): reason for reason in RejectReason}
 
 
 def extract_urn(cert: x509.Certificate) -> DeviceUrn:
@@ -130,14 +124,14 @@ def validate_peer(
     reads ``expired`` or ``not_yet_valid``, while an in-window leaf is
     checked at the true trust time, its root's window included."""
     if not chain:
-        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+        return _CHAIN
     leaf = chain[0]
     at = _path_time(leaf, ctx)
     verifier = PolicyBuilder().store(Store(list(ctx.roots))).time(at).build_client_verifier()
     try:
         verifier.verify(leaf, chain[1:])
     except VerificationError:
-        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+        return _CHAIN
     return check_leaf(leaf, ctx, expected_vendor)
 
 
@@ -154,7 +148,7 @@ def _live_verdict(tls, ctx: TrustContext) -> PeerVerdict:
     at = _path_time(leaf, ctx)
     issuers = [root for root in ctx.roots if root.subject == leaf.issuer]
     if issuers and not any(r.not_valid_before_utc <= at <= r.not_valid_after_utc for r in issuers):
-        return PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
+        return _CHAIN
     return check_leaf(leaf, ctx)
 
 
@@ -200,7 +194,6 @@ def _warn_unfiltered(vendor: str) -> None:
 class EchoResult:
     payload_echoed: bytes
     client_verdict: PeerVerdict
-    server_verdict: PeerVerdict
     handshake_ms: float
     resumed: bool
 
@@ -222,9 +215,6 @@ def _tls13_context(purpose: ssl.Purpose, bundle, roots: tuple[x509.Certificate, 
 class _ClientSide(NamedTuple):
     chain_pem: str
     ctx: ssl.SSLContext
-    # The device's own URN; None if its SAN names none, which any echo
-    # server refuses as malformed.
-    urn: DeviceUrn | None
     # Server address -> the session kept for it, or None after the first
     # full handshake; oldest first contact first out. Changed under lock.
     peers: dict[tuple[str, int], ssl.SSLSession | None]
@@ -232,19 +222,15 @@ class _ClientSide(NamedTuple):
 
 
 def _client_side(bundle, trust: TrustContext) -> _ClientSide:
-    """The device's client TLS context under ``trust``, its own URN, and
-    the sessions kept on that context. Concurrent first contacts share one
-    entry; a renewed chain replaces it, so it never picks up the old
-    chain's context or sessions."""
+    """The device's client TLS context under ``trust`` and the sessions
+    kept on that context. Concurrent first contacts share one entry; a
+    renewed chain replaces it, so it never picks up the old chain's
+    context or sessions."""
     key, chain_pem = bundle.private_key, bundle.certificate_chain
     side = trust._clients.get(key)
     if side is None or side.chain_pem != chain_pem:
         ctx = _tls13_context(ssl.Purpose.SERVER_AUTH, bundle, trust.roots)
-        try:
-            urn = extract_urn(split_pem_chain(chain_pem)[0])
-        except MalformedUrn:
-            urn = None
-        fresh = _ClientSide(chain_pem, ctx, urn, {}, threading.Lock())
+        fresh = _ClientSide(chain_pem, ctx, {}, threading.Lock())
         side = trust._clients.setdefault(key, fresh)
         if side.chain_pem != chain_pem:
             trust._clients[key] = side = fresh
@@ -279,7 +265,8 @@ def _recv_exact(sock, count: int) -> bytes:
 
 class _EchoHandler(socketserver.BaseRequestHandler):
     """Checks the client's leaf, reads one frame, and answers ``OK`` with
-    the payload or ``RJ`` with the verdict, each behind a 4-byte length."""
+    the payload or ``RJ`` with the reject reason's token, each behind a
+    4-byte length."""
 
     def handle(self) -> None:
         tls = self.request
@@ -289,7 +276,7 @@ class _EchoHandler(socketserver.BaseRequestHandler):
             return
         payload = _recv_exact(tls, length)
         if not verdict.accepted:
-            reason = verdict.to_json().encode("utf-8")
+            reason = verdict.reject_reason.value.encode("ascii")
             tls.sendall(b"RJ" + struct.pack("!I", len(reason)) + reason)
             return
         tls.sendall(b"OK" + struct.pack("!I", len(payload)) + payload)
@@ -317,7 +304,9 @@ def echo_once(
     payload: bytes,
 ) -> EchoResult:
     """Connect to a running EchoServer, mutually authenticate, validate the
-    server's certificate, and exchange the payload.
+    server's certificate, and exchange the payload. An ``OK`` frame is the
+    server's acceptance; its refusal raises ``HandshakeRejected("server",
+    ...)`` with the reason its ``RJ`` frame names, else ``chain``.
 
     The client's TLS context lives on ``trust``, one per device key, is
     rebuilt when the key's chain changes and is freed with the trust. From
@@ -333,9 +322,7 @@ def echo_once(
         raw = socket.create_connection(server_addr, timeout=5.0)
         tls = side.ctx.wrap_socket(raw, server_hostname="peer", session=offered)
     except ssl.SSLError as exc:
-        raise HandshakeRejected(
-            "client", PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
-        ) from exc
+        raise HandshakeRejected("client", _CHAIN) from exc
     handshake_ms = (time.perf_counter() - start) * 1000.0
     with tls:
         resumed = tls.session_reused
@@ -351,23 +338,17 @@ def echo_once(
             (length,) = struct.unpack("!I", _recv_exact(tls, 4))
             body = _recv_exact(tls, length)
         except (ssl.SSLError, ConnectionError) as exc:
-            raise HandshakeRejected(
-                "server", PeerVerdict(accepted=False, reject_reason=RejectReason.CHAIN)
-            ) from exc
+            raise HandshakeRejected("server", _CHAIN) from exc
         # The server's tickets precede its answer, so they are in by now.
         if not resumed:
             _note_full_handshake(side, addr, offered, tls)
     if status != b"OK":
-        # The frame is the peer's word: any other status or reason reads as chain.
-        try:
-            reason = RejectReason(json.loads(body)["reject_reason"] if status == b"RJ" else "chain")
-        except (KeyError, TypeError, ValueError, RecursionError):
-            reason = RejectReason.CHAIN
+        # The frame is the peer's word: any other status or body reads as chain.
+        reason = _REASON_TOKENS.get(body, RejectReason.CHAIN) if status == b"RJ" else RejectReason.CHAIN
         raise HandshakeRejected("server", PeerVerdict(accepted=False, reject_reason=reason))
     return EchoResult(
         payload_echoed=body,
         client_verdict=client_verdict,
-        server_verdict=PeerVerdict(accepted=True, urn=side.urn),
         handshake_ms=handshake_ms,
         resumed=resumed,
     )

@@ -2,7 +2,9 @@
 derandomized and prints a reproduction blob for every failure, so a
 property that fails in CI fails the same way on a developer machine.
 ``--hypothesis-profile=thorough`` does the same with 2,000 examples per
-property, for float edge cases too rare for the default 100.
+property, for float edge cases too rare for the default 100; every
+hypothesis test carries the ``thorough`` marker, so ``-m thorough``
+selects them all.
 A test during which a server's request handler raised fails. The
 ``far_zone`` fixture runs a test with the host nine hours east of UTC."""
 
@@ -14,7 +16,7 @@ import traceback
 import pytest
 
 try:
-    from hypothesis import settings
+    from hypothesis import is_hypothesis_test, settings
 except ImportError:  # the suites that use hypothesis report the missing import
     pass
 else:
@@ -22,6 +24,11 @@ else:
     settings.register_profile("thorough", derandomize=True, print_blob=True, max_examples=2000)
     if os.environ.get("CI"):
         settings.load_profile("ci")
+
+    def pytest_collection_modifyitems(items):
+        for item in items:
+            if is_hypothesis_test(getattr(item, "obj", None)):
+                item.add_marker(pytest.mark.thorough)
 
 
 @pytest.fixture

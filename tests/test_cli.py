@@ -374,8 +374,12 @@ class TestRevokeAndFilter:
 
     @pytest.mark.parametrize(
         "enroll, flags, vendor",
-        [(True, [], "vendor.test"), (False, ["--root-domain", "vendor.flag"], "vendor.flag")],
-        ids=["vendor-of-the-snapshot", "empty-snapshot-takes-the-flag"],
+        [
+            (True, [], "vendor.test"),
+            (False, ["--root-domain", "vendor.flag"], "vendor.flag"),
+            (False, ["--root-domain", "Vendor.Flag"], "vendor.flag"),
+        ],
+        ids=["vendor-of-the-snapshot", "empty-snapshot-takes-the-flag", "the-flag-in-its-urn-spelling"],
     )
     def test_filter_is_built_for_the_snapshot_vendor(self, tmp_path, capsys, enroll, flags, vendor):
         out = str(tmp_path)
@@ -530,6 +534,13 @@ class TestDemo:
         assert code == 1
         assert "revoked" in stderr
         assert stderr.count("\n") == 1
+
+    def test_revoked_client_under_a_mixed_case_root_is_refused(self, capsys):
+        # The filter is keyed by the vendor as its URNs spell it, lower case.
+        code, stdout, stderr = run(
+            ["demo", "d2d", "--root-domain", "Demo.Test", "--seed", "4", "--revoke", "client"], capsys
+        )
+        assert (code, stdout, stderr) == (1, "", "error: server rejected peer: revoked\n")
 
     def test_demo_with_revoked_server_fails(self, capsys):
         code, _, stderr = run(

@@ -202,6 +202,32 @@ class TestWireCodec:
         (flags,) = struct.unpack_from("!H", packet, 2)
         assert flags & 0x0400  # AA
 
+    def test_response_names_end_in_pointers_to_written_suffixes(self):
+        # Oracle: RFC 1035 section 4.1.4 laid out by hand. The question's
+        # name is at offset 12 (0x0c), its "vendor.com" at 14 (0x0e), and
+        # the CNAME target's "cloud" label at 42 (0x2a).
+        answers = (
+            ZoneRecord("a.vendor.com", RType.CNAME, "cloud.vendor.com", 60),
+            ZoneRecord("cloud.vendor.com", RType.A, "127.0.0.1", 60),
+        )
+        expected = (
+            header(0x8400, 1, 2)
+            + b"\x01a\x06vendor\x03com\x00" + b"\x00\x01\x00\x01"
+            + b"\xc0\x0c" + struct.pack("!HHIH", 5, 1, 60, 8) + b"\x05cloud\xc0\x0e"
+            + b"\xc0\x2a" + struct.pack("!HHIH", 1, 1, 60, 4) + b"\x7f\x00\x00\x01"
+        )
+        assert wire.build_response(0x1234, "a.vendor.com", 1, Rcode.NOERROR, answers) == expected
+
+    def test_names_past_a_pointers_reach_are_spelled_out(self):
+        # 80 answers of about 270 bytes run the reply past offset 0x3fff;
+        # the name first written there is spelled out again.
+        texts = [ZoneRecord(f"t{i}.vendor.com", RType.TXT, "x" * 250, 60) for i in range(80)]
+        late = [ZoneRecord("late.vendor.com", RType.A, f"127.0.0.{i}", 60) for i in range(2)]
+        answers = tuple(texts + late)
+        packet = wire.build_response(1, "t0.vendor.com", 16, Rcode.NOERROR, answers)
+        assert len(packet) > 0x4000
+        assert wire.parse_response(packet) == (1, Rcode.NOERROR, False, list(answers))
+
     def test_compressed_name_decoding(self):
         # 'www.example.com' where 'example.com' is a pointer back to offset 0.
         packet = b"\x07example\x03com\x00" + b"\x03www\xc0\x00"
@@ -327,8 +353,32 @@ LABELS = st.text(
 )
 
 
+@st.composite
+def answer_sections(draw):
+    """A question name and answers over names that share labels: a CNAME
+    chain from the question name, then records of any type."""
+    labels = draw(st.lists(LABELS.map(str.lower), min_size=1, max_size=3))
+    names = st.lists(st.sampled_from(labels), min_size=1, max_size=4).map(".".join)
+    names = names.filter(lambda name: len(name) <= 253)
+    ttls = st.integers(0, 2**32 - 1)
+    chain = draw(st.lists(names, min_size=1, max_size=4))
+    records = [ZoneRecord(a, RType.CNAME, b, draw(ttls)) for a, b in zip(chain, chain[1:])]
+    records += draw(
+        st.lists(
+            st.one_of(
+                st.builds(ZoneRecord, names, st.just(RType.A), st.ip_addresses(v=4).map(str), ttls),
+                st.builds(ZoneRecord, names, st.just(RType.CNAME), names, ttls),
+                st.builds(ZoneRecord, names, st.just(RType.TXT), st.text(max_size=60), ttls),
+            ),
+            max_size=4,
+        )
+    )
+    return chain[0], records
+
+
 class TestWireProperties:
-    """Each decoder returns or raises its typed error on any input."""
+    """Each decoder returns or raises its typed error on any input, and a
+    built response decodes to the answers it was built from."""
 
     @given(QUERIES)
     def test_parse_query_returns_or_raises_typed_error(self, packet):
@@ -360,6 +410,12 @@ class TestWireProperties:
         if len(name) > 253:
             return
         assert wire.parse_query(wire.build_query(txn_id, name, rtype)) == (txn_id, name.lower(), rtype)
+
+    @given(st.integers(0, 0xFFFF), answer_sections())
+    def test_built_responses_decode_to_their_answers(self, txn_id, section):
+        qname, answers = section
+        packet = wire.build_response(txn_id, qname, 1, Rcode.NOERROR, tuple(answers))
+        assert wire.parse_response(packet) == (txn_id, Rcode.NOERROR, False, answers)
 
 
 @pytest.fixture()
@@ -478,7 +534,8 @@ class TestUdpServer:
         assert all(rc is Rcode.NOERROR for rc in rcodes)
 
 
-# A 190-character name: one 255-octet TXT answer there makes a 666-byte reply.
+# A 190-character name: 40 addresses there make an 848-byte reply, even
+# with each owner name a pointer to the question's.
 LONG_NAME = ".".join(["a" * 63, "b" * 63, "c" * 50, "vendor.com"])
 
 
@@ -486,13 +543,14 @@ class TestTruncation:
     @pytest.fixture()
     def big_server(self):
         zone = make_zone()
-        zone.set_record(LONG_NAME, RType.TXT, "t" * 255)
+        for host in range(40):
+            zone.set_record(LONG_NAME, RType.A, f"10.0.0.{host}")
         server = DnsUdpServer(zone, ("127.0.0.1", 0)).start()
         yield server
         server.close()
 
     def test_oversized_answer_sends_question_only_with_tc(self, big_server):
-        query = wire.build_query(77, LONG_NAME, RType.TXT)
+        query = wire.build_query(77, LONG_NAME, RType.A)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
             sock.settimeout(2)
             sock.sendto(query, big_server.address)
@@ -506,6 +564,6 @@ class TestTruncation:
 
     def test_resolve_rejects_truncated_reply(self, big_server):
         with pytest.raises(ResolutionFailure, match="truncated"):
-            resolve(LONG_NAME, RType.TXT, big_server.address)
+            resolve(LONG_NAME, RType.A, big_server.address)
         rcode, answers = resolve("cloud.vendor.com", RType.A, big_server.address)
         assert rcode is Rcode.NOERROR and answers

@@ -425,7 +425,39 @@ class TestLongUrns:
         for server, client in ((short, long), (long, short)):
             with EchoServer(server, long_fleet.trust) as echo:
                 result = echo_once(echo.address, client, long_fleet.trust, b"long names")
-            assert (result.client_verdict.urn, result.server_verdict.urn) == (server.urn, client.urn)
+            assert (result.payload_echoed, result.client_verdict.urn) == (b"long names", server.urn)
+
+
+# A 132-character apex; each vendor root below it adds one label.
+FAR_APEX = ".".join(["s" * 63, "t" * 63, "test"])
+
+
+class TestLongestUrns:
+    """Compressed DNS answers fit in 512 bytes at the longest names: HTTP-01
+    serves any URN that DeviceUrn accepts, and DNS-01 any URN whose
+    challenge name, ``_acme-challenge.<urn>``, fits in 253 octets."""
+
+    @pytest.fixture(scope="class")
+    def far_fleet(self):
+        with running_stack(FAR_APEX) as stack, fleet(stack, FAR_APEX) as manager:
+            yield SimpleNamespace(stack=stack, manager=manager)
+
+    @staticmethod
+    def namespace(octets: int) -> VendorNamespace:
+        """The namespace of URNs of ``octets`` octets: a 36-character uuid,
+        a 63-character class and a root under FAR_APEX, joined by dots."""
+        return VendorNamespace("r" * (octets - 36 - 63 - len(FAR_APEX) - 3) + "." + FAR_APEX, "d" * 63)
+
+    @pytest.mark.parametrize("octets, challenge", [(253, "http01"), (237, "dns01")])
+    def test_longest_urn_enrolls(self, far_fleet, octets, challenge):
+        bundle = far_fleet.manager.enroll_device(self.namespace(octets), secret(f"far-{challenge}"), challenge)
+        assert len(str(bundle.urn)) == octets
+        assert_chain_ok(far_fleet.stack, bundle)
+
+    def test_dns01_challenge_name_past_253_octets_aborts_and_leaves_no_txt(self, far_fleet):
+        with pytest.raises(EnrollmentAborted):
+            far_fleet.manager.enroll_device(self.namespace(238), secret("far-238"), "dns01")
+        assert [r for r in far_fleet.stack.zone.records() if r.rtype is RType.TXT] == []
 
 
 class TestRenewalTick:

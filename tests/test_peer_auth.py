@@ -19,6 +19,8 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotpki import peer_auth, serving
 from iotpki.acme.ca import TestCaState
@@ -74,6 +76,17 @@ def root_cn(ca: TestCaState) -> str:
 
 def trust_for(ca: TestCaState, filters=None, at: datetime = NOW) -> TrustContext:
     return TrustContext(roots=(ca.root_cert,), filters=filters or {}, clock=fixed_clock(at))
+
+
+TOKENS = [reason.value.encode("ascii") for reason in RejectReason]
+# Reject bodies: the tokens, near misses around them, their old JSON
+# frame, and any bytes.
+BODIES = st.one_of(
+    st.builds(lambda pre, token, post: pre + token + post,
+              st.binary(max_size=2), st.sampled_from(TOKENS), st.binary(max_size=2)),
+    st.sampled_from(TOKENS).map(lambda token: b'{"reject_reason": "%s"}' % token),
+    st.binary(max_size=40),
+)
 
 
 class TestExtractUrn:
@@ -302,6 +315,28 @@ def test_missing_filter_warns_once_per_vendor(ca_state, caplog):
 
 
 class TestEchoHarness:
+    @pytest.fixture(scope="class")
+    def stub_server(self, ca_state):
+        """An echo server that reads the client's frame and answers with
+        the status and body held in ``answer[0]``."""
+        answer = [(b"OK", b"")]
+
+        class StubHandler(peer_auth._EchoHandler):
+            def handle(self):
+                (length,) = struct.unpack("!I", peer_auth._recv_exact(self.request, 4))
+                peer_auth._recv_exact(self.request, length)
+                status, body = answer[0]
+                self.request.sendall(status + struct.pack("!I", len(body)) + body)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peer_auth, "_EchoHandler", StubHandler)
+            server = EchoServer(make_bundle(ca_state, VENDOR_A, "e13"), trust_for(ca_state))
+        with server:
+            yield SimpleNamespace(
+                address=server.address, answer=answer,
+                client=make_bundle(ca_state, VENDOR_B, "e14"), trust=trust_for(ca_state),
+            )
+
     def test_cross_vendor_echo_256_bytes(self, ca_state):
         server = make_bundle(ca_state, VENDOR_A, "e1")
         client = make_bundle(ca_state, VENDOR_B, "e2")
@@ -310,8 +345,6 @@ class TestEchoHarness:
         result = mtls_echo(server, client, trust, payload)
         assert result.payload_echoed == payload
         assert result.client_verdict.accepted
-        assert result.server_verdict.accepted
-        assert result.server_verdict.urn == client.urn
         assert result.handshake_ms > 0
         assert result.resumed is False
 
@@ -346,28 +379,33 @@ class TestEchoHarness:
         "status, body, reason",
         [
             (b"RJ", b"<html>busy</html>", RejectReason.CHAIN),
-            (b"RJ", b'{"reject_reason": "bored"}', RejectReason.CHAIN),
+            (b"RJ", b"bored", RejectReason.CHAIN),
             (b"RJ", b'["revoked"]', RejectReason.CHAIN),
-            (b"XX", b"payload", RejectReason.CHAIN),
-            (b"RJ", b'{"reject_reason": "revoked"}', RejectReason.REVOKED),
+            (b"XX", b"revoked", RejectReason.CHAIN),
+            (b"RJ", b"revoked", RejectReason.REVOKED),
+            (b"RJ", b'{"reject_reason": "revoked"}', RejectReason.CHAIN),
         ],
-        ids=["not-json", "unknown-reason", "a-list", "unknown-status", "known-reason"],
+        ids=["not-json", "unknown-reason", "a-list", "unknown-status", "known-reason", "json-object"],
     )
-    def test_reject_frame_is_outside_input(self, ca_state, monkeypatch, status, body, reason):
-        class StubHandler(peer_auth._EchoHandler):
-            """Reads the client's frame and answers ``status`` and ``body``."""
-
-            def handle(self):
-                (length,) = struct.unpack("!I", peer_auth._recv_exact(self.request, 4))
-                peer_auth._recv_exact(self.request, length)
-                self.request.sendall(status + struct.pack("!I", len(body)) + body)
-
-        monkeypatch.setattr(peer_auth, "_EchoHandler", StubHandler)
-        server = make_bundle(ca_state, VENDOR_A, "e13")
-        client = make_bundle(ca_state, VENDOR_B, "e14")
+    def test_reject_frame_is_outside_input(self, stub_server, status, body, reason):
+        stub_server.answer[0] = (status, body)
         with pytest.raises(HandshakeRejected) as excinfo:
-            mtls_echo(server, client, trust_for(ca_state), b"payload")
+            echo_once(stub_server.address, stub_server.client, stub_server.trust, b"payload")
         assert (excinfo.value.side, excinfo.value.verdict.reject_reason) == ("server", reason)
+
+    @settings(deadline=None)
+    @given(status=st.sampled_from([b"OK", b"RJ"]) | st.binary(min_size=2, max_size=2), body=BODIES)
+    def test_only_ok_echoes_and_a_refusal_reads_its_token_or_chain(self, stub_server, status, body):
+        stub_server.answer[0] = (status, body)
+        try:
+            result = echo_once(stub_server.address, stub_server.client, stub_server.trust, b"payload")
+        except HandshakeRejected as exc:
+            named = status == b"RJ" and body in TOKENS
+            assert status != b"OK"
+            assert exc.side == "server"
+            assert exc.verdict.reject_reason is (RejectReason(body.decode()) if named else RejectReason.CHAIN)
+        else:
+            assert (status, result.payload_echoed) == (b"OK", body)
 
     def test_role_swap_symmetry(self, ca_state):
         a = make_bundle(ca_state, VENDOR_A, "e7")
@@ -478,7 +516,6 @@ class TestInjectedClockOwnsTime:
         result = mtls_echo(server, client, trust_for(past_ca.state, at=self.PAST), b"then")
         assert result.payload_echoed == b"then"
         assert result.client_verdict.accepted
-        assert result.server_verdict.urn == client.urn
 
     def test_trust_clock_past_expiry_rejects_server_as_expired(self, past_ca):
         server = make_bundle(past_ca.state, VENDOR_A, "p3")
