@@ -4,7 +4,8 @@ challenge, finalize, and certificate download, over HTTPS.
 
 The handler reads each request once: the JWS, the payload and the CSR.
 ``TestCaState`` takes only typed values (a verified key, normalized
-identifiers, a CSR whose signature holds) and parses nothing.
+identifiers, the key to certify and its normalized names) and parses
+nothing.
 
 Challenge validation is active: the CA probes the configured DNS
 responder (DNS-01) or fetches the token from the device-facing HTTP
@@ -121,10 +122,11 @@ class TestCaState:
         # that true for leaves issued with a clock wound back (as tests do
         # to make expired peers): up to one lifetime back, the whole leaf
         # lies inside the root's window.
-        self.root_key, self.root_cert = _self_signed(
-            "iotpki test root",
-            now - MAX_CERT_LIFETIME - timedelta(minutes=1),
-            now + timedelta(days=3650),
+        self.root_key = ec.generate_private_key(ec.SECP256R1())
+        name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "iotpki test root")])
+        self.root_cert = _mint(
+            name, name, self.root_key.public_key(), self.root_key, x509.random_serial_number(),
+            now - MAX_CERT_LIFETIME - timedelta(minutes=1), now + timedelta(days=3650),
             (x509.BasicConstraints(ca=True, path_length=1), True),
             (_key_usage("key_cert_sign", "crl_sign"), True),
         )
@@ -202,39 +204,36 @@ class TestCaState:
         return jws.key_authorization(chall.token, kid.rpartition("/")[2])
 
     def finish_challenge(self, chall: _Challenge, ok: bool, detail: str) -> None:
-        """Settle a processing challenge and its authz. The order becomes
-        ready once all its authzs are valid, and invalid at a failure."""
+        """Settle a processing challenge and, if it is still pending, its
+        authz: the first challenge settled decides. The order becomes ready
+        once all its authzs are valid, and invalid at a failed authz."""
         with self._lock:
             authz = chall.authz
             order = authz.order
+            chall.status = "valid" if ok else "invalid"
+            if authz.status != "pending":
+                return
+            authz.status = chall.status
             if not ok:
-                chall.status = authz.status = order.status = "invalid"
+                order.status = "invalid"
                 order.problem = {"type": ERROR_NS + "unauthorized", "detail": detail}
                 log.info("challenge %s for %s failed: %s", chall.type, authz.fqdn, detail)
-                return
-            chall.status = authz.status = "valid"
-            if order.status == "pending" and all(a.status == "valid" for a in order.authzs):
+            elif order.status == "pending" and all(a.status == "valid" for a in order.authzs):
                 order.status = "ready"
 
-    def finalize(self, order: _Order, csr: x509.CertificateSigningRequest) -> None:
-        """Issue for a ready order: ready -> processing -> valid. A CSR whose
-        normalized SAN names are not the order's identifiers, or whose SAN
-        does not parse or normalize, makes the order invalid, and so does a
-        leaf that cannot be issued at the CA's clock."""
-        try:
-            names = {normalize_name(n) for n in san_dns_names(csr)}
-            mismatch = f"csr names {sorted(names)} != order identifiers {order.identifiers}"
-        except (ValueError, InvalidRecord) as exc:
-            names, mismatch = None, f"unreadable csr names: {exc}"
+    def finalize(self, order: _Order, public_key: PublicKeyTypes, names: frozenset[str]) -> None:
+        """Issue a leaf for ``public_key`` to a ready order: ready -> processing
+        -> valid. ``names`` other than its identifiers make the order invalid,
+        and so does a leaf that cannot be issued at the CA's clock."""
         with self._lock:
             if order.status != "ready":
                 raise _Problem(403, "orderNotReady", f"order status is {order.status}")
             if names != set(order.identifiers):
                 order.status = "invalid"
-                raise _Problem(400, "badCSR", mismatch)
+                raise _Problem(400, "badCSR", f"csr names {sorted(names)} != order identifiers {order.identifiers}")
             order.status = "processing"
         try:
-            _, cert = self.issue(csr)
+            cert = self.issue(public_key, order.identifiers)
         except (ValueError, OverflowError) as exc:
             # No leaf fits between the CA clock and the root's end.
             with self._lock:
@@ -265,44 +264,27 @@ class TestCaState:
 
     # -- issuance -----------------------------------------------------------
 
-    def issue(self, csr: x509.CertificateSigningRequest) -> tuple[str, x509.Certificate]:
+    def issue(self, public_key: PublicKeyTypes, names: list[str]) -> x509.Certificate:
+        """Sign a leaf for ``public_key`` that names ``names`` alone and
+        record its serial. The SAN is a leaf's one name: RFC 5280 makes it
+        critical under an empty subject."""
         not_before = self.clock() - timedelta(minutes=1)
         # A leaf never outlives the root it chains to.
         not_after = min(not_before + MAX_CERT_LIFETIME, self.root_cert.not_valid_after_utc)
         with self._lock:
             self._next_serial += 1
-            serial_int = self._next_serial
-        names = san_dns_names(csr)
-        # The SAN is a leaf's one name: the CSR's unchecked subject is not
-        # copied, and RFC 5280 makes the SAN critical under an empty subject.
-        builder = (
-            x509.CertificateBuilder()
-            .subject_name(x509.Name([]))
-            .issuer_name(self.root_cert.subject)
-            .public_key(csr.public_key())
-            .serial_number(serial_int)
-            .not_valid_before(not_before)
-            .not_valid_after(not_after)
-            .add_extension(x509.BasicConstraints(ca=False, path_length=None), critical=True)
-            .add_extension(x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), critical=True)
-            .add_extension(_key_usage("digital_signature", "key_encipherment"), critical=True)
-            .add_extension(
-                x509.ExtendedKeyUsage(
-                    [ExtendedKeyUsageOID.CLIENT_AUTH, ExtendedKeyUsageOID.SERVER_AUTH]
-                ),
-                critical=False,
-            )
-            .add_extension(x509.SubjectKeyIdentifier.from_public_key(csr.public_key()), critical=False)
-            .add_extension(
-                x509.AuthorityKeyIdentifier.from_issuer_public_key(self.root_key.public_key()),
-                critical=False,
-            )
+            serial = self._next_serial
+        cert = _mint(
+            x509.Name([]), self.root_cert.subject, public_key, self.root_key, serial, not_before, not_after,
+            (x509.BasicConstraints(ca=False, path_length=None), True),
+            (x509.SubjectAlternativeName([x509.DNSName(n) for n in names]), True),
+            (_key_usage("digital_signature", "key_encipherment"), True),
+            (x509.ExtendedKeyUsage([ExtendedKeyUsageOID.CLIENT_AUTH, ExtendedKeyUsageOID.SERVER_AUTH]), False),
+            (x509.AuthorityKeyIdentifier.from_issuer_public_key(self.root_key.public_key()), False),
         )
-        cert = builder.sign(self.root_key, hashes.SHA256())
-        serial = serial_hex(cert)
         with self._lock:
-            self.issued.add(serial)
-        return serial, cert
+            self.issued.add(serial_hex(cert))
+        return cert
 
     def issued_serials(self) -> set[str]:
         with self._lock:
@@ -318,26 +300,18 @@ def _key_usage(*bits: str) -> x509.KeyUsage:
     return x509.KeyUsage(**{name: name in bits for name in names})
 
 
-def _self_signed(
-    common_name: str, not_before: dt.datetime, not_after: dt.datetime, *extensions
-) -> tuple[ec.EllipticCurvePrivateKey, x509.Certificate]:
-    """A fresh P-256 key and a certificate it signs for itself, with each
+def _mint(
+    subject: x509.Name, issuer: x509.Name, public_key: PublicKeyTypes, signer: ec.EllipticCurvePrivateKey,
+    serial: int, not_before: dt.datetime, not_after: dt.datetime, *extensions,
+) -> x509.Certificate:
+    """A certificate for ``public_key`` that ``signer`` signs, with each
     (extension, critical) pair given and then a subject key identifier."""
-    key = ec.generate_private_key(ec.SECP256R1())
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
-    builder = (
-        x509.CertificateBuilder()
-        .subject_name(name)
-        .issuer_name(name)
-        .public_key(key.public_key())
-        .serial_number(x509.random_serial_number())
-        .not_valid_before(not_before)
-        .not_valid_after(not_after)
-    )
+    builder = x509.CertificateBuilder().subject_name(subject).issuer_name(issuer).public_key(public_key)
+    builder = builder.serial_number(serial).not_valid_before(not_before).not_valid_after(not_after)
     for extension, critical in extensions:
         builder = builder.add_extension(extension, critical)
-    ski = x509.SubjectKeyIdentifier.from_public_key(key.public_key())
-    return key, builder.add_extension(ski, critical=False).sign(key, hashes.SHA256())
+    ski = x509.SubjectKeyIdentifier.from_public_key(public_key)
+    return builder.add_extension(ski, critical=False).sign(signer, hashes.SHA256())
 
 
 def _service_identity() -> tuple[str, str]:
@@ -346,9 +320,12 @@ def _service_identity() -> tuple[str, str]:
     Dated on wall time, not the CA's clock: OpenSSL checks it against
     wall time."""
     now = utcnow()
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "acme service")])
     names = [x509.DNSName("localhost"), x509.IPAddress(ipaddress.IPv4Address("127.0.0.1"))]
-    key, cert = _self_signed(
-        "acme service", now - timedelta(minutes=1), now + timedelta(days=365),
+    cert = _mint(
+        name, name, key.public_key(), key, x509.random_serial_number(),
+        now - timedelta(minutes=1), now + timedelta(days=365),
         (x509.SubjectAlternativeName(names), False),
     )
     return cert_to_pem(cert), key_to_pem(key)
@@ -484,6 +461,10 @@ class _AcmeHandler(HttpHandler):
     def _post_challenge(self, chall_id: str, protected: dict, payload: bytes, _) -> None:
         chall = _find(self.ca.state.challenges, chall_id, "challenge")
         if payload:  # a POST-as-GET only reads the challenge (RFC 8555 section 7.5.1)
+            try:
+                jws.json_object(payload)  # the answer is an object, "{}" in RFC 8555
+            except ValueError as exc:
+                raise _Problem(400, "malformed", f"bad challenge payload: {exc}") from None
             self.ca.validate_challenge(chall, protected["kid"])
         self._json(200, self.ca.challenge_json(chall))
 
@@ -495,7 +476,11 @@ class _AcmeHandler(HttpHandler):
             raise _Problem(400, "badCSR", f"unparseable csr: {exc}") from None
         if not csr.is_signature_valid:
             raise _Problem(400, "badCSR", "csr signature invalid")
-        self.ca.state.finalize(order, csr)
+        try:
+            names = frozenset(normalize_name(n) for n in san_dns_names(csr))
+        except (ValueError, InvalidRecord) as exc:
+            raise _Problem(400, "badCSR", f"unreadable csr names: {exc}") from None
+        self.ca.state.finalize(order, csr.public_key(), names)
         self._json(200, self.ca.order_json(order))
 
     def _post_cert(self, order_id: str, *_) -> None:

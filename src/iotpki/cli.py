@@ -290,7 +290,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             zone.bind_device(str(record.urn), f"cloud.{apex}")
     if args.service == "dns":
         with DnsUdpServer(zone, ("127.0.0.1", args.port)) as dns:
-            print(f"dns authority for {apex} listening on {dns.address[0]}:{dns.address[1]}", flush=True)
+            print(f"dns authority for {zone.apex} listening on {dns.address[0]}:{dns.address[1]}", flush=True)
             _serve_until(args.duration)
         return 0
     with _services(zone, utcnow, args.port) as stack:

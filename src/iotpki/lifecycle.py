@@ -29,18 +29,25 @@ from .certs import (
     split_pem_chain,
 )
 from .dnsauth import Zone
+from .dnsauth.zone import ACME_LABEL
 from .errors import IotPkiError
-from .identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from .identity import MAX_FQDN_OCTETS, DeviceSecret, DeviceUrn, FqdnTooLong, VendorNamespace, derive_device_uuid
 from .inventory import AlreadyRevoked, CertificateMeta, DeviceRecord, Inventory, RenewalState, utcnow
 from .revocation import RevocationLog
 
 log = logging.getLogger(__name__)
 
 DEFAULT_PARALLELISM = 4
+# DNS-01 proves a URN at ``_acme-challenge.<urn>``, which must fit in a name too.
+MAX_DNS01_URN_OCTETS = MAX_FQDN_OCTETS - len(ACME_LABEL) - 1
 
 
 class EnrollmentAborted(IotPkiError):
     """Issuance failed mid-flight; pending challenge records were cleaned up."""
+
+
+class UnsupportedChallenge(IotPkiError):
+    """The manager cannot answer this challenge: dns01, or http01 with a token shelf."""
 
 
 class RenewalBusy(IotPkiError):
@@ -125,7 +132,8 @@ class RenewalOutcome:
 class FleetManager:
     """Orchestrates the device fleet against a zone and an ACME endpoint.
 
-    ``_device_keys`` maps each device to its keypair and challenge type.
+    ``_device_keys`` maps each device to its keypair and the fulfiller of
+    its challenge type.
     It is the in-memory stand-in for the keystores of the devices
     themselves (this process plays both vendor and device roles); it is
     never serialized and never enters the inventory.
@@ -149,9 +157,12 @@ class FleetManager:
         self.ca_bundle_pem = ca_bundle_pem
         self.cloud_target = cloud_target
         self.clock = clock
-        self.http_shelf = http_shelf
+        # One fulfiller per challenge the manager can answer, shared by every order.
+        self._fulfillers: dict[str, object] = {"dns01": DnsTxtFulfiller(zone)}
+        if http_shelf is not None:
+            self._fulfillers["http01"] = HttpShelfFulfiller(http_shelf)
         self._account_key = generate_key()
-        self._device_keys: dict[uuidlib.UUID, tuple[object, str]] = {}
+        self._device_keys: dict[uuidlib.UUID, tuple[object, object]] = {}
         self._keys_lock = threading.Lock()
         self._tick_lock = threading.Lock()
         self._idle_clients: list[AcmeClient] = []
@@ -192,16 +203,10 @@ class FleetManager:
 
     # -- issuance ------------------------------------------------------------
 
-    def _issue(self, urn: DeviceUrn, csr, challenge: str) -> CertificateMeta:
-        """Run one ACME order for ``urn`` over ``challenge`` ("dns01" or
-        "http01") and file the issued chain in the inventory, which the
-        client has checked against the CSR; a failed check files nothing."""
-        if challenge == "dns01":
-            fulfiller = DnsTxtFulfiller(self.zone)
-        elif challenge == "http01" and self.http_shelf is not None:
-            fulfiller = HttpShelfFulfiller(self.http_shelf)
-        else:
-            raise IotPkiError(f"cannot answer {challenge!r}: dns01, or http01 with a token shelf")
+    def _issue(self, urn: DeviceUrn, csr, fulfiller) -> CertificateMeta:
+        """Run one ACME order for ``urn`` answered by ``fulfiller`` and file
+        the issued chain in the inventory, which the client has checked
+        against the CSR; a failed check files nothing."""
         with self._client() as client:
             chain = client.obtain_certificate(str(urn), csr, fulfiller)
         leaf = split_pem_chain(chain)[0]
@@ -229,6 +234,12 @@ class FleetManager:
 
     def _enroll_timed(self, urn: DeviceUrn, challenge: str) -> tuple[ProvisionedDevice, float, float]:
         t0 = time.perf_counter()
+        # A request the manager cannot serve is refused before any write or order.
+        fulfiller = self._fulfillers.get(challenge)
+        if fulfiller is None:
+            raise UnsupportedChallenge(f"cannot answer {challenge!r}: {' or '.join(self._fulfillers)}")
+        if challenge == "dns01" and len(str(urn)) > MAX_DNS01_URN_OCTETS:
+            raise FqdnTooLong(f"URN is {len(str(urn))} octets, DNS-01 limit {MAX_DNS01_URN_OCTETS}")
         # Revocation is final: an order for a revoked device would buy a
         # certificate that every relying party refuses.
         if self.inventory.upsert_device(urn, now=self.clock()).renewal_state is RenewalState.REVOKED:
@@ -241,11 +252,11 @@ class FleetManager:
         # a renewal-only property.
         key = generate_key()
         try:
-            meta = self._issue(urn, build_csr(key, str(urn)), challenge)
+            meta = self._issue(urn, build_csr(key, str(urn)), fulfiller)
         except IotPkiError as exc:
             raise EnrollmentAborted(f"issuance failed for {urn}: {exc}") from exc
         with self._keys_lock:
-            self._device_keys[urn.uuid] = (key, challenge)
+            self._device_keys[urn.uuid] = (key, fulfiller)
         issuance_ms = (time.perf_counter() - t1) * 1000.0
         bundle = ProvisionedDevice(urn, key, meta.pem_chain, meta.issuance_time)
         return bundle, binding_ms, issuance_ms
@@ -293,13 +304,13 @@ class FleetManager:
         """Renew ``record`` under its held key, writing no state while the order
         runs (the tick lock is the one guard); a failed order leaves it DUE."""
         with self._keys_lock:
-            key, challenge = self._device_keys.get(record.uuid, (None, "dns01"))
+            held = self._device_keys.get(record.uuid)
         old_fp = record.current_cert.public_key_fingerprint if record.current_cert else None
-        if key is None:
+        if held is None:
             return RenewalOutcome(record.uuid, "deferred", "no device key held", None, old_fp)
-        csr = build_csr(key, str(record.urn))
+        key, fulfiller = held
         try:
-            meta = self._issue(record.urn, csr, challenge)
+            meta = self._issue(record.urn, build_csr(key, str(record.urn)), fulfiller)
         except IotPkiError as exc:
             self.inventory.set_state(record.uuid, RenewalState.DUE)
             log.warning("renewal deferred for %s: %s", record.uuid, exc)

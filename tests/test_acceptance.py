@@ -37,7 +37,7 @@ from iotpki import cli
 from iotpki.acme import AcmeClient, DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme.ca import TestCaState
 from iotpki.acme.jws import dns01_txt_value
-from iotpki.certs import build_csr, cert_to_pem, generate_key
+from iotpki.certs import build_csr, cert_to_pem, generate_key, serial_hex
 from iotpki.dnsauth import DnsUdpServer, RType, Zone
 from iotpki.identity import (
     NS_DNS,
@@ -315,14 +315,14 @@ class TestFilterExactness:
 def issue_bundle(state: TestCaState, ns: VendorNamespace, tag: str, san: str | None = None):
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"matrix-secret-{tag}".encode())), ns)
     key = generate_key()
-    serial, cert = state.issue(build_csr(key, san if san is not None else str(urn)))
+    cert = state.issue(key.public_key(), [san if san is not None else str(urn)])
     return SimpleNamespace(
         urn=urn,
         private_key=key,
         certificate_chain=cert_to_pem(cert) + cert_to_pem(state.root_cert),
         chain=[cert, state.root_cert],
         leaf=cert,
-        serial=serial,
+        serial=serial_hex(cert),
     )
 
 

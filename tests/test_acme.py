@@ -28,7 +28,7 @@ from iotpki.acme import ca as ca_module
 from iotpki.acme import client as client_module
 from iotpki.acme import jws
 from iotpki.acme.ca import QuotaExceeded, TestCa
-from iotpki.acme.challenges import DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
+from iotpki.acme.challenges import WELL_KNOWN_PREFIX, DnsTxtFulfiller, HttpShelfFulfiller, TokenShelf
 from iotpki.acme.client import (
     AcmeClient,
     AcmeProblem,
@@ -361,8 +361,8 @@ class TestIssuanceFlow:
     def test_certificate_for_another_key_rejected(self, stack, monkeypatch):
         issue = ca_module.TestCaState.issue
 
-        def issue_for_fresh_key(state, csr):
-            return issue(state, build_csr(generate_key(), san_dns_names(csr)[0]))
+        def issue_for_fresh_key(state, public_key, names):
+            return issue(state, generate_key().public_key(), names)
 
         monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
         fqdn = "swapped.camera.vendor.com"
@@ -655,8 +655,7 @@ class TestValidityConfiguration:
         try:
             root_end = ca.state.root_cert.not_valid_after_utc
             now[0] = root_end - timedelta(days=10)
-            csr = build_csr(generate_key(), "late.camera.vendor.com")
-            _, cert = ca.state.issue(csr)
+            cert = ca.state.issue(generate_key().public_key(), ["late.camera.vendor.com"])
             assert cert.not_valid_after_utc <= root_end
             assert cert.not_valid_before_utc < cert.not_valid_after_utc
         finally:
@@ -666,7 +665,7 @@ class TestValidityConfiguration:
         now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
         state = ca_module.TestCaState(clock=lambda: now[0])
         now[0] -= MAX_CERT_LIFETIME
-        _, cert = state.issue(build_csr(generate_key(), "rewound.camera.vendor.com"))
+        cert = state.issue(generate_key().public_key(), ["rewound.camera.vendor.com"])
         root = state.root_cert
         assert root.not_valid_before_utc <= cert.not_valid_before_utc
         assert cert.not_valid_after_utc <= root.not_valid_after_utc
@@ -848,14 +847,13 @@ class TestTransport:
         finalize = ca_module.TestCaState.finalize
         finalized = []
 
-        def counting(state, order, csr):
+        def counting(state, order, public_key, names):
             finalized.append(order.id)
-            return finalize(state, order, csr)
+            return finalize(state, order, public_key, names)
 
-        def finalize_then_hang_up(handler, order_id, _, payload, __):
+        def finalize_then_hang_up(handler, order_id, *_):
             order = ca_module._find(handler.ca.state.orders, order_id, "order")
-            csr = x509.load_der_x509_csr(jws.b64url_decode(json.loads(payload)["csr"]))
-            handler.ca.state.finalize(order, csr)
+            handler.ca.state.finalize(order, generate_key().public_key(), frozenset(order.identifiers))
             handler.close_connection = True
 
         monkeypatch.setattr(ca_module.TestCaState, "finalize", counting)
@@ -1007,6 +1005,46 @@ PROBE_ANSWERS = {
 }
 
 
+def shelve_another_proof(stack, fqdn: str, token: str) -> None:
+    stack.zone.set_record(fqdn, RType.CNAME, "cloud.vendor.com")
+    stack.shelf.put(token, "not-the-key-authorization")
+
+
+# Probes that find no proof: the challenge type, what is published first,
+# and how the problem detail starts.
+PROBE_FAILURES = {
+    "dns01-no-txt": ("dns-01", lambda stack, fqdn, token: None, "dns probe rcode NXDOMAIN"),
+    "http01-no-address": ("http-01", lambda stack, fqdn, token: None, "address resolution failed"),
+    "http01-another-proof": ("http-01", shelve_another_proof, "key authorization mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_FAILURES)
+def test_failed_probe_names_its_cause(stack, case):
+    ctype, publish, detail = PROBE_FAILURES[case]
+    fqdn = f"{case}.camera.vendor.com"
+    kid = "https://ca.test/acme/acct/thumb"
+    order = stack.ca.state.create_order(kid, [fqdn])
+    chall = next(c for c in order.authzs[0].challenges if c.type == ctype)
+    publish(stack, fqdn, chall.token)
+    try:
+        stack.ca.validate_challenge(chall, kid)
+    finally:
+        stack.shelf.remove(chall.token)
+    assert (chall.status, order.status) == ("invalid", "invalid")
+    assert order.problem["detail"].startswith(detail)
+
+
+def test_token_shelf_answers_an_unknown_token_404_and_closes(stack):
+    conn = http.client.HTTPConnection("127.0.0.1", stack.shelf.port, timeout=5)
+    try:
+        conn.request("GET", WELL_KNOWN_PREFIX + "no-such-token")
+        reply = conn.getresponse()
+        assert (reply.status, reply.getheader("Connection"), reply.read()) == (404, "close", b"")
+    finally:
+        conn.close()
+
+
 @pytest.mark.parametrize("case", PROBE_ANSWERS)
 def test_http01_probe_reads_with_the_shared_readers(stack, case):
     answer, outcome, detail = PROBE_ANSWERS[case]
@@ -1107,6 +1145,25 @@ def _finalize(ready: bool, csr_for):
     return build
 
 
+def _cert_of_pending_order(stack, client):
+    order, _ = place_order(client, f"early-{secrets.token_hex(4)}.camera.vendor.com")
+    return acme_url(stack, "cert/" + order["url"].rpartition("/")[2]), None, {}
+
+
+def _answer_challenge(payload):
+    """Builder for a challenge answer ``payload`` on a fresh pending order."""
+
+    def build(stack, client):
+        _, chall = place_order(client, f"answer-{secrets.token_hex(4)}.camera.vendor.com")
+        return chall["url"], payload, {}
+
+    return build
+
+
+# Challenge answers that are not the JSON object RFC 8555 section 7.5.1 asks for.
+NON_OBJECT_ANSWERS = {"array": [], "string": "x", "number": 5}
+
+
 def _new_order_envelope(**members):
     """Builder for a new-order body sent as it is: a protected header the
     CA accepts, an empty payload and signature, then ``members`` over them."""
@@ -1167,6 +1224,7 @@ REJECTS = [
         lambda s, c: (acme_url(s, "cert/nope"), None, {}), 404, "malformed", False,
         id="unknown-cert",
     ),
+    pytest.param(_cert_of_pending_order, 404, "malformed", False, id="cert-before-valid"),
     pytest.param(_finalize(False, csr_b64), 403, "orderNotReady", False, id="finalize-pending-order"),
     pytest.param(_finalize(True, lambda f: "AAAA"), 400, "badCSR", False, id="unparseable-csr"),
     pytest.param(
@@ -1272,6 +1330,10 @@ REJECTS = [
         )
         for name, fqdn in BAD_IDENTIFIERS.items()
     ),
+    *(
+        pytest.param(_answer_challenge(payload), 400, "malformed", False, id=f"challenge-answer-{name}")
+        for name, payload in NON_OBJECT_ANSWERS.items()
+    ),
 ]
 
 
@@ -1296,6 +1358,19 @@ def test_rejected_identifier_records_no_order(stack, fqdn):
         )
     assert (excinfo.value.status, excinfo.value.ptype) == (400, ca_module.ERROR_NS + "rejectedIdentifier")
     assert len(stack.ca.state.orders) == orders
+
+
+@pytest.mark.parametrize("payload", NON_OBJECT_ANSWERS.values(), ids=NON_OBJECT_ANSWERS.keys())
+def test_non_object_challenge_answer_starts_no_probe(stack, payload):
+    client = new_client(stack)
+    client.ensure_account()
+    fqdn = f"answer-{secrets.token_hex(4)}.camera.vendor.com"
+    order, chall = place_order(client, fqdn)
+    status, _, body = signed_post(client, chall["url"], payload, {})
+    assert (status, json.loads(body)["type"]) == (400, ca_module.ERROR_NS + "malformed")
+    assert json.loads(client._post(chall["url"], None)[2])["status"] == "pending"
+    assert order_status(client, order)["status"] == "pending"
+    assert answer_challenge(stack, client, chall, fqdn)["status"] == "valid"
 
 
 class TestOrderStates:
@@ -1395,9 +1470,9 @@ class TestOrderStates:
         order, _ = ready_order(stack, client, fqdn)
         issue = ca_module.TestCaState.issue
 
-        def slow_issue(state, csr):
+        def slow_issue(state, public_key, names):
             time.sleep(0.3)
-            return issue(state, csr)
+            return issue(state, public_key, names)
 
         monkeypatch.setattr(ca_module.TestCaState, "issue", slow_issue)
         rival = new_client(stack)
@@ -1464,6 +1539,32 @@ class TestOrderStates:
         _, _, chain = client._post(final["certificate"], None)
         verify_chain(chain.decode("ascii"), fqdn.lower(), stack.ca.state.root_cert)
 
+    def test_leaf_names_the_identifier_not_the_csr_spelling(self, stack):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = "dev.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn)
+        final = json.loads(client._post(order["finalize"], {"csr": csr_b64("Dev.Camera.VENDOR.com.")})[2])
+        _, _, chain = client._post(final["certificate"], None)
+        assert san_dns_names(split_pem_chain(chain.decode("ascii"))[0]) == [fqdn]
+
+    @pytest.mark.parametrize(
+        "bad_csr",
+        [
+            pytest.param(unreadable_san_csr_b64, id="san-unparseable"),
+            pytest.param(lambda f: csr_b64("x" * 64 + "." + f), id="san-label-too-long"),
+        ],
+    )
+    def test_unreadable_csr_names_leave_the_order_ready(self, stack, bad_csr):
+        client = new_client(stack)
+        client.ensure_account()
+        fqdn = f"unreadable-{secrets.token_hex(4)}.camera.vendor.com"
+        order, _ = ready_order(stack, client, fqdn)
+        status, _, body = signed_post(client, order["finalize"], {"csr": bad_csr(fqdn)}, {})
+        assert (status, json.loads(body)["type"]) == (400, ca_module.ERROR_NS + "badCSR")
+        assert order_status(client, order)["status"] == "ready"
+        assert json.loads(client._post(order["finalize"], {"csr": csr_b64(fqdn)})[2])["status"] == "valid"
+
 
 class TestStateValues:
     """``TestCaState`` driven with typed values alone: no socket, JSON or
@@ -1483,29 +1584,28 @@ class TestStateValues:
         assert order.status == "ready"
         return order
 
-    def finalize_problem(self, state, order, csr) -> tuple[int, str]:
+    def finalize_problem(self, state, order, names) -> tuple[int, str]:
         with pytest.raises(ca_module._Problem) as excinfo:
-            state.finalize(order, csr)
+            state.finalize(order, generate_key().public_key(), frozenset(names))
         return excinfo.value.status, excinfo.value.type
 
     def test_matching_csr_makes_the_order_valid(self):
         state = ca_module.TestCaState(utcnow)
         order = self.ready_order(state)
-        csr = build_csr(generate_key(), self.FQDN)
-        state.finalize(order, csr)
+        key = generate_key()
+        state.finalize(order, key.public_key(), frozenset([self.FQDN]))
         assert order.status == "valid"
         assert san_dns_names(order.cert) == [self.FQDN]
+        assert order.cert.public_key() == key.public_key()
         assert state.issued_serials() == {serial_hex(order.cert)}
-        assert self.finalize_problem(state, order, csr) == (403, "orderNotReady")
+        assert self.finalize_problem(state, order, [self.FQDN]) == (403, "orderNotReady")
 
     def test_mismatching_csr_makes_the_order_invalid(self):
         state = ca_module.TestCaState(utcnow)
         order = self.ready_order(state)
-        other = build_csr(generate_key(), "other.camera.vendor.com")
-        assert self.finalize_problem(state, order, other) == (400, "badCSR")
+        assert self.finalize_problem(state, order, ["other.camera.vendor.com"]) == (400, "badCSR")
         assert (order.status, order.cert, state.issued_serials()) == ("invalid", None, set())
-        csr = build_csr(generate_key(), self.FQDN)
-        assert self.finalize_problem(state, order, csr) == (403, "orderNotReady")
+        assert self.finalize_problem(state, order, [self.FQDN]) == (403, "orderNotReady")
 
 
 def count_replies(monkeypatch) -> list:

@@ -681,6 +681,30 @@ def hold_serving_until_set(monkeypatch) -> threading.Event:
     return checked
 
 
+@contextmanager
+def serving_dns(monkeypatch, capsys, *flags):
+    """Run ``serve dns`` on a free port in a thread; yield its banner and
+    address, then end it and check that it exited 0."""
+    result = {}
+    checked = hold_serving_until_set(monkeypatch)
+    argv = ["serve", "dns", "--port", "0", "--duration", "2.0", *flags]
+    thread = threading.Thread(target=lambda: result.setdefault("code", cli.main(argv)))
+    thread.start()
+    try:
+        deadline = time.time() + 5
+        stdout = ""
+        while time.time() < deadline and "listening on" not in stdout:
+            time.sleep(0.05)
+            stdout = capsys.readouterr().out or stdout
+        assert "listening on" in stdout
+        host, port = stdout.rsplit(" ", 1)[-1].strip().split(":")
+        yield stdout, (host, int(port))
+    finally:
+        checked.set()
+        thread.join(timeout=10)
+    assert result["code"] == 0
+
+
 class TestServe:
     def test_serve_until_waits_out_a_finite_duration(self, monkeypatch):
         fake = FakeTime()
@@ -703,35 +727,21 @@ class TestServe:
         assert fake.sleeps == [3600.0] * 3
 
     def test_serve_dns_answers_while_up(self, tmp_path, capsys, monkeypatch):
-        result = {}
-        checked = hold_serving_until_set(monkeypatch)
+        with serving_dns(monkeypatch, capsys, "--root-domain", "vendor.test", "--out", str(tmp_path)) as (_, addr):
+            rcode, answers = resolve("cloud.vendor.test", RType.A, addr)
+        assert rcode is Rcode.NOERROR
+        assert any(rec.value == "127.0.0.1" for rec in answers)
 
-        def target():
-            result["code"] = cli.main(
-                [
-                    "serve", "dns", "--port", "0", "--duration", "2.0",
-                    "--root-domain", "vendor.test", "--out", str(tmp_path),
-                ]
-            )
-
-        thread = threading.Thread(target=target)
-        thread.start()
-        try:
-            deadline = time.time() + 5
-            stdout = ""
-            while time.time() < deadline and "listening on" not in stdout:
-                time.sleep(0.05)
-                stdout = capsys.readouterr().out or stdout
-            assert "listening on" in stdout
-            addr = stdout.rsplit(" ", 1)[-1].strip()
-            host, port = addr.split(":")
-            rcode, answers = resolve("cloud.vendor.test", RType.A, (host, int(port)))
-            assert rcode is Rcode.NOERROR
-            assert any(rec.value == "127.0.0.1" for rec in answers)
-        finally:
-            checked.set()
-            thread.join(timeout=10)
-        assert result["code"] == 0
+    def test_serve_dns_answers_for_the_saved_fleet(self, tmp_path, capsys, monkeypatch):
+        flags = ["--root-domain", "Vendor.Example", "--out", str(tmp_path)]
+        assert run(["enroll", "--seed", "8", *flags], capsys)[0] == 0
+        (record,) = Inventory.restore(tmp_path / cli.SNAPSHOT_FILE).records()
+        with serving_dns(monkeypatch, capsys, *flags) as (banner, addr):
+            rcode, answers = resolve(str(record.urn), RType.CNAME, addr)
+        assert banner.startswith("dns authority for vendor.example listening on")
+        assert (rcode, [(r.name, r.value) for r in answers]) == (
+            Rcode.NOERROR, [(str(record.urn), "cloud.vendor.example")]
+        )
 
     def test_serve_ca_publishes_directory_while_up(self, tmp_path, capsys, monkeypatch):
         result = {}

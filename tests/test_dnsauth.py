@@ -15,6 +15,7 @@ from iotpki.dnsauth import wire
 from iotpki.dnsauth.server import DnsUdpServer, ResolutionFailure, resolve, resolve_address
 from iotpki.dnsauth.zone import (
     CnameConflict,
+    DnsResponse,
     InvalidRecord,
     OutOfZone,
     Rcode,
@@ -174,6 +175,16 @@ class TestAnswerQuery:
         z.set_record("a.vendor.com", RType.CNAME, "ext.other.org")
         result = z.answer_query("a.vendor.com", RType.A)
         assert [r.value for r in result.answers] == ["ext.other.org"]
+
+    def test_chain_to_an_absent_in_zone_target_answers_the_cname(self):
+        z = Zone("vendor.com")
+        z.set_record("a.vendor.com", RType.CNAME, "gone.vendor.com")
+        result = z.answer_query("a.vendor.com", RType.A)
+        assert (result.rcode, [r.value for r in result.answers]) == (Rcode.NOERROR, ["gone.vendor.com"])
+
+    @pytest.mark.parametrize("name", ["a..vendor.com", "-a.vendor.com", "x" * 64 + ".vendor.com"])
+    def test_invalid_name_is_formerr(self, name):
+        assert make_zone().answer_query(name, RType.A) == DnsResponse(Rcode.FORMERR, ())
 
 
 class TestWireCodec:

@@ -18,16 +18,14 @@ from cryptography.x509.oid import ExtensionOID
 from iotpki.acme import DnsTxtFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
 from iotpki.certs import (
-    build_csr,
     generate_key,
-    san_dns_names,
     serial_hex,
     spki_fingerprint,
     split_pem_chain,
 )
 from iotpki.dnsauth import DnsUdpServer, RType, Rcode, Zone
 from iotpki.dnsauth.server import ResolutionFailure
-from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from iotpki.identity import DeviceSecret, DeviceUrn, FqdnTooLong, VendorNamespace, derive_device_uuid
 from iotpki.inventory import AlreadyRevoked, Inventory, RenewalState, UnknownDevice
 from iotpki.lifecycle import (
     EmptyBatch,
@@ -36,6 +34,7 @@ from iotpki.lifecycle import (
     FleetManager,
     ProvisionedDevice,
     RenewalBusy,
+    UnsupportedChallenge,
 )
 from iotpki.peer_auth import (
     EchoServer,
@@ -81,7 +80,7 @@ def running_stack(apex: str):
         dns.close()
 
 
-def fleet(stack, apex: str) -> FleetManager:
+def fleet(stack, apex: str, shelf: bool = True) -> FleetManager:
     return FleetManager(
         inventory=Inventory(),
         zone=stack.zone,
@@ -90,8 +89,13 @@ def fleet(stack, apex: str) -> FleetManager:
         ca_bundle_pem=stack.ca.service_cert_pem,
         cloud_target=f"cloud.{apex}",
         clock=stack.clock,
-        http_shelf=stack.shelf,
+        http_shelf=stack.shelf if shelf else None,
     )
+
+
+def footprint(manager: FleetManager, stack) -> tuple:
+    """What an enrollment writes: inventory records, zone records and CA orders."""
+    return len(manager.inventory), stack.zone.records(), len(stack.ca.state.orders)
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +186,8 @@ def certify_fresh_keys(monkeypatch) -> None:
     filed."""
     issue = ca_module.TestCaState.issue
 
-    def issue_for_fresh_key(state, csr):
-        return issue(state, build_csr(generate_key(), san_dns_names(csr)[0]))
+    def issue_for_fresh_key(state, public_key, names):
+        return issue(state, generate_key().public_key(), names)
 
     monkeypatch.setattr(ca_module.TestCaState, "issue", issue_for_fresh_key)
 
@@ -215,13 +219,13 @@ def certify_unreadable_names(monkeypatch) -> None:
     whose bytes do not parse: a CA answer the client must refuse, as it
     refuses a leaf for a foreign key."""
 
-    def issue_unreadable(state, csr):
+    def issue_unreadable(state, public_key, names):
         not_before = state.clock() - timedelta(minutes=1)
-        cert = (
+        return (
             x509.CertificateBuilder()
-            .subject_name(csr.subject)
+            .subject_name(x509.Name([]))
             .issuer_name(state.root_cert.subject)
-            .public_key(csr.public_key())
+            .public_key(public_key)
             .serial_number(x509.random_serial_number())
             .not_valid_before(not_before)
             .not_valid_after(not_before + timedelta(days=30))
@@ -231,7 +235,6 @@ def certify_unreadable_names(monkeypatch) -> None:
             )
             .sign(state.root_key, hashes.SHA256())
         )
-        return serial_hex(cert), cert
 
     monkeypatch.setattr(ca_module.TestCaState, "issue", issue_unreadable)
 
@@ -455,9 +458,35 @@ class TestLongestUrns:
         assert_chain_ok(far_fleet.stack, bundle)
 
     def test_dns01_challenge_name_past_253_octets_aborts_and_leaves_no_txt(self, far_fleet):
-        with pytest.raises(EnrollmentAborted):
+        before = footprint(far_fleet.manager, far_fleet.stack)
+        with pytest.raises(FqdnTooLong):
             far_fleet.manager.enroll_device(self.namespace(238), secret("far-238"), "dns01")
         assert [r for r in far_fleet.stack.zone.records() if r.rtype is RType.TXT] == []
+        assert footprint(far_fleet.manager, far_fleet.stack) == before
+
+    def test_refused_batch_row_names_the_refusal(self, far_fleet):
+        ns = self.namespace(238)
+        requests = [EnrollmentRequest(ns.root_domain, ns.device_class, b"far-batch-secret-238")]
+        before = footprint(far_fleet.manager, far_fleet.stack)
+        assert [r.outcome for r in far_fleet.manager.enroll_batch(requests).rows] == ["FqdnTooLong"]
+        assert footprint(far_fleet.manager, far_fleet.stack) == before
+
+
+class TestUnservedChallenge:
+    """A challenge the manager cannot answer is refused before anything
+    about the request reaches the zone, the inventory or the CA."""
+
+    @pytest.mark.parametrize(
+        "shelf, challenge", [pytest.param(True, "bogus", id="bogus"), pytest.param(False, "http01", id="http01-no-shelf")]
+    )
+    def test_refused_before_any_write_or_order(self, stack, shelf, challenge):
+        with fleet(stack, "vendor.com", shelf) as manager:
+            before = footprint(manager, stack)
+            with pytest.raises(UnsupportedChallenge):
+                manager.enroll_device(NS, secret(f"unserved-{challenge}"), challenge)
+            request = EnrollmentRequest("vendor.com", "camera", b"unserved-batch-secret", challenge)
+            assert [r.outcome for r in manager.enroll_batch([request]).rows] == ["UnsupportedChallenge"]
+            assert footprint(manager, stack) == before
 
 
 class TestRenewalTick:
@@ -482,6 +511,17 @@ class TestRenewalTick:
         stack.clock.now = meta.not_after - timedelta(days=31)
         assert manager.renewal_tick() == []
         assert manager.inventory.get(bundle.urn.uuid).current_cert.serial == meta.serial
+
+    def test_restored_inventory_defers_for_want_of_the_device_key(self, stack, manager, tmp_path):
+        bundle = manager.enroll_device(NS, secret("r5"))
+        manager.inventory.snapshot(tmp_path / "inventory.snapshot")
+        meta = manager.inventory.get(bundle.urn.uuid).current_cert
+        with fleet(stack, "vendor.com") as restarted:
+            restarted.inventory = Inventory.restore(tmp_path / "inventory.snapshot")
+            stack.clock.now = meta.not_after - timedelta(days=5)
+            outcomes = restarted.renewal_tick()
+            assert [(o.status, o.detail, o.serial) for o in outcomes] == [("deferred", "no device key held", None)]
+            assert restarted.inventory.get(bundle.urn.uuid).current_cert == meta
 
     def test_revoked_device_never_renewed(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("r3"))

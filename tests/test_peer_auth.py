@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from iotpki import peer_auth, serving
 from iotpki.acme.ca import TestCaState
-from iotpki.certs import build_csr, cert_to_pem, generate_key
+from iotpki.certs import cert_to_pem, generate_key, serial_hex
 from iotpki.cli import ManualClock
 from iotpki.identity import DeviceSecret, DeviceUrn, MalformedUrn, VendorNamespace, derive_device_uuid
 from iotpki.peer_auth import (
@@ -60,13 +60,13 @@ def make_bundle(ca: TestCaState, ns: VendorNamespace, tag: str, san: str | None 
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"peer-auth-secret-{tag}".encode())), ns)
     name = san if san is not None else str(urn)
     key = key if key is not None else generate_key()
-    serial, cert = ca.issue(build_csr(key, name))
+    cert = ca.issue(key.public_key(), [name])
     return SimpleNamespace(
         urn=urn,
         private_key=key,
         certificate_chain=cert_to_pem(cert) + cert_to_pem(ca.root_cert),
         leaf=cert,
-        serial=serial,
+        serial=serial_hex(cert),
     )
 
 
@@ -483,6 +483,15 @@ class TestEchoServerLifecycle:
         for _ in range(5):
             assert mtls_echo(server, client, trust_for(ca_state), b"x").payload_echoed == b"x"
         assert {t for t in threading.enumerate() if t.name == "mtls-echo"} <= before
+
+    def test_frame_past_max_frame_is_closed_unread(self, ca_state):
+        client = make_bundle(ca_state, VENDOR_B, "l6")
+        trust = trust_for(ca_state)
+        ctx = peer_auth._tls13_context(ssl.Purpose.SERVER_AUTH, client, trust.roots)
+        with EchoServer(make_bundle(ca_state, VENDOR_A, "l5"), trust) as server:
+            with socket.create_connection(server.address, timeout=3) as raw, ctx.wrap_socket(raw) as tls:
+                tls.sendall(struct.pack("!I", peer_auth.MAX_FRAME + 1))
+                assert tls.recv(1) == b""
 
     def test_silent_peer_dropped_at_handshake_deadline(self, ca_state, monkeypatch):
         monkeypatch.setattr(serving, "HANDSHAKE_TIMEOUT", 0.3)

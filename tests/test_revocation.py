@@ -336,6 +336,15 @@ class TestResealedBlobs:
         with pytest.raises(CorruptFilter):
             deserialize(blob)
 
+    @pytest.mark.parametrize(
+        "cut, message", [(-1, "truncated level bits"), (1, "1 trailing bytes")], ids=["short-body", "trailing-byte"]
+    )
+    def test_misframed_body_is_corrupt(self, cut, message):
+        body = framed(b"vendor.com", [(8, 1, b"\x01")])[:-32]  # the fields, without the checksum
+        body = body[:cut] if cut < 0 else body + bytes(cut)
+        with pytest.raises(CorruptFilter, match=message):
+            deserialize(reseal(body))
+
     def test_most_levels_a_build_makes_still_parse(self):
         filt = deserialize(framed(b"vendor.com", [(8, 1, b"\xff")] * MAX_LEVELS))
         assert len(filt.levels) == MAX_LEVELS

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from iotpki import peer_auth
 from iotpki.acme.ca import ERROR_NS, TestCa, TestCaState
 from iotpki.acme.challenges import TokenShelf, _ShelfHandler
-from iotpki.certs import build_csr, cert_to_pem, generate_key
+from iotpki.certs import cert_to_pem, generate_key
 from iotpki.dnsauth import DnsUdpServer, Zone
 from iotpki.errors import BindFailure
 from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
@@ -43,7 +43,7 @@ def device_bundle(ca: TestCaState, tag: str) -> SimpleNamespace:
     ns = VendorNamespace("vendor.test", "camera")
     urn = DeviceUrn(derive_device_uuid(ns, DeviceSecret(f"serving-test-secret-{tag}".encode())), ns)
     key = generate_key()
-    _, cert = ca.issue(build_csr(key, str(urn)))
+    cert = ca.issue(key.public_key(), [str(urn)])
     return SimpleNamespace(private_key=key, certificate_chain=cert_to_pem(cert) + cert_to_pem(ca.root_cert))
 
 
