@@ -37,7 +37,7 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 from ..certs import cert_to_pem, key_to_pem, load_cert_chain_in_memory, san_dns_names, serial_hex
 from ..dnsauth.server import ResolutionFailure, resolve, resolve_address
 from ..dnsauth.zone import ACME_LABEL, InvalidRecord, Rcode, RType, normalize_name
-from ..inventory import MAX_CERT_LIFETIME, utcnow
+from ..inventory import MAX_CERT_LIFETIME, to_rfc3339, utcnow
 from ..serving import BackgroundServer, BadHead, ConnectionServer, HttpHandler, read_answer, read_body
 from . import jws
 from .challenges import WELL_KNOWN_PREFIX
@@ -51,6 +51,11 @@ ERROR_NS = "urn:ietf:params:acme:error:"
 MAX_NONCES = 4096
 # Orders per registrable domain per week; the CA's policy, not the client's.
 WEEKLY_ORDER_QUOTA = 30000
+# How long a completed authorization vouches for its name to the account
+# that proved it (RFC 8555 section 7.1.4 ``expires``): no longer than one
+# certificate this CA issues, and inside the validation-reuse caps of the
+# CA/Browser Forum Baseline Requirements (section 4.2.1) until 2029-03-15.
+AUTHZ_LIFETIME = MAX_CERT_LIFETIME
 
 
 @dataclass(eq=False)
@@ -88,6 +93,7 @@ class _Authz:
     fqdn: str
     challenges: list[_Challenge] = field(default_factory=list)
     status: str = "pending"
+    expires: dt.datetime | None = None  # set once valid
 
 
 @dataclass(eq=False)
@@ -132,6 +138,9 @@ class TestCaState:
         )
         self.issued: set[str] = set()  # serials; each certificate stays on its order
         self.nonces: OrderedDict[str, bool] = OrderedDict()  # oldest first
+        # (kid, fqdn) -> (validated, expires) of the account's latest proof
+        # of that name, oldest first; expired proofs are forgotten.
+        self.proofs: OrderedDict[tuple[str, str], tuple[dt.datetime, dt.datetime]] = OrderedDict()
         self.accounts: dict[str, PublicKeyTypes] = {}  # kid -> the account's key
         self.orders: dict[str, _Order] = {}
         self.authzs: dict[str, _Authz] = {}
@@ -169,8 +178,12 @@ class TestCaState:
 
     def create_order(self, kid: str, identifiers: list[str]) -> _Order:
         """Count the order against its domains' quota, then record it with
-        one authz per identifier (distinct, normalized names) and a DNS-01
-        and an HTTP-01 challenge per authz."""
+        one authz per identifier (distinct, normalized names). An authz for
+        a name the account proved, inside that proof's lifetime, is valid
+        until the proof expires and has no challenges (RFC 8555 section
+        7.1.3); any other gets a DNS-01 and an HTTP-01 challenge. An order
+        whose authzs are all valid starts ready."""
+        now = self.clock()
         with self._lock:
             self.check_quota(identifiers)
             order = _Order(jws.b64url(secrets.token_bytes(9)), kid, identifiers)
@@ -179,6 +192,11 @@ class TestCaState:
                 authz = _Authz(jws.b64url(secrets.token_bytes(9)), order, fqdn)
                 self.authzs[authz.id] = authz
                 order.authzs.append(authz)
+                proof = self.proofs.get((kid, fqdn))
+                # A proof from the clock's future (a clock wound back) vouches for nothing.
+                if proof is not None and proof[0] <= now < proof[1]:
+                    authz.status, authz.expires = "valid", proof[1]
+                    continue
                 for ctype in ("dns-01", "http-01"):
                     chall = _Challenge(
                         jws.b64url(secrets.token_bytes(9)), authz, ctype,
@@ -186,6 +204,8 @@ class TestCaState:
                     )
                     self.challenges[chall.id] = chall
                     authz.challenges.append(chall)
+            if all(a.status == "valid" for a in order.authzs):
+                order.status = "ready"
         return order
 
     # -- status transitions -------------------------------------------------
@@ -205,8 +225,10 @@ class TestCaState:
 
     def finish_challenge(self, chall: _Challenge, ok: bool, detail: str) -> None:
         """Settle a processing challenge and, if it is still pending, its
-        authz: the first challenge settled decides. The order becomes ready
-        once all its authzs are valid, and invalid at a failed authz."""
+        authz: the first challenge settled decides. A valid authz records
+        the account's proof of its name. The order becomes ready once all
+        its authzs are valid, and invalid at a failed authz."""
+        now = self.clock()
         with self._lock:
             authz = chall.authz
             order = authz.order
@@ -218,7 +240,15 @@ class TestCaState:
                 order.status = "invalid"
                 order.problem = {"type": ERROR_NS + "unauthorized", "detail": detail}
                 log.info("challenge %s for %s failed: %s", chall.type, authz.fqdn, detail)
-            elif order.status == "pending" and all(a.status == "valid" for a in order.authzs):
+                return
+            # The proof goes last, as the newest; the oldest go while expired.
+            authz.expires = now + AUTHZ_LIFETIME
+            key = (order.account_kid, authz.fqdn)
+            self.proofs.pop(key, None)
+            self.proofs[key] = (now, authz.expires)
+            while next(iter(self.proofs.values()))[1] <= now:
+                self.proofs.popitem(last=False)
+            if order.status == "pending" and all(a.status == "valid" for a in order.authzs):
                 order.status = "ready"
 
     def finalize(self, order: _Order, public_key: PublicKeyTypes, names: frozenset[str]) -> None:
@@ -568,11 +598,14 @@ class TestCa(BackgroundServer):
         return obj
 
     def authz_json(self, authz: _Authz) -> dict:
-        return {
+        obj = {
             "identifier": {"type": "dns", "value": authz.fqdn},
             "status": authz.status,
             "challenges": [self.challenge_json(c) for c in authz.challenges],
         }
+        if authz.expires is not None:  # required once valid (RFC 8555 section 7.1.4)
+            obj["expires"] = to_rfc3339(authz.expires)
+        return obj
 
     def challenge_json(self, chall: _Challenge) -> dict:
         return {

@@ -92,9 +92,9 @@ def _directory(obj) -> dict:
     return obj
 
 
-def _order_urls(order) -> tuple[str, str]:
-    """(first authorization URL, finalize URL) of an order object."""
-    return _text(order["authorizations"][0]), _text(order["finalize"])
+def _order(order) -> tuple[str, str, str]:
+    """(status, first authorization URL, finalize URL) of an order object."""
+    return _text(order["status"]), _text(order["authorizations"][0]), _text(order["finalize"])
 
 
 def _challenge(authz, wire_type: str) -> tuple[str, str] | None:
@@ -258,37 +258,23 @@ class AcmeClient:
 
     def obtain_certificate(self, fqdn: str, csr, fulfiller) -> str:
         """Full order flow for one FQDN, answering the challenge type the
-        fulfiller publishes proofs for. Returns the PEM chain; CsrMismatch
-        unless its leaf names exactly ``fqdn`` and certifies the CSR's key,
-        and MalformedAnswer for any CA answer of the wrong shape."""
-        wire_type = fulfiller.challenge_type
+        fulfiller publishes proofs for, unless the order starts ``ready``
+        (the account proved the name lately, RFC 8555 section 7.1.3).
+        Returns the PEM chain; CsrMismatch unless its leaf names exactly
+        ``fqdn`` and certifies the CSR's key, and MalformedAnswer for any
+        CA answer of the wrong shape."""
         self.ensure_account()
         _, headers, raw = self._post(self.directory()["newOrder"], {
             "identifiers": [{"type": "dns", "value": fqdn}],
         })
-        authz_url, finalize_url = _read(raw, _order_urls)
-        order_url = headers.get("location", "")
-
-        _, _, raw = self._post(authz_url, None)
-        chall = _read(raw, lambda authz: _challenge(authz, wire_type))
-        if chall is None:
-            raise ChallengeFailed(f"ca offers no {wire_type} challenge")
-        token, chall_url = chall
-        key_auth = jws.key_authorization(token, self.jwk_thumbprint)
-
-        fulfiller.install(fqdn, token, key_auth)
-        try:
-            _, _, raw = self._post(chall_url, {})
-            status, _ = self._settle(raw, chall_url)
-            if status != "valid":
-                raise ChallengeFailed(f"challenge for {fqdn} ended {status}")
-            _, _, raw = self._post(finalize_url, {"csr": jws.b64url(csr_to_der(csr))})
-            status, cert_url = self._settle(raw, order_url)
-            if status != "valid" or cert_url is None:
-                raise ChallengeFailed(f"order for {fqdn} ended {status}")
-            _, _, chain = self._post(cert_url, None)
-        finally:
-            fulfiller.cleanup(fqdn, token)
+        status, authz_url, finalize_url = _read(raw, _order)
+        if status != "ready":
+            self._prove(fqdn, authz_url, fulfiller)
+        _, _, raw = self._post(finalize_url, {"csr": jws.b64url(csr_to_der(csr))})
+        status, cert_url = self._settle(raw, headers.get("location", ""))
+        if status != "valid" or cert_url is None:
+            raise ChallengeFailed(f"order for {fqdn} ended {status}")
+        _, _, chain = self._post(cert_url, None)
         try:
             pem = chain.decode("ascii")
             leaf = split_pem_chain(pem)[0]
@@ -300,6 +286,24 @@ class AcmeClient:
         if key != csr.public_key():
             raise CsrMismatch(f"certificate issued for {fqdn} certifies a key other than the csr's")
         return pem
+
+    def _prove(self, fqdn: str, authz_url: str, fulfiller) -> None:
+        """Answer the authz's challenge of the fulfiller's type, with the
+        proof published only until the CA has settled the challenge."""
+        wire_type = fulfiller.challenge_type
+        _, _, raw = self._post(authz_url, None)
+        chall = _read(raw, lambda authz: _challenge(authz, wire_type))
+        if chall is None:
+            raise ChallengeFailed(f"ca offers no {wire_type} challenge")
+        token, chall_url = chall
+        fulfiller.install(fqdn, token, jws.key_authorization(token, self.jwk_thumbprint))
+        try:
+            _, _, raw = self._post(chall_url, {})
+            status, _ = self._settle(raw, chall_url)
+        finally:
+            fulfiller.cleanup(fqdn, token)
+        if status != "valid":
+            raise ChallengeFailed(f"challenge for {fqdn} ended {status}")
 
     def _settle(self, raw: bytes, url: str) -> tuple[str, str | None]:
         """(status, certificate URL) of ``raw``, the CA's answer for the

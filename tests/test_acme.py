@@ -6,6 +6,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import re
 import secrets
 import socket
 import socketserver
@@ -50,7 +51,7 @@ from iotpki.certs import (
 )
 from iotpki.dnsauth.server import DnsUdpServer
 from iotpki.dnsauth.zone import RType, Zone
-from iotpki.inventory import MAX_CERT_LIFETIME, utcnow
+from iotpki.inventory import MAX_CERT_LIFETIME, from_rfc3339, utcnow
 from iotpki.serving import IDLE_TIMEOUT, MAX_BODY_BYTES, BackgroundServer, ConnectionServer
 
 # Published RFC 7638 section 3.1 example JWK and its thumbprint.
@@ -1572,17 +1573,31 @@ class TestStateValues:
 
     FQDN = "typed.camera.vendor.com"
 
-    def ready_order(self, state):
-        key = generate_key()
-        thumbprint = jws.jwk_thumbprint(jws.public_jwk(key.public_key()))
-        kid, created = state.register_account(key.public_key(), thumbprint, "https://ca.test/acme/acct")
-        assert (kid, created) == (f"https://ca.test/acme/acct/{thumbprint}", True)
-        order = state.create_order(kid, [self.FQDN])
+    def ready_order(self, state, kid=None, fqdn=FQDN):
+        """An order for ``fqdn`` made ready by a passed DNS-01 probe, of a
+        new account unless ``kid`` names one."""
+        if kid is None:
+            key = generate_key()
+            thumbprint = jws.jwk_thumbprint(jws.public_jwk(key.public_key()))
+            kid, created = state.register_account(key.public_key(), thumbprint, "https://ca.test/acme/acct")
+            assert (kid, created) == (f"https://ca.test/acme/acct/{thumbprint}", True)
+        order = state.create_order(kid, [fqdn])
         chall = order.authzs[0].challenges[0]
-        assert state.start_challenge(chall, kid) == jws.key_authorization(chall.token, thumbprint)
+        assert state.start_challenge(chall, kid) == jws.key_authorization(chall.token, kid.rpartition("/")[2])
         state.finish_challenge(chall, True, "")
         assert order.status == "ready"
         return order
+
+    def test_the_proof_table_forgets_expired_proofs(self):
+        now = datetime(2026, 3, 1, 12, 0, tzinfo=timezone.utc)
+        state = ca_module.TestCaState(lambda: now)
+        kid = self.ready_order(state).account_kid
+        for i in range(4):
+            self.ready_order(state, kid, f"n{i}.camera.vendor.com")
+        assert len(state.proofs) == 5
+        now += ca_module.AUTHZ_LIFETIME
+        self.ready_order(state, kid, "last.camera.vendor.com")
+        assert list(state.proofs) == [(kid, "last.camera.vendor.com")]
 
     def finalize_problem(self, state, order, names) -> tuple[int, str]:
         with pytest.raises(ca_module._Problem) as excinfo:
@@ -1670,6 +1685,14 @@ class TestRoundTrips:
         assert posts == ["new-order", "authz", "chall", "finalize", "cert"]
         assert len(replies) == 5
 
+    def test_warm_renewal_costs_three_replies(self, stack, monkeypatch):
+        client = self.warm_client(stack)
+        enroll(client, stack, "three.camera.vendor.com")
+        replies, posts = count_replies(monkeypatch), record_posts(monkeypatch, client)
+        enroll(client, stack, "three.camera.vendor.com")
+        assert posts == ["new-order", "finalize", "cert"]
+        assert len(replies) == 3
+
     def test_processing_challenge_is_polled(self, stack, monkeypatch):
         client = self.warm_client(stack)
         processing_once(monkeypatch, "challenge_json")
@@ -1684,6 +1707,28 @@ class TestRoundTrips:
         posts = record_posts(monkeypatch, client)
         enroll(client, stack, "slow-order.camera.vendor.com")
         assert posts == ["new-order", "authz", "chall", "finalize", "order", "cert"]
+
+    def test_reused_order_starts_ready_with_a_valid_authz(self, stack):
+        fqdn = "reused.camera.vendor.com"
+        client = new_client(stack)
+        enroll(client, stack, fqdn)
+        new_order = {"identifiers": [{"type": "dns", "value": fqdn}]}
+        order = json.loads(client._post(client.directory()["newOrder"], new_order)[2])
+        assert order["status"] == "ready"
+        authz = json.loads(client._post(order["authorizations"][0], None)[2])
+        assert (authz["status"], authz["challenges"]) == ("valid", [])
+        # RFC 8555 section 7.1.4: a valid authz carries its expiry, in RFC 3339.
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?Z", authz["expires"])
+        validated, expires = stack.ca.state.proofs[client.kid, fqdn]
+        assert from_rfc3339(authz["expires"]) == expires == validated + ca_module.AUTHZ_LIFETIME
+        # Another account has proved nothing: its order waits on both challenges.
+        other = new_client(stack)
+        other.ensure_account()
+        order = json.loads(other._post(other.directory()["newOrder"], new_order)[2])
+        assert order["status"] == "pending"
+        authz = json.loads(other._post(order["authorizations"][0], None)[2])
+        assert (authz["status"], [c["type"] for c in authz["challenges"]]) == ("pending", ["dns-01", "http-01"])
+        assert "expires" not in authz
 
     def test_same_key_same_account(self, stack):
         first = new_client(stack)

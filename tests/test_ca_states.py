@@ -54,7 +54,10 @@ class OrderStates(RuleBasedStateMachine):
     """One ``TestCaState`` beside a model of every status it should hold.
     The model follows RFC 8555 section 7.1.6: the first challenge settled
     decides its authz, an invalid authz makes its order invalid, and an
-    order is ready once all its authzs are valid."""
+    order is ready once all its authzs are valid. A valid authz is the
+    account's proof of its name until ``AUTHZ_LIFETIME`` has passed: a new
+    order of that account for that name, inside the proof's lifetime,
+    gets a valid authz with no challenges (RFC 8555 section 7.1.3)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -68,6 +71,9 @@ class OrderStates(RuleBasedStateMachine):
         self.seen: dict[tuple[str, str], str] = {}
         self.nonces: OrderedDict[str, None] = OrderedDict()
         self.taken: list[str] = []
+        # (kid, fqdn) -> (validated, expires), oldest first, as the CA keeps them.
+        self.proofs: OrderedDict[tuple[str, str], tuple[datetime, datetime]] = OrderedDict()
+        self.expires: dict[str, datetime] = {}  # authz id -> its proof's end, once valid
 
     def teardown(self) -> None:
         ca_module.MAX_NONCES = self.max_nonces
@@ -113,16 +119,45 @@ class OrderStates(RuleBasedStateMachine):
         assert (kid, created) == (f"{ACCOUNTS_URL}/{thumbprint}", kid not in self.accounts)
         self.accounts[kid] = thumbprint
 
-    # A few live orders are enough to interleave; more only dilute the rules.
-    @precondition(lambda self: len(self.orders) < 4)
+    # A few live orders are enough to interleave, with room for some that
+    # reuse a proof; more only dilute the rules.
+    @precondition(lambda self: len(self.orders) < 6)
     @rule(account=st.integers(0, len(ACCOUNT_KEYS) - 1), names=ORDER_NAMES)
     def new_order(self, account, names):
-        kid = sorted(self.accounts)[account % len(self.accounts)]
+        self.place_order(sorted(self.accounts)[account % len(self.accounts)], names)
+
+    @precondition(lambda self: self.proofs and len(self.orders) < 6)
+    @rule(
+        index=st.integers(0, 10**6),
+        seconds=st.sampled_from([None, -1, 0, 1]),
+        owner=MOSTLY,
+        account=st.integers(0, len(ACCOUNT_KEYS) - 1),
+    )
+    def order_a_proved_name(self, index, seconds, owner, account):
+        """Order a proved name again, mostly as the account that proved it:
+        at once, or with the clock moved to a second before the proof's
+        end, to its end or a second past it (the last instant it vouches,
+        and the first it does not)."""
+        (kid, fqdn), (_, expires) = list(self.proofs.items())[index % len(self.proofs)]
+        if seconds is not None:
+            self.now = expires + timedelta(seconds=seconds)
+        self.place_order(kid if owner else sorted(self.accounts)[account % len(self.accounts)], [fqdn])
+
+    def place_order(self, kid: str, names: list[str]) -> None:
         order = self.state.create_order(kid, names)
         assert (order.account_kid, order.identifiers) == (kid, names)
         assert [a.fqdn for a in order.authzs] == names
-        assert all([c.type for c in a.challenges] == ["dns-01", "http-01"] for a in order.authzs)
         self.orders.append(order)
+        for authz in order.authzs:
+            validated, expires = self.proofs.get((kid, authz.fqdn), (None, None))
+            if validated is not None and validated <= self.now < expires:  # proved: reused as it stands
+                assert authz.challenges == []
+                self.set("authz", authz, "valid")
+                self.expires[authz.id] = expires
+            else:  # another account's name, a proof past its end or none: pending, both challenges
+                assert [c.type for c in authz.challenges] == ["dns-01", "http-01"]
+        if all(self.model.get(("authz", a.id)) == "valid" for a in order.authzs):
+            self.set("order", order, "ready")
         for kind, obj in self.objects():
             self.model.setdefault((kind, obj.id), "pending")
 
@@ -154,7 +189,8 @@ class OrderStates(RuleBasedStateMachine):
         pending one, and let each probe pass: a client answering its order."""
         order = self.pick("order", index, lambda o: self.model["order", o.id] == "pending")
         for authz in order.authzs:
-            self.start(next((c for c in authz.challenges if self.startable(c)), authz.challenges[0]), True)
+            if authz.challenges:  # a reused authz has none to answer
+                self.start(next((c for c in authz.challenges if self.startable(c)), authz.challenges[0]), True)
 
     def start(self, chall, probe: bool | None) -> None:
         kid = chall.authz.order.account_kid
@@ -183,7 +219,14 @@ class OrderStates(RuleBasedStateMachine):
         self.set("authz", authz, settled)
         if not ok:
             self.set("order", order, "invalid")
-        elif self.model["order", order.id] == "pending" and all(
+            return
+        key = (order.account_kid, authz.fqdn)
+        self.proofs.pop(key, None)
+        self.proofs[key] = (self.now, self.now + ca_module.AUTHZ_LIFETIME)
+        while next(iter(self.proofs.values()))[1] <= self.now:
+            self.proofs.popitem(last=False)
+        self.expires[authz.id] = self.now + ca_module.AUTHZ_LIFETIME
+        if self.model["order", order.id] == "pending" and all(
             self.model["authz", a.id] == "valid" for a in order.authzs
         ):
             self.set("order", order, "ready")
@@ -280,6 +323,12 @@ class OrderStates(RuleBasedStateMachine):
             assert table == {obj.id: obj for k, obj in self.objects() if k == kind}
         for order in self.orders:
             assert all(a.order is order and all(c.authz is a for c in a.challenges) for a in order.authzs)
+
+    @invariant()
+    def each_valid_authz_expires_with_its_proof_and_the_proofs_match_the_model(self):
+        ends = {a.id: a.expires for o in self.orders for a in o.authzs if a.expires is not None}
+        assert ends == self.expires
+        assert list(self.state.proofs.items()) == list(self.proofs.items())
 
     @invariant()
     def the_nonce_table_is_bounded_and_matches_the_model(self):

@@ -15,8 +15,9 @@ from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.x509.oid import ExtensionOID
 
-from iotpki.acme import DnsTxtFulfiller, TestCa, TokenShelf
+from iotpki.acme import DnsTxtFulfiller, HttpShelfFulfiller, TestCa, TokenShelf
 from iotpki.acme import ca as ca_module
+from iotpki.acme.client import ChallengeFailed
 from iotpki.certs import (
     generate_key,
     serial_hex,
@@ -553,14 +554,20 @@ class TestRenewalTick:
         bundle = manager.enroll_device(NS, secret("r5"))
         fp = manager.inventory.get(bundle.urn.uuid).current_cert.public_key_fingerprint
         serials = {manager.inventory.get(bundle.urn.uuid).current_cert.serial}
+        challenges = []
         for _ in range(3):
             meta = manager.inventory.get(bundle.urn.uuid).current_cert
             stack.clock.now = meta.not_after - timedelta(days=15)
+            before = len(stack.ca.state.challenges)
             outcomes = manager.renewal_tick()
+            challenges.append(len(stack.ca.state.challenges) - before)
             assert [o.status for o in outcomes] == ["renewed"]
             assert outcomes[0].public_key_fingerprint == fp
             serials.add(outcomes[0].serial)
         assert len(serials) == 4
+        # The first and third renewals reuse the name's proof; the second
+        # falls past it and proves the name afresh.
+        assert challenges == [0, 2, 0]
 
     def test_tick_not_reentrant(self, manager):
         assert manager._tick_lock.acquire(blocking=False)
@@ -570,6 +577,57 @@ class TestRenewalTick:
         finally:
             manager._tick_lock.release()
         assert manager.renewal_tick() == []
+
+
+def refuse_every_proof(monkeypatch) -> list[str]:
+    """From now on every fulfiller's ``install`` raises, and each zone write
+    and challenge validation is recorded by name in the list returned."""
+    calls = []
+
+    def refuse(fulfiller, fqdn, *_):
+        raise ChallengeFailed(f"no proof published for {fqdn}")
+
+    def recorded(cls, name):
+        real = getattr(cls, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, recording)
+
+    for fulfiller in (DnsTxtFulfiller, HttpShelfFulfiller):
+        monkeypatch.setattr(fulfiller, "install", refuse)
+    recorded(Zone, "set_record")
+    recorded(TestCa, "validate_challenge")
+    return calls
+
+
+@pytest.mark.parametrize("challenge", ["dns01", "http01"])
+class TestRenewalByReuse:
+    """Enrollment proves the URN to the fleet's account; a renewal inside
+    that proof's lifetime reuses it, so it publishes nothing and the CA
+    probes nothing (RFC 8555 section 7.1.3)."""
+
+    def test_renewal_inside_the_proof_publishes_and_probes_nothing(self, stack, manager, monkeypatch, challenge):
+        bundle = manager.enroll_device(NS, secret(f"reuse-{challenge}"), challenge)
+        meta = manager.inventory.get(bundle.urn.uuid).current_cert
+        calls = refuse_every_proof(monkeypatch)
+        stack.clock.now = meta.not_after - timedelta(days=29)
+        outcomes = manager.renewal_tick()
+        assert [(o.status, o.public_key_fingerprint) for o in outcomes] == [("renewed", meta.public_key_fingerprint)]
+        assert manager.inventory.get(bundle.urn.uuid).current_cert.serial == outcomes[0].serial
+        assert calls == []
+
+    def test_renewal_past_the_proof_must_prove_again(self, stack, manager, monkeypatch, challenge):
+        bundle = manager.enroll_device(NS, secret(f"expired-{challenge}"), challenge)
+        meta = manager.inventory.get(bundle.urn.uuid).current_cert
+        refuse_every_proof(monkeypatch)
+        stack.clock.now = NOW + ca_module.AUTHZ_LIFETIME
+        outcomes = manager.renewal_tick()
+        assert [(o.status, o.detail) for o in outcomes] == [("deferred", "ChallengeFailed")]
+        record = manager.inventory.get(bundle.urn.uuid)
+        assert (record.renewal_state, record.current_cert) == (RenewalState.DUE, meta)
 
 
 class TestRevocation:
