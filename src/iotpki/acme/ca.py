@@ -5,7 +5,9 @@ challenge, finalize, and certificate download, over HTTPS.
 The handler reads each request once: the JWS, the payload and the CSR.
 ``TestCaState`` takes only typed values (a verified key, normalized
 identifiers, the key to certify and its normalized names) and parses
-nothing.
+nothing. Its ``owned`` is the one lookup behind every order, authz,
+challenge, finalize and certificate URL: an unknown id is 404, and a
+resource answers only to the account that placed its order.
 
 Challenge validation is active: the CA probes the configured DNS
 responder (DNS-01) or fetches the token from the device-facing HTTP
@@ -208,20 +210,31 @@ class TestCaState:
                 order.status = "ready"
         return order
 
+    def owned(self, kind: str, ident: str, kid: str):
+        """The order, authz or challenge (``kind``) that ``ident`` names,
+        if the account ``kid`` placed its order: 404 ``malformed`` when
+        there is none, else 403 ``unauthorized`` for any other account
+        (RFC 8555 sections 6.7 and 7.4)."""
+        found = {"order": self.orders, "authz": self.authzs, "challenge": self.challenges}[kind].get(ident)
+        if found is None:
+            raise _Problem(404, "malformed", f"no {kind} {ident}")
+        order = found.authz.order if kind == "challenge" else found.order if kind == "authz" else found
+        if kid != order.account_kid:
+            raise _Problem(403, "unauthorized", f"{kid} does not own {kind} {ident}")
+        return found
+
     # -- status transitions -------------------------------------------------
 
-    def start_challenge(self, chall: _Challenge, kid: str) -> str | None:
+    def start_challenge(self, chall: _Challenge) -> str | None:
         """Move a pending challenge of a pending authz to processing and
-        return the key authorization to probe for, or None when the
-        challenge stands as it is. Only the order's account may ask."""
+        return the key authorization to probe for, made with its order's
+        account, or None when the challenge stands as it is."""
         with self._lock:
             authz = chall.authz
-            if kid != authz.order.account_kid:
-                raise _Problem(403, "unauthorized", f"{kid} does not own challenge {chall.id}")
             if chall.status != "pending" or authz.status != "pending":
                 return None
             chall.status = "processing"
-        return jws.key_authorization(chall.token, kid.rpartition("/")[2])
+        return jws.key_authorization(chall.token, authz.order.account_kid.rpartition("/")[2])
 
     def finish_challenge(self, chall: _Challenge, ok: bool, detail: str) -> None:
         """Settle a processing challenge and, if it is still pending, its
@@ -482,24 +495,24 @@ class _AcmeHandler(HttpHandler):
         order = ca.state.create_order(protected["kid"], identifiers)
         self._json(201, ca.order_json(order), location=f"{ca.base_url}/acme/order/{order.id}")
 
-    def _post_order(self, order_id: str, *_) -> None:
-        self._json(200, self.ca.order_json(_find(self.ca.state.orders, order_id, "order")))
+    def _post_order(self, order_id: str, protected: dict, *_) -> None:
+        self._json(200, self.ca.order_json(self.ca.state.owned("order", order_id, protected["kid"])))
 
-    def _post_authz(self, authz_id: str, *_) -> None:
-        self._json(200, self.ca.authz_json(_find(self.ca.state.authzs, authz_id, "authz")))
+    def _post_authz(self, authz_id: str, protected: dict, *_) -> None:
+        self._json(200, self.ca.authz_json(self.ca.state.owned("authz", authz_id, protected["kid"])))
 
     def _post_challenge(self, chall_id: str, protected: dict, payload: bytes, _) -> None:
-        chall = _find(self.ca.state.challenges, chall_id, "challenge")
+        chall = self.ca.state.owned("challenge", chall_id, protected["kid"])
         if payload:  # a POST-as-GET only reads the challenge (RFC 8555 section 7.5.1)
             try:
                 jws.json_object(payload)  # the answer is an object, "{}" in RFC 8555
             except ValueError as exc:
                 raise _Problem(400, "malformed", f"bad challenge payload: {exc}") from None
-            self.ca.validate_challenge(chall, protected["kid"])
+            self.ca.validate_challenge(chall)
         self._json(200, self.ca.challenge_json(chall))
 
-    def _post_finalize(self, order_id: str, _, payload: bytes, __) -> None:
-        order = _find(self.ca.state.orders, order_id, "order")
+    def _post_finalize(self, order_id: str, protected: dict, payload: bytes, _) -> None:
+        order = self.ca.state.owned("order", order_id, protected["kid"])
         try:
             csr = x509.load_der_x509_csr(jws.b64url_decode(jws.json_object(payload)["csr"]))
         except (ValueError, KeyError, TypeError) as exc:
@@ -513,9 +526,9 @@ class _AcmeHandler(HttpHandler):
         self.ca.state.finalize(order, csr.public_key(), names)
         self._json(200, self.ca.order_json(order))
 
-    def _post_cert(self, order_id: str, *_) -> None:
+    def _post_cert(self, order_id: str, protected: dict, *_) -> None:
         ca = self.ca
-        order = _find(ca.state.orders, order_id, "order")
+        order = ca.state.owned("order", order_id, protected["kid"])
         if order.status != "valid":
             raise _Problem(404, "malformed", "certificate not ready")
         chain = cert_to_pem(order.cert) + ca.root_cert_pem
@@ -534,13 +547,6 @@ class _AcmeHandler(HttpHandler):
     _GET_ROUTES = {"/directory": _get_directory, "/acme/new-nonce": _get_new_nonce, "/root": _get_root}
     # HEAD answers GET's head alone.
     _ROUTES = {"GET": _GET_ROUTES, "HEAD": _GET_ROUTES, "POST": _POST_ROUTES}
-
-
-def _find(table: dict, ident: str, what: str):
-    found = table.get(ident)
-    if found is None:
-        raise _Problem(404, "malformed", f"no {what} {ident}")
-    return found
 
 
 class TestCa(BackgroundServer):
@@ -617,9 +623,9 @@ class TestCa(BackgroundServer):
 
     # -- validation ---------------------------------------------------------
 
-    def validate_challenge(self, chall: _Challenge, kid: str) -> None:
+    def validate_challenge(self, chall: _Challenge) -> None:
         """Probe a pending challenge once; any other challenge stands."""
-        key_auth = self.state.start_challenge(chall, kid)
+        key_auth = self.state.start_challenge(chall)
         if key_auth is not None:
             self.state.finish_challenge(chall, *self._probe(chall, key_auth))
 

@@ -852,8 +852,8 @@ class TestTransport:
             finalized.append(order.id)
             return finalize(state, order, public_key, names)
 
-        def finalize_then_hang_up(handler, order_id, *_):
-            order = ca_module._find(handler.ca.state.orders, order_id, "order")
+        def finalize_then_hang_up(handler, order_id, protected, *_):
+            order = handler.ca.state.owned("order", order_id, protected["kid"])
             handler.ca.state.finalize(order, generate_key().public_key(), frozenset(order.identifiers))
             handler.close_connection = True
 
@@ -1029,7 +1029,7 @@ def test_failed_probe_names_its_cause(stack, case):
     chall = next(c for c in order.authzs[0].challenges if c.type == ctype)
     publish(stack, fqdn, chall.token)
     try:
-        stack.ca.validate_challenge(chall, kid)
+        stack.ca.validate_challenge(chall)
     finally:
         stack.shelf.remove(chall.token)
     assert (chall.status, order.status) == ("invalid", "invalid")
@@ -1056,7 +1056,7 @@ def test_http01_probe_reads_with_the_shared_readers(stack, case):
     with stub, TestCa(dns_addr=stack.dns.address, http01_port=stub.address[1]) as ca:
         order = ca.state.create_order(kid, [fqdn])
         chall = next(c for c in order.authzs[0].challenges if c.type == "http-01")
-        ca.validate_challenge(chall, kid)
+        ca.validate_challenge(chall)
     assert (chall.status, hosts) == (outcome, [fqdn])
     if outcome == "invalid":
         assert order.problem["detail"].startswith(detail)
@@ -1567,6 +1567,78 @@ class TestOrderStates:
         assert json.loads(client._post(order["finalize"], {"csr": csr_b64(fqdn)})[2])["status"] == "valid"
 
 
+class TestOwnership:
+    """RFC 8555 sections 6.7 and 7.4: every URL of an order answers only to
+    the account that placed it. Another account's request reads 403
+    ``unauthorized`` and changes nothing: the owner reads its order and
+    authz (with its challenges) as before, and no serial is issued."""
+
+    def accounts(self, stack):
+        owner, other = new_client(stack), new_client(stack)
+        owner.ensure_account()
+        other.ensure_account()
+        return owner, other
+
+    def refused(self, stack, owner, other, order, url, payload=None) -> None:
+        def seen():
+            authz = json.loads(owner._post(order["authorizations"][0], None)[2])
+            return order_status(owner, order), authz, stack.ca.state.issued_serials()
+
+        before = seen()
+        status, _, body = signed_post(other, url, payload, {})
+        assert status == 403, body
+        assert json.loads(body)["type"] == ca_module.ERROR_NS + "unauthorized"
+        assert seen() == before
+
+    def test_order_read(self, stack):
+        owner, other = self.accounts(stack)
+        order, _ = place_order(owner, "own-order.camera.vendor.com")
+        self.refused(stack, owner, other, order, order["url"])
+
+    def test_authz_read(self, stack):
+        owner, other = self.accounts(stack)
+        order, _ = place_order(owner, "own-authz.camera.vendor.com")
+        self.refused(stack, owner, other, order, order["authorizations"][0])
+
+    def test_challenge_read_and_answer(self, stack):
+        owner, other = self.accounts(stack)
+        fqdn = "own-challenge.camera.vendor.com"
+        order, chall = place_order(owner, fqdn)
+        self.refused(stack, owner, other, order, chall["url"])
+        self.refused(stack, owner, other, order, chall["url"], {})
+        assert answer_challenge(stack, owner, chall, fqdn)["status"] == "valid"
+
+    def test_finalize(self, stack):
+        owner, other = self.accounts(stack)
+        fqdn = "own-finalize.camera.vendor.com"
+        order, _ = ready_order(stack, owner, fqdn)
+        self.refused(stack, owner, other, order, order["finalize"], {"csr": csr_b64(fqdn)})
+        assert json.loads(owner._post(order["finalize"], {"csr": csr_b64(fqdn)})[2])["status"] == "valid"
+
+    def test_certificate_download(self, stack):
+        owner, other = self.accounts(stack)
+        fqdn = "own-cert.camera.vendor.com"
+        order, _ = ready_order(stack, owner, fqdn)
+        final = json.loads(owner._post(order["finalize"], {"csr": csr_b64(fqdn)})[2])
+        self.refused(stack, owner, other, order, final["certificate"])
+
+    def test_reused_order_is_finalized_by_its_account_alone(self, stack):
+        owner, other = self.accounts(stack)
+        fqdn = "own-renewal.camera.vendor.com"
+        enroll(owner, stack, fqdn)
+        new_order = {"identifiers": [{"type": "dns", "value": fqdn}]}
+        _, headers, raw = owner._post(owner.directory()["newOrder"], new_order)
+        order = dict(json.loads(raw), url=headers["location"])
+        assert order["status"] == "ready"
+        self.refused(stack, owner, other, order, order["finalize"], {"csr": csr_b64(fqdn)})
+        key = generate_key()
+        csr = jws.b64url(csr_to_der(build_csr(key, fqdn)))
+        final = json.loads(owner._post(order["finalize"], {"csr": csr})[2])
+        _, _, chain = owner._post(final["certificate"], None)
+        leaf = verify_chain(chain.decode("ascii"), fqdn, stack.ca.state.root_cert)
+        assert leaf.public_key() == key.public_key()
+
+
 class TestStateValues:
     """``TestCaState`` driven with typed values alone: no socket, JSON or
     base64 (RFC 8555 section 7.1.6)."""
@@ -1583,7 +1655,7 @@ class TestStateValues:
             assert (kid, created) == (f"https://ca.test/acme/acct/{thumbprint}", True)
         order = state.create_order(kid, [fqdn])
         chall = order.authzs[0].challenges[0]
-        assert state.start_challenge(chall, kid) == jws.key_authorization(chall.token, kid.rpartition("/")[2])
+        assert state.start_challenge(chall) == jws.key_authorization(chall.token, kid.rpartition("/")[2])
         state.finish_challenge(chall, True, "")
         assert order.status == "ready"
         return order

@@ -57,7 +57,9 @@ class OrderStates(RuleBasedStateMachine):
     order is ready once all its authzs are valid. A valid authz is the
     account's proof of its name until ``AUTHZ_LIFETIME`` has passed: a new
     order of that account for that name, inside the proof's lifetime,
-    gets a valid authz with no challenges (RFC 8555 section 7.1.3)."""
+    gets a valid authz with no challenges (RFC 8555 section 7.1.3). An
+    order, its authzs and their challenges answer only to the account
+    that placed the order (RFC 8555 sections 6.7 and 7.4)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -164,23 +166,12 @@ class OrderStates(RuleBasedStateMachine):
     # -- challenges ---------------------------------------------------------
 
     @precondition(lambda self: self.orders)
-    @rule(
-        index=st.integers(0, 10**6),
-        pick_startable=MOSTLY,
-        owner=MOSTLY,
-        probe=st.sampled_from([True, False, None]),
-    )
-    def start_challenge(self, index, pick_startable, owner, probe):
+    @rule(index=st.integers(0, 10**6), pick_startable=MOSTLY, probe=st.sampled_from([True, False, None]))
+    def start_challenge(self, index, pick_startable, probe):
         """Start a challenge, mostly one that can start, then finish it at
         once as the CA's probe does (``probe`` is its outcome), or leave it
         processing (None)."""
-        chall = self.pick("challenge", index, pick_startable and self.startable)
-        kid = chall.authz.order.account_kid
-        if owner:
-            self.start(chall, probe)
-        else:  # another account, or one never registered: nothing changes
-            other = min(set(self.accounts) - {kid}, default=f"{ACCOUNTS_URL}/nobody")
-            assert problem_of(self.state.start_challenge, chall, other) == (403, "unauthorized")
+        self.start(self.pick("challenge", index, pick_startable and self.startable), probe)
 
     @precondition(lambda self: self.orders)
     @rule(index=st.integers(0, 10**6))
@@ -193,12 +184,11 @@ class OrderStates(RuleBasedStateMachine):
                 self.start(next((c for c in authz.challenges if self.startable(c)), authz.challenges[0]), True)
 
     def start(self, chall, probe: bool | None) -> None:
-        kid = chall.authz.order.account_kid
-        key_auth = self.state.start_challenge(chall, kid)
+        key_auth = self.state.start_challenge(chall)
         if not self.startable(chall):
             assert key_auth is None
             return
-        assert key_auth == jws.key_authorization(chall.token, self.accounts[kid])
+        assert key_auth == jws.key_authorization(chall.token, self.accounts[chall.authz.order.account_kid])
         self.set("challenge", chall, "processing")
         if probe is not None:
             self.finish(chall, probe)
@@ -253,6 +243,42 @@ class OrderStates(RuleBasedStateMachine):
         assert problem_of(self.state.finalize, order, LEAF_KEY.public_key(), names) == expected
         if ready:
             self.set("order", order, "invalid")
+
+    # -- ownership ----------------------------------------------------------
+
+    @precondition(lambda self: self.orders)
+    @rule(
+        index=st.integers(0, 10**6),
+        member=st.integers(0, 10**6),
+        account=st.integers(0, len(ACCOUNT_KEYS) - 1),
+        act=st.booleans(),
+    )
+    def another_account_asks(self, index, member, account, act):
+        """Another account, registered or not, reads an order, authz or
+        challenge, or acts on it (finalizes the order with its names,
+        answers the challenge), each looked up through ``owned`` as the
+        CA's handler does. It is refused before anything changes; the
+        owner finds it, and an unknown id is not found."""
+        order = self.orders[index % len(self.orders)]
+        members = [("order", order)] + [("authz", a) for a in order.authzs]
+        members += [("challenge", c) for a in order.authzs for c in a.challenges]
+        kind, obj = members[member % len(members)]
+        others = [*sorted(set(self.accounts) - {order.account_kid}), f"{ACCOUNTS_URL}/nobody"]
+        kid = others[account % len(others)]
+
+        def ask():
+            found = self.state.owned(kind, obj.id, kid)
+            if act and kind == "order":
+                self.state.finalize(found, LEAF_KEY.public_key(), frozenset(found.identifiers))
+            elif act and kind == "challenge":
+                self.state.start_challenge(found)
+
+        tables = (self.state.orders, self.state.authzs, self.state.challenges)
+        before = self.statuses(), [len(t) for t in tables], self.state.issued_serials()
+        assert problem_of(ask) == (403, "unauthorized")
+        assert (self.statuses(), [len(t) for t in tables], self.state.issued_serials()) == before
+        assert self.state.owned(kind, obj.id, order.account_kid) is obj
+        assert problem_of(self.state.owned, kind, "no-" + obj.id, order.account_kid) == (404, "malformed")
 
     # -- clock and nonces ---------------------------------------------------
 
