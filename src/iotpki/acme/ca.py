@@ -9,10 +9,10 @@ nothing. Its ``owned`` is the one lookup behind every order, authz,
 challenge, finalize and certificate URL: an unknown id is 404, and a
 resource answers only to the account that placed its order.
 
-Challenge validation is active: the CA probes the configured DNS
-responder (DNS-01) or fetches the token from the device-facing HTTP
-endpoint it resolves via that responder (HTTP-01). Key material lives in
-process memory only.
+Challenge validation is active: a ``TestCa`` is built with both probe
+targets, the DNS responder it asks for DNS-01 TXT records and the port
+it fetches HTTP-01 tokens from, at the address that responder gives.
+Key material lives in process memory only.
 """
 
 from __future__ import annotations
@@ -480,18 +480,18 @@ class _AcmeHandler(HttpHandler):
         ca = self.ca
         try:
             idents = jws.json_object(payload)["identifiers"]
-            if not isinstance(idents, list) or not all(
+            if not isinstance(idents, list) or not idents or not all(
                 isinstance(i, dict) and isinstance(i.get("value"), str) for i in idents
             ):
-                raise ValueError("identifiers must be objects with string values, in a list")
+                raise ValueError("identifiers must be objects with string values, in a non-empty list")
         except (ValueError, KeyError) as exc:
             raise _Problem(400, "malformed", f"bad order payload: {exc}") from None
+        if any(i.get("type") != "dns" for i in idents):  # refused whole, never narrowed
+            raise _Problem(400, "unsupportedIdentifier", "this CA certifies dns identifiers only")
         try:
-            identifiers = list(dict.fromkeys(normalize_name(i["value"]) for i in idents if i.get("type") == "dns"))
+            identifiers = list(dict.fromkeys(normalize_name(i["value"]) for i in idents))
         except InvalidRecord as exc:
             raise _Problem(400, "rejectedIdentifier", str(exc)) from None
-        if not identifiers:
-            raise _Problem(400, "malformed", "order carries no dns identifiers")
         order = ca.state.create_order(protected["kid"], identifiers)
         self._json(201, ca.order_json(order), location=f"{ca.base_url}/acme/order/{order.id}")
 
@@ -557,8 +557,9 @@ class TestCa(BackgroundServer):
     def __init__(
         self,
         bind_addr: tuple[str, int] = ("127.0.0.1", 0),
-        dns_addr: tuple[str, int] | None = None,
-        http01_port: int | None = None,
+        *,
+        dns_addr: tuple[str, int],
+        http01_port: int,
         clock: Callable[[], dt.datetime] = utcnow,
     ) -> None:
         self.dns_addr = dns_addr
@@ -631,8 +632,6 @@ class TestCa(BackgroundServer):
 
     def _probe(self, chall: _Challenge, expected_key_auth: str) -> tuple[bool, str]:
         fqdn = chall.authz.fqdn
-        if self.dns_addr is None:
-            return False, "ca has no dns responder configured"
         if chall.type == "dns-01":
             expected_txt = jws.dns01_txt_value(expected_key_auth)
             try:
@@ -645,27 +644,24 @@ class TestCa(BackgroundServer):
             if expected_txt in values:
                 return True, ""
             return False, f"txt mismatch: {values} != {expected_txt}"
-        if chall.type == "http-01":
-            if self.http01_port is None:
-                return False, "ca has no http-01 port configured"
-            try:
-                ip = resolve_address(fqdn, self.dns_addr)
-            except ResolutionFailure as exc:
-                return False, f"address resolution failed: {exc}"
-            # A direct connection to the resolved address: the probe must
-            # never go through a proxy named in the environment. Host names
-            # the identifier (RFC 8555 section 8.3).
-            request = f"GET {WELL_KNOWN_PREFIX}{chall.token} HTTP/1.1\r\nHost: {fqdn}\r\nConnection: close\r\n\r\n"
-            try:
-                with socket.create_connection((ip, self.http01_port), timeout=3) as sock:
-                    sock.sendall(request.encode("ascii"))
-                    with sock.makefile("rb") as rfile:
-                        _, status, _, body = read_answer(rfile, "GET")
-            except (OSError, BadHead) as exc:
-                return False, f"http probe failed: {exc}"
-            if status != 200:
-                return False, f"http probe returned {status}"
-            if body == expected_key_auth.encode():
-                return True, ""
-            return False, "key authorization mismatch"
-        return False, f"unsupported challenge type {chall.type}"
+        # http-01, the only other type create_order makes.
+        try:
+            ip = resolve_address(fqdn, self.dns_addr)
+        except ResolutionFailure as exc:
+            return False, f"address resolution failed: {exc}"
+        # A direct connection to the resolved address: the probe must
+        # never go through a proxy named in the environment. Host names
+        # the identifier (RFC 8555 section 8.3).
+        request = f"GET {WELL_KNOWN_PREFIX}{chall.token} HTTP/1.1\r\nHost: {fqdn}\r\nConnection: close\r\n\r\n"
+        try:
+            with socket.create_connection((ip, self.http01_port), timeout=3) as sock:
+                sock.sendall(request.encode("ascii"))
+                with sock.makefile("rb") as rfile:
+                    _, status, _, body = read_answer(rfile, "GET")
+        except (OSError, BadHead) as exc:
+            return False, f"http probe failed: {exc}"
+        if status != 200:
+            return False, f"http probe returned {status}"
+        if body == expected_key_auth.encode():
+            return True, ""
+        return False, "key authorization mismatch"

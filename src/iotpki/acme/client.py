@@ -15,7 +15,7 @@ import time
 import urllib.parse
 from typing import Any, Callable, TypeVar
 
-from ..certs import csr_to_der, generate_key, san_dns_names, split_pem_chain
+from ..certs import csr_to_der, san_dns_names, split_pem_chain
 from ..errors import IotPkiError
 from ..serving import BadHead, read_answer
 from . import jws
@@ -113,9 +113,10 @@ def _state(obj) -> tuple[str, str | None]:
 
 
 class AcmeClient:
-    """One client per account key. Thread-safe for independent orders as
-    long as each thread uses its own client (nonce pool and connection are
-    per-client).
+    """A client of the ACME account whose key it is built with; clients
+    sharing a key share the account and its reusable authorizations.
+    Thread-safe for independent orders as long as each thread uses its
+    own client (nonce pool and connection are per-client).
 
     Requests share one keep-alive HTTPS connection, opened on first use
     and reopened when the CA has closed it or a URL names another origin.
@@ -124,11 +125,11 @@ class AcmeClient:
     def __init__(
         self,
         directory_url: str,
-        account_key=None,
+        account_key,
         ca_bundle_pem: str | None = None,
     ) -> None:
         self.directory_url = directory_url
-        self.account_key = account_key if account_key is not None else generate_key()
+        self.account_key = account_key
         self.kid: str | None = None
         self.jwk_thumbprint = jws.jwk_thumbprint(jws.public_jwk(self.account_key.public_key()))
         if ca_bundle_pem is not None:

@@ -24,6 +24,7 @@ import sys
 import time
 import uuid as uuidlib
 from contextlib import ExitStack, contextmanager
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -341,17 +342,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats: dict[str, dict] = {}
     for mode in modes:
         cfg = SimConfig(
-            num_mobile_nodes=args.nodes,
             mode=mode,
-            duration=args.duration,
-            burst_size=args.burst_size,
-            poll_interval=args.poll_interval,
-            gateway_range=args.gateway_range,
-            d2d_link_latency_ms=args.d2d_latency_ms,
-            handshake_cost_ms=args.handshake_ms,
             cloud=WeibullParams(beta=args.weibull_beta, lam=args.weibull_lambda),
-            cloud_connection_cap=args.cloud_cap,
-            seed=args.seed,
+            **{f.name: getattr(args, f.name) for f in fields(SimConfig) if f.name not in ("mode", "cloud")},
         )
         report = run_smart_city(cfg)
         with (out / f"sim_{mode}.csv").open("w") as fp:
@@ -487,18 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "simulate", cmd_simulate, ("out", "seed"), "smart-city latency simulation")
     p.add_argument("--mode", choices=["d2d", "cloud", "both"], default="both")
-    p.add_argument("--nodes", type=int, default=SimConfig.num_mobile_nodes)
+    # Each model flag's dest is the SimConfig field it sets (--seed is shared).
+    p.add_argument("--nodes", dest="num_mobile_nodes", type=int, default=SimConfig.num_mobile_nodes)
     p.add_argument("--duration", type=float, default=SimConfig.duration, help="simulated seconds")
     p.add_argument("--burst-size", dest="burst_size", type=int, default=SimConfig.burst_size)
     p.add_argument("--poll-interval", dest="poll_interval", type=float, default=SimConfig.poll_interval)
     p.add_argument("--gateway-range", dest="gateway_range", type=float, default=SimConfig.gateway_range)
     p.add_argument(
-        "--d2d-latency-ms", dest="d2d_latency_ms", type=float, default=SimConfig.d2d_link_latency_ms
+        "--d2d-latency-ms", dest="d2d_link_latency_ms", type=float, default=SimConfig.d2d_link_latency_ms
     )
-    p.add_argument("--handshake-ms", dest="handshake_ms", type=float, default=SimConfig.handshake_cost_ms)
+    p.add_argument("--handshake-ms", dest="handshake_cost_ms", type=float, default=SimConfig.handshake_cost_ms)
     p.add_argument("--weibull-beta", dest="weibull_beta", type=float, default=WEIBULL_BETA)
     p.add_argument("--weibull-lambda", dest="weibull_lambda", type=float, default=WEIBULL_LAMBDA)
-    p.add_argument("--cloud-cap", dest="cloud_cap", type=int, default=SimConfig.cloud_connection_cap)
+    p.add_argument(
+        "--cloud-cap", dest="cloud_connection_cap", type=int, default=SimConfig.cloud_connection_cap
+    )
     return parser
 
 

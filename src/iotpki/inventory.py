@@ -256,8 +256,8 @@ class Inventory:
     @classmethod
     def restore(cls, path: str | Path) -> "Inventory":
         """Read a snapshot back. Whatever its bytes, this returns an
-        Inventory or raises CorruptSnapshot (or IoFailure when the file
-        cannot be read)."""
+        Inventory with one record per record line, or raises
+        CorruptSnapshot (or IoFailure when the file cannot be read)."""
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -287,6 +287,8 @@ class Inventory:
                 OverflowError, InvalidMeta, MalformedUrn,
             ) as exc:
                 raise CorruptSnapshot(f"bad record line: {exc}") from exc
+            if record.uuid in inv._records:
+                raise CorruptSnapshot(f"device {record.uuid} is listed twice")
             inv._records[record.uuid] = record
         return inv
 

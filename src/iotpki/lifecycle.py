@@ -65,13 +65,13 @@ class BadParallelism(IotPkiError):
 @dataclass(frozen=True)
 class ProvisionedDevice:
     """Enrollment result handed to the device: URN, its private key, and
-    the issued chain. The key exists only in this bundle; the ACME client
-    checked that the chain's leaf names the URN and certifies the key."""
+    the issued chain (its issue time is in the inventory). The key exists
+    only in this bundle; the ACME client checked that the chain's leaf
+    names the URN and certifies the key."""
 
     urn: DeviceUrn
     private_key: object
     certificate_chain: str
-    issued_at: datetime
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class FleetManager:
         with self._keys_lock:
             self._device_keys[urn.uuid] = (key, fulfiller)
         issuance_ms = (time.perf_counter() - t1) * 1000.0
-        bundle = ProvisionedDevice(urn, key, meta.pem_chain, meta.issuance_time)
+        bundle = ProvisionedDevice(urn, key, meta.pem_chain)
         return bundle, binding_ms, issuance_ms
 
     def enroll_batch(

@@ -575,7 +575,7 @@ class TestDnsAuthorityConformance:
 
             observer = ObservingFulfiller(stack.zone, addr)
             with AcmeClient(
-                stack.ca.directory_url, ca_bundle_pem=stack.ca.service_cert_pem
+                stack.ca.directory_url, account_key=generate_key(), ca_bundle_pem=stack.ca.service_cert_pem
             ) as client:
                 chain = client.obtain_certificate(
                     urn, build_csr(generate_key(), urn), observer

@@ -283,7 +283,7 @@ def stack():
 def new_client(stack, ca=None) -> AcmeClient:
     """A client of ``ca`` (default: the stack's CA), closed with the stack."""
     ca = ca or stack.ca
-    client = AcmeClient(ca.directory_url, ca_bundle_pem=ca.service_cert_pem)
+    client = AcmeClient(ca.directory_url, account_key=generate_key(), ca_bundle_pem=ca.service_cert_pem)
     stack.clients.append(client)
     return client
 
@@ -408,7 +408,7 @@ class TestIssuanceFlow:
 
     def test_ca_unreachable_maps_to_domain_error(self, monkeypatch):
         monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 0.5)
-        client = AcmeClient("https://127.0.0.1:1/directory", ca_bundle_pem=None)
+        client = AcmeClient("https://127.0.0.1:1/directory", account_key=generate_key(), ca_bundle_pem=None)
         with pytest.raises(CaUnreachable):
             client.ensure_account()
 
@@ -555,7 +555,7 @@ class TestNonces:
 class TestQuota:
     def test_internal_gate_trips_past_quota(self):
         # Exercise the counting gate directly at full scale.
-        ca = TestCa()
+        ca = TestCa(dns_addr=("127.0.0.1", 0), http01_port=0)
         try:
             for _ in range(30000):
                 ca.state.check_quota(["x.camera.vendor.com"])
@@ -566,7 +566,7 @@ class TestQuota:
 
     def test_http_order_past_quota_is_rate_limited(self, stack, monkeypatch):
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 2)
-        ca = TestCa(dns_addr=stack.dns.address).start()
+        ca = TestCa(dns_addr=stack.dns.address, http01_port=stack.shelf.port).start()
         try:
             client = new_client(stack, ca)
             client.ensure_account()
@@ -585,7 +585,7 @@ class TestQuota:
 
     def test_quota_is_per_domain(self, monkeypatch):
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
-        ca = TestCa()
+        ca = TestCa(dns_addr=("127.0.0.1", 0), http01_port=0)
         try:
             ca.state.check_quota(["a.camera.vendor.com"])
             ca.state.check_quota(["b.camera.other.org"])  # different registrable domain
@@ -628,7 +628,7 @@ class TestQuota:
 
     def test_case_does_not_start_a_new_count(self, stack, monkeypatch):
         monkeypatch.setattr(ca_module, "WEEKLY_ORDER_QUOTA", 1)
-        ca = TestCa(dns_addr=stack.dns.address).start()
+        ca = TestCa(dns_addr=stack.dns.address, http01_port=stack.shelf.port).start()
         try:
             client = new_client(stack, ca)
             client.ensure_account()
@@ -652,7 +652,7 @@ class TestValidityConfiguration:
 
     def test_leaf_never_outlives_root(self):
         now = [datetime(2001, 3, 1, tzinfo=timezone.utc)]
-        ca = TestCa(clock=lambda: now[0])
+        ca = TestCa(dns_addr=("127.0.0.1", 0), http01_port=0, clock=lambda: now[0])
         try:
             root_end = ca.state.root_cert.not_valid_after_utc
             now[0] = root_end - timedelta(days=10)
@@ -769,7 +769,9 @@ class TestTransport:
         server, accepted = stub_ca(stub_tls, [reply, (GOOD_REPLY, False)])
         with server:
             host, port = server.address
-            with AcmeClient(f"https://{host}:{port}/directory", ca_bundle_pem=stub_tls[1]) as client:
+            with AcmeClient(
+                f"https://{host}:{port}/directory", account_key=generate_key(), ca_bundle_pem=stub_tls[1]
+            ) as client:
                 with pytest.raises(CaUnreachable):
                     client._http("GET", f"https://{host}:{port}/directory")
                 status, headers, payload = client._http("GET", f"https://{host}:{port}/directory")
@@ -782,7 +784,7 @@ class TestTransport:
         with server:
             host, port = server.address
             url = f"https://{host}:{port}/directory"
-            with AcmeClient(url, ca_bundle_pem=stub_tls[1]) as client:
+            with AcmeClient(url, account_key=generate_key(), ca_bundle_pem=stub_tls[1]) as client:
                 assert client._http("GET", url)[0] == 200
                 assert client._sock is None
                 assert client._http("GET", url)[2] == b"ok"
@@ -866,7 +868,7 @@ class TestTransport:
         assert len(finalized) == 1
 
     def test_close_ends_live_connections(self, stack):
-        ca = TestCa(dns_addr=stack.dns.address).start()
+        ca = TestCa(dns_addr=stack.dns.address, http01_port=stack.shelf.port).start()
         client = new_client(stack, ca)
         client.ensure_account()
         started = time.perf_counter()
@@ -1256,7 +1258,21 @@ REJECTS = [
         lambda s, c: (
             acme_url(s, "new-order"), {"identifiers": [{"type": "ip", "value": "127.0.0.1"}]}, {}
         ),
-        400, "malformed", False, id="no-dns-identifiers",
+        400, "unsupportedIdentifier", False, id="no-dns-identifiers",
+    ),
+    pytest.param(
+        lambda s, c: (
+            acme_url(s, "new-order"),
+            {"identifiers": [
+                {"type": "dns", "value": "mixed.camera.vendor.com"}, {"type": "ip", "value": "127.0.0.1"},
+            ]},
+            {},
+        ),
+        400, "unsupportedIdentifier", False, id="mixed-identifiers",
+    ),
+    pytest.param(
+        lambda s, c: (acme_url(s, "new-order"), {"identifiers": []}, {}), 400, "malformed", False,
+        id="no-identifiers",
     ),
     pytest.param(
         lambda s, c: (acme_url(s, "new-account/x"), {}, {}), 404, "malformed", True,
@@ -1343,9 +1359,13 @@ def test_reject_path(stack, build, status, ptype, close):
     client = new_client(stack)
     client.ensure_account()
     url, payload, protected = build(stack, client)
+    state = stack.ca.state
+    before = len(state.orders), dict(state._order_counts)
     got, headers, body = signed_post(client, url, payload, protected)
     assert (got, json.loads(body)["type"]) == (status, ca_module.ERROR_NS + ptype)
     assert (headers.get("connection") == "close") is close
+    # A refused request records no order and counts none against the quota.
+    assert (len(state.orders), dict(state._order_counts)) == before
 
 
 @pytest.mark.parametrize("fqdn", BAD_IDENTIFIERS.values(), ids=BAD_IDENTIFIERS.keys())
@@ -1427,7 +1447,7 @@ class TestOrderStates:
     )
     def test_finalize_with_no_leaf_to_issue_is_a_problem(self, stack, late):
         now = [datetime.now(timezone.utc)]
-        ca = TestCa(dns_addr=stack.dns.address, clock=lambda: now[0]).start()
+        ca = TestCa(dns_addr=stack.dns.address, http01_port=stack.shelf.port, clock=lambda: now[0]).start()
         try:
             client = new_client(stack, ca)
             client.ensure_account()
@@ -1895,7 +1915,7 @@ class TestOrderTree:
         assert statuses == ["valid", "invalid"]
 
     def test_tables_index_exactly_the_order_trees(self, stack):
-        ca = TestCa(dns_addr=stack.dns.address).start()
+        ca = TestCa(dns_addr=stack.dns.address, http01_port=stack.shelf.port).start()
         try:
             client = new_client(stack, ca)
             for i in range(4):

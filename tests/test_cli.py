@@ -11,6 +11,7 @@ import ssl
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -21,10 +22,11 @@ from iotpki.certs import split_pem_chain
 from iotpki.dnsauth import Rcode, RType
 from iotpki.dnsauth.server import resolve
 from iotpki.errors import BindFailure
-from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid
+from iotpki.identity import DeviceSecret, DeviceUrn, VendorNamespace, derive_device_uuid, parse_urn
 from iotpki.inventory import CertificateMeta, Inventory, RenewalState
 from iotpki.peer_auth import TrustContext, validate_peer
 from iotpki.revocation import deserialize, query
+from iotpki.simulator import SimConfig, WeibullParams
 
 
 def run(argv, capsys):
@@ -162,6 +164,14 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     run_by = {parser.parse_args(shlex.split(line, comments=True)[1:]).func for line in readme_command_lines()}
     assert run_by == {getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}
+
+
+def test_readme_library_example_runs(capsys):
+    """README's library example runs as written and prints the URN it enrolled."""
+    block = README.read_text().split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    (line,) = capsys.readouterr().out.splitlines()
+    assert parse_urn(line).namespace == VendorNamespace("vendor.example", "sensor")
 
 
 class TestEnrollmentCommands:
@@ -650,6 +660,41 @@ class TestSimulate:
         assert stderr.startswith("error:") and "overflow" in stderr
         assert stderr.count("\n") == 1
         assert not (tmp_path / "sim_cloud.csv").exists()
+
+    def test_every_model_flag_sets_its_config_field(self, tmp_path, monkeypatch):
+        # flag -> (the SimConfig field it sets, a value other than its default)
+        flags = {
+            "--nodes": ("num_mobile_nodes", 7),
+            "--duration": ("duration", 12.5),
+            "--burst-size": ("burst_size", 3),
+            "--poll-interval": ("poll_interval", 0.5),
+            "--gateway-range": ("gateway_range", 55.0),
+            "--d2d-latency-ms": ("d2d_link_latency_ms", 4.0),
+            "--handshake-ms": ("handshake_cost_ms", 9.0),
+            "--cloud-cap": ("cloud_connection_cap", 2),
+            "--seed": ("seed", 11),
+        }
+        assert {name for name, _ in flags.values()} == {f.name for f in fields(SimConfig)} - {"mode", "cloud"}
+        configs = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(cfg):
+            configs.append(cfg)
+            raise Recorded
+
+        monkeypatch.setattr(cli, "run_smart_city", record)
+        argv = ["simulate", "--mode", "cloud", "--weibull-beta", "1.5", "--weibull-lambda", "0.2"]
+        for flag, (_, value) in flags.items():
+            argv += [flag, str(value)]
+        with pytest.raises(Recorded):
+            cli.main([*argv, "--out", str(tmp_path)])
+        (cfg,) = configs
+        for name, value in flags.values():
+            assert getattr(cfg, name) == value != getattr(SimConfig, name), name
+        assert (cfg.mode, cfg.cloud) == ("cloud", WeibullParams(beta=1.5, lam=0.2))
+        assert cfg.cloud != WeibullParams()
 
 
 class FakeTime:

@@ -354,12 +354,15 @@ def fuzz_path(tmp_path_factory):
 
 
 def assert_restores_or_is_corrupt(path, raw: bytes) -> None:
-    """A snapshot restores with every text field a string, or is corrupt."""
+    """A snapshot restores with one record per record line (those between
+    the header and the trailer) and every text field a string, or is
+    corrupt."""
     path.write_bytes(raw)
     try:
         inv = Inventory.restore(path)
     except (CorruptSnapshot, IoFailure):
         return
+    assert len(inv.records()) == len(raw.decode().splitlines()) - 2
     for record in inv.records():
         texts = [] if record.gateway_delegation is None else [record.gateway_delegation]
         assert isinstance(record.superseded, tuple), record
@@ -466,6 +469,15 @@ class TestSnapshot:
         assert (record.current_cert.serial, record.gateway_delegation) == ("0a", delegation)
         # A line without the superseded member, as older snapshots wrote it.
         assert record.superseded == ()
+
+    def test_device_listed_twice_is_corrupt(self, tmp_path):
+        # A later line must not replace a revocation: the device would
+        # leave the revoked serials that the next filter is built over.
+        path = tmp_path / "inv.snap"
+        lines = [json.dumps({**GOOD_RECORD, "state": state}) for state in ("revoked", "due")]
+        path.write_text(checksummed(SNAPSHOT_HEADER + "\n" + "".join(line + "\n" for line in lines)))
+        with pytest.raises(CorruptSnapshot, match="listed twice"):
+            Inventory.restore(path)
 
     @pytest.mark.parametrize("state", ["in_progress", "expired"])
     def test_legacy_state_restores_as_due(self, tmp_path, state):

@@ -124,8 +124,8 @@ class TestEnroll:
     def test_enroll_returns_valid_bundle(self, stack, manager):
         bundle = manager.enroll_device(NS, secret("e1"))
         assert_chain_ok(stack, bundle)
-        assert bundle.issued_at == NOW
         record = manager.inventory.get(bundle.urn.uuid)
+        assert record.current_cert.issuance_time == NOW
         assert record.renewal_state is RenewalState.CURRENT
         assert record.current_cert.public_key_fingerprint == spki_fingerprint(
             bundle.private_key.public_key()

@@ -65,7 +65,7 @@ def test_start_close_cycles_are_fast_and_leave_no_thread(echo_args):
     makers = {
         "dns": lambda: DnsUdpServer(Zone("vendor.test"), ("127.0.0.1", 0)),
         "shelf": TokenShelf,
-        "ca": TestCa,
+        "ca": lambda: TestCa(dns_addr=("127.0.0.1", 0), http01_port=0),
         "echo": lambda: EchoServer(*echo_args),
     }
     before = serve_threads()
@@ -83,7 +83,7 @@ def test_start_close_cycles_are_fast_and_leave_no_thread(echo_args):
 
 
 TCP_SERVERS = {
-    "ca": lambda echo_args: TestCa(),
+    "ca": lambda echo_args: TestCa(dns_addr=("127.0.0.1", 0), http01_port=0),
     "shelf": lambda echo_args: TokenShelf(),
     "echo": lambda echo_args: EchoServer(*echo_args),
 }
@@ -133,7 +133,7 @@ def test_token_shelf_drops_idle_peer(monkeypatch):
 
 @pytest.fixture(scope="module")
 def http_servers():
-    with TestCa() as ca, TokenShelf() as shelf:
+    with TestCa(dns_addr=("127.0.0.1", 0), http01_port=0) as ca, TokenShelf() as shelf:
         yield {"ca": ca, "shelf": shelf}
 
 
@@ -194,7 +194,9 @@ def test_nonce_204_has_no_length_and_keeps_the_connection(http_servers):
 @pytest.mark.parametrize(
     "make",
     [
-        pytest.param(lambda addr, echo_args: TestCa(bind_addr=addr), id="ca"),
+        pytest.param(
+            lambda addr, echo_args: TestCa(bind_addr=addr, dns_addr=("127.0.0.1", 0), http01_port=0), id="ca"
+        ),
         pytest.param(lambda addr, echo_args: EchoServer(*echo_args, bind_addr=addr), id="echo"),
     ],
 )
